@@ -17,6 +17,7 @@ from .errors import DomainError, GuardRefusal, ShapeError, ValidationError
 from .fields import PrimeField
 from .matrices import Matrix, column_space_dim_of_stack
 from .modules import KroneckerModule
+from .quiver import build_gamma, components
 from .witness import Witness, verify_witness
 
 
@@ -269,7 +270,8 @@ def empirical_best_epsilon(M: KroneckerModule, l_eps: int,
     """
     if M.dim == 0:
         return BestEpsReport(Fraction(0), False, [])
-    supports = _arrow_supports(M)
+    adj = build_gamma(M).adjacency()
+    sinks = [(1, i) for i in range(M.dim2)]
     n1 = M.dim1
     spent = 0
     best = None
@@ -280,39 +282,8 @@ def empirical_best_epsilon(M: KroneckerModule, l_eps: int,
                 eps = best if best is not None else Fraction(M.dim1, M.dim)
                 return BestEpsReport(eps, True, [],
                                      detail=f"budget {budget} exhausted")
-            if _components_small_enough(M, subset, supports, l_eps):
+            kept = [(0, j) for j in subset] + sinks
+            if all(len(c) <= l_eps for c in components(adj, kept)):
                 eps = Fraction(M.dim1 - k, M.dim)
                 return BestEpsReport(eps, False, list(subset))
     return BestEpsReport(Fraction(M.dim1, M.dim), False, [])
-
-
-def _arrow_supports(M: KroneckerModule):
-    sup = [set() for _ in range(M.dim1)]
-    for m in M.maps:
-        for i, j, _ in m.entries():
-            sup[j].add(i)
-    return sup
-
-
-def _components_small_enough(M, kept_sources, supports, l_eps) -> bool:
-    parent = list(range(M.dim1 + M.dim2))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for j in kept_sources:
-        for i in supports[j]:
-            rj, ri = find(j), find(M.dim1 + i)
-            if rj != ri:
-                parent[max(rj, ri)] = min(rj, ri)
-    sizes = {}
-    for j in kept_sources:
-        r = find(j)
-        sizes[r] = sizes.get(r, 0) + 1
-    for i in range(M.dim2):
-        r = find(M.dim1 + i)
-        sizes[r] = sizes.get(r, 0) + 1
-    return all(s <= l_eps for s in sizes.values())

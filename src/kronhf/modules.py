@@ -258,14 +258,6 @@ def companion_matrix(field, coeffs) -> Matrix:
     return Matrix.from_entries(field, n, n, ent)
 
 
-def _sympy_domain(field):
-    import sympy
-
-    if field.char == 0:
-        return {"domain": sympy.QQ}
-    return {"modulus": field.char}
-
-
 def poly_to_sympy(field, coeffs):
     """sympy Poly of the monic polynomial with given low-order coefficients."""
     import sympy
@@ -380,12 +372,6 @@ def build_R(block: PencilBlock, field=QQ) -> KroneckerModule:
         n = len(full)
         return KroneckerModule(2, field, n, n, [Matrix.identity(field, n), psi])
     raise ValidationError(f"{block.kind} is not a regular kind")
-
-
-def regular_poly_block(field, coeffs) -> PencilBlock:
-    """PencilBlock for a monic prime-power polynomial given by full coefficients."""
-    q, e = prime_power_parts(field, coeffs)
-    return PencilBlock("R_poly", poly=q, e=e)
 
 
 def poly_power_coeffs(field, q, e) -> tuple:

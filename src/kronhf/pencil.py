@@ -24,7 +24,6 @@ from .modules import (
     classify_standard,
     direct_sum,
     factor_monic,
-    poly_to_sympy,
 )
 
 
@@ -308,7 +307,3 @@ def _certify(M: KroneckerModule, blocks: Counter):
         if r1 != r2:
             raise AssertionError(f"rank profile mismatch at ({lam}, {mu}): {r1} != {r2}")
 
-
-def poly_display(q: tuple, e: int, field) -> str:
-    base = poly_to_sympy(field, q).as_expr()
-    return f"({base})^{e}" if e > 1 else f"({base})"

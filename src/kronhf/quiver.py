@@ -4,6 +4,11 @@ Vertices are tagged pairs (layer, index) with layer 0 for the source vertex
 basis and layer 1 for the sink vertex basis. An edge ((0, j) -> (1, i),
 arrow k, c) exists exactly when entry (i, j) of the k-th arrow matrix in the
 chosen basis equals c != 0.
+
+This module is also the one graph layer of the package: components,
+centroid_of, split_until and component_modules work on any adjacency map and
+vertex subset, and the witness producers and the expander search use them
+for their component and centroid work.
 """
 
 from __future__ import annotations
@@ -67,29 +72,16 @@ def build_gamma(M: KroneckerModule, B: BasisChoice | None = None) -> Coefficient
     for k, mat in enumerate(mats):
         for i, j, v in mat.entries():
             edges.append((j, i, k, v))
-    edges.sort(key=lambda e: (e[0], e[1], e[2]))
+    edges.sort()  # by (source, sink, arrow); that triple is unique per edge
     return CoefficientQuiver(M.dim1, M.dim2, edges, M.d)
 
 
 def is_tree(gamma: CoefficientQuiver) -> bool:
     """Connected and acyclic, counting parallel edges as cycles; empty is not a tree."""
     n = gamma.n_vertices
-    if n == 0:
+    if n == 0 or len(gamma.edges) != n - 1:
         return False
-    if len(gamma.edges) != n - 1:
-        return False
-    adj = gamma.adjacency()
-    seen = set()
-    start = next(iter(adj))
-    stack = [start]
-    seen.add(start)
-    while stack:
-        v = stack.pop()
-        for w, _ in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
+    return len(components(gamma.adjacency(), gamma.vertices())) == 1
 
 
 def degree_stats(gamma: CoefficientQuiver):
@@ -109,14 +101,45 @@ def centroid(gamma: CoefficientQuiver):
     """
     if not is_tree(gamma):
         raise PreconditionError("centroid requires a tree")
-    order = list(gamma.vertices())
-    return _centroid_of(order, gamma.adjacency())
+    return centroid_of(list(gamma.vertices()), gamma.adjacency())[0]
 
 
-def _centroid_of(vertices, adj):
-    n = len(vertices)
-    if n == 1:
-        return vertices[0]
+# -- graph layer: components, centroids and splitting over an adjacency map --------
+
+
+def components(adj, vertices):
+    """Components of the subgraph induced on vertices.
+
+    Each component is a sorted vertex list; the list is ordered by smallest
+    vertex. adj maps a vertex to (neighbor, arrow) pairs, as from
+    CoefficientQuiver.adjacency.
+    """
+    left = set(vertices)
+    out = []
+    while left:
+        comp = [left.pop()]
+        stack = comp[:]
+        while stack:
+            for w, _ in adj[stack.pop()]:
+                if w in left:
+                    left.remove(w)
+                    comp.append(w)
+                    stack.append(w)
+        comp.sort()
+        out.append(comp)
+    out.sort()
+    return out
+
+
+def centroid_of(vertices, adj):
+    """Centroid of the tree induced on vertices, and its branch sizes.
+
+    Returns (c, branch) where c minimises the largest component left by
+    removing it, ties broken toward the earliest vertex in the given order,
+    and branch maps each neighbor of c inside the set to the size of its
+    component once c is removed (the sizes sum to len(vertices) - 1).
+    """
+    inside = set(vertices)
     root = vertices[0]
     parent = {root: None}
     order = []
@@ -125,23 +148,64 @@ def _centroid_of(vertices, adj):
         v = dq.popleft()
         order.append(v)
         for w, _ in adj[v]:
-            if w != root and w not in parent:
+            if w in inside and w not in parent:
                 parent[w] = v
                 dq.append(w)
+    n = len(order)
     size = {v: 1 for v in order}
     for v in reversed(order[1:]):
         size[parent[v]] += size[v]
     rank = {v: t for t, v in enumerate(vertices)}
     best = None
     for v in order:
-        heaviest = n - size[v]
+        branch = {} if parent[v] is None else {parent[v]: n - size[v]}
         for w, _ in adj[v]:
-            if w != parent[v] and parent.get(w) == v:
-                heaviest = max(heaviest, size[w])
-        key = (heaviest, rank[v])
-        if best is None or key < best[0:2]:
-            best = (heaviest, rank[v], v)
-    return best[2]
+            if w in inside and parent[w] == v:
+                branch[w] = size[w]
+        key = (max(branch.values(), default=0), rank[v])
+        if best is None or key < best[0]:
+            best = (key, v, branch)
+    return best[1], best[2]
+
+
+def split_until(adj, vertices, bound, choose_batch):
+    """Remove batches of vertices until every component has at most bound vertices.
+
+    choose_batch(comp) gets an oversized component (sorted vertex list) and
+    returns the set of its vertices to remove. Returns (final components,
+    removed vertex set, size of each removed batch in removal order).
+    """
+    queue = components(adj, vertices)
+    final = []
+    removed = set()
+    batch_sizes = []
+    while queue:
+        comp = queue.pop()
+        if len(comp) <= bound:
+            final.append(comp)
+            continue
+        batch = choose_batch(comp)
+        removed |= batch
+        batch_sizes.append(len(batch))
+        queue.extend(components(adj, [u for u in comp if u not in batch]))
+    return final, removed, batch_sizes
+
+
+def component_modules(M: KroneckerModule, mats, comps):
+    """One (submodule, (emb1, emb2)) per vertex set, with selection embeddings.
+
+    mats are the arrow matrices of M in the basis the vertices index; each
+    submodule keeps the rows and columns of its sink and source vertices.
+    """
+    out = []
+    for verts in comps:
+        src = sorted(v[1] for v in verts if v[0] == 0)
+        snk = sorted(v[1] for v in verts if v[0] == 1)
+        sub = KroneckerModule(M.d, M.field, len(src), len(snk),
+                              [m.submatrix(snk, src) for m in mats])
+        out.append((sub, (Matrix.selection(M.field, M.dim1, src),
+                          Matrix.selection(M.field, M.dim2, snk))))
+    return out
 
 
 def submodule_from_generators(M: KroneckerModule, gens):
@@ -184,44 +248,11 @@ def split_components(M: KroneckerModule, B: BasisChoice | None = None):
     if B is None:
         B = BasisChoice.standard_for(M)
     gamma = build_gamma(M, B)
-    comp = components(gamma)
     mats = M.maps if B.standard else [B.basis2.solve(m @ B.basis1) for m in M.maps]
-    out = []
-    for verts in comp:
-        src = sorted(v[1] for v in verts if v[0] == 0)
-        snk = sorted(v[1] for v in verts if v[0] == 1)
-        sub_maps = [m.submatrix(snk, src) for m in mats]
-        sub = KroneckerModule(M.d, M.field, len(src), len(snk), sub_maps)
-        emb1 = Matrix.selection(M.field, M.dim1, src)
-        emb2 = Matrix.selection(M.field, M.dim2, snk)
-        if not B.standard:
-            emb1 = B.basis1 @ emb1
-            emb2 = B.basis2 @ emb2
-        out.append((sub, (emb1, emb2)))
-    return out
-
-
-def components(gamma: CoefficientQuiver):
-    """Connected components as sorted vertex lists, ordered by smallest vertex."""
-    adj = gamma.adjacency()
-    seen = set()
-    out = []
-    for v in gamma.vertices():
-        if v in seen:
-            continue
-        comp = []
-        stack = [v]
-        seen.add(v)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w, _ in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        out.append(sorted(comp))
-    out.sort()
-    return out
+    out = component_modules(M, mats, components(gamma.adjacency(), gamma.vertices()))
+    if B.standard:
+        return out
+    return [(sub, (B.basis1 @ e1, B.basis2 @ e2)) for sub, (e1, e2) in out]
 
 
 def export_edges(gamma: CoefficientQuiver) -> str:

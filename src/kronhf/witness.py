@@ -8,7 +8,6 @@ inequalities are decided in exact rational arithmetic.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -27,7 +26,8 @@ from .modules import (
     a_sequence,
 )
 from .pencil import decompose_pencil
-from .quiver import build_gamma, degree_stats, is_tree
+from .quiver import (build_gamma, centroid_of, component_modules, components,
+                     degree_stats, is_tree, split_until)
 
 
 @dataclass
@@ -128,9 +128,7 @@ def verify_weak_witness(M: KroneckerModule, w: WeakWitness) -> VerifyReport:
         if Fraction(part.dim) > w.l_eps:
             return VerifyReport(False, "part-size",
                                 f"part {idx} has dim {part.dim} > l_eps {w.l_eps}")
-    rank_f, rank_g = f.rank(), g.rank()
-    ker_dim = (N.dim1 - rank_f) + (N.dim2 - rank_g)
-    coker_dim = (M.dim1 - rank_f) + (M.dim2 - rank_g)
+    ker_dim, coker_dim = weak_stats(M, w)
     if Fraction(ker_dim) > w.eps * M.dim:
         return VerifyReport(False, "kernel", f"dim ker = {ker_dim} > eps * dim M")
     if Fraction(coker_dim) > w.eps * M.dim:
@@ -150,84 +148,34 @@ def weak_stats(M: KroneckerModule, w: WeakWitness):
 # -- shared monomial machinery ---------------------------------------------------
 
 
-def _column_supports(M: KroneckerModule):
-    """Per arrow, column -> sorted list of nonzero row indices."""
-    out = []
-    for m in M.maps:
-        cols = {}
-        for i, j, _ in m.entries():
-            cols.setdefault(j, []).append(i)
-        out.append(cols)
-    return out
+def _closure_sinks(adj, kept_sources):
+    return sorted({w[1] for j in kept_sources for w, _ in adj[(0, j)]})
 
 
-def _closure_sinks(M: KroneckerModule, kept_sources):
-    supports = _column_supports(M)
-    snk = set()
-    for j in kept_sources:
-        for cols in supports:
-            snk.update(cols.get(j, ()))
-    return sorted(snk)
-
-
-def _parts_from_kept(M: KroneckerModule, kept_src, kept_snk):
+def _parts_from_kept(M: KroneckerModule, adj, kept):
     """Connected components of the kept vertex set as embedded part modules.
 
-    Requires the kept set to be arrow-closed: every kept source's columns are
-    supported inside the kept sinks (checked).
+    Requires the kept set to be arrow-closed: every kept source's neighbors
+    in the coefficient quiver are kept sinks (checked).
     """
-    kept_src = sorted(kept_src)
-    kept_snk = sorted(kept_snk)
-    in_snk = set(kept_snk)
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for v in kept_src:
-        parent[(0, v)] = (0, v)
-    for v in kept_snk:
-        parent[(1, v)] = (1, v)
-    supports = _column_supports(M)
-    for j in kept_src:
-        for cols in supports:
-            for i in cols.get(j, ()):
-                if i not in in_snk:
+    kept = set(kept)
+    for v in kept:
+        if v[0] == 0:
+            for w, _ in adj[v]:
+                if w not in kept:
                     raise ValidationError(
-                        f"kept set not arrow-closed: source {j} hits dropped sink {i}")
-                union((0, j), (1, i))
-    groups = {}
-    for v in parent:
-        groups.setdefault(find(v), []).append(v)
-    parts = []
-    for root in sorted(groups):
-        verts = groups[root]
-        src = sorted(x[1] for x in verts if x[0] == 0)
-        snk = sorted(x[1] for x in verts if x[0] == 1)
-        maps = [m.submatrix(snk, src) for m in M.maps]
-        sub = KroneckerModule(M.d, M.field, len(src), len(snk), maps)
-        parts.append(WitnessPart(sub,
-                                 Matrix.selection(M.field, M.dim1, src),
-                                 Matrix.selection(M.field, M.dim2, snk)))
-    return parts
+                        f"kept set not arrow-closed: source {v[1]} hits dropped sink {w[1]}")
+    return [WitnessPart(sub, e1, e2)
+            for sub, (e1, e2) in component_modules(M, M.maps, components(adj, kept))]
 
 
 def monomial_submodule(M: KroneckerModule, kept_sources):
     """Arrow-closed span of the kept source vectors and every sink they hit."""
     src = sorted(kept_sources)
-    snk = _closure_sinks(M, src)
-    maps = [m.submatrix(snk, src) for m in M.maps]
-    sub = KroneckerModule(M.d, M.field, len(src), len(snk), maps)
-    return sub, (Matrix.selection(M.field, M.dim1, src),
-                 Matrix.selection(M.field, M.dim2, snk))
+    snk = _closure_sinks(build_gamma(M).adjacency(), src)
+    verts = [(0, j) for j in src] + [(1, i) for i in snk]
+    [(sub, embs)] = component_modules(M, M.maps, [verts])
+    return sub, embs
 
 
 def whole_module_witness(M: KroneckerModule, eps, l_eps, producer, **notes) -> Witness:
@@ -265,13 +213,13 @@ def _zigzag_witness(M: KroneckerModule, eps: Fraction, producer: str) -> Witness
     if r == 0 and Fraction(2 * K + 1) > L:
         drops.add(n - 2)
     kept = [c for c in range(n) if c not in drops]
-    sub, _ = monomial_submodule(M, kept)
-    snk = _closure_sinks(M, kept)
-    parts = _parts_from_kept(M, kept, snk)
+    adj = build_gamma(M).adjacency()
+    snk = _closure_sinks(adj, kept)
+    parts = _parts_from_kept(M, adj, [(0, j) for j in kept] + [(1, i) for i in snk])
+    removed = M.dim - len(kept) - len(snk)
     w = Witness(M, eps, L, parts,
                 dict(producer=producer, dropped_sources=sorted(drops),
-                     removed=M.dim - sub.dim,
-                     removed_fraction=Fraction(M.dim - sub.dim, M.dim)))
+                     removed=removed, removed_fraction=Fraction(removed, M.dim)))
     if Fraction(w.dim_n) < (1 - eps) * M.dim:
         raise AssertionError("zigzag witness violates the dimension bound; bug")
     return w
@@ -407,53 +355,6 @@ def weaken(w: Witness) -> WeakWitness:
 # -- fragmentation for wild theta(d) ------------------------------------------------
 
 
-def _adjacency(M: KroneckerModule):
-    """Undirected adjacency over vertices (0, j), (1, i) plus in-neighbor lists."""
-    adj = {}
-    for j in range(M.dim1):
-        adj[(0, j)] = []
-    for i in range(M.dim2):
-        adj[(1, i)] = []
-    in_nbrs = {i: set() for i in range(M.dim2)}
-    n_edges = 0
-    for m in M.maps:
-        for i, j, _ in m.entries():
-            adj[(0, j)].append((1, i))
-            adj[(1, i)].append((0, j))
-            in_nbrs[i].add(j)
-            n_edges += 1
-    return adj, in_nbrs, n_edges
-
-
-def _subset_components(vertices, adj):
-    vs = set(vertices)
-    seen = set()
-    comps = []
-    for v in sorted(vs):
-        if v in seen:
-            continue
-        comp = []
-        stack = [v]
-        seen.add(v)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for wv in adj[u]:
-                if wv in vs and wv not in seen:
-                    seen.add(wv)
-                    stack.append(wv)
-        comps.append(sorted(comp))
-    return comps
-
-
-def _subset_centroid(comp, adj):
-    vs = set(comp)
-    local = {v: [(w, 0) for w in adj[v] if w in vs] for v in comp}
-    from .quiver import _centroid_of
-
-    return _centroid_of(comp, local)
-
-
 def fragment_tree_module(M: KroneckerModule, eps: Fraction) -> Witness:
     """Centroid-splitting witness for a tree module with indegree at most d.
 
@@ -471,34 +372,18 @@ def fragment_tree_module(M: KroneckerModule, eps: Fraction) -> Witness:
     C = math.ceil(Fraction(2 * (M.d + 1)) / eps)
     if M.dim <= C:
         return whole_module_witness(M, eps, C, "fragment_tree")
-    adj, in_nbrs, _ = _adjacency(M)
-    removed = set()
-    splits = 0
-    max_removed_per_split = 0
-    queue = [sorted(adj)]
-    final = []
-    while queue:
-        comp = queue.pop()
-        if len(comp) <= C:
-            final.append(comp)
-            continue
-        comp_set = set(comp)
-        v = _subset_centroid(comp, adj)
-        if v[0] == 0:
-            batch = {v}
-        else:
-            batch = {v} | {(0, j) for j in in_nbrs[v[1]] if (0, j) in comp_set}
-        removed |= batch
-        splits += 1
-        max_removed_per_split = max(max_removed_per_split, len(batch))
-        rest = [u for u in comp if u not in batch]
-        queue.extend(_subset_components(rest, adj))
-    kept_src = [v[1] for v in sorted(set().union(*final) if final else set()) if v[0] == 0]
-    kept_snk = [v[1] for v in sorted(set().union(*final) if final else set()) if v[0] == 1]
-    parts = _parts_from_kept(M, kept_src, kept_snk)
+    adj = gamma.adjacency()
+
+    def choose_batch(comp):
+        # a sink centroid takes its incoming sources, its neighbors in comp
+        v, branch = centroid_of(comp, adj)
+        return {v} if v[0] == 0 else {v, *branch}
+
+    final, removed, batch_sizes = split_until(adj, gamma.vertices(), C, choose_batch)
+    parts = _parts_from_kept(M, adj, set().union(*final))
     notes = dict(producer="fragment_tree", removed=len(removed),
                  removed_fraction=Fraction(len(removed), M.dim),
-                 splits=splits, max_removed_per_split=max_removed_per_split,
+                 splits=len(batch_sizes), max_removed_per_split=max(batch_sizes, default=0),
                  budget_met=Fraction(len(removed), M.dim) <= eps)
     return Witness(M, eps, Fraction(C), parts, notes)
 
@@ -550,44 +435,21 @@ def fragment_postinjective_theta(d: int, t: int, eps: Fraction, *,
     if Fraction(n) * alpha ** (k - 1) <= 2:
         return whole_module_witness(M, eps, max(L, n), "fragment_postinjective",
                                     guard_triggered=True, size_bound=L)
-    adj, in_nbrs, _ = _adjacency(M)
-    removed = set()
-    stages = 0
-    queue = [sorted(adj)]
-    final = []
-    while queue:
-        comp = queue.pop()
-        if len(comp) <= L:
-            final.append(comp)
-            continue
-        comp_set = set(comp)
-        v = _subset_centroid(comp, adj)
-        if v[0] == 1:
-            sink = v
-        else:
-            rest = [u for u in comp if u != v]
-            pieces = _subset_components(rest, adj)
-            best = None
-            for nb in sorted(adj[v]):
-                if nb not in comp_set:
-                    continue
-                size = next(len(p) for p in pieces if nb in p)
-                key = (-size, nb)
-                if best is None or key < best[0:2]:
-                    best = (key[0], key[1], nb)
-            sink = best[2]
-        batch = {sink} | {(0, j) for j in in_nbrs[sink[1]] if (0, j) in comp_set}
-        removed |= batch
-        stages += 1
-        rest = [u for u in comp if u not in batch]
-        queue.extend(_subset_components(rest, adj))
-    kept = set().union(*final) if final else set()
-    kept_src = sorted(v[1] for v in kept if v[0] == 0)
-    kept_snk = sorted(v[1] for v in kept if v[0] == 1)
-    parts = _parts_from_kept(M, kept_src, kept_snk)
+    gamma = build_gamma(M)
+    adj = gamma.adjacency()
+
+    def choose_batch(comp):
+        # a source centroid hands over to the neighbor sink heading its largest branch
+        v, branch = centroid_of(comp, adj)
+        sink = v if v[0] == 1 else min(branch, key=lambda nb: (-branch[nb], nb))
+        inside = set(comp)
+        return {sink} | {w for w, _ in adj[sink] if w in inside}
+
+    final, removed, batch_sizes = split_until(adj, gamma.vertices(), L, choose_batch)
+    parts = _parts_from_kept(M, adj, set().union(*final))
     notes = dict(producer="fragment_postinjective", removed=len(removed),
                  removed_fraction=Fraction(len(removed), M.dim),
-                 stages=stages, size_bound=L, alpha=alpha,
+                 stages=len(batch_sizes), size_bound=L, alpha=alpha,
                  budget_met=Fraction(len(removed), M.dim) <= eps)
     return Witness(M, eps, Fraction(L), parts, notes)
 
@@ -622,6 +484,3 @@ def witness_to_dict(w: Witness, report: VerifyReport | None = None) -> dict:
         out["verdict"] = {"pass": report.ok, "clause": report.clause, "detail": report.detail}
     return out
 
-
-def witness_to_json(w: Witness, report: VerifyReport | None = None) -> str:
-    return json.dumps(witness_to_dict(w, report), indent=2, sort_keys=True)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kronhf.errors import PreconditionError, ValidationError
 from kronhf.fields import QQ, PrimeField
@@ -8,8 +10,10 @@ from kronhf.matrices import Matrix, random_invertible
 from kronhf.modules import (KroneckerModule, PencilBlock, build_P, build_R,
                             build_postinjective_theta, direct_sum)
 from kronhf.quiver import (BasisChoice, CoefficientQuiver, build_gamma, centroid,
-                           degree_stats, export_edges, is_tree,
-                           split_components, submodule_from_generators)
+                           centroid_of, components, degree_stats, export_edges,
+                           is_tree, split_components, split_until,
+                           submodule_from_generators)
+from kronhf.witness import _parts_from_kept
 
 
 def _path_quiver(n):
@@ -246,3 +250,133 @@ def test_export_edges_format():
     z = KroneckerModule(2, QQ, 1, 1, [Matrix.zeros(QQ, 1, 1)] * 2)
     iso = export_edges(build_gamma(z)).strip().splitlines()
     assert iso == ["1.1", "2.1"]
+
+
+def _block_diag(field, blocks):
+    n = sum(b.rows for b in blocks)
+    ent, off = [], 0
+    for b in blocks:
+        ent += [(i + off, j + off, v) for i, j, v in b.entries()]
+        off += b.rows
+    return Matrix.from_entries(field, n, n, ent)
+
+
+def test_split_components_nonstandard_basis_embeddings_intertwine():
+    rng = random.Random(29)
+    M = direct_sum([build_P(1), build_P(2)])
+    # block-diagonal basis changes keep the two summands apart
+    B = BasisChoice(
+        _block_diag(QQ, [random_invertible(QQ, 1, rng), random_invertible(QQ, 2, rng)]),
+        _block_diag(QQ, [random_invertible(QQ, 2, rng), random_invertible(QQ, 3, rng)]))
+    comps = split_components(M, B)
+    assert len(comps) >= 2
+    assert sum(c.dim1 for c, _ in comps) == M.dim1
+    assert sum(c.dim2 for c, _ in comps) == M.dim2
+    assert any(e1.is_selection() is None for _, (e1, _) in comps)
+    for sub, (e1, e2) in comps:
+        for k in range(2):
+            assert M.maps[k] @ e1 == e2 @ sub.maps[k]
+
+
+def test_parts_from_kept_rejects_kept_set_not_arrow_closed():
+    M = build_P(2)  # source j maps to sinks j and j + 1
+    adj = build_gamma(M).adjacency()
+    kept = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    with pytest.raises(ValidationError, match="not arrow-closed"):
+        _parts_from_kept(M, adj, kept)
+    [part] = _parts_from_kept(M, adj, kept + [(1, 2)])
+    assert (part.module.dim1, part.module.dim2) == (2, 3)
+
+
+# -- graph layer properties on random tree modules -----------------------------
+
+
+@st.composite
+def tree_modules(draw):
+    """Each new vertex hangs off an earlier vertex of the other layer by one arrow."""
+    n = draw(st.integers(1, 14))
+    verts = [(0, 0)]
+    counts = [1, 0]
+    edges = []  # (source, sink, arrow)
+    for _ in range(n - 1):
+        anchor = verts[draw(st.integers(0, len(verts) - 1))]
+        layer = 1 - anchor[0]
+        v = (layer, counts[layer])
+        counts[layer] += 1
+        src, snk = (anchor, v) if layer == 1 else (v, anchor)
+        edges.append((src[1], snk[1], draw(st.integers(0, 1))))
+        verts.append(v)
+    maps = [Matrix.from_entries(QQ, counts[1], counts[0],
+                                [(i, j, 1) for j, i, k in edges if k == a])
+            for a in range(2)]
+    return KroneckerModule(2, QQ, counts[0], counts[1], maps)
+
+
+def _brute_components(gamma, verts):
+    """Partition of verts by search over the raw edge list, ordered by smallest vertex."""
+    verts = set(verts)
+    left = set(verts)
+    out = []
+    while left:
+        start = min(left)
+        comp = {start}
+        frontier = [start]
+        while frontier:
+            u = frontier.pop()
+            for j, i, _, _ in gamma.edges:
+                for a, b in (((0, j), (1, i)), ((1, i), (0, j))):
+                    if a == u and b in verts and b not in comp:
+                        comp.add(b)
+                        frontier.append(b)
+        out.append(sorted(comp))
+        left -= comp
+    return out
+
+
+def _subset(draw, gamma):
+    return [v for v in gamma.vertices() if draw(st.booleans())]
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree_modules(), st.data())
+def test_components_match_brute_force(M, data):
+    gamma = build_gamma(M)
+    assert is_tree(gamma)
+    adj = gamma.adjacency()
+    subset = _subset(data.draw, gamma)
+    assert components(adj, subset) == _brute_components(gamma, subset)
+    assert components(adj, gamma.vertices()) == [sorted(gamma.vertices())]
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree_modules(), st.data())
+def test_centroid_of_minimises_largest_branch(M, data):
+    gamma = build_gamma(M)
+    adj = gamma.adjacency()
+    for comp in components(adj, _subset(data.draw, gamma)) or [sorted(gamma.vertices())]:
+        c, branch = centroid_of(comp, adj)
+        largest = {v: max(map(len, _brute_components(gamma, set(comp) - {v})), default=0)
+                   for v in comp}
+        assert c == min(comp, key=lambda v: (largest[v], v))
+        assert sum(branch.values()) == len(comp) - 1
+        pieces = _brute_components(gamma, set(comp) - {c})
+        assert set(branch) == {w for w, _ in adj[c] if w in comp}
+        for nb, size in branch.items():
+            assert len(next(p for p in pieces if nb in p)) == size
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree_modules(), st.data())
+def test_split_until_bounds_components_and_covers(M, data):
+    gamma = build_gamma(M)
+    adj = gamma.adjacency()
+    subset = _subset(data.draw, gamma)
+    bound = data.draw(st.integers(1, gamma.n_vertices))
+    final, removed, batch_sizes = split_until(adj, subset, bound,
+                                              lambda comp: {centroid_of(comp, adj)[0]})
+    kept = [v for comp in final for v in comp]
+    assert all(len(comp) <= bound for comp in final)
+    assert len(kept) == len(set(kept)) and not set(kept) & removed
+    assert set(kept) | removed == set(subset)
+    assert sum(batch_sizes) == len(removed)
+    assert sorted(final) == components(adj, kept)
