@@ -87,6 +87,15 @@ def _cfg(args, cfgmap, name, default=None):
     return cfgmap.get(name, default)
 
 
+def _cfg_int(args, cfgmap, name, default):
+    """An integer option; a malformed value is a usage error, not a traceback."""
+    raw = _cfg(args, cfgmap, name, default)
+    try:
+        return int(raw)
+    except (TypeError, ValueError):
+        raise ValidationError(f"--{name} must be an integer, got {raw!r}") from None
+
+
 def _emit(args, report: RunReport, text_lines):
     if args.json:
         print(report.to_json())
@@ -284,8 +293,8 @@ def cmd_sl2p(args, cfgmap) -> int:
         results["fixture_match"] = match
         verdicts.append(match)
     if getattr(args, "kazhdan", False):
-        seed = int(_cfg(args, cfgmap, "seed", "0"))
-        trials = int(_cfg(args, cfgmap, "trials", "200"))
+        seed = _cfg_int(args, cfgmap, "seed", 0)
+        trials = _cfg_int(args, cfgmap, "trials", 200)
         est = kazhdan_estimate(p, trials=trials, seed=sub_seed(seed, f"sl2p:{p}"))
         results["kazhdan"] = {
             "lower": est.lower, "upper": est.upper, "alpha": est.alpha,
@@ -343,11 +352,11 @@ def cmd_expander(args, cfgmap) -> int:
                 f"--field {want} does not match the maps file field {M.field.label}")
     cand = ExpanderCandidate.from_module(M, eta, alpha)
     mode = _cfg(args, cfgmap, "mode", "exhaustive")
-    seed = int(_cfg(args, cfgmap, "seed", "0"))
+    seed = _cfg_int(args, cfgmap, "seed", 0)
     if mode == "exhaustive":
-        rep = check_exhaustive(cand, guard=int(_cfg(args, cfgmap, "guard", str(10 ** 7))))
+        rep = check_exhaustive(cand, guard=_cfg_int(args, cfgmap, "guard", 10 ** 7))
     elif mode == "sample":
-        trials = int(_cfg(args, cfgmap, "trials", "1000"))
+        trials = _cfg_int(args, cfgmap, "trials", 1000)
         rep = check_sampled_rational(cand, trials, seed=sub_seed(seed, "expander"))
     else:
         raise ValidationError(f"unknown mode {mode}")
@@ -355,7 +364,7 @@ def cmd_expander(args, cfgmap) -> int:
         "verdict": rep.verdict,
         "eta": str(eta),
         "alpha": str(alpha),
-        "worst_ratio": str(rep.worst_ratio),
+        "worst_ratio": None if rep.worst_ratio is None else str(rep.worst_ratio),
         "witness": rep.witness.to_text() if rep.witness is not None else None,
         "subspaces_checked": rep.subspaces_checked,
         "seed": seed,

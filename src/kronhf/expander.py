@@ -102,30 +102,200 @@ def _image_dim(cand: ExpanderCandidate, W: Matrix) -> int:
     return column_space_dim_of_stack([m @ wt for m in cand.maps])
 
 
+class _PackedImages:
+    """The images T_1(w), ..., T_d(w) of one vector w of F_q^n, packed into one int.
+
+    Entry s of T_j(w) sits in bits (j*n + s)*B .. (j*n + s)*B + B - 1, where B
+    leaves one bit to spare above q - 1. Two reduced packed values then add
+    mod q entrywise in a few whole-int operations (``add``), and T_j(w) is
+    linear in w: the packed images of e_c, one int per column c, generate
+    every other by ``add`` and ``scale``.
+    """
+
+    def __init__(self, cand: ExpanderCandidate):
+        q, n, d = cand.field.q, cand.n, len(cand.maps)
+        B = (q - 1).bit_length() + 1
+        unit = sum(1 << (s * B) for s in range(n * d))
+        self.q, self.n = q, n
+        self.entry = (1 << B) - 1
+        self.vec = (1 << (n * B)) - 1
+        self.high = unit << (B - 1)           # the spare bit of every entry
+        self.bias = unit * ((1 << (B - 1)) - q)
+        self.spare = B - 1
+        self.offsets = [j * n * B for j in range(d)]
+        # bit length of a nonzero packed vector -> shift of its highest nonzero entry
+        self.lead = [0] + [(b - 1) // B * B for b in range(1, n * B + 1)]
+        self.columns = [0] * n
+        for j, m in enumerate(cand.maps):
+            for r, c, v in m.entries():
+                self.columns[c] += (v % q) << ((j * n + r) * B)
+
+    def add(self, a: int, b: int) -> int:
+        """Entrywise (a + b) mod q: an entry of a + b is at most 2q - 2 < 2^B, and
+        adding 2^(B-1) - q sets its spare bit exactly when it is >= q."""
+        t = a + b
+        return t - (((t + self.bias) & self.high) >> self.spare) * self.q
+
+    def scale(self, v: int, f: int) -> int:
+        """f * v mod q for 0 < f < q, by doubling."""
+        out = v if f & 1 else 0
+        f >>= 1
+        while f:
+            v = self.add(v, v)
+            if f & 1:
+                out = self.add(out, v)
+            f >>= 1
+        return out
+
+    def echelon(self, images: int) -> dict:
+        """Rows spanning the d packed vectors of ``images``, keyed by the shift of
+        their highest nonzero entry, which is 1."""
+        q, lead, vec, scale, add = self.q, self.lead, self.vec, self.scale, self.add
+        rows = {}
+        for off in self.offsets:
+            v = (images >> off) & vec
+            while v:
+                sh = lead[v.bit_length()]
+                c = v >> sh
+                r = rows.get(sh)
+                if r is None:
+                    rows[sh] = v if c == 1 else scale(v, pow(c, -1, q))
+                    break
+                v = add(v, r if c == q - 1 else scale(r, q - c))
+        return rows
+
+    def reduce(self, images: int, order: list) -> int:
+        """Kill the entries of every packed vector of ``images`` at the leading
+        positions of the (shift, row) pairs of ``order``, taken by shift
+        descending, by subtracting multiples of the rows. The map is linear with
+        kernel the span of the rows, so the rank of reduced vectors is their
+        rank modulo that span."""
+        q, entry, scale, add = self.q, self.entry, self.scale, self.add
+        for off in self.offsets:
+            for sh, r in order:
+                c = (images >> (off + sh)) & entry
+                if c:
+                    images = add(images, (r if c == q - 1 else scale(r, q - c)) << off)
+        return images
+
+    def options(self, images: int, steps: list, digits: list, reverse: bool):
+        """Odometer over the digits of one row, last digit fastest: yields the
+        packed images of each option; stepping a digit adds steps[pos], the
+        images of +1 (or -1 when ``reverse``) times its column."""
+        q, add = self.q, self.add
+        delta, wrap = (-1, q - 1) if reverse else (1, 0)
+        for _ in range(q ** len(steps)):
+            yield images
+            pos = len(steps) - 1
+            while pos >= 0:
+                images = add(images, steps[pos])
+                v = digits[pos] + delta
+                if 0 <= v < q:
+                    digits[pos] = v
+                    break
+                digits[pos] = wrap
+                pos -= 1
+
+    def scan(self, k: int, reverse: bool, need: int):
+        """Walk the k-dimensional subspaces in the order of ``enumerate_subspaces``
+        until one has dim sum T_i(W) < need.
+
+        Returns (subspaces walked, least dim sum T_i(W) seen, RREF entries of the
+        failing W or None). Row i of W is e_p + sum of digit * e_c over its free
+        columns c. Its images are kept reduced modulo the span of the images of
+        rows 0..i-1 (the prefix), and updated by one column per odometer step,
+        so the last row costs one echelon of d short vectors per subspace.
+        """
+        q, n, add, scale, echelon, reduce, options = (
+            self.q, self.n, self.add, self.scale, self.echelon, self.reduce, self.options)
+        last = k - 1
+        walked = 0
+        least = None
+
+        def walk(i, cols, base):
+            # cols[c]: images of e_c reduced modulo the prefix of row i, of dim base
+            nonlocal walked, least
+            p, free, digits = pivots[i], frees[i], digit_rows[i]
+            images = cols[p]
+            if reverse:
+                steps = [scale(cols[c], q - 1) for c in free]
+                for s in steps:
+                    images = add(images, s)
+                digits[:] = [q - 1] * len(free)
+            else:
+                steps = [cols[c] for c in free]
+                digits[:] = [0] * len(free)
+            if i == last:
+                for index, images in enumerate(options(images, steps, digits, reverse)):
+                    dim = base + len(echelon(images))
+                    if least is None or dim < least:
+                        least = dim
+                        if dim < need:
+                            walked += index + 1
+                            return True
+                walked += q ** len(free)
+                return False
+            after = pivots[i + 1]
+            for images in options(images, steps, digits, reverse):
+                rows = echelon(images)
+                if rows:
+                    # rows i+1.. only read columns from their own pivot on
+                    order = sorted(rows.items(), reverse=True)
+                    nxt = cols[:after] + [reduce(c, order) if c else 0 for c in cols[after:]]
+                else:
+                    nxt = cols
+                if walk(i + 1, nxt, base + len(rows)):
+                    return True
+            return False
+
+        pivot_sets = list(combinations(range(n), k))
+        if reverse:
+            pivot_sets.reverse()
+        for pivots in pivot_sets:
+            pivset = set(pivots)
+            frees = [[c for c in range(p + 1, n) if c not in pivset] for p in pivots]
+            digit_rows = [[] for _ in pivots]
+            if walk(0, self.columns, 0):
+                entries = [(i, p, 1) for i, p in enumerate(pivots)]
+                entries += [(i, c, v) for i in range(k)
+                            for c, v in zip(frees[i], digit_rows[i]) if v]
+                return walked, least, entries
+        return walked, least, None
+
+
 def check_exhaustive(cand: ExpanderCandidate, guard: int = 10 ** 7,
                      reverse: bool = False) -> ExpansionReport:
-    """Decide the (eta, alpha) expansion property over a prime field."""
+    """Decide the (eta, alpha) expansion property over a prime field.
+
+    Subspaces W of dimension k = 1..floor(eta n) are walked by k ascending,
+    each k in the canonical order of ``enumerate_subspaces``; ``reverse``
+    flips the whole order. A refutation reports the first W in that order
+    with dim sum T_i(W) < (1 + alpha) k.
+    """
     if not isinstance(cand.field, PrimeField):
         raise ValidationError("exhaustive check requires a prime field")
     kmax = int(cand.eta * cand.n)
     total = sum(gaussian_binomial(cand.n, k, cand.field.q) for k in range(1, kmax + 1))
     if total > guard:
         raise GuardRefusal(f"{total} subspaces exceed the guard of {guard}")
+    alpha = Fraction(cand.alpha)
+    packed = _PackedImages(cand)
     checked = 0
-    worst = None
+    worst = None                  # (dim, k) of the least ratio dim / k
     ks = range(kmax, 0, -1) if reverse else range(1, kmax + 1)
     for k in ks:
-        for W in enumerate_subspaces(cand.field, cand.n, k, reverse=reverse):
-            checked += 1
-            dim_sum = _image_dim(cand, W)
-            ratio = Fraction(dim_sum, k)
-            if worst is None or ratio < worst:
-                worst = ratio
-            if Fraction(dim_sum) < (1 + cand.alpha) * k:
-                return ExpansionReport("refuted", cand.eta, cand.alpha, ratio, W,
-                                       checked, "exhaustive",
-                                       notes={"expected_total": total})
-    return ExpansionReport("proved", cand.eta, cand.alpha, worst, None, checked,
+        # dim < (1 + alpha) k  <=>  dim < need, the ceiling of (1 + alpha) k
+        need = -(-(alpha.denominator + alpha.numerator) * k // alpha.denominator)
+        walked, least, entries = packed.scan(k, reverse, need)
+        checked += walked
+        if worst is None or least * worst[1] < worst[0] * k:
+            worst = (least, k)
+        if entries is not None:
+            W = Matrix.from_entries(cand.field, k, cand.n, entries)
+            return ExpansionReport("refuted", cand.eta, cand.alpha, Fraction(least, k), W,
+                                   checked, "exhaustive", notes={"expected_total": total})
+    return ExpansionReport("proved", cand.eta, cand.alpha,
+                           None if worst is None else Fraction(*worst), None, checked,
                            "exhaustive", notes={"expected_total": total})
 
 
@@ -134,7 +304,11 @@ def check_sampled_rational(cand: ExpanderCandidate, trials: int, max_entry: int 
     """Sample random rational subspaces; refutation is definitive, a pass is not."""
     if trials < 1:
         raise DomainError("trials >= 1")
-    kmax = max(1, int(cand.eta * cand.n))
+    kmax = int(cand.eta * cand.n)
+    if kmax == 0:
+        # no nonzero subspace has dimension <= eta * n: the property holds vacuously
+        return ExpansionReport("sampled-pass", cand.eta, cand.alpha, None, None, 0,
+                               "sampled", seed)
     rng = random.Random(seed)
     worst = None
     checked = 0

@@ -104,7 +104,6 @@ class Matrix:
         return not self._rows
 
     def to_dense(self):
-        z = self.field.zero
         return [[self.entry(i, j) for j in range(self.cols)] for i in range(self.rows)]
 
     def copy(self):

@@ -167,6 +167,33 @@ def test_expander_guard_exit_code(capsys, tmp_path):
     assert "guard" in err.lower()
 
 
+def test_expander_bad_integer_options_are_usage_errors(capsys):
+    for mode, flag, value in (("exhaustive", "--guard", "1e7"), ("sample", "--trials", "ten"),
+                              ("sample", "--seed", "1.5")):
+        code, _, err = run(capsys, "expander", "--from-sl2p", "5", "--mode", mode, flag, value)
+        assert code == 2
+        assert err.startswith(f"error: {flag} must be an integer")
+    code, _, err = run(capsys, "sl2p", "--p", "5", "--kazhdan", "--trials", "x")
+    assert code == 2 and err.startswith("error: --trials")
+
+
+def test_expander_vacuous_check_reports_null_worst_ratio(capsys, tmp_path):
+    """eta * n < 1: both modes pass with no subspace checked and no ratio."""
+    for field in ("3", "rational"):
+        mod = tmp_path / f"id1_{field}.mod"
+        mod.write_text("\n".join([f"kronecker d=2 field={field} dims=1x1",
+                                   f"field {field}", "1 1", "1",
+                                   f"field {field}", "1 1", "1"]) + "\n")
+        mode = "exhaustive" if field == "3" else "sample"
+        code, out, _ = run(capsys, "expander", "--maps", str(mod), "--eta", "1/2",
+                           "--alpha", "1/2", "--mode", mode, "--trials", "5", "--json")
+        assert code == 0
+        res = json.loads(out)["results"]
+        assert res["verdict"] == ("proved" if field == "3" else "sampled-pass")
+        assert res["subspaces_checked"] == 0
+        assert res["worst_ratio"] is None
+
+
 def test_decompose_command(capsys, tmp_path):
     mod = tmp_path / "P2.mod"
     run(capsys, "build", "P", "--n", "2", "--out", str(mod))

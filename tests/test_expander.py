@@ -2,13 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kronhf.errors import DomainError, GuardRefusal, ValidationError
 from kronhf.fields import QQ, PrimeField
 from kronhf.matrices import Matrix, column_space_dim_of_stack
 from kronhf.modules import KroneckerModule, build_P
 from kronhf.sl2p import theta3_counterexample_module
-from kronhf.expander import (ExpanderCandidate, check_exhaustive,
+from kronhf.expander import (ExpanderCandidate, _image_dim, check_exhaustive,
                              check_sampled_rational, empirical_best_epsilon,
                              enumerate_subspaces, gaussian_binomial,
                              nonhf_epsilon_bound, refute_witness,
@@ -122,6 +124,66 @@ def test_check_exhaustive_monotone():
         if proved >= 5:
             break
     assert proved >= 1
+
+
+def _reference_exhaustive(c, reverse):
+    """The exhaustive check as one Matrix elimination per enumerated subspace."""
+    kmax = int(c.eta * c.n)
+    total = sum(gaussian_binomial(c.n, k, c.field.q) for k in range(1, kmax + 1))
+    checked = 0
+    worst = None
+    for k in (range(kmax, 0, -1) if reverse else range(1, kmax + 1)):
+        for W in enumerate_subspaces(c.field, c.n, k, reverse=reverse):
+            checked += 1
+            ratio = Fraction(_image_dim(c, W), k)
+            if worst is None or ratio < worst:
+                worst = ratio
+            if ratio < 1 + c.alpha:
+                return "refuted", checked, ratio, W, total
+    return "proved", checked, worst, None, total
+
+
+# caps a full reference walk at a few hundred Matrix eliminations per example
+ORACLE_MAX_SUBSPACES = 800
+
+
+@st.composite
+def small_candidates(draw):
+    q = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 5))
+    field = PrimeField(q)
+    maps = [Matrix.from_dense(field, draw(st.lists(
+        st.lists(st.integers(0, q - 1), min_size=n, max_size=n), min_size=n, max_size=n)))
+        for _ in range(draw(st.integers(1, 3)))]
+    kcap = max(k for k in range(1, n + 1) if sum(
+        gaussian_binomial(n, j, q) for j in range(1, k + 1)) <= ORACLE_MAX_SUBSPACES)
+    eta = Fraction(draw(st.integers(1, kcap)), n)
+    # dim sum T_i(W) / dim W is at most the number of maps; random maps often
+    # have a line with ratio 1 or less, so small alphas are needed for proofs
+    alpha = draw(st.sampled_from([Fraction(1, 100), Fraction(1, 3), HALF, Fraction(1),
+                                  Fraction(2)]))
+    return ExpanderCandidate(field, n, maps, eta, alpha)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_candidates(), st.booleans())
+def test_check_exhaustive_matches_reference_loop(c, reverse):
+    rep = check_exhaustive(c, reverse=reverse)
+    got = (rep.verdict, rep.subspaces_checked, rep.worst_ratio, rep.witness,
+           rep.notes["expected_total"])
+    assert got == _reference_exhaustive(c, reverse)
+
+
+def test_checks_pass_vacuously_when_eta_n_below_one():
+    """eta * n < 1 leaves no subspace to test; the sampled check used to test lines."""
+    F3 = PrimeField(3)
+    exh = check_exhaustive(ExpanderCandidate(F3, 1, [Matrix.identity(F3, 1)], HALF, HALF))
+    smp = check_sampled_rational(
+        ExpanderCandidate(QQ, 1, [Matrix.identity(QQ, 1)], HALF, HALF), trials=10)
+    assert (exh.verdict, smp.verdict) == ("proved", "sampled-pass")
+    for rep in (exh, smp):
+        assert rep.subspaces_checked == 0
+        assert rep.worst_ratio is None and rep.witness is None
 
 
 def test_check_sampled_identity_refuted_immediately():
