@@ -87,13 +87,16 @@ def _cfg(args, cfgmap, name, default=None):
     return cfgmap.get(name, default)
 
 
-def _cfg_int(args, cfgmap, name, default):
-    """An integer option; a malformed value is a usage error, not a traceback."""
-    raw = _cfg(args, cfgmap, name, default)
+def _as_int(name, raw):
+    """An integer option value; a malformed one is a usage error, not a traceback."""
     try:
         return int(raw)
     except (TypeError, ValueError):
         raise ValidationError(f"--{name} must be an integer, got {raw!r}") from None
+
+
+def _cfg_int(args, cfgmap, name, default=None):
+    return _as_int(name, _cfg(args, cfgmap, name, default))
 
 
 def _emit(args, report: RunReport, text_lines):
@@ -125,23 +128,23 @@ def cmd_build(args, cfgmap) -> int:
     field = field_from_label(_cfg(args, cfgmap, "field", "rational"))
     kind = args.kind
     if kind == "P":
-        M = build_P(int(_cfg(args, cfgmap, "n")), field)
+        M = build_P(_cfg_int(args, cfgmap, "n"), field)
     elif kind == "Q":
-        M = build_Q(int(_cfg(args, cfgmap, "n")), field)
+        M = build_Q(_cfg_int(args, cfgmap, "n"), field)
     elif kind == "R":
         mono = _cfg(args, cfgmap, "monomial")
         if mono is not None:
-            M = build_R(PencilBlock("R_mono", int(mono)), field)
+            M = build_R(PencilBlock("R_mono", _as_int("monomial", mono)), field)
         else:
             coeffs = parse_poly(field, _cfg(args, cfgmap, "poly"))
             q, e = prime_power_parts(field, coeffs)
             M = build_R(PencilBlock("R_poly", poly=q, e=e), field)
     elif kind == "theta-pre":
-        M = build_preprojective_theta(int(_cfg(args, cfgmap, "d")),
-                                      int(_cfg(args, cfgmap, "t")), field)
+        M = build_preprojective_theta(_cfg_int(args, cfgmap, "d"),
+                                      _cfg_int(args, cfgmap, "t"), field)
     elif kind == "theta-post":
-        M = build_postinjective_theta(int(_cfg(args, cfgmap, "d")),
-                                      int(_cfg(args, cfgmap, "t")), field)
+        M = build_postinjective_theta(_cfg_int(args, cfgmap, "d"),
+                                      _cfg_int(args, cfgmap, "t"), field)
     else:
         raise ValidationError(f"unknown module kind {kind}")
     text = M.to_text()
@@ -179,7 +182,7 @@ def cmd_witness(args, cfgmap) -> int:
     M = _read_module(_cfg(args, cfgmap, "module"))
     eps = parse_rational(_cfg(args, cfgmap, "eps"))
     l_override = _cfg(args, cfgmap, "l-override")
-    w = _dispatch_witness(M, eps, int(l_override) if l_override else None)
+    w = _dispatch_witness(M, eps, _as_int("l-override", l_override) if l_override else None)
     rep = verify_witness(M, w)
     payload = witness_to_dict(w, rep)
     report = RunReport("witness",
@@ -227,8 +230,8 @@ def cmd_sweep(args, cfgmap) -> int:
     rng_spec = _cfg(args, cfgmap, "range")
     eps_list = [parse_rational(tok) for tok in _cfg(args, cfgmap, "eps-list").split(",")]
     field = field_from_label(_cfg(args, cfgmap, "field", "rational"))
-    d = int(_cfg(args, cfgmap, "d", "3"))
-    parts_spec = [int(x) for x in rng_spec.split(":")] if rng_spec else []
+    d = _cfg_int(args, cfgmap, "d", 3)
+    parts_spec = [_as_int("range", x) for x in rng_spec.split(":")] if rng_spec else []
     if len(parts_spec) == 3:
         lo, hi, step = parts_spec
         ns = list(range(lo, hi + 1, step))
@@ -271,7 +274,7 @@ def _fixture_text(p: int) -> str:
 
 def cmd_sl2p(args, cfgmap) -> int:
     start = time.perf_counter()
-    p = int(_cfg(args, cfgmap, "p"))
+    p = _cfg_int(args, cfgmap, "p")
     try:
         rep = irreducible_rep(p)
     except DomainError:
@@ -343,7 +346,7 @@ def cmd_expander(args, cfgmap) -> int:
     eta = parse_rational(_cfg(args, cfgmap, "eta", "1/2"))
     from_p = _cfg(args, cfgmap, "from-sl2p")
     if from_p is not None:
-        M = theta3_counterexample_module(int(from_p))
+        M = theta3_counterexample_module(_as_int("from-sl2p", from_p))
     else:
         M = _read_module(_cfg(args, cfgmap, "maps"))
         want = _cfg(args, cfgmap, "field")

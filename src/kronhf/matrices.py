@@ -8,6 +8,9 @@ contract, including the text file format.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
+
 import numpy as np
 
 from .errors import ShapeError, ValidationError
@@ -53,7 +56,7 @@ class Matrix:
         for i, r in enumerate(data):
             if len(r) != cols:
                 raise ShapeError("ragged rows")
-            row = {j: field.coerce(v) for j, v in enumerate(r) if field.coerce(v)}
+            row = {j: v for j, v in enumerate(map(field.coerce, r)) if v}
             if row:
                 rd[i] = row
         return cls(field, rows, cols, rd)
@@ -255,43 +258,23 @@ class Matrix:
     def rref(self):
         """Reduced row echelon form and pivot columns.
 
-        Pivot choice is deterministic: columns left to right, first nonzero
-        row top to bottom, so downstream bases are reproducible.
+        The reduced row echelon form of a matrix is unique, so the result
+        does not depend on which row the elimination picks as a pivot: row t
+        of R has its leading 1 in column pivots[t], pivots ascend, and the
+        rows past the rank are zero.
         """
-        fld = self.field
-        rows = [dict(self._rows.get(i, _EMPTY)) for i in range(self.rows)]
-        pivots = []
-        rpos = 0
-        nrows = len(rows)
-        for c in range(self.cols):
-            pr = None
-            for i in range(rpos, nrows):
-                if c in rows[i]:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            rows[rpos], rows[pr] = rows[pr], rows[rpos]
-            pv = rows[rpos][c]
-            if pv != fld.one:
-                inv = fld.inv(pv)
-                rows[rpos] = {j: fld.mul(v, inv) for j, v in rows[rpos].items()}
-            prow = rows[rpos]
-            for i in range(nrows):
-                if i != rpos and c in rows[i]:
-                    f = rows[i][c]
-                    ri = rows[i]
-                    for j, v in prow.items():
-                        nv = fld.sub(ri.get(j, fld.zero), fld.mul(f, v))
-                        if nv:
-                            ri[j] = nv
-                        else:
-                            ri.pop(j, None)
-            pivots.append(c)
-            rpos += 1
-            if rpos == nrows:
-                break
-        return Matrix._build(fld, self.rows, self.cols, rows), pivots
+        pivots, prows = _eliminate(self, reduce=True)
+        if self.field.char:
+            out = dict(enumerate(prows))
+        else:
+            out = {t: {j: Fraction(v, r[c]) for j, v in r.items()}
+                   for t, (c, r) in enumerate(zip(pivots, prows))}
+        return Matrix(self.field, self.rows, self.cols, out), pivots
+
+    def pivot_columns(self):
+        """The pivot columns of rref(), from an echelon form only: the
+        columns that are not in the span of the columns to their left."""
+        return _eliminate(self, reduce=False)[0]
 
     def is_selection(self):
         """Row indices per column if every column is a unit vector, else None.
@@ -316,8 +299,7 @@ class Matrix:
         sel = self.is_selection()
         if sel is not None and len(set(sel)) == len(sel):
             return len(sel)
-        _, pivots = self.rref()
-        return len(pivots)
+        return len(self.pivot_columns())
 
     def kernel_basis(self):
         """Matrix whose columns are a basis of the right null space.
@@ -366,6 +348,130 @@ class Matrix:
         return "\n".join(lines) + "\n"
 
 
+def _integer_row(row):
+    """A row of rationals as the primitive integer row spanning the same line."""
+    den = lcm(*[v.denominator for v in row.values()])
+    out = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
+    g = gcd(*out.values())
+    if g != 1:
+        for j in out:
+            out[j] //= g
+    return out
+
+
+def _clear(ri, i, prow, c, q, holders):
+    """Clear column c of row i (dict ri, in place) with the pivot row prow.
+
+    Over F_q prow has a leading 1 and the update is ri - f prow mod q. Over Q
+    both rows are primitive integer rows; the update is
+    (pv/g) ri - (f/g) prow with g = gcd(pv, f), and the content of the
+    result is divided out. Keeps holders in step; returns whether ri is
+    nonzero.
+    """
+    if q:
+        f = ri[c]
+        for j, v in prow.items():
+            old = ri.get(j)
+            if old is None:
+                ri[j] = -f * v % q
+                holders[j].add(i)
+            else:
+                nv = (old - f * v) % q
+                if nv:
+                    ri[j] = nv
+                else:
+                    del ri[j]
+                    holders[j].discard(i)
+        return bool(ri)
+    pv, f = prow[c], ri[c]
+    g = gcd(pv, f)
+    a, b = pv // g, f // g
+    if a != 1:
+        for j in ri:
+            ri[j] *= a
+    for j, v in prow.items():
+        old = ri.get(j)
+        if old is None:
+            ri[j] = -b * v
+            holders[j].add(i)
+        else:
+            nv = old - b * v
+            if nv:
+                ri[j] = nv
+            else:
+                del ri[j]
+                holders[j].discard(i)
+    if not ri:
+        return False
+    g = gcd(*ri.values())
+    if g != 1:
+        for j in ri:
+            ri[j] //= g
+    return True
+
+
+def _eliminate(m, reduce):
+    """The elimination kernel behind rref() and pivot_columns().
+
+    Sparse rows, columns left to right. A column index (column -> rows
+    nonzero in it) means each pivot search and update touches only the rows
+    that hold the pivot column; rows are never swapped, and the sparsest
+    candidate becomes the pivot. Over F_q the arithmetic is inline mod q and
+    pivot rows are scaled to a leading 1; over Q every row is kept as a
+    primitive integer row (see _clear).
+
+    The forward pass clears each pivot column from the rows not yet used as
+    pivots, which gives an echelon form and the pivot columns. With reduce,
+    a backward pass then clears each pivot column, last first, from the
+    pivot rows above it. Returns the pivot columns, ascending, and the row
+    of each.
+    """
+    q = m.field.char
+    if q:
+        rows = {i: dict(r) for i, r in m._rows.items()}
+    else:
+        rows = {i: _integer_row(r) for i, r in m._rows.items()}
+    holders = {}
+    for i, r in rows.items():
+        for j in r:
+            holders.setdefault(j, set()).add(i)
+    pivots, pids = [], []
+    used = set()
+    left = len(rows)            # nonzero rows not yet used as pivots
+    for c in range(m.cols):
+        if not left:
+            break
+        hold = holders.get(c)
+        if not hold:
+            continue
+        cands = [i for i in hold if i not in used]
+        if not cands:
+            continue
+        pr = cands[0] if len(cands) == 1 else min(cands, key=lambda i: len(rows[i]))
+        used.add(pr)
+        left -= 1
+        prow = rows[pr]
+        pv = prow[c]
+        if q and pv != 1:
+            inv = pow(pv, -1, q)
+            for j in prow:
+                prow[j] = prow[j] * inv % q
+        for i in cands:
+            if i != pr and not _clear(rows[i], i, prow, c, q, holders):
+                del rows[i]
+                left -= 1
+        pivots.append(c)
+        pids.append(pr)
+    if reduce:
+        # every other row is zero now; last pivot first, so each pivot row is
+        # already clear of the later pivot columns when it is used
+        for c, pr in zip(reversed(pivots), reversed(pids)):
+            prow = rows[pr]
+            for i in [i for i in holders[c] if i != pr]:
+                _clear(rows[i], i, prow, c, q, holders)
+    return pivots, [rows[i] for i in pids]
+
+
 def matrix_from_text(text: str) -> Matrix:
     tokens = text.split()
     if len(tokens) < 4 or tokens[0] != "field":
@@ -398,8 +504,6 @@ def column_space_dim_of_stack(mats) -> int:
 
 
 def random_matrix(field, rows, cols, rng, span=5):
-    from fractions import Fraction
-
     ent = []
     for i in range(rows):
         for j in range(cols):
@@ -414,8 +518,6 @@ def random_matrix(field, rows, cols, rng, span=5):
 
 def random_invertible(field, n, rng, span=3):
     """Product of random unitriangular factors and a permutation; always invertible."""
-    from fractions import Fraction
-
     lo_ent = [(i, i, field.one) for i in range(n)]
     up_ent = [(i, i, field.one) for i in range(n)]
     for i in range(n):

@@ -31,8 +31,7 @@ from .modules import (
 
 
 def _colspace(m: Matrix) -> Matrix:
-    _, pivots = m.rref()
-    return m.submatrix(range(m.rows), pivots)
+    return m.submatrix(range(m.rows), m.pivot_columns())
 
 
 def _space_sum(mats) -> Matrix:
@@ -64,8 +63,7 @@ def _complete_basis(U: Matrix, n: int):
     if U.cols == n:
         return U
     aug = Matrix.hstack([U, Matrix.identity(fld, n)])
-    _, pivots = aug.rref()
-    extra = [p - U.cols for p in pivots if p >= U.cols]
+    extra = [p - U.cols for p in aug.pivot_columns() if p >= U.cols]
     return Matrix.hstack([U, Matrix.selection(fld, n, extra)])
 
 
@@ -219,7 +217,14 @@ def block_module(b: PencilBlock, field) -> KroneckerModule:
 
 
 def decompose_pencil(M: KroneckerModule) -> Counter:
-    """Block multiset of a d = 2 module, certified against rank invariants."""
+    """Block multiset of a d = 2 module.
+
+    The only check on the result is its rank profile (the rank of
+    lam a + mu b at a few sample points against the reassembled blocks),
+    and that check can accept a wrong multiset, e.g. R_poly(x^2 + 2) for
+    R_poly(x^2 + 1) over Q. A certifying decomposition that returns the
+    isomorphism is ROADMAP.md item 2.
+    """
     if M.d != 2:
         raise PreconditionError("pencil decomposition is defined for d = 2")
     fast = _fast_path(M)

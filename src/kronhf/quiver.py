@@ -223,8 +223,7 @@ def submodule_from_generators(M: KroneckerModule, gens):
     stack = [Matrix.selection(fld, M.dim2, sorted(snk))] + images if snk else images
     if stack:
         big = Matrix.hstack(stack) if len(stack) > 1 else stack[0]
-        _, pivots = big.rref()
-        emb2 = _column_basis(big, pivots)
+        emb2 = _column_basis(big, big.pivot_columns())
     else:
         emb2 = Matrix.zeros(fld, M.dim2, 0)
     emb1 = src_sel

@@ -177,6 +177,28 @@ def test_expander_bad_integer_options_are_usage_errors(capsys):
     assert code == 2 and err.startswith("error: --trials")
 
 
+def test_bad_integer_options_are_usage_errors(capsys, tmp_path):
+    mod = tmp_path / "P2.mod"
+    assert run(capsys, "build", "P", "--n", "2", "--out", str(mod))[0] == 0
+    cases = [("--n", ["build", "P", "--n", "x"]),
+             ("--n", ["build", "Q", "--n", "2.5"]),
+             ("--monomial", ["build", "R", "--monomial", "two"]),
+             ("--d", ["build", "theta-pre", "--d", "three", "--t", "2"]),
+             ("--t", ["build", "theta-post", "--d", "3", "--t", "1e2"]),
+             ("--range", ["sweep", "--family", "P", "--range", "1:x:1", "--eps-list", "1/2"]),
+             ("--d", ["sweep", "--family", "theta-pre", "--d", "x", "--range", "1",
+                      "--eps-list", "1/2"]),
+             ("--p", ["sl2p", "--p", "five"]),
+             ("--from-sl2p", ["expander", "--from-sl2p", "x"]),
+             ("--l-override", ["witness", "--module", str(mod), "--eps", "1/2",
+                               "--l-override", "4.0"]),
+             ("--n", ["build", "P"])]
+    for flag, argv in cases:
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith(f"error: {flag} must be an integer"), (argv, err)
+
+
 def test_expander_vacuous_check_reports_null_worst_ratio(capsys, tmp_path):
     """eta * n < 1: both modes pass with no subspace checked and no ratio."""
     for field in ("3", "rational"):

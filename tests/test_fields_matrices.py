@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kronhf.errors import ShapeError, ValidationError
 from kronhf.fields import QQ, PrimeField, is_prime, parse_rational
@@ -130,3 +132,113 @@ def test_min_eigenvalue_random_diagonal():
         m = [[diag[i] if i == j else 0.0 for j in range(len(diag))]
              for i in range(len(diag))]
         assert min_eigenvalue_symmetric(m) == pytest.approx(min(diag), abs=1e-10)
+
+
+# -- the elimination kernel against the plain Gauss-Jordan loop -------------------
+
+
+def reference_rref(m):
+    """Dense-order Gauss-Jordan with one field call per entry: the oracle.
+
+    Columns left to right, first nonzero row top to bottom, rows swapped.
+    """
+    fld = m.field
+    rows = [dict(m.row_items(i)) for i in range(m.rows)]
+    pivots = []
+    rpos = 0
+    nrows = len(rows)
+    for c in range(m.cols):
+        pr = None
+        for i in range(rpos, nrows):
+            if c in rows[i]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[rpos], rows[pr] = rows[pr], rows[rpos]
+        pv = rows[rpos][c]
+        if pv != fld.one:
+            inv = fld.inv(pv)
+            rows[rpos] = {j: fld.mul(v, inv) for j, v in rows[rpos].items()}
+        prow = rows[rpos]
+        for i in range(nrows):
+            if i != rpos and c in rows[i]:
+                f = rows[i][c]
+                ri = rows[i]
+                for j, v in prow.items():
+                    nv = fld.sub(ri.get(j, fld.zero), fld.mul(f, v))
+                    if nv:
+                        ri[j] = nv
+                    else:
+                        ri.pop(j, None)
+        pivots.append(c)
+        rpos += 1
+        if rpos == nrows:
+            break
+    return Matrix(fld, m.rows, m.cols, {i: r for i, r in enumerate(rows) if r}), pivots
+
+
+KERNEL_FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(7), PrimeField(2 ** 31 - 1)]
+
+
+@st.composite
+def _entries(draw, field, rows, cols):
+    if field.char == 0:
+        value = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+    else:
+        value = st.integers(0, field.q - 1)
+    cell = st.one_of(st.just(0), value)
+    if not rows:
+        return Matrix.zeros(field, 0, cols)
+    return Matrix.from_dense(field, [[draw(cell) for _ in range(cols)] for _ in range(rows)])
+
+
+@st.composite
+def kernel_cases(draw):
+    """(matrix, random x with as many rows as the matrix has columns)."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    rows, cols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    if draw(st.booleans()):
+        m = draw(_entries(field, rows, cols))
+    else:   # a product through a narrow middle: rank at most k
+        k = draw(st.integers(0, 3))
+        m = draw(_entries(field, rows, k)) @ draw(_entries(field, k, cols))
+    return m, draw(_entries(field, cols, draw(st.integers(1, 2))))
+
+
+def _check_against_reference(m):
+    R, pivots = m.rref()
+    assert (R, pivots) == reference_rref(m)
+    assert m.pivot_columns() == pivots
+    assert m.rank() == len(pivots)
+    return pivots
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_cases())
+def test_kernel_matches_reference_rref(case):
+    m, x = case
+    pivots = _check_against_reference(m)
+    ker = m.kernel_basis()
+    assert ker.cols == m.cols - len(pivots)
+    assert (m @ ker).is_zero()
+    b = m @ x
+    assert m @ m.solve(b) == b
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(7)])
+def test_kernel_matches_reference_on_sparse_shift(field):
+    """The witness path solves [identity | shift] systems of a few thousand
+    rows; here both column orders at n = 300, rows shuffled."""
+    n = 300
+    rng = random.Random(5)
+    shift = Matrix.from_entries(field, n, n, [(i + 1, i, 1) for i in range(n - 1)])
+    order = list(range(n))
+    rng.shuffle(order)
+    for big, want in ((Matrix.hstack([Matrix.identity(field, n), shift]), list(range(n))),
+                      (Matrix.hstack([shift, Matrix.identity(field, n)]),
+                       list(range(n - 1)) + [n])):
+        big = big.submatrix(order, range(2 * n))
+        assert _check_against_reference(big) == want
+        # a scaled copy exercises the Q row content and the mod-q leading-1 scaling
+        _check_against_reference(big.scale(Fraction(3, 2) if field.char == 0 else 3))
