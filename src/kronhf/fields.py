@@ -71,9 +71,6 @@ class RationalField:
             raise ZeroDivisionError("inverse of zero")
         return Fraction(a.denominator, a.numerator)
 
-    def div(self, a, b):
-        return a / b
-
     def parse(self, token: str):
         if "." in token:
             raise ValidationError(f"float literal {token!r} rejected; use p/q")
@@ -129,9 +126,6 @@ class PrimeField:
         if a % self.q == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.q)
-
-    def div(self, a, b):
-        return (a * self.inv(b)) % self.q
 
     def parse(self, token: str):
         if "." in token or "/" in token:

@@ -453,8 +453,9 @@ def build_preprojective_theta(d: int, t: int, field=QQ) -> KroneckerModule:
 # -- hom spaces and kernels ---------------------------------------------------
 
 
-def hom_space(X: KroneckerModule, Y: KroneckerModule):
-    """Basis of Hom(X, Y) as pairs (f, g) with g X(k) = Y(k) f for all arrows."""
+def _hom_system(X: KroneckerModule, Y: KroneckerModule) -> Matrix:
+    """The linear system g X(k) = Y(k) f for all arrows k, in the unknowns
+    f[l, j] (first Y.dim1 * X.dim1 columns) and then g[i, m]."""
     if X.d != Y.d or X.field != Y.field:
         raise ValidationError("hom space needs matching arrow count and field")
     fld = X.field
@@ -492,8 +493,20 @@ def hom_space(X: KroneckerModule, Y: KroneckerModule):
                     r[var] = nv
                 else:
                     r.pop(var, None)
-    system = Matrix._build(fld, nrows, nf + ng, rows)
-    ker = system.kernel_basis()
+    return Matrix._build(fld, nrows, nf + ng, rows)
+
+
+def hom_dimension(X: KroneckerModule, Y: KroneckerModule) -> int:
+    """dim Hom(X, Y), from the echelon form of the Hom system alone."""
+    system = _hom_system(X, Y)
+    return system.cols - system.rank()
+
+
+def hom_space(X: KroneckerModule, Y: KroneckerModule):
+    """Basis of Hom(X, Y) as pairs (f, g) with g X(k) = Y(k) f for all arrows."""
+    ker = _hom_system(X, Y).kernel_basis()
+    nf = Y.dim1 * X.dim1
+    fld = X.field
     out = []
     for t in range(ker.cols):
         fent, gent = [], []

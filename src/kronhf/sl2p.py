@@ -3,9 +3,12 @@
 The group acts on the projective line over F_p by Moebius transformations;
 the permutation representation on C^(p+1) restricts to the sum-zero
 hyperplane W, and in the difference basis w_i = e_{i+1} - e_i the restricted
-generators are integer matrices with entries in {-1, 0, 1}. Spectral
-estimates for the adjoint action on trace-zero matrices run in floating
-point on an orthonormal transport of the same representation.
+generators are integer matrices with entries in {-1, 0, 1}. Irreducibility
+is decided exactly: the commutant of the generators is the endomorphism
+space of a Kronecker module, whose dimension comes from the Hom system and
+the exact elimination kernel (modules.hom_dimension). Spectral estimates
+for the adjoint action on trace-zero matrices run in floating point (numpy)
+on an orthonormal transport of the same representation.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .fields import QQ, is_prime
+from .fields import QQ, PrimeField, is_prime
 from .matrices import Matrix
-from .modules import KroneckerModule
+from .modules import KroneckerModule, hom_dimension
 
 
 @dataclass(frozen=True)
@@ -166,61 +169,26 @@ def irreducible_rep(p: int) -> IrreducibleRep:
 
 # -- irreducibility via the commutant -------------------------------------------
 
-
-def _commutant_dim_mod(mats, prime) -> int:
-    """Commutant dimension of integer matrices reduced mod a large prime (numpy)."""
-    n = mats[0].rows
-    rows = []
-    for m in mats:
-        a = np.zeros((n, n), dtype=np.int64)
-        for i, j, v in m.entries():
-            a[i, j] = int(v) % prime
-        # X a = a X  as n^2 linear equations: kron(I, a^T)? assemble directly
-        block = np.zeros((n * n, n * n), dtype=np.int64)
-        for r in range(n):
-            for c in range(n):
-                row = block[r * n + c]
-                # (X a)[r, c] = sum_k X[r, k] a[k, c]
-                for k in range(n):
-                    row[r * n + k] = (row[r * n + k] + a[k, c]) % prime
-                # (a X)[r, c] = sum_k a[r, k] X[k, c]
-                for k in range(n):
-                    row[k * n + c] = (row[k * n + c] - a[r, k]) % prime
-        rows.append(block % prime)
-    big = np.vstack(rows) % prime
-    rank = _rank_mod(big, prime)
-    return n * n - rank
+_SCREEN = PrimeField(2_147_483_647)
 
 
-def _rank_mod(a: np.ndarray, p: int) -> int:
-    a = a.copy() % p
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = (a[r] * inv) % p
-        mask = np.nonzero(a[:, c])[0]
-        mask = mask[mask != r]
-        if mask.size:
-            a[mask] = (a[mask] - np.outer(a[mask, c], a[r])) % p
-        r += 1
-    return r
+def _over(field, m: Matrix) -> Matrix:
+    """An integer matrix over Q with its entries taken in field."""
+    if field == QQ:
+        return m
+    return Matrix.from_entries(field, m.rows, m.cols,
+                               ((i, j, field.coerce(v)) for i, j, v in m.entries()))
 
 
 def commutant_dimension(mats) -> int:
     """Exact dimension over Q of {X : X m = m X for all m}.
 
-    A modular rank gives dim_Q <= dim_(F_p); since the identity always
-    commutes, a modular answer of 1 is exact. Otherwise falls back to exact
-    rational elimination.
+    The commutant is End of the Kronecker module (I, m_1, ..., m_r) on
+    (Q^n, Q^n): a pair (f, g) with g I = I f and g m = m f is X = f = g.
+    Its dimension is taken with hom_dimension, first over F_p for the prime
+    p = 2^31 - 1. Reducing the integer system mod p can only lower its rank,
+    and the identity always commutes, so an answer of 1 there is exact; any
+    other answer is recomputed over Q.
     """
     if not mats:
         raise ValidationError("need at least one matrix")
@@ -233,26 +201,13 @@ def commutant_dimension(mats) -> int:
         for _, _, v in m.entries():
             if v.denominator != 1:
                 raise ValidationError("integer matrices expected")
-    dim_mod = _commutant_dim_mod(mats, 2_147_483_647)
-    if dim_mod == 1:
-        return 1
-    # exact fallback
-    rows = []
-    for m in mats:
-        for r in range(n):
-            for c in range(n):
-                row = {}
-                for k in range(n):
-                    v = m.entry(k, c)
-                    if v:
-                        row[r * n + k] = row.get(r * n + k, QQ.zero) + v
-                for k in range(n):
-                    v = m.entry(r, k)
-                    if v:
-                        row[k * n + c] = row.get(k * n + c, QQ.zero) - v
-                rows.append({k: v for k, v in row.items() if v})
-    system = Matrix._build(QQ, len(rows), n * n, rows)
-    return n * n - system.rank()
+
+    def end_dimension(field):
+        M = KroneckerModule(len(mats) + 1, field, n, n,
+                            [Matrix.identity(field, n)] + [_over(field, m) for m in mats])
+        return hom_dimension(M, M)
+
+    return 1 if end_dimension(_SCREEN) == 1 else end_dimension(QQ)
 
 
 def is_irreducible(mats) -> bool:
@@ -423,14 +378,8 @@ def theta3_counterexample_module(p: int, field=QQ) -> KroneckerModule:
     family itself; callers should flag it as such.
     """
     rep = irreducible_rep(p)
-    if field == QQ:
-        ms, mt = rep.mat_s, rep.mat_t
-    else:
-        ms = Matrix.from_entries(field, p, p,
-                                 ((i, j, field.coerce(v)) for i, j, v in rep.mat_s.entries()))
-        mt = Matrix.from_entries(field, p, p,
-                                 ((i, j, field.coerce(v)) for i, j, v in rep.mat_t.entries()))
-    return KroneckerModule(3, field, p, p, [Matrix.identity(field, p), ms, mt])
+    return KroneckerModule(3, field, p, p, [Matrix.identity(field, p),
+                                            _over(field, rep.mat_s), _over(field, rep.mat_t)])
 
 
 def rep_dump_text(p: int) -> str:

@@ -1,6 +1,8 @@
 import json
 
-from kronhf.cli import main, sub_seed
+from kronhf.cli import _sweep_module, main, sub_seed
+from kronhf.fields import field_from_label
+from kronhf.modules import module_from_text
 
 
 def run(capsys, *argv):
@@ -61,6 +63,38 @@ def test_witness_json_replay_deterministic(capsys, tmp_path):
     assert code1 == code2 == 0
     r1, r2 = json.loads(out1), json.loads(out2)
     assert r1["results"] == r2["results"]  # payload identical; wall_ms may differ
+
+
+def test_expander_json_replay_deterministic(capsys):
+    argv = ("expander", "--from-sl2p", "5", "--mode", "sample", "--json")
+    code1, out1, _ = run(capsys, *argv)
+    code2, out2, _ = run(capsys, *argv)
+    assert code1 == code2 == 0
+    assert json.loads(out1)["results"] == json.loads(out2)["results"]
+
+
+def test_sweep_r_module_is_built_r_poly(capsys, tmp_path):
+    path = tmp_path / "r.mod"
+    for label in ("rational", "5"):
+        for n in range(1, 7):
+            code, _, _ = run(capsys, "build", "R", "--poly", f"(x-1)^{n}",
+                             "--field", label, "--out", str(path))
+            assert code == 0
+            M, mid = _sweep_module("R", n, 3, field_from_label(label))
+            assert M == module_from_text(path.read_text())
+            assert mid == f"R_(x-1)^{n}"
+
+
+def test_sweep_r_csv(capsys, tmp_path):
+    out_path = tmp_path / "r.csv"
+    code, _, _ = run(capsys, "sweep", "--family", "R", "--range", "1:6:1",
+                     "--eps-list", "1/2", "--field", "5", "--out", str(out_path))
+    assert code == 0
+    lines = out_path.read_text().strip().splitlines()
+    assert len(lines) == 1 + 6
+    assert [ln.split(",")[:2] for ln in lines[1:]] == [[f"R_(x-1)^{n}", str(2 * n)]
+                                                        for n in range(1, 7)]
+    assert all(",pass" in ln for ln in lines[1:])
 
 
 def test_sweep_csv(capsys, tmp_path):

@@ -2,10 +2,14 @@ import random
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kronhf.errors import DomainError, ValidationError
 from kronhf.fields import QQ, PrimeField
 from kronhf.matrices import Matrix
+from kronhf.modules import KroneckerModule, hom_dimension
 from kronhf.sl2p import (ProjPoint, SL2pElement, adjoint_generators,
                          adjoint_rep, commutant_dimension, gen_s, gen_t,
                          identity_element, irreducible_rep, is_irreducible,
@@ -140,10 +144,55 @@ def test_irreducibility_examples():
     # the permutation rep fixes the all-ones vector: commutant is bigger
     perm = [permutation_rep(gen_s(3)), permutation_rep(gen_t(3))]
     assert not is_irreducible(perm)
-    assert commutant_dimension(perm) >= 2
+    for p in (3, 5, 7):
+        assert commutant_dimension([permutation_rep(gen_s(p)), permutation_rep(gen_t(p))]) == 2
     for p in (3, 5, 7, 11, 13):
         rep = irreducible_rep(p)
         assert is_irreducible([rep.mat_s, rep.mat_t])
+
+
+def _commutant_oracle(dense_mats):
+    """n^2 - rank over Q of the stacked kron(I, m^T) - kron(m, I), in sympy."""
+    n = len(dense_mats[0])
+    eye = sympy.eye(n)
+    blocks = []
+    for rows in dense_mats:
+        m = sympy.Matrix(rows)
+        blocks.append(sympy.kronecker_product(eye, m.T) - sympy.kronecker_product(m, eye))
+    return n * n - sympy.Matrix.vstack(*blocks).rank()
+
+
+@st.composite
+def integer_tuples(draw):
+    n = draw(st.integers(1, 4))
+    r = draw(st.integers(1, 3))
+    mats = [draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                          min_size=n, max_size=n)) for _ in range(r)]
+    split = draw(st.integers(0, n - 1))
+    if split:  # block diagonal: reducible, the commutant has dimension >= 2
+        for m in mats:
+            for i in range(n):
+                for j in range(n):
+                    if (i < split) != (j < split):
+                        m[i][j] = 0
+    return mats
+
+
+@settings(max_examples=120, deadline=None)
+@given(integer_tuples())
+def test_commutant_dimension_matches_kron_oracle(dense_mats):
+    mats = [Matrix.from_dense(QQ, m) for m in dense_mats]
+    assert commutant_dimension(mats) == _commutant_oracle(dense_mats)
+
+
+def test_commutant_recomputes_over_q_when_the_screen_overcounts():
+    big = 2 ** 31 - 1
+    screen = PrimeField(big)
+    # diag(0, 2^31 - 1) is the zero matrix mod 2^31 - 1: everything commutes there
+    reduced = KroneckerModule(2, screen, 2, 2, [Matrix.identity(screen, 2),
+                                                Matrix.zeros(screen, 2, 2)])
+    assert hom_dimension(reduced, reduced) == 4
+    assert commutant_dimension([Matrix.from_dense(QQ, [[0, 0], [0, big]])]) == 2
 
 
 def test_irreducible_rep_rejects_composite():
