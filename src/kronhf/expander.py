@@ -72,30 +72,6 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
-def enumerate_subspaces(field: PrimeField, n: int, k: int, reverse: bool = False):
-    """Canonical k x n RREF generator matrices, lexicographic in
-    (pivot columns, free entries); reverse flips the order."""
-    q = field.q
-    pivot_sets = list(combinations(range(n), k))
-    if reverse:
-        pivot_sets = pivot_sets[::-1]
-    for pivots in pivot_sets:
-        pivset = set(pivots)
-        free = [(i, c) for i in range(k) for c in range(pivots[i] + 1, n)
-                if c not in pivset]
-        total = q ** len(free)
-        values = range(total - 1, -1, -1) if reverse else range(total)
-        for code in values:
-            ent = [(i, p, field.one) for i, p in enumerate(pivots)]
-            rem = code
-            for slot in reversed(range(len(free))):
-                rem, v = divmod(rem, q)
-                if v:
-                    i, c = free[slot]
-                    ent.append((i, c, v))
-            yield Matrix.from_entries(field, k, n, ent)
-
-
 def _image_dim(cand: ExpanderCandidate, W: Matrix) -> int:
     """dim of sum of T_i(W) for the row-span W (k x n generator matrix)."""
     wt = W.transpose()
@@ -197,8 +173,8 @@ class _PackedImages:
                 pos -= 1
 
     def scan(self, k: int, reverse: bool, need: int):
-        """Walk the k-dimensional subspaces in the order of ``enumerate_subspaces``
-        until one has dim sum T_i(W) < need.
+        """Walk the k-dimensional subspaces in canonical order (see
+        check_exhaustive) until one has dim sum T_i(W) < need.
 
         Returns (subspaces walked, least dim sum T_i(W) seen, RREF entries of the
         failing W or None). Row i of W is e_p + sum of digit * e_c over its free
@@ -268,9 +244,12 @@ def check_exhaustive(cand: ExpanderCandidate, guard: int = 10 ** 7,
     """Decide the (eta, alpha) expansion property over a prime field.
 
     Subspaces W of dimension k = 1..floor(eta n) are walked by k ascending,
-    each k in the canonical order of ``enumerate_subspaces``; ``reverse``
-    flips the whole order. A refutation reports the first W in that order
-    with dim sum T_i(W) < (1 + alpha) k.
+    each k in canonical order: by the k x n reduced row echelon generator
+    matrix of W, lexicographic in (pivot columns, free entries), the first
+    row's free entries most significant and, within a row, the leftmost
+    free entry most significant. ``reverse`` flips the whole order. A
+    refutation reports the first W in that order with
+    dim sum T_i(W) < (1 + alpha) k.
     """
     if not isinstance(cand.field, PrimeField):
         raise ValidationError("exhaustive check requires a prime field")

@@ -3,7 +3,10 @@
 Only nonzero entries are kept (a dict of nonempty row dicts), which keeps
 the structured modules of this project (shift, selection and companion
 patterns) linear in their size while presenting an ordinary dense row-major
-contract, including the text file format.
+contract, including the text file format. Elimination, products, sums and
+scalings run on plain ints: reduced mod q over F_q, and over Q integer
+numerators over a shared denominator, with one Fraction built per entry
+they return.
 """
 
 from __future__ import annotations
@@ -137,52 +140,77 @@ class Matrix:
             raise ValidationError("field mismatch")
 
     def __matmul__(self, other):
+        """The product, on the integer arithmetic of the elimination kernel.
+
+        Over F_q the sums of products are plain ints, reduced mod q once per
+        output entry. Over Q each row of other becomes an integer row over
+        the lcm of its denominators (_int_row); an output row is the integer
+        combination of the rows it touches, over the lcm of the denominators
+        of its terms, and one Fraction is built per output entry.
+        """
         self._check_same_field(other)
         if self.cols != other.rows:
             raise ShapeError(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        fld = self.field
-        zero = fld.zero
+        q = self.field.char
         out = {}
-        orows = other._rows
-        for i, row in self._rows.items():
-            acc = {}
-            for k, v in row.items():
-                brow = orows.get(k)
-                if not brow:
-                    continue
-                for j, w in brow.items():
-                    nv = fld.add(acc.get(j, zero), fld.mul(v, w))
-                    if nv:
-                        acc[j] = nv
-                    else:
-                        acc.pop(j, None)
-            if acc:
-                out[i] = acc
-        return Matrix(fld, self.rows, other.cols, out)
+        if q:
+            orows = other._rows
+            for i, row in self._rows.items():
+                acc = {}
+                for k, v in row.items():
+                    brow = orows.get(k)
+                    if brow:
+                        for j, w in brow.items():
+                            acc[j] = acc.get(j, 0) + v * w
+                acc = {j: r for j, s in acc.items() if (r := s % q)}
+                if acc:
+                    out[i] = acc
+        else:
+            orows = {k: _int_row(r) for k, r in other._rows.items()}
+            for i, row in self._rows.items():
+                hits = [(v, orows[k]) for k, v in row.items() if k in orows]
+                den = lcm(*[v.denominator * e for v, (_, e) in hits])
+                acc = {}
+                for v, (brow, e) in hits:
+                    f = v.numerator * (den // (v.denominator * e))
+                    for j, w in brow.items():
+                        acc[j] = acc.get(j, 0) + f * w
+                acc = {j: Fraction(s, den) for j, s in acc.items() if s}
+                if acc:
+                    out[i] = acc
+        return Matrix(self.field, self.rows, other.cols, out)
 
     def __add__(self, other):
+        """The sum. An entry held by one side only is copied; a shared one is
+        added mod q, or over Q on numerators over the product of the two
+        denominators, with one Fraction built for it."""
         self._check_same_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("shape mismatch in add")
-        fld = self.field
+        q = self.field.char
         out = {i: dict(r) for i, r in self._rows.items()}
         for i, r2 in other._rows.items():
             row = out.setdefault(i, {})
             for j, v in r2.items():
-                nv = fld.add(row.get(j, fld.zero), v)
+                old = row.get(j)
+                if old is None:
+                    row[j] = v
+                    continue
+                if q:
+                    nv = (old + v) % q
+                else:
+                    n = old.numerator * v.denominator + v.numerator * old.denominator
+                    nv = Fraction(n, old.denominator * v.denominator) if n else 0
                 if nv:
                     row[j] = nv
                 else:
-                    row.pop(j, None)
+                    del row[j]
             if not row:
                 del out[i]
-        return Matrix(fld, self.rows, self.cols, out)
+        return Matrix(self.field, self.rows, self.cols, out)
 
     def __neg__(self):
-        fld = self.field
-        return Matrix(fld, self.rows, self.cols,
-                      {i: {j: fld.neg(v) for j, v in r.items()}
-                       for i, r in self._rows.items()})
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
@@ -192,9 +220,14 @@ class Matrix:
         c = fld.coerce(c)
         if not c:
             return Matrix.zeros(fld, self.rows, self.cols)
-        return Matrix(fld, self.rows, self.cols,
-                      {i: {j: fld.mul(c, v) for j, v in r.items()}
-                       for i, r in self._rows.items()})
+        q = fld.char
+        if q:
+            out = {i: {j: c * v % q for j, v in r.items()} for i, r in self._rows.items()}
+        else:
+            a, b = c.numerator, c.denominator
+            out = {i: {j: Fraction(a * v.numerator, b * v.denominator) for j, v in r.items()}
+                   for i, r in self._rows.items()}
+        return Matrix(fld, self.rows, self.cols, out)
 
     def transpose(self):
         out = {}
@@ -220,6 +253,22 @@ class Matrix:
                     dst[j + off] = v
             off += m.cols
         return Matrix(fld, rows, off, out)
+
+    def hsplit(self, widths):
+        """The blocks of widths[0], widths[1], ... columns, left to right: the
+        inverse of hstack, in one pass over the entries."""
+        if any(w < 0 for w in widths) or sum(widths) != self.cols:
+            raise ShapeError(f"widths {list(widths)} do not split {self.cols} columns")
+        where = [(t, c) for t, w in enumerate(widths) for c in range(w)]
+        blocks = [{} for _ in widths]
+        for i, row in self._rows.items():
+            for j, v in row.items():
+                t, c = where[j]
+                dst = blocks[t].get(i)
+                if dst is None:
+                    dst = blocks[t][i] = {}
+                dst[c] = v
+        return [Matrix(self.field, self.rows, w, b) for w, b in zip(widths, blocks)]
 
     @staticmethod
     def vstack(mats):
@@ -348,10 +397,16 @@ class Matrix:
         return "\n".join(lines) + "\n"
 
 
+def _int_row(row):
+    """A row of rationals as (integer row, d): the row times d, the lcm of its
+    denominators."""
+    d = lcm(*[v.denominator for v in row.values()])
+    return {j: v.numerator * (d // v.denominator) for j, v in row.items()}, d
+
+
 def _integer_row(row):
     """A row of rationals as the primitive integer row spanning the same line."""
-    den = lcm(*[v.denominator for v in row.values()])
-    out = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
+    out = _int_row(row)[0]
     g = gcd(*out.values())
     if g != 1:
         for j in out:

@@ -315,6 +315,10 @@ def combinator_bounded_codim(M: KroneckerModule, sub: KroneckerModule, embs,
     Preconditions (checked, refused with a diagnostic on failure): the inner
     tolerance is at most eps/2 and dim M >= 2 L / eps where L is the
     codimension. The resulting dimension inequality is re-checked exactly.
+
+    Transport is linear in the size of M: each side takes one product of the
+    submodule embedding with the inner part embeddings side by side, which
+    is then split back into the parts' columns.
     """
     check_eps(eps)
     L = M.dim - sub.dim
@@ -328,7 +332,9 @@ def combinator_bounded_codim(M: KroneckerModule, sub: KroneckerModule, embs,
             raise GuardRefusal(
                 f"dim M = {M.dim} < 2L/eps = {Fraction(2 * L) / eps}; refusing to transport")
     e1, e2 = embs
-    parts = [WitnessPart(p.module, e1 @ p.emb1, e2 @ p.emb2) for p in w.parts]
+    parts = [WitnessPart(p.module, a, b) for p, a, b in
+             zip(w.parts, _times_each(e1, [p.emb1 for p in w.parts]),
+                 _times_each(e2, [p.emb2 for p in w.parts]))]
     out = Witness(M, eps, w.l_eps, parts,
                   dict(producer="bounded_codim", codim=L, inner_eps=w.eps,
                        removed=M.dim - sum(p.module.dim for p in parts)))
@@ -337,6 +343,13 @@ def combinator_bounded_codim(M: KroneckerModule, sub: KroneckerModule, embs,
         raise GuardRefusal(
             f"transported witness has dim N = {out.dim_n} < (1 - {eps}) * {M.dim}")
     return out
+
+
+def _times_each(e: Matrix, mats) -> list:
+    """[e @ m for m in mats] as one product, split back by columns."""
+    if not mats:
+        return []
+    return (e @ Matrix.hstack(mats)).hsplit([m.cols for m in mats])
 
 
 def weaken(w: Witness) -> WeakWitness:

@@ -296,7 +296,7 @@ def test_criterion_13_disclosure_and_consistency():
     cand = ExpanderCandidate.from_module(M, Fraction(1, 2), Fraction(1))
     assert check_exhaustive(cand).verdict == "proved"
     # every monomial witness with eps below the bound is refuted consistently
-    from kronhf.expander import enumerate_subspaces
+    from test_expander import enumerate_subspaces
 
     bound = nonhf_epsilon_bound(Fraction(1))
     for W in enumerate_subspaces(F2, 2, 1):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -12,13 +13,37 @@ from kronhf.modules import KroneckerModule, build_P
 from kronhf.sl2p import theta3_counterexample_module
 from kronhf.expander import (ExpanderCandidate, _image_dim, check_exhaustive,
                              check_sampled_rational, empirical_best_epsilon,
-                             enumerate_subspaces, gaussian_binomial,
-                             nonhf_epsilon_bound, refute_witness,
+                             gaussian_binomial, nonhf_epsilon_bound, refute_witness,
                              weak_nonhf_epsilon_bound)
 from kronhf.witness import Witness, WitnessPart, verify_witness
 
 F2 = PrimeField(2)
 HALF = Fraction(1, 2)
+
+
+def enumerate_subspaces(field: PrimeField, n: int, k: int, reverse: bool = False):
+    """Canonical k x n RREF generator matrices, lexicographic in
+    (pivot columns, free entries); reverse flips the order. The oracle of
+    the order check_exhaustive walks."""
+    q = field.q
+    pivot_sets = list(combinations(range(n), k))
+    if reverse:
+        pivot_sets = pivot_sets[::-1]
+    for pivots in pivot_sets:
+        pivset = set(pivots)
+        free = [(i, c) for i in range(k) for c in range(pivots[i] + 1, n)
+                if c not in pivset]
+        total = q ** len(free)
+        values = range(total - 1, -1, -1) if reverse else range(total)
+        for code in values:
+            ent = [(i, p, field.one) for i, p in enumerate(pivots)]
+            rem = code
+            for slot in reversed(range(len(free))):
+                rem, v = divmod(rem, q)
+                if v:
+                    i, c = free[slot]
+                    ent.append((i, c, v))
+            yield Matrix.from_entries(field, k, n, ent)
 
 
 def _cand(field, mats, eta, alpha):

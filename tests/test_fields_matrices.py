@@ -242,3 +242,122 @@ def test_kernel_matches_reference_on_sparse_shift(field):
         assert _check_against_reference(big) == want
         # a scaled copy exercises the Q row content and the mod-q leading-1 scaling
         _check_against_reference(big.scale(Fraction(3, 2) if field.char == 0 else 3))
+
+
+# -- products against the per-entry loops -----------------------------------------
+
+
+def reference_matmul(a, b):
+    """Row-by-row product with one field call per entry: the oracle."""
+    fld = a.field
+    out = {}
+    for i in range(a.rows):
+        acc = {}
+        for k, v in a.row_items(i):
+            for j, w in b.row_items(k):
+                nv = fld.add(acc.get(j, fld.zero), fld.mul(v, w))
+                if nv:
+                    acc[j] = nv
+                else:
+                    acc.pop(j, None)
+        if acc:
+            out[i] = acc
+    return Matrix(fld, a.rows, b.cols, out)
+
+
+def reference_add(a, b):
+    """Entrywise sum with one field call per entry of b: the oracle."""
+    fld = a.field
+    out = {i: dict(a.row_items(i)) for i in range(a.rows)}
+    for i in range(b.rows):
+        row = out[i]
+        for j, v in b.row_items(i):
+            nv = fld.add(row.get(j, fld.zero), v)
+            if nv:
+                row[j] = nv
+            else:
+                row.pop(j, None)
+    return Matrix(fld, a.rows, a.cols, {i: r for i, r in out.items() if r})
+
+
+def reference_map(a, f):
+    """f applied to every stored entry, zeros dropped: the oracle of -a and scale."""
+    return Matrix.from_entries(a.field, a.rows, a.cols,
+                               ((i, j, f(v)) for i, j, v in a.entries()))
+
+
+PRODUCT_FIELDS = [QQ, PrimeField(2), PrimeField(5), PrimeField(2 ** 31 - 1)]
+
+
+@st.composite
+def _mixed(draw, field, rows, cols):
+    """Like _entries, with denominators up to 12 over Q."""
+    if field.char or not rows:
+        return draw(_entries(field, rows, cols))
+    cell = st.one_of(st.just(0), st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)))
+    return Matrix.from_dense(QQ, [[draw(cell) for _ in range(cols)] for _ in range(rows)])
+
+
+@st.composite
+def product_cases(draw):
+    """(a, a2, b, c): a and a2 of one shape, b with as many rows as a has columns."""
+    field = draw(st.sampled_from(PRODUCT_FIELDS))
+    rows, mid, cols = (draw(st.integers(0, 6)) for _ in range(3))
+    a, a2 = draw(_mixed(field, rows, mid)), draw(_mixed(field, rows, mid))
+    b = draw(_mixed(field, mid, cols))
+    if field.char:
+        c = draw(st.integers(-field.q, 2 * field.q))
+    else:
+        c = draw(st.builds(Fraction, st.integers(-7, 7), st.integers(1, 6)))
+    return a, a2, b, c
+
+
+def _assert_canonical(m):
+    """No zero entry and no empty row is stored; entries are Fractions over Q
+    and residues in [1, q) over F_q."""
+    for row in m._rows.values():
+        assert row
+        for v in row.values():
+            if m.field.char:
+                assert type(v) is int and 0 < v < m.field.q
+            else:
+                assert type(v) is Fraction and v
+
+
+@settings(max_examples=400, deadline=None)
+@given(product_cases())
+def test_products_match_reference_loops(case):
+    a, a2, b, c = case
+    fld = a.field
+    neg_a = reference_map(a, fld.neg)
+    zero = Matrix.zeros(fld, a.rows, a.cols)
+    for got, want in (
+            (a @ b, reference_matmul(a, b)),
+            (a + a2, reference_add(a, a2)),
+            (a - a2, reference_add(a, reference_map(a2, fld.neg))),
+            (-a, neg_a),
+            (a.scale(c), reference_map(a, lambda v: fld.mul(fld.coerce(c), v))),
+            (a + neg_a, zero),
+            (a - a, zero),
+            # every product cancels: [a | -a] [b; b] = 0
+            (Matrix.hstack([a, neg_a]) @ Matrix.vstack([b, b]),
+             Matrix.zeros(fld, a.rows, b.cols))):
+        assert got == want
+        _assert_canonical(got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_hsplit_inverts_hstack(data):
+    field = data.draw(st.sampled_from(PRODUCT_FIELDS))
+    rows = data.draw(st.integers(0, 5))
+    widths = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=5))
+    blocks = [data.draw(_mixed(field, rows, w)) for w in widths]
+    assert Matrix.hstack(blocks).hsplit(widths) == blocks
+
+
+def test_hsplit_rejects_widths_that_do_not_sum_to_cols():
+    m = Matrix.identity(QQ, 3)
+    for widths in ([1, 1], [2, 2], [4, -1], []):
+        with pytest.raises(ShapeError):
+            m.hsplit(widths)

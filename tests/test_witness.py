@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -6,9 +7,10 @@ import pytest
 from kronhf.errors import DomainError, GuardRefusal, PreconditionError, ValidationError
 from kronhf.fields import QQ, PrimeField
 from kronhf.matrices import Matrix
+from kronhf import witness as witness_mod
 from kronhf.modules import (PencilBlock, build_P, build_Q, build_R,
-                            build_preprojective_theta)
-from kronhf.witness import (WitnessPart, combinator_bounded_codim,
+                            build_preprojective_theta, direct_sum)
+from kronhf.witness import (Witness, WitnessPart, combinator_bounded_codim,
                             combinator_direct_sum, fragment_postinjective_theta,
                             fragment_tree_module, monomial_submodule,
                             postinjective_fragment_size_bound, verify_weak_witness,
@@ -187,6 +189,74 @@ def test_combinator_bounded_codim_rejects_large_inner_eps():
     inner = _zigzag_witness(sub, QUARTER, "test")
     with pytest.raises(GuardRefusal):
         combinator_bounded_codim(M, sub, embs, inner, QUARTER)
+
+
+def _regular(n, field):
+    return build_R(PencilBlock("R_poly", poly=(field.coerce(-1),), e=n), field)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)])
+def test_transport_matches_per_part_products(monkeypatch, field):
+    """Every transport of the regular and postinjective producers equals
+    e1 @ emb1, e2 @ emb2 taken part by part, down to the JSON bytes."""
+    real = witness_mod.combinator_bounded_codim
+    calls = []
+
+    def spy(M, sub, embs, inner, eps):
+        out = real(M, sub, embs, inner, eps)
+        calls.append((embs, inner, out))
+        return out
+
+    monkeypatch.setattr(witness_mod, "combinator_bounded_codim", spy)
+    for n in (30, 80, 300):
+        for eps in (Fraction(1, 2), QUARTER, Fraction(1, 10)):
+            witness_regular_2k(_regular(n, field), eps)
+            witness_postinjective_2k(build_Q(n, field), eps)
+    assert len(calls) == 3 * 3 * 3
+    for (e1, e2), inner, out in calls:
+        parts = [WitnessPart(p.module, e1 @ p.emb1, e2 @ p.emb2) for p in inner.parts]
+        assert out.parts == parts
+        ref = Witness(out.module, out.eps, out.l_eps, parts, dict(out.notes))
+        assert (json.dumps(witness_to_dict(out), sort_keys=True)
+                == json.dumps(witness_to_dict(ref), sort_keys=True))
+
+
+def test_transport_of_an_inner_witness_without_parts():
+    zero = direct_sum([], d=2, field=QQ)
+    empty = Matrix.zeros(QQ, 0, 0)
+    inner = combinator_direct_sum([], eps=Fraction(1, 8))
+    out = combinator_bounded_codim(zero, zero, (empty, empty), inner, QUARTER)
+    assert out.parts == [] and verify_witness(zero, out).ok
+    # over a nonzero module the empty witness is refused on its dimension
+    M = build_P(10)
+    inner = Witness(M, Fraction(1, 8), Fraction(11), [])
+    with pytest.raises(GuardRefusal, match="dim N = 0"):
+        combinator_bounded_codim(M, M, (Matrix.identity(QQ, 10), Matrix.identity(QQ, 11)),
+                                 inner, QUARTER)
+
+
+def test_transport_takes_one_product_per_side(monkeypatch):
+    """Two products whatever the number of parts, so the transport stays
+    linear in dim M (one product per part made it quadratic)."""
+    R = _regular(500, QQ)
+    sub, embs = monomial_submodule(R, range(499))
+    real = Matrix.__matmul__
+    count = [0]
+
+    def counting(a, b):
+        count[0] += 1
+        return real(a, b)
+
+    seen = []
+    for eps in (Fraction(1, 2), Fraction(1, 10)):
+        inner = _zigzag_witness(sub, eps / 2, "test")
+        count[0] = 0
+        monkeypatch.setattr(Matrix, "__matmul__", counting)
+        combinator_bounded_codim(R, sub, embs, inner, eps)
+        monkeypatch.undo()
+        seen.append((len(inner.parts), count[0]))
+    assert seen[0][0] != seen[1][0] and min(seen)[0] > 2
+    assert [c for _, c in seen] == [2, 2]
 
 
 def test_weaken():
