@@ -288,6 +288,18 @@ def adjoint_generators(p: int):
 # -- Kazhdan bracket ----------------------------------------------------------------
 
 
+def _float_generators(gens) -> list:
+    """The generators as float arrays, checked to be square matrices of one size."""
+    if not gens:
+        raise ValidationError("need at least one generator")
+    arrays = [np.asarray(g, dtype=float) for g in gens]
+    shape = arrays[0].shape
+    if (len(shape) != 2 or shape[0] != shape[1] or shape[0] == 0
+            or any(g.shape != shape for g in arrays)):
+        raise ValidationError("generators must be nonempty square matrices of one size")
+    return arrays
+
+
 def kazhdan_lower_bound(gens, tol: float = 1e-8) -> float:
     """sqrt of the smallest eigenvalue of the averaged displacement form.
 
@@ -295,12 +307,10 @@ def kazhdan_lower_bound(gens, tol: float = 1e-8) -> float:
     is v^t [ (1/|S|) sum (I - g)^t (I - g) ] v; the smallest eigenvalue of
     that form lower-bounds the squared Kazhdan constant.
     """
-    if not gens:
-        raise ValidationError("need at least one generator")
+    gens = _float_generators(gens)
     n = gens[0].shape[0]
     acc = np.zeros((n, n))
     for g in gens:
-        g = np.asarray(g, dtype=float)
         if np.max(np.abs(g @ g.T - np.eye(n))) > tol:
             raise ValidationError("generators must be orthogonal within tol")
         d = np.eye(n) - g
@@ -313,33 +323,67 @@ def kazhdan_lower_bound(gens, tol: float = 1e-8) -> float:
 
 
 def kazhdan_upper_bound(gens, trials: int = 200, seed: int = 0) -> float:
-    """Best displacement max over sampled and coordinate-descended unit vectors."""
-    if not gens:
-        raise ValidationError("need at least one generator")
-    mats = [np.asarray(g, dtype=float) - np.eye(g.shape[0]) for g in gens]
-    n = mats[0].shape[0]
+    """Best displacement max over sampled and coordinate-descended unit vectors.
+
+    Each trial descends greedily from a random unit v. A sweep tries the moves
+    v + step e_0, v - step e_0, v + step e_1, ... in that order, each
+    renormalised, and accepts a move that lowers the objective by more than
+    1e-12; a sweep that accepts none halves the step.
+
+    One numpy pass prices every move of the sweep that is still ahead, from
+    G = m^t m for each m = g - I:
+    ||m(v + s e_i)||^2 = ||m v||^2 + 2 s (G v)_i + s^2 G_ii and
+    ||v + s e_i||^2 = ||v||^2 + 2 s v_i + s^2. The cross term is at most
+    ||m v||^2 + s^2 G_ii in size, so taking 2e-12 of that off the price covers
+    its rounding. Only moves priced below (val - 1e-12 + 1e-9)^2 are tried,
+    in sweep order, by the exact step, which alone decides: a move the price
+    rules out is one the exact step rejects, so the descent takes the same
+    path as trying every move.
+    """
+    if trials < 1:
+        raise ValidationError(f"trials must be at least 1, got {trials}")
+    gens = _float_generators(gens)
+    n = gens[0].shape[0]
+    stack = np.stack([g - np.eye(n) for g in gens])
+    gram = np.transpose(stack, (0, 2, 1)) @ stack
+    col_sq = np.einsum("kii->ki", gram)
 
     def objective(v):
-        return max(float(np.linalg.norm(m @ v)) for m in mats)
+        return max(float(np.linalg.norm(m @ v)) for m in stack)
+
+    def screen(v, step, val, start):
+        """Sweep positions >= start that may pass; position 2i + 0/1 is e_i +/-."""
+        mv = stack @ v
+        low = (1 - 2e-12) * (np.einsum("ki,ki->k", mv, mv)[:, None] + step * step * col_sq)
+        move = np.array([2.0 * step, -2.0 * step])
+        num = np.maximum.reduce(low[:, :, None] + (gram @ v)[:, :, None] * move)
+        price = num / (v @ v + step * step + v[:, None] * move)
+        return start + np.flatnonzero(price.ravel()[start:] < (val - 1e-12 + 1e-9) ** 2)
 
     rng = np.random.default_rng(seed)
     best = math.inf
-    for _ in range(max(1, trials)):
+    for _ in range(trials):
         v = rng.standard_normal(n)
         v /= np.linalg.norm(v)
         val = objective(v)
         step = 0.5
         while step > 1e-3:
             improved = False
-            for i in range(n):
-                for sgn in (1.0, -1.0):
+            start = 0
+            while start < 2 * n:
+                for pos in screen(v, step, val, start):
+                    i, minus = divmod(int(pos), 2)
                     cand = v.copy()
-                    cand[i] += sgn * step
+                    cand[i] += -step if minus else step
                     cand /= np.linalg.norm(cand)
                     cv = objective(cand)
                     if cv < val - 1e-12:
                         v, val = cand, cv
                         improved = True
+                        start = pos + 1
+                        break
+                else:
+                    break
             if not improved:
                 step /= 2.0
         best = min(best, val)

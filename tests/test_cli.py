@@ -211,6 +211,13 @@ def test_expander_bad_integer_options_are_usage_errors(capsys):
     assert code == 2 and err.startswith("error: --trials")
 
 
+def test_sl2p_kazhdan_refuses_fewer_than_one_trial(capsys):
+    for value in ("0", "-3"):
+        code, out, err = run(capsys, "sl2p", "--p", "5", "--kazhdan", "--trials", value, "--json")
+        assert code == 2 and out == ""
+        assert err == f"error: trials must be at least 1, got {value}\n"
+
+
 def test_bad_integer_options_are_usage_errors(capsys, tmp_path):
     mod = tmp_path / "P2.mod"
     assert run(capsys, "build", "P", "--n", "2", "--out", str(mod))[0] == 0

@@ -1,9 +1,10 @@
+import math
 import random
 
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kronhf.errors import DomainError, ValidationError
@@ -258,6 +259,75 @@ def test_kazhdan_upper_bound_cases():
     assert kazhdan_upper_bound([-np.eye(1)], trials=5, seed=1) == pytest.approx(2.0, abs=1e-12)
 
 
+def reference_upper_bound(gens, trials, seed):
+    """The descent with one objective call per move: the oracle for kazhdan_upper_bound."""
+    mats = [np.asarray(g, dtype=float) - np.eye(g.shape[0]) for g in gens]
+    n = mats[0].shape[0]
+
+    def objective(v):
+        return max(float(np.linalg.norm(m @ v)) for m in mats)
+
+    rng = np.random.default_rng(seed)
+    best = math.inf
+    for _ in range(trials):
+        v = rng.standard_normal(n)
+        v /= np.linalg.norm(v)
+        val = objective(v)
+        step = 0.5
+        while step > 1e-3:
+            improved = False
+            for i in range(n):
+                for sgn in (1.0, -1.0):
+                    cand = v.copy()
+                    cand[i] += sgn * step
+                    cand /= np.linalg.norm(cand)
+                    cv = objective(cand)
+                    if cv < val - 1e-12:
+                        v, val = cand, cv
+                        improved = True
+            if not improved:
+                step /= 2.0
+        best = min(best, val)
+    return best
+
+
+@st.composite
+def generator_lists(draw):
+    """Orthogonal (QR of Gaussians), permutation, general real or nearly scalar matrices.
+
+    Nearly scalar generators make the objective almost flat, so many moves
+    lower it by about the 1e-12 the descent asks for, at every scale.
+    """
+    n = draw(st.integers(1, 14))
+    r = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["orthogonal", "permutation", "general", "nearly scalar"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "orthogonal":
+        return [np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(r)]
+    if kind == "permutation":
+        return [np.eye(n)[rng.permutation(n)] for _ in range(r)]
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3, 1e10]))
+    if kind == "general":
+        return [scale * rng.standard_normal((n, n)) for _ in range(r)]
+    spread = draw(st.sampled_from([1e-15, 1e-13, 1e-12]))
+    return [np.diag(scale * (1.0 + spread * rng.standard_normal(n))) for _ in range(r)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_lists(), st.integers(1, 3), st.integers(0, 2 ** 64 - 1))
+# rounding noise alone lowers the objective here; the screen must still admit those moves
+@example(gens=[1e10 * np.eye(2)] * 2, trials=1, seed=1)
+def test_upper_bound_matches_reference_descent(gens, trials, seed):
+    assert kazhdan_upper_bound(gens, trials, seed) == reference_upper_bound(gens, trials, seed)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_upper_bound_matches_reference_on_adjoint_generators(p):
+    gens = adjoint_generators(p)
+    for seed in (0, 1, 2, 903, 2 ** 32 - 1):
+        assert kazhdan_upper_bound(gens, 1, seed) == reference_upper_bound(gens, 1, seed)
+
+
 def test_kazhdan_bracket_p3():
     est = kazhdan_estimate(3, trials=40, seed=7)
     assert est.lower > 0
@@ -269,6 +339,14 @@ def test_kazhdan_bracket_p3():
 def test_kazhdan_rejects_non_orthogonal():
     with pytest.raises(ValidationError):
         kazhdan_lower_bound([np.diag([2.0, 1.0])])
+
+
+def test_kazhdan_bounds_reject_generators_of_mixed_or_non_square_shape():
+    for gens in ([np.eye(2), np.eye(3)], [np.ones((2, 3))], [np.ones(3)],
+                 [np.zeros((0, 0))], []):
+        for bound in (kazhdan_lower_bound, kazhdan_upper_bound):
+            with pytest.raises(ValidationError):
+                bound(gens)
 
 
 def test_theta3_module():
