@@ -336,9 +336,14 @@ def cmd_expander(args, cfgmap) -> int:
                              f"weak {results['weak_eps_bound']}"])
         return 0
     eta = parse_rational(_cfg(args, cfgmap, "eta", "1/2"))
+    params = {"eta": str(eta), "alpha": str(alpha)}
     from_p = _cfg(args, cfgmap, "from-sl2p")
     if from_p is not None:
-        M = theta3_counterexample_module(_as_int("from-sl2p", from_p))
+        p = _as_int("from-sl2p", from_p)
+        # over a prime field this checks the reduction mod q, not the module over Q
+        field = field_from_label(_cfg(args, cfgmap, "field", "rational"))
+        M = theta3_counterexample_module(p, field)
+        params.update(from_sl2p=p, field=field.label)
     else:
         M = _read_module(_cfg(args, cfgmap, "maps"))
         want = _cfg(args, cfgmap, "field")
@@ -365,7 +370,7 @@ def cmd_expander(args, cfgmap) -> int:
         "seed": seed,
     }
     # a refutation is a successful answer, not a failed verification
-    report = RunReport("expander", {"eta": str(eta), "alpha": str(alpha), "mode": mode},
+    report = RunReport("expander", {**params, "mode": mode},
                        results, [True], (time.perf_counter() - start) * 1000)
     _emit(args, report, [f"verdict {rep.verdict} worst ratio {rep.worst_ratio} "
                          f"({rep.subspaces_checked} subspaces)"])

@@ -176,11 +176,20 @@ class _PackedImages:
         """Walk the k-dimensional subspaces in canonical order (see
         check_exhaustive) until one has dim sum T_i(W) < need.
 
-        Returns (subspaces walked, least dim sum T_i(W) seen, RREF entries of the
-        failing W or None). Row i of W is e_p + sum of digit * e_c over its free
-        columns c. Its images are kept reduced modulo the span of the images of
-        rows 0..i-1 (the prefix), and updated by one column per odometer step,
-        so the last row costs one echelon of d short vectors per subspace.
+        Returns (subspaces decided, least dim sum T_i(W) over them, RREF entries
+        of the failing W or None). Row i of W is e_p + sum of digit * e_c over
+        its free columns c. Its images are kept reduced modulo the span of the
+        images of rows 0..i-1 (the prefix), and updated by one column per
+        odometer step, so the last row costs one echelon of d short vectors
+        per subspace that the bound below does not skip.
+
+        Bound: U inside W gives sum T_i(U) inside sum T_i(W), and every W below
+        a choice of rows 0..i contains their span. Once the images of rows
+        0..i span at least the least dimension seen so far, which is >= need
+        while the walk runs, no W below lowers it or fails, so the walk skips
+        them and counts them as decided without an echelon. The count, the
+        least dimension, the order and the first failing W are those of the
+        walk without the bound.
         """
         q, n, add, scale, echelon, reduce, options = (
             self.q, self.n, self.add, self.scale, self.echelon, self.reduce, self.options)
@@ -209,11 +218,17 @@ class _PackedImages:
                         if dim < need:
                             walked += index + 1
                             return True
-                walked += q ** len(free)
+                walked += sizes[i]
                 return False
-            after = pivots[i + 1]
+            after, below = pivots[i + 1], sizes[i + 1]
             for images in options(images, steps, digits, reverse):
                 rows = echelon(images)
+                if least is not None and base + len(rows) >= least:
+                    # every W below contains rows 0..i, so its dim sum T_i(W) is
+                    # at least base + len(rows) >= least >= need: none of them
+                    # lowers least or refutes
+                    walked += below
+                    continue
                 if rows:
                     # rows i+1.. only read columns from their own pivot on
                     order = sorted(rows.items(), reverse=True)
@@ -230,6 +245,8 @@ class _PackedImages:
         for pivots in pivot_sets:
             pivset = set(pivots)
             frees = [[c for c in range(p + 1, n) if c not in pivset] for p in pivots]
+            # sizes[i]: the number of W that share a given choice of rows 0..i-1
+            sizes = [q ** sum(map(len, frees[i:])) for i in range(k)]
             digit_rows = [[] for _ in pivots]
             if walk(0, self.columns, 0):
                 entries = [(i, p, 1) for i, p in enumerate(pivots)]
@@ -250,6 +267,14 @@ def check_exhaustive(cand: ExpanderCandidate, guard: int = 10 ** 7,
     free entry most significant. ``reverse`` flips the whole order. A
     refutation reports the first W in that order with
     dim sum T_i(W) < (1 + alpha) k.
+
+    The walk skips every W whose first RREF rows already have images of
+    dimension at least the least dim sum T_i(W) seen at that k, since such a
+    W contains them (see _PackedImages.scan). ``subspaces_checked`` counts
+    the subspaces decided, some of them by that bound: all of them for a
+    proof, and those up to the first failing W for a refutation. The order,
+    the first failing W and ``worst_ratio`` are those of a walk that
+    computes every image.
     """
     if not isinstance(cand.field, PrimeField):
         raise ValidationError("exhaustive check requires a prime field")

@@ -186,6 +186,26 @@ def test_expander_sampled_from_sl2p(capsys):
     assert rep["results"]["seed"] == 7
 
 
+def test_expander_from_sl2p_reads_field(capsys):
+    """--field picks the reduction of theta(3) that the exhaustive walk checks."""
+    code, out, _ = run(capsys, "expander", "--from-sl2p", "5", "--field", "7",
+                       "--alpha", "1/2", "--json")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["config"]["from_sl2p"] == 5 and rep["config"]["field"] == "7"
+    res = rep["results"]
+    assert (res["verdict"], res["worst_ratio"], res["subspaces_checked"]) == (
+        "proved", "3/2", 142851)
+
+
+def test_expander_from_sl2p_bad_field_label_is_usage_error(capsys):
+    for label, message in (("GF(7)", "unknown field label 'GF(7)'"), ("4", "4 is not prime")):
+        code, out, err = run(capsys, "expander", "--from-sl2p", "5", "--field", label,
+                             "--alpha", "1/2", "--json")
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+
 def test_expander_guard_exit_code(capsys, tmp_path):
     mod = tmp_path / "big.mod"
     from kronhf.fields import PrimeField

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kronhf.errors import DomainError, GuardRefusal, ValidationError
@@ -11,10 +11,10 @@ from kronhf.fields import QQ, PrimeField
 from kronhf.matrices import Matrix, column_space_dim_of_stack
 from kronhf.modules import KroneckerModule, build_P
 from kronhf.sl2p import theta3_counterexample_module
-from kronhf.expander import (ExpanderCandidate, _image_dim, check_exhaustive,
-                             check_sampled_rational, empirical_best_epsilon,
-                             gaussian_binomial, nonhf_epsilon_bound, refute_witness,
-                             weak_nonhf_epsilon_bound)
+from kronhf.expander import (ExpanderCandidate, _image_dim, _PackedImages,
+                             check_exhaustive, check_sampled_rational,
+                             empirical_best_epsilon, gaussian_binomial, nonhf_epsilon_bound,
+                             refute_witness, weak_nonhf_epsilon_bound)
 from kronhf.witness import Witness, WitnessPart, verify_witness
 
 F2 = PrimeField(2)
@@ -180,6 +180,11 @@ def small_candidates(draw):
     maps = [Matrix.from_dense(field, draw(st.lists(
         st.lists(st.integers(0, q - 1), min_size=n, max_size=n), min_size=n, max_size=n)))
         for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        # the shape of theta(3): with the identity among the maps fewer draws
+        # refute at the first line, so more walks reach k >= 2, where the
+        # exhaustive walk skips subtrees by its bound
+        maps[0] = Matrix.identity(field, n)
     kcap = max(k for k in range(1, n + 1) if sum(
         gaussian_binomial(n, j, q) for j in range(1, k + 1)) <= ORACLE_MAX_SUBSPACES)
     eta = Fraction(draw(st.integers(1, kcap)), n)
@@ -190,13 +195,56 @@ def small_candidates(draw):
     return ExpanderCandidate(field, n, maps, eta, alpha)
 
 
+def _outcome(rep):
+    return (rep.verdict, rep.subspaces_checked, rep.worst_ratio, rep.witness,
+            rep.notes["expected_total"])
+
+
+# refuted by W = <(0,1,0,1), (0,0,1,0)> with dim sum T_i(W) = 2; the images of
+# its first row span 2 dims, and every earlier 2-dim W has at least 3, so a
+# walk that skipped subtrees whose prefix reaches least - 1 would miss it
+# and prove
+BOUND_EDGE = _cand(F2, [[[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]],
+                        [[0, 0, 0, 0], [0, 1, 0, 1], [1, 0, 0, 0], [0, 0, 1, 0]],
+                        [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0]]],
+                   HALF, Fraction(1, 100))
+
+
 @settings(max_examples=300, deadline=None)
 @given(small_candidates(), st.booleans())
+@example(BOUND_EDGE, False)
 def test_check_exhaustive_matches_reference_loop(c, reverse):
-    rep = check_exhaustive(c, reverse=reverse)
-    got = (rep.verdict, rep.subspaces_checked, rep.worst_ratio, rep.witness,
-           rep.notes["expected_total"])
-    assert got == _reference_exhaustive(c, reverse)
+    assert _outcome(check_exhaustive(c, reverse=reverse)) == _reference_exhaustive(c, reverse)
+
+
+def _theta3_mod(p, q):
+    return ExpanderCandidate.from_module(theta3_counterexample_module(p, PrimeField(q)),
+                                         HALF, HALF)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("p, q", [(5, 2), (5, 3), (3, 5), (3, 7)])
+def test_check_exhaustive_matches_reference_on_theta3_reductions(p, q, reverse):
+    c = _theta3_mod(p, q)
+    assert _outcome(check_exhaustive(c, reverse=reverse)) == _reference_exhaustive(c, reverse)
+
+
+def test_check_exhaustive_bound_skips_most_echelons(monkeypatch):
+    """theta(3) mod 7 at p = 5: without the bound the walk runs 144385 echelons
+    for its 142851 subspaces; with it, 9435."""
+    calls = 0
+    echelon = _PackedImages.echelon
+
+    def counting(self, images):
+        nonlocal calls
+        calls += 1
+        return echelon(self, images)
+
+    monkeypatch.setattr(_PackedImages, "echelon", counting)
+    rep = check_exhaustive(_theta3_mod(5, 7))
+    assert (rep.verdict, rep.worst_ratio, rep.subspaces_checked) == (
+        "proved", Fraction(3, 2), 142851)
+    assert calls < rep.subspaces_checked // 10
 
 
 def test_checks_pass_vacuously_when_eta_n_below_one():
