@@ -1,8 +1,13 @@
 """Exact scalar arithmetic: the rationals and prime fields F_q.
 
-Rationals are represented by ``fractions.Fraction`` (always in lowest terms,
-positive denominator), prime-field elements by plain ints in ``[0, q)``.
-Field objects bundle the arithmetic so matrix code stays field-agnostic.
+A rational is held in one canonical form: a plain ``int`` when it is
+integral, otherwise a ``fractions.Fraction`` in lowest terms with a
+denominator above 1; a ``Fraction(n, 1)`` is never produced. ``rational``
+builds that form from a numerator and a denominator, and every value the
+field Q returns is in it. Since ``3 == Fraction(3)``, their hashes agree and
+both print as ``3``, the form changes no comparison and no printed output.
+Prime-field elements are plain ints in ``[0, q)``. Field objects bundle the
+arithmetic so matrix code stays field-agnostic.
 """
 
 from __future__ import annotations
@@ -39,29 +44,41 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def rational(n: int, d: int):
+    """The rational n/d in canonical form: the int n // d when d divides n,
+    else a Fraction in lowest terms."""
+    if d == 1:
+        return n
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
+
+
 class RationalField:
-    """The field Q. Singleton; use the module-level ``QQ``."""
+    """The field Q. Singleton; use the module-level ``QQ``. Elements are in
+    the canonical form of the module docstring."""
 
     char = 0
     label = "rational"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def coerce(self, x):
-        if isinstance(x, Fraction):
+        if type(x) is int:
             return x
+        if isinstance(x, Fraction):
+            return x.numerator if x.denominator == 1 else x
         if isinstance(x, int):
-            return Fraction(x)
+            return int(x)
         raise ValidationError(f"cannot coerce {x!r} into Q")
 
     def add(self, a, b):
-        return a + b
+        return self.coerce(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return self.coerce(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return self.coerce(a * b)
 
     def neg(self, a):
         return -a
@@ -69,12 +86,12 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return Fraction(a.denominator, a.numerator)
+        return rational(a.denominator, a.numerator)
 
     def parse(self, token: str):
         if "." in token:
             raise ValidationError(f"float literal {token!r} rejected; use p/q")
-        return Fraction(token)
+        return self.coerce(Fraction(token))
 
     def fmt(self, a) -> str:
         return str(a)

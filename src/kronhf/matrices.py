@@ -5,19 +5,22 @@ the structured modules of this project (shift, selection and companion
 patterns) linear in their size while presenting an ordinary dense row-major
 contract, including the text file format. Elimination, products, sums and
 scalings run on plain ints: reduced mod q over F_q, and over Q integer
-numerators over a shared denominator, with one Fraction built per entry
-they return.
+numerators over a shared denominator. Over Q every stored entry is in the
+canonical form of kronhf.fields: an int when integral, else a Fraction with
+denominator above 1, so entry() may return an int. Each entry the kernel
+builds from a numerator and a denominator goes through fields.rational; an
+integral matrix stays a matrix of ints through products, sums and
+scalings, with no Fraction built.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .fields import field_from_label
+from .fields import field_from_label, rational
 
 _EMPTY = {}
 
@@ -142,18 +145,20 @@ class Matrix:
     def __matmul__(self, other):
         """The product, on the integer arithmetic of the elimination kernel.
 
-        Over F_q the sums of products are plain ints, reduced mod q once per
-        output entry. Over Q each row of other becomes an integer row over
-        the lcm of its denominators (_int_row); an output row is the integer
-        combination of the rows it touches, over the lcm of the denominators
-        of its terms, and one Fraction is built per output entry.
+        Over F_q, and over Q when both factors hold only ints, an output row
+        is the integer combination of the rows of other it touches, reduced
+        mod q once per output entry over F_q. Otherwise each row of other
+        becomes an integer row over the lcm of its denominators (_int_row);
+        an output row is their integer combination over the lcm den of the
+        denominators of its terms, and each entry is rational(sum, den), or
+        the sum itself when den is 1.
         """
         self._check_same_field(other)
         if self.cols != other.rows:
             raise ShapeError(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         q = self.field.char
         out = {}
-        if q:
+        if q or (self._integral() and other._integral()):
             orows = other._rows
             for i, row in self._rows.items():
                 acc = {}
@@ -162,7 +167,10 @@ class Matrix:
                     if brow:
                         for j, w in brow.items():
                             acc[j] = acc.get(j, 0) + v * w
-                acc = {j: r for j, s in acc.items() if (r := s % q)}
+                if q:
+                    acc = {j: r for j, s in acc.items() if (r := s % q)}
+                else:
+                    acc = {j: s for j, s in acc.items() if s}
                 if acc:
                     out[i] = acc
         else:
@@ -175,15 +183,22 @@ class Matrix:
                     f = v.numerator * (den // (v.denominator * e))
                     for j, w in brow.items():
                         acc[j] = acc.get(j, 0) + f * w
-                acc = {j: Fraction(s, den) for j, s in acc.items() if s}
+                if den == 1:
+                    acc = {j: s for j, s in acc.items() if s}
+                else:
+                    acc = {j: rational(s, den) for j, s in acc.items() if s}
                 if acc:
                     out[i] = acc
         return Matrix(self.field, self.rows, other.cols, out)
 
+    def _integral(self):
+        """Whether every entry is an int: over Q, whether the matrix is integral."""
+        return all(type(v) is int for r in self._rows.values() for v in r.values())
+
     def __add__(self, other):
         """The sum. An entry held by one side only is copied; a shared one is
-        added mod q, or over Q on numerators over the product of the two
-        denominators, with one Fraction built for it."""
+        added mod q, or over Q as rational(numerator, denominator) of the
+        cross-multiplied pair."""
         self._check_same_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("shape mismatch in add")
@@ -199,8 +214,8 @@ class Matrix:
                 if q:
                     nv = (old + v) % q
                 else:
-                    n = old.numerator * v.denominator + v.numerator * old.denominator
-                    nv = Fraction(n, old.denominator * v.denominator) if n else 0
+                    a, b = old.denominator, v.denominator
+                    nv = rational(old.numerator * b + v.numerator * a, a * b)
                 if nv:
                     row[j] = nv
                 else:
@@ -225,7 +240,7 @@ class Matrix:
             out = {i: {j: c * v % q for j, v in r.items()} for i, r in self._rows.items()}
         else:
             a, b = c.numerator, c.denominator
-            out = {i: {j: Fraction(a * v.numerator, b * v.denominator) for j, v in r.items()}
+            out = {i: {j: rational(a * v.numerator, b * v.denominator) for j, v in r.items()}
                    for i, r in self._rows.items()}
         return Matrix(fld, self.rows, self.cols, out)
 
@@ -316,7 +331,7 @@ class Matrix:
         if self.field.char:
             out = dict(enumerate(prows))
         else:
-            out = {t: {j: Fraction(v, r[c]) for j, v in r.items()}
+            out = {t: {j: rational(v, r[c]) for j, v in r.items()}
                    for t, (c, r) in enumerate(zip(pivots, prows))}
         return Matrix(self.field, self.rows, self.cols, out), pivots
 
@@ -399,19 +414,22 @@ class Matrix:
 
 def _int_row(row):
     """A row of rationals as (integer row, d): the row times d, the lcm of its
-    denominators."""
+    denominators. A row of ints is returned as it is, with d = 1; callers
+    must not change it."""
     d = lcm(*[v.denominator for v in row.values()])
+    if d == 1:
+        return row, 1
     return {j: v.numerator * (d // v.denominator) for j, v in row.items()}, d
 
 
 def _integer_row(row):
-    """A row of rationals as the primitive integer row spanning the same line."""
-    out = _int_row(row)[0]
+    """A row of rationals as the primitive integer row spanning the same line,
+    in a new dict that the caller may change."""
+    out, d = _int_row(row)
     g = gcd(*out.values())
     if g != 1:
-        for j in out:
-            out[j] //= g
-    return out
+        return {j: v // g for j, v in out.items()}
+    return dict(out) if d == 1 else out
 
 
 def _clear(ri, i, prow, c, q, holders):
@@ -563,7 +581,7 @@ def random_matrix(field, rows, cols, rng, span=5):
     for i in range(rows):
         for j in range(cols):
             if field.char == 0:
-                v = Fraction(rng.randint(-span, span), rng.randint(1, 3))
+                v = rational(rng.randint(-span, span), rng.randint(1, 3))
             else:
                 v = rng.randrange(field.q)
             if v:
@@ -578,7 +596,7 @@ def random_invertible(field, n, rng, span=3):
     for i in range(n):
         for j in range(i):
             if field.char == 0:
-                a, b = Fraction(rng.randint(-span, span)), Fraction(rng.randint(-span, span))
+                a, b = rng.randint(-span, span), rng.randint(-span, span)
             else:
                 a, b = rng.randrange(field.q), rng.randrange(field.q)
             if a:

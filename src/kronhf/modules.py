@@ -276,7 +276,7 @@ def sympy_to_coeffs(field, poly) -> tuple:
     out = []
     for c in all_c[:-1]:
         if field.char == 0:
-            out.append(Fraction(str(c)))
+            out.append(field.coerce(Fraction(str(c))))
         else:
             out.append(int(c) % field.char)
     return tuple(out)
@@ -320,7 +320,7 @@ def parse_poly(field, text: str) -> tuple:
     out = []
     for c in all_c[:-1]:
         if field.char == 0:
-            out.append(Fraction(str(c)))
+            out.append(field.coerce(Fraction(str(c))))
         else:
             if not c.is_integer:
                 raise ValidationError("integer coefficients required over a prime field")
@@ -453,9 +453,10 @@ def build_preprojective_theta(d: int, t: int, field=QQ) -> KroneckerModule:
 # -- hom spaces and kernels ---------------------------------------------------
 
 
-def _hom_system(X: KroneckerModule, Y: KroneckerModule) -> Matrix:
+def hom_system(X: KroneckerModule, Y: KroneckerModule) -> Matrix:
     """The linear system g X(k) = Y(k) f for all arrows k, in the unknowns
-    f[l, j] (first Y.dim1 * X.dim1 columns) and then g[i, m]."""
+    f[l, j] (first Y.dim1 * X.dim1 columns) and then g[i, m], each matrix
+    in row-major order."""
     if X.d != Y.d or X.field != Y.field:
         raise ValidationError("hom space needs matching arrow count and field")
     fld = X.field
@@ -496,15 +497,9 @@ def _hom_system(X: KroneckerModule, Y: KroneckerModule) -> Matrix:
     return Matrix._build(fld, nrows, nf + ng, rows)
 
 
-def hom_dimension(X: KroneckerModule, Y: KroneckerModule) -> int:
-    """dim Hom(X, Y), from the echelon form of the Hom system alone."""
-    system = _hom_system(X, Y)
-    return system.cols - system.rank()
-
-
 def hom_space(X: KroneckerModule, Y: KroneckerModule):
     """Basis of Hom(X, Y) as pairs (f, g) with g X(k) = Y(k) f for all arrows."""
-    ker = _hom_system(X, Y).kernel_basis()
+    ker = hom_system(X, Y).kernel_basis()
     nf = Y.dim1 * X.dim1
     fld = X.field
     out = []

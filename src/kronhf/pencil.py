@@ -12,6 +12,7 @@ which keeps the witness pipelines linear at four-digit dimensions.
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 
 from .errors import PreconditionError
 from .matrices import Matrix
@@ -157,9 +158,7 @@ def _charpoly_coeffs(C: Matrix) -> tuple:
             C.entry(i, j).numerator, C.entry(i, j).denominator))
         poly = sm.charpoly()
         coeffs = list(reversed(poly.all_coeffs()))[:-1]
-        from fractions import Fraction
-
-        return tuple(Fraction(str(c)) for c in coeffs)
+        return tuple(fld.coerce(Fraction(str(c))) for c in coeffs)
     sm = sympy.Matrix(n, n, lambda i, j: int(C.entry(i, j)))
     poly = sm.charpoly()
     coeffs = list(reversed(poly.all_coeffs()))[:-1]

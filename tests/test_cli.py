@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import kronhf
 from kronhf.cli import _sweep_module, main, sub_seed
 from kronhf.fields import field_from_label
 from kronhf.modules import module_from_text
@@ -310,3 +315,16 @@ def test_sub_seed_stable():
 def test_missing_module_file(capsys):
     code, _, err = run(capsys, "witness", "--module", "/nonexistent.mod", "--eps", "1/2")
     assert code == 2
+
+
+def test_python_dash_m_kronhf(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(kronhf.__file__).parents[1]))
+
+    def run_module(*argv):
+        return subprocess.run([sys.executable, "-m", "kronhf", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    done = run_module("build", "P", "--n", "2")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("dims 2x3 defect -1\nkronecker d=2 field=rational dims=2x3\n")
+    assert run_module("build", "X").returncode == 2

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kronhf.errors import ShapeError, ValidationError
-from kronhf.fields import QQ, PrimeField, is_prime, parse_rational
+from kronhf.fields import QQ, PrimeField, is_prime, parse_rational, rational
 from kronhf.matrices import (Matrix, column_space_dim_of_stack, matrix_from_text,
                              min_eigenvalue_symmetric, random_matrix,
                              random_invertible)
@@ -206,9 +206,16 @@ def kernel_cases(draw):
     return m, draw(_entries(field, cols, draw(st.integers(1, 2))))
 
 
+def _assert_canonical_rational(v):
+    """An element of Q in canonical form: an int (not a bool), or a Fraction
+    whose denominator is above 1 (never Fraction(n, 1))."""
+    assert type(v) is int or (type(v) is Fraction and v.denominator > 1), repr(v)
+
+
 def _check_against_reference(m):
     R, pivots = m.rref()
     assert (R, pivots) == reference_rref(m)
+    _assert_canonical(R)
     assert m.pivot_columns() == pivots
     assert m.rank() == len(pivots)
     return pivots
@@ -223,7 +230,10 @@ def test_kernel_matches_reference_rref(case):
     assert ker.cols == m.cols - len(pivots)
     assert (m @ ker).is_zero()
     b = m @ x
-    assert m @ m.solve(b) == b
+    sol = m.solve(b)
+    assert m @ sol == b
+    for out in (ker, b, sol):
+        _assert_canonical(out)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(7)])
@@ -291,10 +301,12 @@ PRODUCT_FIELDS = [QQ, PrimeField(2), PrimeField(5), PrimeField(2 ** 31 - 1)]
 
 @st.composite
 def _mixed(draw, field, rows, cols):
-    """Like _entries, with denominators up to 12 over Q."""
+    """Like _entries, with denominators up to 12 over Q, or integral over Q
+    in about half the draws (the product's all-int path)."""
     if field.char or not rows:
         return draw(_entries(field, rows, cols))
-    cell = st.one_of(st.just(0), st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)))
+    den = draw(st.sampled_from([1, 12]))
+    cell = st.one_of(st.just(0), st.builds(Fraction, st.integers(-30, 30), st.integers(1, den)))
     return Matrix.from_dense(QQ, [[draw(cell) for _ in range(cols)] for _ in range(rows)])
 
 
@@ -313,15 +325,16 @@ def product_cases(draw):
 
 
 def _assert_canonical(m):
-    """No zero entry and no empty row is stored; entries are Fractions over Q
-    and residues in [1, q) over F_q."""
+    """No zero entry and no empty row is stored; entries are residues in
+    [1, q) over F_q and canonical rationals over Q."""
     for row in m._rows.values():
         assert row
         for v in row.values():
             if m.field.char:
                 assert type(v) is int and 0 < v < m.field.q
             else:
-                assert type(v) is Fraction and v
+                assert v
+                _assert_canonical_rational(v)
 
 
 @settings(max_examples=400, deadline=None)
@@ -344,6 +357,70 @@ def test_products_match_reference_loops(case):
              Matrix.zeros(fld, a.rows, b.cols))):
         assert got == want
         _assert_canonical(got)
+
+
+def _all_ints(m):
+    return all(type(v) is int for _, _, v in m.entries())
+
+
+def test_q_results_that_become_integral_are_ints():
+    half = Fraction(1, 2)
+    h = Matrix.from_dense(QQ, [[half, Fraction(3, 2)], [Fraction(-1, 2), 0]])
+    assert not _all_ints(h)
+    ones = Matrix.from_dense(QQ, [[1], [1]])
+    for got, want in (
+            (h + h, [[1, 3], [-1, 0]]),                      # 1/2 + 1/2
+            (h.scale(2), [[1, 3], [-1, 0]]),
+            (h - h.scale(-1), [[1, 3], [-1, 0]]),
+            (h @ ones, [[2], [Fraction(-1, 2)]]),
+            (h.scale(2) @ ones, [[4], [-1]]),                # lcm of denominators 1
+            (h @ h.scale(4), [[-2, 3], [-1, -3]]),           # fractions in, ints out
+            (Matrix.from_dense(QQ, [[2, 4], [3, 6]]).rref()[0], [[1, 2], [0, 0]]),
+            (Matrix.from_dense(QQ, [[-3, 6, 1]]).rref()[0], [[1, -2, Fraction(-1, 3)]]),
+            (h.rref()[0], [[1, 0], [0, 1]]),
+            (Matrix.from_dense(QQ, [[half, 1]]).kernel_basis(), [[-2], [1]]),
+            (Matrix.from_dense(QQ, [[half]]).solve(Matrix.from_dense(QQ, [[3]])), [[6]])):
+        assert got.to_dense() == want
+        _assert_canonical(got)
+        for row in got.to_dense():
+            for v in row:
+                _assert_canonical_rational(v)
+    assert type((h + h).entry(0, 0)) is int and type(h.entry(1, 1)) is int
+    assert _all_ints(Matrix.identity(QQ, 3)) and _all_ints(random_invertible(QQ, 6, random.Random(1)))
+
+
+def test_rational_field_scalars_are_canonical():
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    for v, want in ((QQ.inv(Fraction(-1, 2)), -2), (QQ.inv(-1), -1), (QQ.inv(3), Fraction(1, 3)),
+                    (QQ.inv(Fraction(-4, 6)), Fraction(-3, 2)),
+                    (QQ.coerce(Fraction(6, 3)), 2), (QQ.coerce(True), 1), (QQ.coerce(-7), -7),
+                    (QQ.parse("4/2"), 2), (QQ.parse("-3"), -3), (QQ.parse("-2/6"), Fraction(-1, 3)),
+                    (QQ.add(Fraction(1, 2), Fraction(1, 2)), 1), (QQ.mul(Fraction(2, 3), 3), 2),
+                    (QQ.sub(Fraction(5, 4), Fraction(1, 4)), 1),
+                    (rational(6, -3), -2), (rational(3, -6), Fraction(-1, 2)), (rational(0, 5), 0)):
+        assert v == want
+        _assert_canonical_rational(v)
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+    with pytest.raises(ValidationError):
+        QQ.coerce(0.5)
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RATIONALS, _RATIONALS)
+def test_rational_field_operations_match_fraction_arithmetic(a, b):
+    ca, cb = QQ.coerce(a), QQ.coerce(b)
+    results = [(ca, a), (QQ.parse(str(a)), a), (QQ.add(ca, cb), a + b), (QQ.sub(ca, cb), a - b),
+               (QQ.mul(ca, cb), a * b), (QQ.neg(ca), -a),
+               (rational(a.numerator * b.denominator, a.denominator * b.denominator), a)]
+    if a:
+        results.append((QQ.inv(ca), 1 / a))
+    for got, want in results:
+        assert got == want
+        _assert_canonical_rational(got)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,0 +1,80 @@
+"""Outputs over Q pinned byte for byte.
+
+The files in tests/golden/ were written while every Q entry was held as a
+Fraction. Integral entries are now plain ints; str, == and hash agree
+between 3 and Fraction(3), so the text format and the JSON reports must
+not change. Each test rebuilds its output and compares it with the file.
+"""
+
+import random
+import re
+from fractions import Fraction
+from pathlib import Path
+
+from kronhf.cli import main
+from kronhf.fields import QQ
+from kronhf.matrices import Matrix, random_invertible, random_matrix
+from kronhf.modules import (KroneckerModule, PencilBlock, build_P, build_Q,
+                            build_R, direct_sum)
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def q_kernel_text():
+    """The text of a hand-written mixed matrix and of kernel results on
+    random ones: products, sums, scalings, rref, kernel and solve."""
+    mixed = Matrix.from_dense(QQ, [[Fraction(1, 2), 3, 0, Fraction(-7, 3)],
+                                   [Fraction(4, 2), -1, Fraction(5, 6), Fraction(9, 3)],
+                                   [0, 0, Fraction(-1, 1), Fraction(12, 8)]])
+    rng = random.Random(2024)
+    a = random_matrix(QQ, 5, 6, rng)
+    b = random_matrix(QQ, 6, 4, rng)
+    g = random_invertible(QQ, 5, rng)
+    outs = [mixed, mixed.scale(2), mixed.scale(Fraction(-3, 4)), mixed + mixed,
+            mixed - mixed.scale(Fraction(1, 2)), mixed.rref()[0],
+            mixed.kernel_basis(),
+            a, b, g, a @ b, a + a.scale(Fraction(1, 3)), a - a, -a, a.rref()[0],
+            a.kernel_basis(), g.solve(a), g @ g.solve(a)]
+    return "".join(m.to_text() for m in outs)
+
+
+def scrambled_module():
+    """P_2 + Q_1 + R_(x-1)^2 + R_(x^2+1) + R_mono(2) over Q under random
+    changes of basis, one of them scaled so that the maps hold fractions."""
+    blocks = [build_P(2), build_Q(1), build_R(PencilBlock("R_poly", poly=(-1,), e=2)),
+              build_R(PencilBlock("R_poly", poly=(1, 0), e=1)),
+              build_R(PencilBlock("R_mono", 2))]
+    D = direct_sum(blocks)
+    rng = random.Random(9)
+    g1 = random_invertible(QQ, D.dim1, rng)
+    g2 = random_invertible(QQ, D.dim2, rng).scale(Fraction(2, 3))
+    return KroneckerModule(2, QQ, D.dim1, D.dim2, [g2 @ m @ g1 for m in D.maps])
+
+
+def cli_json(capsys, module_path, *argv):
+    """The --json report of a CLI run with its module path and wall time
+    replaced by fixed tokens."""
+    assert main([*argv, "--module", str(module_path), "--json"]) == 0
+    out = capsys.readouterr().out.replace(str(module_path), "MODULE")
+    return re.sub(r'"wall_ms": [0-9.e+-]+', '"wall_ms": 0', out)
+
+
+def test_q_kernel_text_is_unchanged():
+    assert q_kernel_text() == (GOLDEN / "q_kernel.txt").read_text()
+
+
+def test_decompose_json_on_a_scrambled_q_module_is_unchanged(capsys, tmp_path):
+    text = scrambled_module().to_text()
+    assert text == (GOLDEN / "scrambled_q.mod").read_text()
+    path = tmp_path / "m.mod"
+    path.write_text(text)
+    assert cli_json(capsys, path, "decompose") == (GOLDEN / "decompose.json").read_text()
+
+
+def test_witness_json_on_r_x_minus_1_to_the_40_is_unchanged(capsys, tmp_path):
+    path = tmp_path / "r.mod"
+    assert main(["build", "R", "--poly", "(x-1)^40", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert path.read_text() == (GOLDEN / "r40.mod").read_text()
+    got = cli_json(capsys, path, "witness", "--eps", "1/4")
+    assert got == (GOLDEN / "witness_r40.json").read_text()

@@ -106,6 +106,19 @@ def test_decompose_roundtrip_200_random():
     assert done >= 200
 
 
+def test_decomposed_polynomials_over_q_are_canonical():
+    blocks = Counter({PencilBlock("R_poly", poly=(Fraction(-1, 2),), e=1): 1,
+                      PencilBlock("R_poly", poly=(Fraction(1), Fraction(0)), e=2): 1,
+                      PencilBlock("R_poly", poly=(Fraction(3),), e=1): 1,
+                      PencilBlock("P", 1): 1})
+    M = direct_sum([block_module(b, QQ) for b in blocks], d=2, field=QQ)
+    got = decompose_pencil(_scramble(M, random.Random(3)))
+    assert got == blocks
+    for b in got:
+        assert all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+                   for c in b.poly)
+
+
 def test_rank_profile_separates_eigenvalue_content():
     r1 = build_R(PencilBlock("R_poly", poly=(Fraction(-1),), e=1))
     r2 = build_R(PencilBlock("R_poly", poly=(Fraction(-2),), e=1))

@@ -7,10 +7,11 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kronhf import sl2p
 from kronhf.errors import DomainError, ValidationError
 from kronhf.fields import QQ, PrimeField
 from kronhf.matrices import Matrix
-from kronhf.modules import KroneckerModule, hom_dimension
+from kronhf.modules import hom_system
 from kronhf.sl2p import (ProjPoint, SL2pElement, adjoint_generators,
                          adjoint_rep, commutant_dimension, gen_s, gen_t,
                          identity_element, irreducible_rep, is_irreducible,
@@ -186,14 +187,20 @@ def test_commutant_dimension_matches_kron_oracle(dense_mats):
     assert commutant_dimension(mats) == _commutant_oracle(dense_mats)
 
 
-def test_commutant_recomputes_over_q_when_the_screen_overcounts():
+def test_commutant_recomputes_over_q_when_the_screen_overcounts(monkeypatch):
     big = 2 ** 31 - 1
     screen = PrimeField(big)
+    systems = []
+
+    def recording(X, Y):
+        systems.append(hom_system(X, Y))
+        return systems[-1]
+
+    monkeypatch.setattr(sl2p, "hom_system", recording)
     # diag(0, 2^31 - 1) is the zero matrix mod 2^31 - 1: everything commutes there
-    reduced = KroneckerModule(2, screen, 2, 2, [Matrix.identity(screen, 2),
-                                                Matrix.zeros(screen, 2, 2)])
-    assert hom_dimension(reduced, reduced) == 4
     assert commutant_dimension([Matrix.from_dense(QQ, [[0, 0], [0, big]])]) == 2
+    assert [s.field for s in systems] == [screen, QQ]
+    assert systems[0].is_zero() and not systems[1].is_zero()
 
 
 def test_irreducible_rep_rejects_composite():
