@@ -481,14 +481,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    cfgmap = _load_config(getattr(args, "config", None))
     try:
-        return args.func(args, cfgmap)
+        return args.func(args, _load_config(getattr(args, "config", None)))
     except GuardRefusal as exc:
         print(f"guard refusal: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, DomainError, ShapeError, PreconditionError,
-            FileNotFoundError) as exc:
+    except (ValidationError, DomainError, ShapeError, PreconditionError, OSError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -154,25 +154,24 @@ class _PackedImages:
                     images = add(images, (r if c == q - 1 else scale(r, q - c)) << off)
         return images
 
-    def options(self, images: int, steps: list, digits: list, reverse: bool):
+    def options(self, images: int, steps: list, digits: list):
         """Odometer over the digits of one row, last digit fastest: yields the
         packed images of each option; stepping a digit adds steps[pos], the
-        images of +1 (or -1 when ``reverse``) times its column."""
+        images of its column."""
         q, add = self.q, self.add
-        delta, wrap = (-1, q - 1) if reverse else (1, 0)
         for _ in range(q ** len(steps)):
             yield images
             pos = len(steps) - 1
             while pos >= 0:
                 images = add(images, steps[pos])
-                v = digits[pos] + delta
-                if 0 <= v < q:
+                v = digits[pos] + 1
+                if v < q:
                     digits[pos] = v
                     break
-                digits[pos] = wrap
+                digits[pos] = 0
                 pos -= 1
 
-    def scan(self, k: int, reverse: bool, need: int):
+    def scan(self, k: int, need: int):
         """Walk the k-dimensional subspaces in canonical order (see
         check_exhaustive) until one has dim sum T_i(W) < need.
 
@@ -191,8 +190,7 @@ class _PackedImages:
         least dimension, the order and the first failing W are those of the
         walk without the bound.
         """
-        q, n, add, scale, echelon, reduce, options = (
-            self.q, self.n, self.add, self.scale, self.echelon, self.reduce, self.options)
+        q, n, echelon, reduce, options = self.q, self.n, self.echelon, self.reduce, self.options
         last = k - 1
         walked = 0
         least = None
@@ -202,16 +200,10 @@ class _PackedImages:
             nonlocal walked, least
             p, free, digits = pivots[i], frees[i], digit_rows[i]
             images = cols[p]
-            if reverse:
-                steps = [scale(cols[c], q - 1) for c in free]
-                for s in steps:
-                    images = add(images, s)
-                digits[:] = [q - 1] * len(free)
-            else:
-                steps = [cols[c] for c in free]
-                digits[:] = [0] * len(free)
+            steps = [cols[c] for c in free]
+            digits[:] = [0] * len(free)
             if i == last:
-                for index, images in enumerate(options(images, steps, digits, reverse)):
+                for index, images in enumerate(options(images, steps, digits)):
                     dim = base + len(echelon(images))
                     if least is None or dim < least:
                         least = dim
@@ -221,7 +213,7 @@ class _PackedImages:
                 walked += sizes[i]
                 return False
             after, below = pivots[i + 1], sizes[i + 1]
-            for images in options(images, steps, digits, reverse):
+            for images in options(images, steps, digits):
                 rows = echelon(images)
                 if least is not None and base + len(rows) >= least:
                     # every W below contains rows 0..i, so its dim sum T_i(W) is
@@ -239,10 +231,7 @@ class _PackedImages:
                     return True
             return False
 
-        pivot_sets = list(combinations(range(n), k))
-        if reverse:
-            pivot_sets.reverse()
-        for pivots in pivot_sets:
+        for pivots in combinations(range(n), k):
             pivset = set(pivots)
             frees = [[c for c in range(p + 1, n) if c not in pivset] for p in pivots]
             # sizes[i]: the number of W that share a given choice of rows 0..i-1
@@ -256,17 +245,15 @@ class _PackedImages:
         return walked, least, None
 
 
-def check_exhaustive(cand: ExpanderCandidate, guard: int = 10 ** 7,
-                     reverse: bool = False) -> ExpansionReport:
+def check_exhaustive(cand: ExpanderCandidate, guard: int = 10 ** 7) -> ExpansionReport:
     """Decide the (eta, alpha) expansion property over a prime field.
 
     Subspaces W of dimension k = 1..floor(eta n) are walked by k ascending,
     each k in canonical order: by the k x n reduced row echelon generator
     matrix of W, lexicographic in (pivot columns, free entries), the first
     row's free entries most significant and, within a row, the leftmost
-    free entry most significant. ``reverse`` flips the whole order. A
-    refutation reports the first W in that order with
-    dim sum T_i(W) < (1 + alpha) k.
+    free entry most significant. A refutation reports the first W in that
+    order with dim sum T_i(W) < (1 + alpha) k.
 
     The walk skips every W whose first RREF rows already have images of
     dimension at least the least dim sum T_i(W) seen at that k, since such a
@@ -286,11 +273,10 @@ def check_exhaustive(cand: ExpanderCandidate, guard: int = 10 ** 7,
     packed = _PackedImages(cand)
     checked = 0
     worst = None                  # (dim, k) of the least ratio dim / k
-    ks = range(kmax, 0, -1) if reverse else range(1, kmax + 1)
-    for k in ks:
+    for k in range(1, kmax + 1):
         # dim < (1 + alpha) k  <=>  dim < need, the ceiling of (1 + alpha) k
         need = -(-(alpha.denominator + alpha.numerator) * k // alpha.denominator)
-        walked, least, entries = packed.scan(k, reverse, need)
+        walked, least, entries = packed.scan(k, need)
         checked += walked
         if worst is None or least * worst[1] < worst[0] * k:
             worst = (least, k)

@@ -89,9 +89,7 @@ class RationalField:
         return rational(a.denominator, a.numerator)
 
     def parse(self, token: str):
-        if "." in token:
-            raise ValidationError(f"float literal {token!r} rejected; use p/q")
-        return self.coerce(Fraction(token))
+        return self.coerce(parse_rational(token))
 
     def fmt(self, a) -> str:
         return str(a)
@@ -145,9 +143,9 @@ class PrimeField:
         return pow(a, -1, self.q)
 
     def parse(self, token: str):
-        if "." in token or "/" in token:
+        if "/" in token:
             raise ValidationError(f"prime-field entry {token!r} must be an integer")
-        return int(token) % self.q
+        return parse_rational(token).numerator % self.q
 
     def fmt(self, a) -> str:
         return str(a % self.q)

@@ -88,10 +88,6 @@ class Matrix:
             rd.setdefault(i, {})[t] = field.one
         return cls(field, n, len(indices), rd)
 
-    @classmethod
-    def column(cls, field, values):
-        return cls.from_dense(field, [[v] for v in values])
-
     # -- access -----------------------------------------------------------
 
     def entry(self, i, j):

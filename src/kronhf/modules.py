@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError, PreconditionError, ShapeError, ValidationError
-from .fields import QQ, field_from_label
+from .fields import QQ, field_from_label, rational
 from .matrices import Matrix, matrix_from_text
 
 
@@ -89,15 +88,21 @@ def module_from_text(text: str) -> KroneckerModule:
     lines = text.splitlines()
     if not lines or not lines[0].startswith("kronecker "):
         raise ValidationError("module text must start with a 'kronecker' header")
-    fields = dict(tok.split("=", 1) for tok in lines[0].split()[1:])
-    d = int(fields["d"])
-    fld = field_from_label(fields["field"])
-    d1, d2 = (int(x) for x in fields["dims"].split("x"))
+    try:
+        fields = dict(tok.split("=", 1) for tok in lines[0].split()[1:])
+        d = int(fields["d"])
+        d1, d2 = (int(x) for x in fields["dims"].split("x"))
+        label = fields["field"]
+    except (KeyError, ValueError):
+        raise ValidationError(f"malformed module header {lines[0]!r}: expected "
+                              "'kronecker d=<d> field=<label> dims=<d1>x<d2>'") from None
+    fld = field_from_label(label)
     toks = "\n".join(lines[1:]).split()
     maps = []
     pos = 0
     for _ in range(d):
-        if pos + 4 > len(toks) or toks[pos] != "field":
+        if (pos + 4 > len(toks) or toks[pos] != "field"
+                or not (toks[pos + 2].isdecimal() and toks[pos + 3].isdecimal())):
             raise ValidationError("malformed matrix block in module text")
         count = int(toks[pos + 2]) * int(toks[pos + 3])
         maps.append(matrix_from_text(" ".join(toks[pos:pos + 4 + count])))
@@ -271,14 +276,16 @@ def poly_to_sympy(field, coeffs):
 
 
 def sympy_to_coeffs(field, poly) -> tuple:
-    """Low-order coefficient tuple of a monic sympy Poly, leading 1 dropped."""
-    all_c = list(reversed(poly.monic().all_coeffs()))  # low to high
+    """Low-order coefficient tuple of a monic sympy Poly, leading 1 dropped.
+
+    Each coefficient must be rational, and an integer over a prime field."""
     out = []
-    for c in all_c[:-1]:
-        if field.char == 0:
-            out.append(field.coerce(Fraction(str(c))))
-        else:
-            out.append(int(c) % field.char)
+    for c in reversed(poly.monic().all_coeffs()[1:]):
+        if not c.is_Rational:
+            raise ValidationError(f"coefficient {c} is not rational")
+        if field.char and c.q != 1:
+            raise ValidationError("integer coefficients required over a prime field")
+        out.append(field.coerce(rational(int(c.p), int(c.q))))
     return tuple(out)
 
 
@@ -313,19 +320,9 @@ def parse_poly(field, text: str) -> tuple:
         poly = sympy.Poly(sympy.expand(expr), x)
     except (sympy.SympifyError, sympy.PolynomialError) as exc:
         raise ValidationError(f"cannot parse polynomial {text!r}") from exc
-    all_c = list(reversed(poly.all_coeffs()))
-    lead = all_c[-1]
-    if lead != 1:
+    if poly.LC() != 1:
         raise ValidationError("polynomial must be monic")
-    out = []
-    for c in all_c[:-1]:
-        if field.char == 0:
-            out.append(field.coerce(Fraction(str(c))))
-        else:
-            if not c.is_integer:
-                raise ValidationError("integer coefficients required over a prime field")
-            out.append(int(c) % field.char)
-    return tuple(out)
+    return sympy_to_coeffs(field, poly)
 
 
 # -- standard d = 2 modules --------------------------------------------------

@@ -1,18 +1,20 @@
 """Kronecker canonical form for d = 2 modules, by exact kernel-chain peeling.
 
-The block multiset of a matrix pencil (a, b) is recovered in three stages:
-the postinjective part is split off as the submodule generated by the
-kernel-chain limit intersected with ker b, the preprojective part the same
-way on the transposed module, and the remaining regular core is separated
-into the nilpotent-first part (chain of ker a) and a rational-canonical-form
-analysis of a^{-1} b. Literal canonical shapes short-circuit the machinery,
-which keeps the witness pipelines linear at four-digit dimensions.
+The block multiset of a matrix pencil (a, b) is recovered by three peels and
+a rational canonical form. Each peel (``_peel``) takes a source subspace U1
+whose images span a submodule, reads the block sizes off the kernel chain
+of that submodule and passes on the quotient. The Q blocks are peeled off
+the module on the source spaces of its wide blocks, the P blocks the same
+way off the transposed quotient, and the R_mono blocks off the regular rest
+on the limit of its ker a chain. In what remains a is invertible, and the
+rational canonical form of a^{-1} b gives the R_poly blocks. Literal
+canonical shapes short-circuit the machinery, which keeps the witness
+pipelines linear at four-digit dimensions.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 
 from .errors import PreconditionError
 from .matrices import Matrix
@@ -25,6 +27,7 @@ from .modules import (
     classify_standard,
     direct_sum,
     factor_monic,
+    sympy_to_coeffs,
 )
 
 
@@ -33,13 +36,6 @@ from .modules import (
 
 def _colspace(m: Matrix) -> Matrix:
     return m.submatrix(range(m.rows), m.pivot_columns())
-
-
-def _space_sum(mats) -> Matrix:
-    mats = [m for m in mats if m.cols]
-    if not mats:
-        raise ValueError("no generators")
-    return _colspace(Matrix.hstack(mats)) if len(mats) > 1 else _colspace(mats[0])
 
 
 def _intersect(U: Matrix, V: Matrix) -> Matrix:
@@ -110,38 +106,35 @@ def _postinjective_source_space(M: KroneckerModule) -> Matrix:
     xstab = _xchain(A, B)[-1]
     S = _intersect(B.kernel_basis(), xstab)
     while S.cols:
-        grown = _space_sum([S, _intersect(_preimage(B, A @ S), xstab)])
+        grown = _colspace(Matrix.hstack([S, _intersect(_preimage(B, A @ S), xstab)]))
         if grown.cols == S.cols:
             break
         S = grown
     return S
 
 
-def _restrict(M: KroneckerModule, U1: Matrix, U2: Matrix) -> KroneckerModule:
-    maps = [U2.solve(m @ U1) for m in M.maps]
-    return KroneckerModule(M.d, M.field, U1.cols, U2.cols, maps)
+def _peel(M: KroneckerModule, U1: Matrix):
+    """(chain lengths of the submodule on U1, quotient of M by it).
 
-
-def _quotient(M: KroneckerModule, U1: Matrix, U2: Matrix) -> KroneckerModule:
-    F1 = _complete_basis(U1, M.dim1)
-    F2 = _complete_basis(U2, M.dim2)
-    rows = list(range(U2.cols, M.dim2))
-    cols = list(range(U1.cols, M.dim1))
-    maps = [F2.solve(m @ F1).submatrix(rows, cols) for m in M.maps]
-    return KroneckerModule(M.d, M.field, len(cols), len(rows), maps)
-
-
-def _split_off_postinjective(M: KroneckerModule):
-    """(chain lengths of the postinjective part, quotient by that part)."""
-    U1 = _postinjective_source_space(M)
+    U1 spans a source subspace whose images A U1 + B U1 (spanned by U2) make
+    a submodule. In the completed bases F1 = [U1 | .] and F2 = [U2 | .] each
+    map is block upper triangular: one solve gives the submodule as its
+    top-left block and the quotient as its bottom-right block.
+    """
     if U1.cols == 0:
         return Counter(), M
     A, B = M.maps
-    imgs = [m for m in (A @ U1, B @ U1) if m.cols]
-    U2 = _space_sum(imgs) if any(m.nnz for m in imgs) else Matrix.zeros(M.field, M.dim2, 0)
-    sub = _restrict(M, U1, U2)
-    lengths = _chain_lengths(sub.maps[0], sub.maps[1])
-    return lengths, _quotient(M, U1, U2)
+    U2 = _colspace(Matrix.hstack([A @ U1, B @ U1]))
+    F1 = _complete_basis(U1, M.dim1)
+    F2 = _complete_basis(U2, M.dim2)
+    k1, k2 = U1.cols, U2.cols
+    subs, quots = [], []
+    for m in M.maps:
+        T = F2.solve(m @ F1)
+        subs.append(T.submatrix(range(k2), range(k1)))
+        quots.append(T.submatrix(range(k2, M.dim2), range(k1, M.dim1)))
+    return (_chain_lengths(*subs),
+            KroneckerModule(M.d, M.field, M.dim1 - k1, M.dim2 - k2, quots))
 
 
 # -- regular core ---------------------------------------------------------------
@@ -151,18 +144,9 @@ def _charpoly_coeffs(C: Matrix) -> tuple:
     """Low-order coefficients of the characteristic polynomial (monic)."""
     import sympy
 
-    n = C.rows
-    fld = C.field
-    if fld.char == 0:
-        sm = sympy.Matrix(n, n, lambda i, j: sympy.Rational(
-            C.entry(i, j).numerator, C.entry(i, j).denominator))
-        poly = sm.charpoly()
-        coeffs = list(reversed(poly.all_coeffs()))[:-1]
-        return tuple(fld.coerce(Fraction(str(c))) for c in coeffs)
-    sm = sympy.Matrix(n, n, lambda i, j: int(C.entry(i, j)))
-    poly = sm.charpoly()
-    coeffs = list(reversed(poly.all_coeffs()))[:-1]
-    return tuple(int(c) % fld.char for c in coeffs)
+    sm = sympy.Matrix(C.rows, C.rows, lambda i, j: sympy.Rational(
+        C.entry(i, j).numerator, C.entry(i, j).denominator))
+    return sympy_to_coeffs(C.field, sm.charpoly())
 
 
 def _poly_eval_matrix(C: Matrix, q: tuple) -> Matrix:
@@ -218,11 +202,13 @@ def block_module(b: PencilBlock, field) -> KroneckerModule:
 def decompose_pencil(M: KroneckerModule) -> Counter:
     """Block multiset of a d = 2 module.
 
-    The only check on the result is its rank profile (the rank of
-    lam a + mu b at a few sample points against the reassembled blocks),
-    and that check can accept a wrong multiset, e.g. R_poly(x^2 + 2) for
-    R_poly(x^2 + 1) over Q. A certifying decomposition that returns the
-    isomorphism is ROADMAP.md item 2.
+    Three peels take off the Q blocks, then the P blocks (on the transposed
+    quotient), then the R_mono blocks; a^{-1} b on what remains gives the
+    R_poly blocks. The only check on the result is its rank profile (the
+    rank of lam a + mu b at a few sample points against the reassembled
+    blocks), and that check can accept a wrong multiset, e.g.
+    R_poly(x^2 + 2) for R_poly(x^2 + 1) over Q. A certifying decomposition
+    that returns the isomorphism is ROADMAP.md item 2.
     """
     if M.d != 2:
         raise PreconditionError("pencil decomposition is defined for d = 2")
@@ -230,22 +216,17 @@ def decompose_pencil(M: KroneckerModule) -> Counter:
     if fast is not None:
         return fast
     blocks = Counter()
-    lengths, M1 = _split_off_postinjective(M)
+    lengths, rest = _peel(M, _postinjective_source_space(M))
     for L, m in lengths.items():
         blocks[PencilBlock("Q", L - 1)] += m
-    Mt = M1.transpose()
-    lengths, M2 = _split_off_postinjective(Mt)
+    rest = rest.transpose()
+    lengths, rest = _peel(rest, _postinjective_source_space(rest))
     for L, m in lengths.items():
         blocks[PencilBlock("P", L - 1)] += m
-    R = M2.transpose()
-    A, B = R.maps
-    U1 = _xchain(A, B)[-1]
-    if U1.cols:
-        U2 = _space_sum([A @ U1, B @ U1])
-        sub = _restrict(R, U1, U2)
-        for L, m in _chain_lengths(sub.maps[0], sub.maps[1]).items():
-            blocks[PencilBlock("R_mono", L)] += m
-        R = _quotient(R, U1, U2)
+    R = rest.transpose()
+    lengths, R = _peel(R, _xchain(*R.maps)[-1])
+    for L, m in lengths.items():
+        blocks[PencilBlock("R_mono", L)] += m
     if R.dim1:
         C = R.maps[0].solve(R.maps[1])
         blocks += _rcf_blocks(C)
@@ -260,12 +241,8 @@ def _fast_path(M: KroneckerModule):
     if kind is None:
         return None
     tag = kind[0]
-    if tag == "P":
-        return Counter({PencilBlock("P", kind[1]): 1})
-    if tag == "Q":
-        return Counter({PencilBlock("Q", kind[1]): 1})
-    if tag == "R_mono":
-        return Counter({PencilBlock("R_mono", kind[1]): 1})
+    if tag in ("P", "Q", "R_mono"):
+        return Counter({PencilBlock(tag, kind[1]): 1})
     if tag == "R_poly":
         out = Counter()
         for q, e in factor_monic(M.field, kind[1]):
@@ -305,9 +282,7 @@ def _certify(M: KroneckerModule, blocks: Counter):
     if (D.dim1, D.dim2) != (M.dim1, M.dim2):
         raise AssertionError(
             f"decomposition dims {(D.dim1, D.dim2)} != module dims {(M.dim1, M.dim2)}")
-    for lam, mu in _sample_points(M.field, 2 * (M.dim + 1)):
-        r1 = (M.maps[0].scale(lam) + M.maps[1].scale(mu)).rank()
-        r2 = (D.maps[0].scale(lam) + D.maps[1].scale(mu)).rank()
+    for (lam, mu, r1), (_, _, r2) in zip(rank_profile(M), rank_profile(D)):
         if r1 != r2:
             raise AssertionError(f"rank profile mismatch at ({lam}, {mu}): {r1} != {r2}")
 

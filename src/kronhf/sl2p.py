@@ -13,6 +13,7 @@ same representation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 import numpy as np
@@ -283,9 +284,15 @@ def adjoint_rep(rho_g: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return out
 
 
-def adjoint_generators(p: int):
-    """Adjoint action matrices of the two generators on the trace-zero space."""
-    return [adjoint_rep(orthogonal_rep(gen_s(p))), adjoint_rep(orthogonal_rep(gen_t(p)))]
+@functools.lru_cache(maxsize=8)
+def adjoint_generators(p: int) -> tuple:
+    """Adjoint action matrices of the two generators on the trace-zero space.
+
+    Built once per p; the arrays are read-only, since every caller shares them."""
+    gens = (adjoint_rep(orthogonal_rep(gen_s(p))), adjoint_rep(orthogonal_rep(gen_t(p))))
+    for g in gens:
+        g.flags.writeable = False
+    return gens
 
 
 # -- Kazhdan bracket ----------------------------------------------------------------

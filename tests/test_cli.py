@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import kronhf
 from kronhf.cli import _sweep_module, main, sub_seed
 from kronhf.fields import field_from_label
@@ -42,6 +44,9 @@ def test_build_r_poly(capsys, tmp_path):
 def test_build_usage_error(capsys):
     code, _, _ = run(capsys, "build", "X", "--n", "3")
     assert code == 2
+    # a symbolic coefficient is not in Q
+    code, _, err = run(capsys, "build", "R", "--poly", "x^2+y")
+    assert code == 2 and err.startswith("error: ")
 
 
 def test_witness_p7(capsys, tmp_path):
@@ -315,6 +320,36 @@ def test_sub_seed_stable():
 def test_missing_module_file(capsys):
     code, _, err = run(capsys, "witness", "--module", "/nonexistent.mod", "--eps", "1/2")
     assert code == 2
+
+
+def test_unreadable_config_or_module_is_usage_error(capsys, tmp_path):
+    code, _, err = run(capsys, "build", "P", "--n", "2", "--config", str(tmp_path / "none.cfg"))
+    assert code == 2 and err.startswith("error: ")
+    code, _, err = run(capsys, "decompose", "--module", str(tmp_path))
+    assert code == 2 and err.startswith("error: ")
+    binary = tmp_path / "binary.mod"
+    binary.write_bytes(b"\xff\xfe\x00")
+    code, _, err = run(capsys, "decompose", "--module", str(binary))
+    assert code == 2 and err.startswith("error: ")
+
+
+P1_TEXT = ("kronecker d=2 field=rational dims=1x2\n"
+           "field rational\n2 1\n1\n0\nfield rational\n2 1\n0\n1\n")
+
+
+@pytest.mark.parametrize("text", [
+    P1_TEXT.replace("\n1\n0\nfield", "\nabc\n0\nfield"),     # QQ entry not a rational
+    P1_TEXT.replace("\n1\n0\nfield", "\n1e-3\n0\nfield"),    # float syntax
+    P1_TEXT.replace("rational", "5").replace("\n1\n0\nfield", "\nx\n0\nfield"),  # GF(5) entry
+    P1_TEXT.replace(" field=rational", ""),                     # header without field=
+    P1_TEXT.replace("d=2", "d=x"),
+    P1_TEXT.replace("2 1\n1", "2 y\n1"),                       # matrix size not an integer
+], ids=["qq-entry", "float-entry", "gf5-entry", "no-field", "bad-d", "bad-size"])
+def test_malformed_module_file_is_usage_error(capsys, tmp_path, text):
+    path = tmp_path / "bad.mod"
+    path.write_text(text)
+    code, out, err = run(capsys, "decompose", "--module", str(path))
+    assert code == 2 and out == "" and err.startswith("error: ")
 
 
 def test_python_dash_m_kronhf(tmp_path):

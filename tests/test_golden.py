@@ -1,9 +1,11 @@
-"""Outputs over Q pinned byte for byte.
+"""Outputs pinned byte for byte.
 
-The files in tests/golden/ were written while every Q entry was held as a
+The Q files in tests/golden/ were written while every Q entry was held as a
 Fraction. Integral entries are now plain ints; str, == and hash agree
 between 3 and Fraction(3), so the text format and the JSON reports must
-not change. Each test rebuilds its output and compares it with the file.
+not change. The GF(5) decomposition was written before the pencil stages
+became one peel each. Each test rebuilds its output and compares it with
+the file.
 """
 
 import random
@@ -12,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from kronhf.cli import main
-from kronhf.fields import QQ
+from kronhf.fields import QQ, PrimeField
 from kronhf.matrices import Matrix, random_invertible, random_matrix
 from kronhf.modules import (KroneckerModule, PencilBlock, build_P, build_Q,
                             build_R, direct_sum)
@@ -51,6 +53,21 @@ def scrambled_module():
     return KroneckerModule(2, QQ, D.dim1, D.dim2, [g2 @ m @ g1 for m in D.maps])
 
 
+def scrambled_gf5_module():
+    """P_1 + P_3 + Q_0 + Q_2 + R_(x^2+2)^2 + R_(x+2) + R_mono(3) + R_mono(1)
+    over GF(5) under random changes of basis."""
+    F5 = PrimeField(5)
+    blocks = [build_P(1, F5), build_P(3, F5), build_Q(0, F5), build_Q(2, F5),
+              build_R(PencilBlock("R_poly", poly=(2, 0), e=2), F5),
+              build_R(PencilBlock("R_poly", poly=(-3,), e=1), F5),
+              build_R(PencilBlock("R_mono", 3), F5), build_R(PencilBlock("R_mono", 1), F5)]
+    D = direct_sum(blocks)
+    rng = random.Random(11)
+    g1 = random_invertible(F5, D.dim1, rng)
+    g2 = random_invertible(F5, D.dim2, rng)
+    return KroneckerModule(2, F5, D.dim1, D.dim2, [g2 @ m @ g1 for m in D.maps])
+
+
 def cli_json(capsys, module_path, *argv):
     """The --json report of a CLI run with its module path and wall time
     replaced by fixed tokens."""
@@ -69,6 +86,14 @@ def test_decompose_json_on_a_scrambled_q_module_is_unchanged(capsys, tmp_path):
     path = tmp_path / "m.mod"
     path.write_text(text)
     assert cli_json(capsys, path, "decompose") == (GOLDEN / "decompose.json").read_text()
+
+
+def test_decompose_json_on_a_scrambled_gf5_module_is_unchanged(capsys, tmp_path):
+    text = scrambled_gf5_module().to_text()
+    assert text == (GOLDEN / "scrambled_gf5.mod").read_text()
+    path = tmp_path / "m.mod"
+    path.write_text(text)
+    assert cli_json(capsys, path, "decompose") == (GOLDEN / "decompose_gf5.json").read_text()
 
 
 def test_witness_json_on_r_x_minus_1_to_the_40_is_unchanged(capsys, tmp_path):

@@ -3,13 +3,17 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kronhf.errors import PreconditionError
 from kronhf.fields import QQ, PrimeField
 from kronhf.matrices import Matrix, random_invertible
 from kronhf.modules import (KroneckerModule, PencilBlock, build_P, build_Q,
                             build_R, direct_sum)
-from kronhf.pencil import block_module, decompose_pencil, rank_profile
+from kronhf.pencil import (_chain_lengths, _colspace, _complete_basis, _peel,
+                           _postinjective_source_space, _xchain, block_module,
+                           decompose_pencil, rank_profile)
 
 
 F5 = PrimeField(5)
@@ -125,3 +129,50 @@ def test_rank_profile_separates_eigenvalue_content():
     assert rank_profile(r1) != rank_profile(r2)
     # dims separate P from Q even though every pencil point has full rank
     assert build_P(2).dim_vector() != build_Q(2).dim_vector()
+
+
+def _reference_peel(M, U1):
+    """The peel as a restrict and a quotient with a solve each per map, the
+    two stages it replaced: U2.solve(m U1) on the submodule, then the
+    bottom-right block of F2.solve(m F1) on the quotient."""
+    if U1.cols == 0:
+        return Counter(), M
+    A, B = M.maps
+    U2 = _colspace(Matrix.hstack([A @ U1, B @ U1]))
+    sub = [U2.solve(m @ U1) for m in M.maps]
+    F1 = _complete_basis(U1, M.dim1)
+    F2 = _complete_basis(U2, M.dim2)
+    rows, cols = range(U2.cols, M.dim2), range(U1.cols, M.dim1)
+    quot = [F2.solve(m @ F1).submatrix(rows, cols) for m in M.maps]
+    return (_chain_lengths(*sub),
+            KroneckerModule(2, M.field, len(cols), len(rows), quot))
+
+
+@st.composite
+def scrambled_with_q0(draw):
+    """A scrambled direct sum of Q_0, whose images vanish, and up to four
+    random blocks, over Q or GF(5)."""
+    field = draw(st.sampled_from([QQ, F5]))
+    pool = ([PencilBlock("P", n) for n in range(3)] + [PencilBlock("Q", n) for n in range(3)]
+            + [PencilBlock("R_mono", n) for n in (1, 2)]
+            + [PencilBlock("R_poly", poly=(-1,), e=e) for e in (1, 2)]
+            + [PencilBlock("R_poly", poly=(2, 0) if field.char else (1, 0), e=1)])
+    picks = draw(st.lists(st.sampled_from(pool), max_size=4))
+    D = direct_sum([build_Q(0, field)] + [block_module(b, field) for b in picks])
+    return _scramble(D, random.Random(draw(st.integers(0, 2 ** 16))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(scrambled_with_q0())
+def test_peel_matches_restrict_and_quotient_at_every_stage(M):
+    # the Q peel, the P peel on the transposed quotient, the R_mono peel
+    stages = [(False, _postinjective_source_space), (True, _postinjective_source_space),
+              (True, lambda X: _xchain(*X.maps)[-1])]
+    rest = M
+    for stage, (flip, source) in enumerate(stages):
+        if flip:
+            rest = rest.transpose()
+        U1 = source(rest)
+        lengths, quotient = _peel(rest, U1)
+        assert (lengths, quotient) == _reference_peel(rest, U1), stage
+        rest = quotient

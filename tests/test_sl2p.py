@@ -241,6 +241,15 @@ def test_adjoint_homomorphism_and_orthogonality():
         assert np.max(np.abs(a_s @ a_t - a_st)) < 1e-9
 
 
+def test_adjoint_generators_are_built_once_and_read_only():
+    gens = adjoint_generators(5)
+    assert adjoint_generators(5) is gens
+    fresh = [adjoint_rep(orthogonal_rep(gen_s(5))), adjoint_rep(orthogonal_rep(gen_t(5)))]
+    assert all(np.array_equal(g, f) for g, f in zip(gens, fresh))
+    with pytest.raises(ValueError):
+        gens[0][0, 0] = 0.0
+
+
 def test_adjoint_has_no_fixed_vector_p3():
     a_s, a_t = adjoint_generators(3)
     m = a_s.shape[0]
