@@ -220,17 +220,22 @@ def _sweep_module(family, n, d, field):
 def cmd_sweep(args, cfgmap) -> int:
     family = _cfg(args, cfgmap, "family")
     rng_spec = _cfg(args, cfgmap, "range")
-    eps_list = [parse_rational(tok) for tok in _cfg(args, cfgmap, "eps-list").split(",")]
+    eps_spec = _cfg(args, cfgmap, "eps-list")
+    if rng_spec is None:
+        raise ValidationError("sweep needs --range (n or lo:hi:step)")
+    if eps_spec is None:
+        raise ValidationError("sweep needs --eps-list")
+    eps_list = [parse_rational(tok) for tok in eps_spec.split(",")]
     field = field_from_label(_cfg(args, cfgmap, "field", "rational"))
     d = _cfg_int(args, cfgmap, "d", 3)
     parts_spec = [_as_int("range", x) for x in rng_spec.split(":")] if rng_spec else []
     if len(parts_spec) == 3:
         lo, hi, step = parts_spec
         ns = list(range(lo, hi + 1, step))
-    elif len(parts_spec) == 1:
+    elif len(parts_spec) <= 1:
         ns = parts_spec
     else:
-        ns = []
+        raise ValidationError(f"--range must be n or lo:hi:step, got {rng_spec!r}")
     rows = ["id,dim,eps,l_eps,parts,removed_fraction,verdict,ms"]
     all_ok = True
     for n in ns:

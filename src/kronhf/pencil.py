@@ -3,13 +3,17 @@
 The block multiset of a matrix pencil (a, b) is recovered by three peels and
 a rational canonical form. Each peel (``_peel``) takes a source subspace U1
 whose images span a submodule, reads the block sizes off the kernel chain
-of that submodule and passes on the quotient. The Q blocks are peeled off
-the module on the source spaces of its wide blocks, the P blocks the same
-way off the transposed quotient, and the R_mono blocks off the regular rest
-on the limit of its ker a chain. In what remains a is invertible, and the
-rational canonical form of a^{-1} b gives the R_poly blocks. Literal
-canonical shapes short-circuit the machinery, which keeps the witness
-pipelines linear at four-digit dimensions.
+of that submodule and passes on the quotient. The kernel chains
+X_1 = ker a, X_{i+1} = a^{-1}(b X_i) stop at a limit X*(a, b) (the Wong
+sequences of Berger, Ilchmann and Trenn). Chains are additive over direct
+sums, X*(a, b) is the source space of the Q and R_mono blocks and X*(b, a)
+that of the Q and R_poly(x^e) blocks, so the Q blocks are peeled off on
+X*(a, b) ∩ X*(b, a). The P blocks come off the same way on the transposed
+quotient, and the R_mono blocks off the regular rest on its X*(a, b). In
+what remains a is invertible, and the rational canonical form of a^{-1} b
+gives the R_poly blocks. Literal canonical shapes short-circuit the
+machinery, which keeps the witness pipelines linear at four-digit
+dimensions.
 """
 
 from __future__ import annotations
@@ -69,48 +73,35 @@ def _complete_basis(U: Matrix, n: int):
 
 def _xchain(A: Matrix, B: Matrix):
     """Increasing chain X_1 = ker A, X_{i+1} = preimage_A(B X_i), to stabilization."""
-    out = []
-    X = A.kernel_basis()
+    out = [A.kernel_basis()]
     while True:
-        out.append(X)
-        if B.cols and X.cols:
-            nxt = _preimage(A, B @ X)
-        else:
-            nxt = _preimage(A, Matrix.zeros(A.field, B.rows, 0))
-        if nxt.cols == X.cols:
-            break
-        X = nxt
-    return out
+        nxt = _preimage(A, B @ out[-1])
+        if nxt.cols == out[-1].cols:
+            return out
+        out.append(nxt)
+
+
+def _block_lengths(dims) -> Counter:
+    """Block lengths from an increasing kernel-dimension sequence, dims[0] = 0.
+
+    With steps D_L = dims[L] - dims[L-1] (and 0 past the end), there are
+    D_L - D_{L+1} blocks of length L.
+    """
+    steps = [hi - lo for lo, hi in zip(dims, dims[1:])] + [0]
+    return Counter({L: d - nxt for L, (d, nxt) in enumerate(zip(steps, steps[1:]), 1)
+                    if d - nxt})
 
 
 def _chain_lengths(A: Matrix, B: Matrix) -> Counter:
     """Multiset of chain lengths: length L with multiplicity per block seen."""
-    dims = [x.cols for x in _xchain(A, B)]
-    deltas = []
-    prev = 0
-    for dv in dims:
-        deltas.append(dv - prev)
-        prev = dv
-    lengths = Counter()
-    for i, d in enumerate(deltas):
-        nxt = deltas[i + 1] if i + 1 < len(deltas) else 0
-        if d - nxt:
-            lengths[i + 1] += d - nxt
-    lengths.pop(0, None)
-    return lengths
+    return _block_lengths([0] + [x.cols for x in _xchain(A, B)])
 
 
 def _postinjective_source_space(M: KroneckerModule) -> Matrix:
-    """Span of the source spaces of all wide (postinjective) blocks of M."""
+    """Span of the source spaces of all wide (postinjective) blocks of M,
+    X*(a, b) ∩ X*(b, a) (see the module docstring for why)."""
     A, B = M.maps
-    xstab = _xchain(A, B)[-1]
-    S = _intersect(B.kernel_basis(), xstab)
-    while S.cols:
-        grown = _colspace(Matrix.hstack([S, _intersect(_preimage(B, A @ S), xstab)]))
-        if grown.cols == S.cols:
-            break
-        S = grown
-    return S
+    return _intersect(_xchain(A, B)[-1], _xchain(B, A)[-1])
 
 
 def _peel(M: KroneckerModule, U1: Matrix):
@@ -171,20 +162,14 @@ def _rcf_blocks(C: Matrix) -> Counter:
     for q, total_mult in factor_monic(fld, char):
         deg = len(q)
         qc = _poly_eval_matrix(C, q)
+        # ker q(C)^e grows until it is the generalized eigenspace, of dim deg * mult
         kdims = [0]
         power = Matrix.identity(fld, C.rows)
-        while True:
+        while kdims[-1] < deg * total_mult:
             power = power @ qc
             kdims.append(C.rows - power.rank())
-            if kdims[-1] == kdims[-2]:
-                break
-        # blocks with exponent e: second difference of the kernel filtration
-        for e in range(1, len(kdims) - 1):
-            lower = kdims[e] - kdims[e - 1]
-            upper = kdims[e + 1] - kdims[e] if e + 1 < len(kdims) else 0
-            m = (lower - upper) // deg
-            if m:
-                blocks[PencilBlock("R_poly", poly=q, e=e)] += m
+        for e, m in _block_lengths(kdims).items():
+            blocks[PencilBlock("R_poly", poly=q, e=e)] += m // deg
     return blocks
 
 
@@ -202,13 +187,15 @@ def block_module(b: PencilBlock, field) -> KroneckerModule:
 def decompose_pencil(M: KroneckerModule) -> Counter:
     """Block multiset of a d = 2 module.
 
-    Three peels take off the Q blocks, then the P blocks (on the transposed
-    quotient), then the R_mono blocks; a^{-1} b on what remains gives the
-    R_poly blocks. The only check on the result is its rank profile (the
-    rank of lam a + mu b at a few sample points against the reassembled
-    blocks), and that check can accept a wrong multiset, e.g.
-    R_poly(x^2 + 2) for R_poly(x^2 + 1) over Q. A certifying decomposition
-    that returns the isomorphism is ROADMAP.md item 2.
+    Three peels take off the Q blocks on X*(a, b) ∩ X*(b, a) (the limits
+    add the R_mono and the R_poly(x^e) blocks respectively), then the P
+    blocks the same way on the transposed quotient, then the R_mono blocks
+    on X*(a, b); a^{-1} b on what remains gives the R_poly blocks. The only
+    check on the result is its rank profile (the rank of lam a + mu b at a
+    few sample points against the reassembled blocks), and that check can
+    accept a wrong multiset, e.g. R_poly(x^2 + 2) for R_poly(x^2 + 1) over
+    Q. A certifying decomposition that returns the isomorphism is the
+    "make the pencil decomposition certifying" item of ROADMAP.md.
     """
     if M.d != 2:
         raise PreconditionError("pencil decomposition is defined for d = 2")

@@ -22,7 +22,6 @@ from .modules import (
     classify_standard,
     direct_sum,
     is_homomorphism,
-    kernel_module,
     a_sequence,
 )
 from .pencil import decompose_pencil
@@ -245,7 +244,12 @@ def witness_regular_2k(R: KroneckerModule, eps: Fraction) -> Witness:
 
 
 def witness_postinjective_2k(Qm: KroneckerModule, eps: Fraction) -> Witness:
-    """Witness for a standard postinjective Q_n via the kernel of theta: Q_n -> I(1)."""
+    """Witness for a standard postinjective Q_n via the kernel of theta: Q_n -> I(1).
+
+    theta sends source 0 to the injective I(1) and every other vector to 0,
+    so its kernel is the monomial submodule on sources 1..n: R_mono(n) with
+    the selection embeddings.
+    """
     check_eps(eps)
     kind = classify_standard(Qm)
     if kind is None or kind[0] != "Q":
@@ -254,13 +258,7 @@ def witness_postinjective_2k(Qm: KroneckerModule, eps: Fraction) -> Witness:
     l_eps = 4 / eps + 3
     if Fraction(Qm.dim) <= l_eps:
         return whole_module_witness(Qm, eps, l_eps, "postinjective_2k")
-    fld = Qm.field
-    f = Matrix.from_entries(fld, 1, n + 1, [(0, 0, fld.one)])
-    g = Matrix.zeros(fld, 0, n)
-    target = KroneckerModule(2, fld, 1, 0, [Matrix.zeros(fld, 0, 1)] * 2)
-    if not is_homomorphism((f, g), Qm, target):
-        raise AssertionError("theta into the injective I(1) must intertwine; bug")
-    ker, embs = kernel_module((f, g), Qm, target)
+    ker, embs = monomial_submodule(Qm, range(1, n + 1))
     blocks = decompose_pencil(ker)
     bad = [b for b in blocks if b.defect >= 1]
     if bad:

@@ -148,6 +148,24 @@ def test_sweep_empty_range(capsys, tmp_path):
     assert out_path.read_text().strip() == "id,dim,eps,l_eps,parts,removed_fraction,verdict,ms"
 
 
+def test_sweep_without_eps_list_is_usage_error(capsys):
+    code, out, err = run(capsys, "sweep", "--family", "P", "--range", "1:3:1")
+    assert (code, out) == (2, "")
+    assert err == "error: sweep needs --eps-list\n"
+
+
+def test_sweep_two_part_range_is_usage_error(capsys):
+    code, out, err = run(capsys, "sweep", "--family", "P", "--range", "1:5", "--eps-list", "1/2")
+    assert (code, out) == (2, "")
+    assert err == "error: --range must be n or lo:hi:step, got '1:5'\n"
+
+
+def test_sweep_without_range_is_usage_error(capsys):
+    code, out, err = run(capsys, "sweep", "--family", "P", "--eps-list", "1/2")
+    assert (code, out) == (2, "")
+    assert err == "error: sweep needs --range (n or lo:hi:step)\n"
+
+
 def test_sl2p_dump_and_fixture(capsys):
     code, out, _ = run(capsys, "sl2p", "--p", "3")
     assert code == 0

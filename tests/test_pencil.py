@@ -11,12 +11,12 @@ from kronhf.fields import QQ, PrimeField
 from kronhf.matrices import Matrix, random_invertible
 from kronhf.modules import (KroneckerModule, PencilBlock, build_P, build_Q,
                             build_R, direct_sum)
-from kronhf.pencil import (_chain_lengths, _colspace, _complete_basis, _peel,
-                           _postinjective_source_space, _xchain, block_module,
+from kronhf.pencil import (_chain_lengths, _colspace, _complete_basis, _intersect, _peel,
+                           _postinjective_source_space, _preimage, _xchain, block_module,
                            decompose_pencil, rank_profile)
 
 
-F5 = PrimeField(5)
+F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
 
 
 def _scramble(M, rng):
@@ -176,3 +176,53 @@ def test_peel_matches_restrict_and_quotient_at_every_stage(M):
         lengths, quotient = _peel(rest, U1)
         assert (lengths, quotient) == _reference_peel(rest, U1), stage
         rest = quotient
+
+
+# irreducible q per field, x first: R_poly(x^e) is where X*(b, a) is not zero
+_IRREDUCIBLE = {0: [(0,), (-1,), (1, 0)], 2: [(0,), (1,), (1, 1)],
+                3: [(0,), (2,), (1, 0)], 5: [(0,), (1,), (2, 0)]}
+
+
+@st.composite
+def scrambled_blocks(draw, fields):
+    """(block multiset, scrambled direct sum) of up to five blocks, with
+    R_mono and R_poly(x^e) among them."""
+    field = draw(st.sampled_from(fields))
+    pool = ([PencilBlock("P", n) for n in range(4)] + [PencilBlock("Q", n) for n in range(4)]
+            + [PencilBlock("R_mono", n) for n in (1, 2, 3)]
+            + [PencilBlock("R_poly", poly=q, e=e)
+               for q in _IRREDUCIBLE[field.char] for e in (1, 2, 3) if len(q) * e <= 4])
+    picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+    D = direct_sum([block_module(b, field) for b in picks], d=2, field=field)
+    return Counter(picks), _scramble(D, random.Random(draw(st.integers(0, 2 ** 16))))
+
+
+def _reference_source_space(M):
+    """The Q source space by search: S = ker b on X*(a, b), grown by
+    preimage_b(a S) on X*(a, b) until it stops."""
+    A, B = M.maps
+    xstab = _xchain(A, B)[-1]
+    S = _intersect(B.kernel_basis(), xstab)
+    while S.cols:
+        grown = _colspace(Matrix.hstack([S, _intersect(_preimage(B, A @ S), xstab)]))
+        if grown.cols == S.cols:
+            break
+        S = grown
+    return S
+
+
+@settings(max_examples=100, deadline=None)
+@given(scrambled_blocks([QQ, F2, F3, F5]))
+def test_source_space_matches_the_search_on_the_q_and_p_stages(case):
+    _, M = case
+    for stage in ("Q", "P"):
+        got, want = _postinjective_source_space(M), _reference_source_space(M)
+        assert got.cols == want.cols == Matrix.hstack([got, want]).rank(), stage
+        M = _peel(M, got)[1].transpose()
+
+
+@settings(max_examples=100, deadline=None)
+@given(scrambled_blocks([F2, F3]))
+def test_decompose_roundtrip_over_gf2_and_gf3(case):
+    blocks, M = case
+    assert decompose_pencil(M) == blocks

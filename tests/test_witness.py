@@ -8,8 +8,8 @@ from kronhf.errors import DomainError, GuardRefusal, PreconditionError, Validati
 from kronhf.fields import QQ, PrimeField
 from kronhf.matrices import Matrix
 from kronhf import witness as witness_mod
-from kronhf.modules import (PencilBlock, build_P, build_Q, build_R,
-                            build_preprojective_theta, direct_sum)
+from kronhf.modules import (KroneckerModule, PencilBlock, build_P, build_Q, build_R,
+                            build_preprojective_theta, direct_sum, kernel_module)
 from kronhf.witness import (Witness, WitnessPart, combinator_bounded_codim,
                             combinator_direct_sum, fragment_postinjective_theta,
                             fragment_tree_module, monomial_submodule,
@@ -116,6 +116,21 @@ def test_postinjective_witness():
     rep = verify_witness(q50, w)
     assert rep.ok, rep
     assert w.notes["kernel_blocks"] == ["R_mono(50)"]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)])
+def test_postinjective_kernel_of_theta_is_the_monomial_submodule(field):
+    """ker(theta: Q_n -> I(1)), built as a kernel, equals the monomial
+    submodule on sources 1..n that the producer takes, embeddings included."""
+    target = KroneckerModule(2, field, 1, 0, [Matrix.zeros(field, 0, 1)] * 2)
+    for n in (1, 2, 5, 13, 40):
+        Qm = build_Q(n, field)
+        theta = (Matrix.from_entries(field, 1, n + 1, [(0, 0, field.one)]),
+                 Matrix.zeros(field, 0, n))
+        ker, (k1, k2) = kernel_module(theta, Qm, target)
+        sub, (e1, e2) = monomial_submodule(Qm, range(1, n + 1))
+        assert (sub, e1, e2) == (ker, k1, k2), n
+        assert sub == build_R(PencilBlock("R_mono", n), field)
 
 
 def test_postinjective_kernel_blocks_defect():
