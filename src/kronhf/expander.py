@@ -435,7 +435,7 @@ def empirical_best_epsilon(M: KroneckerModule, l_eps: int,
     if M.dim == 0:
         return BestEpsReport(Fraction(0), False, [])
     adj = build_gamma(M).adjacency()
-    sinks = [(1, i) for i in range(M.dim2)]
+    sinks = list(range(M.dim1, M.dim))  # vertex ids of the sinks
     n1 = M.dim1
     spent = 0
     best = None
@@ -446,7 +446,7 @@ def empirical_best_epsilon(M: KroneckerModule, l_eps: int,
                 eps = best if best is not None else Fraction(M.dim1, M.dim)
                 return BestEpsReport(eps, True, [],
                                      detail=f"budget {budget} exhausted")
-            kept = [(0, j) for j in subset] + sinks
+            kept = [*subset, *sinks]
             if all(len(c) <= l_eps for c in components(adj, kept)):
                 eps = Fraction(M.dim1 - k, M.dim)
                 return BestEpsReport(eps, False, list(subset))

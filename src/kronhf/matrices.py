@@ -26,7 +26,9 @@ _EMPTY = {}
 
 
 class Matrix:
-    __slots__ = ("field", "rows", "cols", "_rows")
+    # no method writes _rows after construction, so _int, the integrality
+    # of the entries, is recorded on first use and stays valid
+    __slots__ = ("field", "rows", "cols", "_rows", "_int")
 
     def __init__(self, field, rows: int, cols: int, row_dicts=None):
         """row_dicts: {row_index: {col: nonzero value}}, empty rows omitted."""
@@ -36,6 +38,7 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self._rows = {} if row_dicts is None else row_dicts
+        self._int = None
 
     # -- construction -----------------------------------------------------
 
@@ -189,7 +192,9 @@ class Matrix:
 
     def _integral(self):
         """Whether every entry is an int: over Q, whether the matrix is integral."""
-        return all(type(v) is int for r in self._rows.values() for v in r.values())
+        if self._int is None:
+            self._int = all(type(v) is int for r in self._rows.values() for v in r.values())
+        return self._int
 
     def __add__(self, other):
         """The sum. An entry held by one side only is copied; a shared one is

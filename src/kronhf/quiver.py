@@ -1,19 +1,20 @@
 """Coefficient quivers: the basis-indexed graph of nonzero map entries.
 
-Vertices are tagged pairs (layer, index) with layer 0 for the source vertex
-basis and layer 1 for the sink vertex basis. An edge ((0, j) -> (1, i),
-arrow k, c) exists exactly when entry (i, j) of the k-th arrow matrix in the
-chosen basis equals c != 0.
+Vertex ids are ints: source basis vector j is vertex j and sink basis vector
+i is vertex n_src + i, so sources come first. An edge (j, i, k, c) exists
+exactly when entry (i, j) of the k-th arrow matrix in the chosen basis equals
+c != 0; edges, export_edges and centroid keep that numbering by layer, as the
+tags (0, j) and (1, i).
 
 This module is also the one graph layer of the package: components,
-centroid_of, split_until and component_modules work on any adjacency map and
-vertex subset, and the witness producers and the expander search use them
-for their component and centroid work.
+centroid_of, split_until and component_modules work on an adjacency list and
+a vertex id subset, and the witness producers and the expander search use
+them for their component and centroid work.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import PreconditionError, ValidationError
@@ -44,18 +45,18 @@ class CoefficientQuiver:
     def n_vertices(self) -> int:
         return self.n_src + self.n_snk
 
-    def vertices(self):
-        for j in range(self.n_src):
-            yield (0, j)
-        for i in range(self.n_snk):
-            yield (1, i)
+    def tag(self, v: int):
+        """The (layer, index) tag of vertex id v."""
+        return (0, v) if v < self.n_src else (1, v - self.n_src)
 
-    def adjacency(self):
-        """Undirected adjacency: vertex -> list of (neighbor, arrow)."""
-        adj = {v: [] for v in self.vertices()}
-        for j, i, k, _ in self.edges:
-            adj[(0, j)].append(((1, i), k))
-            adj[(1, i)].append(((0, j), k))
+    def adjacency(self) -> list:
+        """Undirected adjacency on vertex ids (source j is j, sink i is
+        n_src + i): adj[v] lists v's neighbors, one entry per edge."""
+        n = self.n_src
+        adj = [[] for _ in range(n + self.n_snk)]
+        for j, i, _, _ in self.edges:
+            adj[j].append(n + i)
+            adj[n + i].append(j)
         return adj
 
 
@@ -81,7 +82,7 @@ def is_tree(gamma: CoefficientQuiver) -> bool:
     n = gamma.n_vertices
     if n == 0 or len(gamma.edges) != n - 1:
         return False
-    return len(components(gamma.adjacency(), gamma.vertices())) == 1
+    return len(components(gamma.adjacency(), range(n))) == 1
 
 
 def degree_stats(gamma: CoefficientQuiver):
@@ -101,33 +102,34 @@ def centroid(gamma: CoefficientQuiver):
     """
     if not is_tree(gamma):
         raise PreconditionError("centroid requires a tree")
-    return centroid_of(list(gamma.vertices()), gamma.adjacency())[0]
+    return gamma.tag(centroid_of(range(gamma.n_vertices), gamma.adjacency())[0])
 
 
-# -- graph layer: components, centroids and splitting over an adjacency map --------
+# -- graph layer: components, centroids and splitting over an adjacency list ------
 
 
 def components(adj, vertices):
     """Components of the subgraph induced on vertices.
 
-    Each component is a sorted vertex list; the list is ordered by smallest
-    vertex. adj maps a vertex to (neighbor, arrow) pairs, as from
-    CoefficientQuiver.adjacency.
+    Each component is a sorted id list; the list is ordered by smallest
+    vertex. adj is an adjacency list as from CoefficientQuiver.adjacency.
     """
-    left = set(vertices)
+    left = bytearray(len(adj))
+    vertices = sorted(vertices)
+    for v in vertices:
+        left[v] = 1
     out = []
-    while left:
-        comp = [left.pop()]
-        stack = comp[:]
-        while stack:
-            for w, _ in adj[stack.pop()]:
-                if w in left:
-                    left.remove(w)
-                    comp.append(w)
-                    stack.append(w)
-        comp.sort()
-        out.append(comp)
-    out.sort()
+    for s in vertices:
+        if left[s]:
+            left[s] = 0
+            comp = [s]
+            for u in comp:  # the list grows while it is walked: a BFS
+                for w in adj[u]:
+                    if left[w]:
+                        left[w] = 0
+                        comp.append(w)
+            comp.sort()
+            out.append(comp)
     return out
 
 
@@ -135,43 +137,42 @@ def centroid_of(vertices, adj):
     """Centroid of the tree induced on vertices, and its branch sizes.
 
     Returns (c, branch) where c minimises the largest component left by
-    removing it, ties broken toward the earliest vertex in the given order,
-    and branch maps each neighbor of c inside the set to the size of its
-    component once c is removed (the sizes sum to len(vertices) - 1).
+    removing it, ties broken toward the smallest id, and branch maps each
+    neighbor of c inside the set to the size of its component once c is
+    removed (the sizes sum to len(vertices) - 1).
     """
-    inside = set(vertices)
-    root = vertices[0]
-    parent = {root: None}
-    order = []
-    dq = deque([root])
-    while dq:
-        v = dq.popleft()
-        order.append(v)
-        for w, _ in adj[v]:
-            if w in inside and w not in parent:
-                parent[w] = v
-                dq.append(w)
+    inside = bytearray(len(adj))
+    for v in vertices:
+        inside[v] = 1
+    order = [vertices[0]]
+    inside[order[0]] = 0
+    parent = [-1]  # position in order of each vertex's BFS parent
+    for t, v in enumerate(order):
+        for w in adj[v]:
+            if inside[w]:
+                inside[w] = 0
+                order.append(w)
+                parent.append(t)
     n = len(order)
-    size = {v: 1 for v in order}
-    for v in reversed(order[1:]):
-        size[parent[v]] += size[v]
-    rank = {v: t for t, v in enumerate(vertices)}
-    best = None
-    for v in order:
-        branch = {} if parent[v] is None else {parent[v]: n - size[v]}
-        for w, _ in adj[v]:
-            if w in inside and parent[w] == v:
-                branch[w] = size[w]
-        key = (max(branch.values(), default=0), rank[v])
-        if best is None or key < best[0]:
-            best = (key, v, branch)
-    return best[1], best[2]
+    size = [1] * n
+    for t in range(n - 1, 0, -1):
+        size[parent[t]] += size[t]
+    # the vertices heavier than n/2 form a path down from the root; its last
+    # one is a centroid, and a child of it weighing n/2 is the only other one
+    c = max(t for t in range(n) if 2 * size[t] > n)
+    best = min([c] + [t for t in range(c + 1, n) if parent[t] == c and 2 * size[t] == n],
+               key=order.__getitem__)
+    branch = {} if best == 0 else {order[parent[best]]: n - size[best]}
+    for t in range(best + 1, n):
+        if parent[t] == best:
+            branch[order[t]] = size[t]
+    return order[best], branch
 
 
 def split_until(adj, vertices, bound, choose_batch):
     """Remove batches of vertices until every component has at most bound vertices.
 
-    choose_batch(comp) gets an oversized component (sorted vertex list) and
+    choose_batch(comp) gets an oversized component (sorted id list) and
     returns the set of its vertices to remove. Returns (final components,
     removed vertex set, size of each removed batch in removal order).
     """
@@ -194,13 +195,16 @@ def split_until(adj, vertices, bound, choose_batch):
 def component_modules(M: KroneckerModule, mats, comps):
     """One (submodule, (emb1, emb2)) per vertex set, with selection embeddings.
 
-    mats are the arrow matrices of M in the basis the vertices index; each
-    submodule keeps the rows and columns of its sink and source vertices.
+    comps are sorted id lists. mats are the arrow matrices of M in the basis
+    the vertices index; each submodule keeps the rows and columns of its sink
+    and source vertices.
     """
+    n = M.dim1
     out = []
     for verts in comps:
-        src = sorted(v[1] for v in verts if v[0] == 0)
-        snk = sorted(v[1] for v in verts if v[0] == 1)
+        k = bisect_left(verts, n)
+        src = verts[:k]
+        snk = [v - n for v in verts[k:]]
         sub = KroneckerModule(M.d, M.field, len(src), len(snk),
                               [m.submatrix(snk, src) for m in mats])
         out.append((sub, (Matrix.selection(M.field, M.dim1, src),
@@ -248,7 +252,7 @@ def split_components(M: KroneckerModule, B: BasisChoice | None = None):
         B = BasisChoice.standard_for(M)
     gamma = build_gamma(M, B)
     mats = M.maps if B.standard else [B.basis2.solve(m @ B.basis1) for m in M.maps]
-    out = component_modules(M, mats, components(gamma.adjacency(), gamma.vertices()))
+    out = component_modules(M, mats, components(gamma.adjacency(), range(gamma.n_vertices)))
     if B.standard:
         return out
     return [(sub, (B.basis1 @ e1, B.basis2 @ e2)) for sub, (e1, e2) in out]
@@ -256,16 +260,9 @@ def split_components(M: KroneckerModule, B: BasisChoice | None = None):
 
 def export_edges(gamma: CoefficientQuiver) -> str:
     """Edge-list text: 'u v arrow=<k> coeff=<c>' lines plus isolated vertices."""
-    def name(v):
-        return f"{v[0] + 1}.{v[1] + 1}"
-
-    lines = []
-    touched = set()
-    for j, i, k, c in gamma.edges:
-        touched.add((0, j))
-        touched.add((1, i))
-        lines.append(f"{name((0, j))} {name((1, i))} arrow={k + 1} coeff={c}")
-    for v in gamma.vertices():
-        if v not in touched:
-            lines.append(name(v))
+    lines = [f"1.{j + 1} 2.{i + 1} arrow={k + 1} coeff={c}" for j, i, k, c in gamma.edges]
+    for v, nbrs in enumerate(gamma.adjacency()):
+        if not nbrs:
+            layer, idx = gamma.tag(v)
+            lines.append(f"{layer + 1}.{idx + 1}")
     return "\n".join(lines) + ("\n" if lines else "")

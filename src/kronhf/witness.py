@@ -148,22 +148,26 @@ def weak_stats(M: KroneckerModule, w: WeakWitness):
 
 
 def _closure_sinks(adj, kept_sources):
-    return sorted({w[1] for j in kept_sources for w, _ in adj[(0, j)]})
+    """Sorted ids of the sinks the given sources hit."""
+    return sorted({w for j in kept_sources for w in adj[j]})
 
 
 def _parts_from_kept(M: KroneckerModule, adj, kept):
-    """Connected components of the kept vertex set as embedded part modules.
+    """Connected components of the kept vertex ids as embedded part modules.
 
     Requires the kept set to be arrow-closed: every kept source's neighbors
     in the coefficient quiver are kept sinks (checked).
     """
-    kept = set(kept)
+    n = M.dim1
+    mark = bytearray(len(adj))
     for v in kept:
-        if v[0] == 0:
-            for w, _ in adj[v]:
-                if w not in kept:
+        mark[v] = 1
+    for v in kept:
+        if v < n:
+            for w in adj[v]:
+                if not mark[w]:
                     raise ValidationError(
-                        f"kept set not arrow-closed: source {v[1]} hits dropped sink {w[1]}")
+                        f"kept set not arrow-closed: source {v} hits dropped sink {w - n}")
     return [WitnessPart(sub, e1, e2)
             for sub, (e1, e2) in component_modules(M, M.maps, components(adj, kept))]
 
@@ -172,8 +176,7 @@ def monomial_submodule(M: KroneckerModule, kept_sources):
     """Arrow-closed span of the kept source vectors and every sink they hit."""
     src = sorted(kept_sources)
     snk = _closure_sinks(build_gamma(M).adjacency(), src)
-    verts = [(0, j) for j in src] + [(1, i) for i in snk]
-    [(sub, embs)] = component_modules(M, M.maps, [verts])
+    [(sub, embs)] = component_modules(M, M.maps, [src + snk])
     return sub, embs
 
 
@@ -214,7 +217,7 @@ def _zigzag_witness(M: KroneckerModule, eps: Fraction, producer: str) -> Witness
     kept = [c for c in range(n) if c not in drops]
     adj = build_gamma(M).adjacency()
     snk = _closure_sinks(adj, kept)
-    parts = _parts_from_kept(M, adj, [(0, j) for j in kept] + [(1, i) for i in snk])
+    parts = _parts_from_kept(M, adj, kept + snk)
     removed = M.dim - len(kept) - len(snk)
     w = Witness(M, eps, L, parts,
                 dict(producer=producer, dropped_sources=sorted(drops),
@@ -388,9 +391,9 @@ def fragment_tree_module(M: KroneckerModule, eps: Fraction) -> Witness:
     def choose_batch(comp):
         # a sink centroid takes its incoming sources, its neighbors in comp
         v, branch = centroid_of(comp, adj)
-        return {v} if v[0] == 0 else {v, *branch}
+        return {v} if v < gamma.n_src else {v, *branch}
 
-    final, removed, batch_sizes = split_until(adj, gamma.vertices(), C, choose_batch)
+    final, removed, batch_sizes = split_until(adj, range(M.dim), C, choose_batch)
     parts = _parts_from_kept(M, adj, set().union(*final))
     notes = dict(producer="fragment_tree", removed=len(removed),
                  removed_fraction=Fraction(len(removed), M.dim),
@@ -452,11 +455,11 @@ def fragment_postinjective_theta(d: int, t: int, eps: Fraction, *,
     def choose_batch(comp):
         # a source centroid hands over to the neighbor sink heading its largest branch
         v, branch = centroid_of(comp, adj)
-        sink = v if v[0] == 1 else min(branch, key=lambda nb: (-branch[nb], nb))
+        sink = v if v >= gamma.n_src else min(branch, key=lambda nb: (-branch[nb], nb))
         inside = set(comp)
-        return {sink} | {w for w, _ in adj[sink] if w in inside}
+        return {sink} | {w for w in adj[sink] if w in inside}
 
-    final, removed, batch_sizes = split_until(adj, gamma.vertices(), L, choose_batch)
+    final, removed, batch_sizes = split_until(adj, range(M.dim), L, choose_batch)
     parts = _parts_from_kept(M, adj, set().union(*final))
     notes = dict(producer="fragment_postinjective", removed=len(removed),
                  removed_fraction=Fraction(len(removed), M.dim),

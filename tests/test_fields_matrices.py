@@ -389,6 +389,22 @@ def test_q_results_that_become_integral_are_ints():
     assert _all_ints(Matrix.identity(QQ, 3)) and _all_ints(random_invertible(QQ, 6, random.Random(1)))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cached_integrality_matches_a_fresh_scan(data):
+    """_integral records its answer on first use; products of the same
+    factors, before and after it is recorded, equal the reference product."""
+    rows, mid, cols = (data.draw(st.integers(0, 5)) for _ in range(3))
+    a = data.draw(_mixed(QQ, rows, mid))
+    b = data.draw(_mixed(QQ, mid, cols))
+    want = reference_matmul(a, b)
+    for _ in range(2):
+        assert a @ b == want
+        _assert_canonical(a @ b)
+        for m in (a, b, want, a @ b, a.transpose(), b.scale(2)):
+            assert m._integral() == _all_ints(m)
+
+
 def test_rational_field_scalars_are_canonical():
     assert type(QQ.zero) is int and type(QQ.one) is int
     for v, want in ((QQ.inv(Fraction(-1, 2)), -2), (QQ.inv(-1), -1), (QQ.inv(3), Fraction(1, 3)),

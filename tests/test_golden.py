@@ -4,20 +4,29 @@ The Q files in tests/golden/ were written while every Q entry was held as a
 Fraction. Integral entries are now plain ints; str, == and hash agree
 between 3 and Fraction(3), so the text format and the JSON reports must
 not change. The GF(5) decomposition was written before the pencil stages
-became one peel each. Each test rebuilds its output and compares it with
-the file.
+became one peel each. The witness_theta3, witness_postinj and witness_q300
+files and the best-eps pins were recorded while the coefficient quiver keyed
+its vertices by (layer, index) tuples. Each test rebuilds its output and
+compares it with the file.
 """
 
+import json
 import random
 import re
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from kronhf.cli import main
+from kronhf.expander import empirical_best_epsilon
 from kronhf.fields import QQ, PrimeField
 from kronhf.matrices import Matrix, random_invertible, random_matrix
 from kronhf.modules import (KroneckerModule, PencilBlock, build_P, build_Q,
-                            build_R, direct_sum)
+                            build_R, build_preprojective_theta, direct_sum)
+from kronhf.witness import (fragment_postinjective_theta, fragment_tree_module,
+                            verify_witness, witness_postinjective_2k,
+                            witness_to_dict)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -103,3 +112,37 @@ def test_witness_json_on_r_x_minus_1_to_the_40_is_unchanged(capsys, tmp_path):
     assert path.read_text() == (GOLDEN / "r40.mod").read_text()
     got = cli_json(capsys, path, "witness", "--eps", "1/4")
     assert got == (GOLDEN / "witness_r40.json").read_text()
+
+
+# witness producers that run the graph layer: centroid splitting on a
+# theta(3) tree, the staged sink removal whose kept set misses the dimension
+# bound (a designed failure), and the zigzag drop under Q_300's combinators
+WITNESS_GOLDENS = {
+    "witness_theta3_t6.json":
+        lambda: fragment_tree_module(build_preprojective_theta(3, 6), Fraction(1, 10)),
+    "witness_postinj_theta3_t7_l40.json":
+        lambda: fragment_postinjective_theta(3, 7, Fraction(1, 10), l_override=40),
+    "witness_q300.json":
+        lambda: witness_postinjective_2k(build_Q(300), Fraction(1, 4)),
+}
+
+
+def witness_json(name):
+    """witness_to_dict of a golden's witness, verify report included."""
+    w = WITNESS_GOLDENS[name]()
+    report = verify_witness(w.module, w)
+    return json.dumps(witness_to_dict(w, report), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_GOLDENS))
+def test_graph_layer_witness_json_is_unchanged(name):
+    assert witness_json(name) == (GOLDEN / name).read_text()
+
+
+def test_empirical_best_epsilon_is_pinned():
+    p7 = empirical_best_epsilon(build_P(7), 7)
+    assert (p7.eps, p7.kept_sources, p7.partial) == (
+        Fraction(1, 15), [0, 1, 2, 4, 5, 6], False)
+    theta = empirical_best_epsilon(build_preprojective_theta(3, 3), 7)
+    assert (theta.eps, theta.kept_sources, theta.partial) == (
+        Fraction(3, 29), [0, 2, 4, 5, 7], False)

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,11 @@ from kronhf.quiver import (BasisChoice, CoefficientQuiver, build_gamma, centroid
                            is_tree, split_components, split_until,
                            submodule_from_generators)
 from kronhf.witness import _parts_from_kept
+
+
+def _vid(gamma, tag):
+    """The vertex id of a (layer, index) tag."""
+    return tag[1] + (gamma.n_src if tag[0] else 0)
 
 
 def _path_quiver(n):
@@ -106,7 +112,8 @@ def test_centroid_p3_and_postcondition():
     assert c == (0, 1)
     # exhaustive check: no vertex does better
     adj = gamma.adjacency()
-    verts = list(gamma.vertices())
+    verts = list(range(gamma.n_vertices))
+    c = _vid(gamma, c)
 
     def worst(v):
         rest = [u for u in verts if u != v]
@@ -119,7 +126,7 @@ def test_centroid_p3_and_postcondition():
             stack = [s]
             while stack:
                 u = stack.pop()
-                for wv, _ in adj[u]:
+                for wv in adj[u]:
                     if wv != v and wv not in comp:
                         comp.add(wv)
                         stack.append(wv)
@@ -147,12 +154,12 @@ def test_centroid_random_trees():
         gamma = build_gamma(M)
         if not is_tree(gamma):
             continue
-        c = centroid(gamma)
+        c = _vid(gamma, centroid(gamma))
         n = gamma.n_vertices
         adj = gamma.adjacency()
         comp_sizes = []
         seen = {c}
-        for s in gamma.vertices():
+        for s in range(n):
             if s in seen:
                 continue
             comp = {s}
@@ -160,7 +167,7 @@ def test_centroid_random_trees():
             seen.add(s)
             while stack:
                 u = stack.pop()
-                for wv, _ in adj[u]:
+                for wv in adj[u]:
                     if wv not in seen:
                         seen.add(wv)
                         comp.add(wv)
@@ -279,12 +286,12 @@ def test_split_components_nonstandard_basis_embeddings_intertwine():
 
 
 def test_parts_from_kept_rejects_kept_set_not_arrow_closed():
-    M = build_P(2)  # source j maps to sinks j and j + 1
+    M = build_P(2)  # source j maps to sinks j and j + 1; sink i is vertex 2 + i
     adj = build_gamma(M).adjacency()
-    kept = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    with pytest.raises(ValidationError, match="not arrow-closed"):
+    kept = [0, 1, 2, 3]
+    with pytest.raises(ValidationError, match="not arrow-closed: source 1 hits dropped sink 2"):
         _parts_from_kept(M, adj, kept)
-    [part] = _parts_from_kept(M, adj, kept + [(1, 2)])
+    [part] = _parts_from_kept(M, adj, kept + [4])
     assert (part.module.dim1, part.module.dim2) == (2, 3)
 
 
@@ -313,7 +320,8 @@ def tree_modules(draw):
 
 
 def _brute_components(gamma, verts):
-    """Partition of verts by search over the raw edge list, ordered by smallest vertex."""
+    """Partition of the vertex ids verts by search over the raw edge list,
+    ordered by smallest vertex."""
     verts = set(verts)
     left = set(verts)
     out = []
@@ -324,7 +332,7 @@ def _brute_components(gamma, verts):
         while frontier:
             u = frontier.pop()
             for j, i, _, _ in gamma.edges:
-                for a, b in (((0, j), (1, i)), ((1, i), (0, j))):
+                for a, b in ((j, gamma.n_src + i), (gamma.n_src + i, j)):
                     if a == u and b in verts and b not in comp:
                         comp.add(b)
                         frontier.append(b)
@@ -334,7 +342,7 @@ def _brute_components(gamma, verts):
 
 
 def _subset(draw, gamma):
-    return [v for v in gamma.vertices() if draw(st.booleans())]
+    return [v for v in range(gamma.n_vertices) if draw(st.booleans())]
 
 
 @settings(max_examples=60, deadline=None)
@@ -345,7 +353,7 @@ def test_components_match_brute_force(M, data):
     adj = gamma.adjacency()
     subset = _subset(data.draw, gamma)
     assert components(adj, subset) == _brute_components(gamma, subset)
-    assert components(adj, gamma.vertices()) == [sorted(gamma.vertices())]
+    assert components(adj, range(gamma.n_vertices)) == [list(range(gamma.n_vertices))]
 
 
 @settings(max_examples=60, deadline=None)
@@ -353,14 +361,14 @@ def test_components_match_brute_force(M, data):
 def test_centroid_of_minimises_largest_branch(M, data):
     gamma = build_gamma(M)
     adj = gamma.adjacency()
-    for comp in components(adj, _subset(data.draw, gamma)) or [sorted(gamma.vertices())]:
+    for comp in components(adj, _subset(data.draw, gamma)) or [list(range(gamma.n_vertices))]:
         c, branch = centroid_of(comp, adj)
         largest = {v: max(map(len, _brute_components(gamma, set(comp) - {v})), default=0)
                    for v in comp}
         assert c == min(comp, key=lambda v: (largest[v], v))
         assert sum(branch.values()) == len(comp) - 1
         pieces = _brute_components(gamma, set(comp) - {c})
-        assert set(branch) == {w for w, _ in adj[c] if w in comp}
+        assert set(branch) == {w for w in adj[c] if w in comp}
         for nb, size in branch.items():
             assert len(next(p for p in pieces if nb in p)) == size
 
@@ -380,3 +388,123 @@ def test_split_until_bounds_components_and_covers(M, data):
     assert set(kept) | removed == set(subset)
     assert sum(batch_sizes) == len(removed)
     assert sorted(final) == components(adj, kept)
+
+
+# -- the (layer, index)-keyed graph layer as the reference for the id one ---------
+
+
+def _tag_adjacency(gamma):
+    """vertex tag -> list of (neighbor tag, arrow)."""
+    adj = {gamma.tag(v): [] for v in range(gamma.n_vertices)}
+    for j, i, k, _ in gamma.edges:
+        adj[(0, j)].append(((1, i), k))
+        adj[(1, i)].append(((0, j), k))
+    return adj
+
+
+def _tag_components(adj, vertices):
+    left = set(vertices)
+    out = []
+    while left:
+        comp = [left.pop()]
+        stack = comp[:]
+        while stack:
+            for w, _ in adj[stack.pop()]:
+                if w in left:
+                    left.remove(w)
+                    comp.append(w)
+                    stack.append(w)
+        comp.sort()
+        out.append(comp)
+    out.sort()
+    return out
+
+
+def _tag_centroid_of(vertices, adj):
+    inside = set(vertices)
+    root = vertices[0]
+    parent = {root: None}
+    order = []
+    dq = deque([root])
+    while dq:
+        v = dq.popleft()
+        order.append(v)
+        for w, _ in adj[v]:
+            if w in inside and w not in parent:
+                parent[w] = v
+                dq.append(w)
+    n = len(order)
+    size = {v: 1 for v in order}
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    rank = {v: t for t, v in enumerate(vertices)}
+    best = None
+    for v in order:
+        branch = {} if parent[v] is None else {parent[v]: n - size[v]}
+        for w, _ in adj[v]:
+            if w in inside and parent[w] == v:
+                branch[w] = size[w]
+        key = (max(branch.values(), default=0), rank[v])
+        if best is None or key < best[0]:
+            best = (key, v, branch)
+    return best[1], best[2]
+
+
+def _tag_split_until(adj, vertices, bound, choose_batch):
+    queue = _tag_components(adj, vertices)
+    final = []
+    removed = set()
+    batch_sizes = []
+    while queue:
+        comp = queue.pop()
+        if len(comp) <= bound:
+            final.append(comp)
+            continue
+        batch = choose_batch(comp)
+        removed |= batch
+        batch_sizes.append(len(batch))
+        queue.extend(_tag_components(adj, [u for u in comp if u not in batch]))
+    return final, removed, batch_sizes
+
+
+def _batch_rule(sink_rule, centroid, neighbors, is_sink):
+    """The batch choice of fragment_tree_module (a sink centroid takes its
+    branch heads) or, with sink_rule, of fragment_postinjective_theta (the
+    sink heading a source centroid's largest branch, with its neighbors)."""
+    def choose(comp):
+        v, br = centroid(comp)
+        if not sink_rule:
+            return {v, *br} if is_sink(v) else {v}
+        sink = v if is_sink(v) else min(br, key=lambda nb: (-br[nb], nb))
+        inside = set(comp)
+        return {sink} | {w for w in neighbors(sink) if w in inside}
+    return choose
+
+
+@settings(max_examples=80, deadline=None)
+@given(tree_modules(), st.data())
+def test_id_graph_layer_matches_the_tag_keyed_reference(M, data):
+    gamma = build_gamma(M)
+    adj, tadj = gamma.adjacency(), _tag_adjacency(gamma)
+    tag = gamma.tag
+    subset = _subset(data.draw, gamma)
+    tsubset = [tag(v) for v in subset]
+    comps = components(adj, subset)
+    assert [[tag(v) for v in c] for c in comps] == _tag_components(tadj, tsubset)
+    for comp in comps + [list(range(gamma.n_vertices))]:
+        c, branch = centroid_of(comp, adj)
+        tc, tbranch = _tag_centroid_of([tag(v) for v in comp], tadj)
+        assert tag(c) == tc
+        assert {tag(w): size for w, size in branch.items()} == tbranch
+    bound = data.draw(st.integers(1, gamma.n_vertices))
+    rule = data.draw(st.booleans())
+    got = split_until(adj, subset, bound,
+                      _batch_rule(rule, lambda c: centroid_of(c, adj), adj.__getitem__,
+                                  lambda v: v >= gamma.n_src))
+    want = _tag_split_until(tadj, tsubset, bound,
+                            _batch_rule(rule, lambda c: _tag_centroid_of(c, tadj),
+                                        lambda v: [w for w, _ in tadj[v]],
+                                        lambda v: v[0] == 1))
+    assert [[tag(v) for v in c] for c in got[0]] == want[0]
+    assert {tag(v) for v in got[1]} == want[1]
+    assert got[2] == want[2]
