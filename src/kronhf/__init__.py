@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .errors import (DomainError, GuardRefusal, PreconditionError, ShapeError,
                      ValidationError)
 from .fields import QQ, PrimeField, RationalField, parse_rational
-from .matrices import Matrix, column_space_dim_of_stack, min_eigenvalue_symmetric
+from .matrices import Matrix, column_space_dim_of_stack
 from .modules import (DimVector, KroneckerModule, PencilBlock, a_sequence,
                       build_P, build_Q, build_R, build_postinjective_theta,
                       build_preprojective_theta, closed_form_a, direct_sum,

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-import numpy as np
-
 from .errors import ShapeError, ValidationError
 from .fields import field_from_label, rational
 
@@ -27,8 +25,10 @@ _EMPTY = {}
 
 class Matrix:
     # no method writes _rows after construction, so _int, the integrality
-    # of the entries, is recorded on first use and stays valid
-    __slots__ = ("field", "rows", "cols", "_rows", "_int")
+    # of the entries, is recorded on first use and stays valid, and so does
+    # _sel, the row index of each column of a matrix built as a selection
+    # (None when no such list was recorded)
+    __slots__ = ("field", "rows", "cols", "_rows", "_int", "_sel")
 
     def __init__(self, field, rows: int, cols: int, row_dicts=None):
         """row_dicts: {row_index: {col: nonzero value}}, empty rows omitted."""
@@ -39,6 +39,7 @@ class Matrix:
         self.cols = cols
         self._rows = {} if row_dicts is None else row_dicts
         self._int = None
+        self._sel = None
 
     # -- construction -----------------------------------------------------
 
@@ -83,13 +84,16 @@ class Matrix:
 
     @classmethod
     def selection(cls, field, n, indices):
-        """n x len(indices) matrix whose t-th column is the unit e_{indices[t]}."""
-        rd = {}
-        for t, i in enumerate(indices):
-            if not 0 <= i < n:
-                raise ShapeError(f"selection index {i} outside 0..{n - 1}")
-            rd.setdefault(i, {})[t] = field.one
-        return cls(field, n, len(indices), rd)
+        """n x len(indices) matrix whose t-th column is the unit e_{indices[t]}.
+
+        The index list is recorded, so is_selection() reads it back, and
+        products, hstack and hsplit of recorded selections work on the lists.
+        """
+        indices = list(indices)
+        if indices and (min(indices) < 0 or max(indices) >= n):
+            bad = next(i for i in indices if not 0 <= i < n)
+            raise ShapeError(f"selection index {bad} outside 0..{n - 1}")
+        return _selected(field, n, indices)
 
     # -- access -----------------------------------------------------------
 
@@ -144,6 +148,7 @@ class Matrix:
     def __matmul__(self, other):
         """The product, on the integer arithmetic of the elimination kernel.
 
+        Two recorded selections compose their index lists and build no sum.
         Over F_q, and over Q when both factors hold only ints, an output row
         is the integer combination of the rows of other it touches, reduced
         mod q once per output entry over F_q. Otherwise each row of other
@@ -155,6 +160,10 @@ class Matrix:
         self._check_same_field(other)
         if self.cols != other.rows:
             raise ShapeError(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        if self._sel is not None and other._sel is not None:
+            # column t of the product is self's column other._sel[t]
+            a = self._sel
+            return _selected(self.field, self.rows, [a[j] for j in other._sel])
         q = self.field.char
         out = {}
         if q or (self._integral() and other._integral()):
@@ -258,11 +267,14 @@ class Matrix:
             raise ShapeError("hstack of nothing")
         fld = mats[0].field
         rows = mats[0].rows
-        out = {}
-        off = 0
         for m in mats:
             if m.field != fld or m.rows != rows:
                 raise ShapeError("hstack mismatch")
+        if all(m._sel is not None for m in mats):
+            return _selected(fld, rows, [i for m in mats for i in m._sel])
+        out = {}
+        off = 0
+        for m in mats:
             for i, row in m._rows.items():
                 dst = out.setdefault(i, {})
                 for j, v in row.items():
@@ -275,6 +287,12 @@ class Matrix:
         inverse of hstack, in one pass over the entries."""
         if any(w < 0 for w in widths) or sum(widths) != self.cols:
             raise ShapeError(f"widths {list(widths)} do not split {self.cols} columns")
+        if self._sel is not None:
+            out, start = [], 0
+            for w in widths:
+                out.append(_selected(self.field, self.rows, self._sel[start:start + w]))
+                start += w
+            return out
         where = [(t, c) for t, w in enumerate(widths) for c in range(w)]
         blocks = [{} for _ in widths]
         for i, row in self._rows.items():
@@ -345,8 +363,11 @@ class Matrix:
         """Row indices per column if every column is a unit vector, else None.
 
         Duplicate row indices are possible; rank() only takes the fast path
-        when they are distinct.
+        when they are distinct. A recorded selection returns a copy of its
+        index list without a scan.
         """
+        if self._sel is not None:
+            return list(self._sel)
         seen = {}
         count = 0
         one = self.field.one
@@ -411,6 +432,22 @@ class Matrix:
             row = self._rows.get(i, _EMPTY)
             lines.append(" ".join(fmt(row.get(j, z)) for j in range(self.cols)))
         return "\n".join(lines) + "\n"
+
+
+def _selected(field, n, sel):
+    """The n x len(sel) selection matrix of the index list sel, which is
+    recorded as it is: the caller checks the indices and keeps no reference."""
+    one = field.one
+    rd = {}
+    for t, i in enumerate(sel):
+        if i in rd:
+            rd[i][t] = one
+        else:
+            rd[i] = {t: one}
+    m = Matrix(field, n, len(sel), rd)
+    m._int = True
+    m._sel = sel
+    return m
 
 
 def _int_row(row):
@@ -611,20 +648,3 @@ def random_invertible(field, n, rng, span=3):
     p = Matrix.selection(field, n, perm)
     return p @ lo @ up
 
-
-# -- float side ------------------------------------------------------------
-
-
-def min_eigenvalue_symmetric(m, tol: float = 1e-10) -> float:
-    """Smallest eigenvalue of a symmetric float matrix within tol."""
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError("square matrix required")
-    if a.size == 0:
-        return 0.0
-    if not np.all(np.isfinite(a)):
-        raise ValidationError("non-finite entries")
-    if np.max(np.abs(a - a.T)) > tol:
-        raise ValidationError("matrix is not symmetric within tol")
-    sym = (a + a.T) / 2.0
-    return float(np.linalg.eigvalsh(sym)[0])

@@ -195,20 +195,41 @@ def split_until(adj, vertices, bound, choose_batch):
 def component_modules(M: KroneckerModule, mats, comps):
     """One (submodule, (emb1, emb2)) per vertex set, with selection embeddings.
 
-    comps are sorted id lists. mats are the arrow matrices of M in the basis
-    the vertices index; each submodule keeps the rows and columns of its sink
-    and source vertices.
+    comps are disjoint sorted id lists. mats are the arrow matrices of M in
+    the basis the vertices index; each submodule keeps the rows and columns
+    of its sink and source vertices. One pass over each arrow matrix routes
+    every entry to its set through the owner and local index of its source
+    and sink; an entry whose sink lies outside its source's set is dropped.
     """
     n = M.dim1
-    out = []
-    for verts in comps:
+    owner = [-1] * (n + M.dim2)  # position in comps of each vertex's set
+    local = [0] * (n + M.dim2)   # index among the sources, or the sinks, of its set
+    cuts = []
+    for p, verts in enumerate(comps):
         k = bisect_left(verts, n)
-        src = verts[:k]
-        snk = [v - n for v in verts[k:]]
-        sub = KroneckerModule(M.d, M.field, len(src), len(snk),
-                              [m.submatrix(snk, src) for m in mats])
-        out.append((sub, (Matrix.selection(M.field, M.dim1, src),
-                          Matrix.selection(M.field, M.dim2, snk))))
+        cuts.append(k)
+        for t, v in enumerate(verts):
+            owner[v] = p
+            local[v] = t if t < k else t - k
+    blocks = [[{} for _ in comps] for _ in mats]
+    for blk, m in zip(blocks, mats):
+        for i, mrow in m._rows.items():
+            p = owner[n + i]
+            if p < 0:
+                continue
+            row = None
+            for j, v in mrow.items():
+                if owner[j] == p:
+                    if row is None:
+                        row = blk[p][local[n + i]] = {}
+                    row[local[j]] = v
+    fld = M.field
+    out = []
+    for p, (verts, k) in enumerate(zip(comps, cuts)):
+        w = len(verts) - k
+        sub = KroneckerModule(M.d, fld, k, w, [Matrix(fld, w, k, blk[p]) for blk in blocks])
+        out.append((sub, (Matrix.selection(fld, n, verts[:k]),
+                          Matrix.selection(fld, M.dim2, [v - n for v in verts[k:]]))))
     return out
 
 

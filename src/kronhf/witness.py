@@ -76,11 +76,39 @@ class VerifyReport:
 def verify_witness(M: KroneckerModule, w: Witness) -> VerifyReport:
     """Re-checks every clause of the witness definition from scratch.
 
-    The intertwining and closure conditions are checked on the stacked
-    embeddings against the block-diagonal sum of the parts, which is
-    equivalent to the per-part conditions (columns split by part) while
-    staying linear in the size of M.
+    The closure and independence clauses say that the stacked embeddings
+    e1 = [emb1 of each part] and e2 = [emb2 of each part] have full column
+    rank and that M_k @ e1 == e2 @ N_k for every arrow k, where N is the
+    block-diagonal sum of the parts; split by part, this is the per-part
+    condition. They are checked by one of two routes, with the same clause
+    and detail on every witness:
+
+    - One pass over each arrow of M, when every emb1 and emb2 is a selection
+      and no source index or sink index is used twice across the parts (the
+      monomial witnesses of the producers). Then both stacked ranks are
+      full, and column t of M_k @ e1 is column s_t of M_k, for the selected
+      source s_t, while e2 @ N_k places the entries of each part's maps[k]
+      at its selected sinks. So the equality holds exactly when every
+      nonzero M_k[i, j] with j selected has its sink i selected by the same
+      part as j, and equals that part's maps[k] entry at the local (row,
+      column) of (i, j), and the number of entries so matched equals the
+      number of nonzero entries in the parts' maps[k]: the matched entries
+      are then all of them. No direct sum or product is built.
+    - Otherwise (for instance an emb2 that spans images, as in the
+      refutation witnesses of the expander search), the stacked check
+      itself: N, e1 and e2 are built, the products compared, and both
+      ranks taken. This is _verify_stacked, the reference for the first
+      route.
     """
+    return _verify(M, w, one_pass=True)
+
+
+def _verify_stacked(M: KroneckerModule, w: Witness) -> VerifyReport:
+    """verify_witness by the stacked check on every witness."""
+    return _verify(M, w, one_pass=False)
+
+
+def _verify(M, w, one_pass):
     if w.module is not M and w.module != M:
         return VerifyReport(False, "embedding", "witness refers to a different module")
     for idx, p in enumerate(w.parts):
@@ -93,25 +121,81 @@ def verify_witness(M: KroneckerModule, w: Witness) -> VerifyReport:
     tot1 = sum(p.module.dim1 for p in w.parts)
     tot2 = sum(p.module.dim2 for p in w.parts)
     if w.parts:
-        N = direct_sum([p.module for p in w.parts])
-        e1 = Matrix.hstack([p.emb1 for p in w.parts])
-        e2 = Matrix.hstack([p.emb2 for p in w.parts])
-        for k in range(M.d):
-            if M.maps[k] @ e1 != e2 @ N.maps[k]:
-                return VerifyReport(False, "embedding",
-                                    f"arrow {k} does not intertwine with the embeddings")
-        if e1.rank() != tot1:
-            return VerifyReport(False, "embedding", "source embeddings are dependent")
-        if e2.rank() != tot2:
-            return VerifyReport(False, "embedding", "sink embeddings are dependent")
+        index = _monomial_index(M, w.parts) if one_pass else None
+        if index is None:
+            bad = _stacked_mismatch(M, w.parts, tot1, tot2)
+        else:
+            bad = _one_pass_mismatch(M, w.parts, *index)
+        if bad:
+            return VerifyReport(False, "embedding", bad)
+    cap = math.floor(w.l_eps)  # an int dim exceeds l_eps exactly when it exceeds this
     for idx, p in enumerate(w.parts):
-        if Fraction(p.module.dim) > w.l_eps:
+        if p.module.dim > cap:
             return VerifyReport(False, "part-size",
                                 f"part {idx} has dim {p.module.dim} > l_eps {w.l_eps}")
     if Fraction(tot1 + tot2) < (1 - w.eps) * M.dim:
         return VerifyReport(False, "dimension",
                             f"dim N = {tot1 + tot2} < (1 - {w.eps}) * {M.dim}")
     return VerifyReport(True)
+
+
+def _stacked_mismatch(M, parts, tot1, tot2):
+    """The detail of the first failed closure or independence clause, by
+    the stacked products and ranks, or None."""
+    N = direct_sum([p.module for p in parts])
+    e1 = Matrix.hstack([p.emb1 for p in parts])
+    e2 = Matrix.hstack([p.emb2 for p in parts])
+    for k in range(M.d):
+        if M.maps[k] @ e1 != e2 @ N.maps[k]:
+            return f"arrow {k} does not intertwine with the embeddings"
+    if e1.rank() != tot1:
+        return "source embeddings are dependent"
+    if e2.rank() != tot2:
+        return "sink embeddings are dependent"
+    return None
+
+
+def _monomial_index(M, parts):
+    """(owner1, local1, owner2, local2) when every embedding is a selection
+    and no index is selected twice, else None: owner1[j] is the part that
+    selects source j (-1 for none) and local1[j] its column there; the same
+    for sinks."""
+    index = []
+    for dim, embs in ((M.dim1, [p.emb1 for p in parts]), (M.dim2, [p.emb2 for p in parts])):
+        owner = [-1] * dim
+        local = [0] * dim
+        for idx, e in enumerate(embs):
+            sel = e.is_selection()
+            if sel is None:
+                return None
+            for c, i in enumerate(sel):
+                if owner[i] >= 0:
+                    return None
+                owner[i] = idx
+                local[i] = c
+        index += [owner, local]
+    return index
+
+
+def _one_pass_mismatch(M, parts, owner1, local1, owner2, local2):
+    """The detail of the first arrow that fails to intertwine, by one pass
+    over its entries (see verify_witness), or None."""
+    for k in range(M.d):
+        prows = [p.module.maps[k]._rows for p in parts]
+        matched = 0
+        for i, row in M.maps[k]._rows.items():
+            own = owner2[i]
+            lrow = prows[own].get(local2[i], {}) if own >= 0 else None
+            for j, v in row.items():
+                idx = owner1[j]
+                if idx < 0:
+                    continue
+                if idx != own or lrow.get(local1[j]) != v:
+                    return f"arrow {k} does not intertwine with the embeddings"
+                matched += 1
+        if matched != sum(len(r) for rows in prows for r in rows.values()):
+            return f"arrow {k} does not intertwine with the embeddings"
+    return None
 
 
 def verify_weak_witness(M: KroneckerModule, w: WeakWitness) -> VerifyReport:

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from kronhf.errors import ShapeError, ValidationError
 from kronhf.fields import QQ, PrimeField, is_prime, parse_rational, rational
 from kronhf.matrices import (Matrix, column_space_dim_of_stack, matrix_from_text,
-                             min_eigenvalue_symmetric, random_matrix,
-                             random_invertible)
+                             random_matrix, random_invertible)
 
 
 def test_is_prime_small():
@@ -115,23 +114,6 @@ def test_selection_detection():
     assert m.is_selection() == [0, 0]  # unit columns, repeated row
     assert m.rank() == 1  # duplicate rows force the generic path
     assert Matrix.from_dense(QQ, [[2, 0], [0, 1]]).is_selection() is None
-
-
-def test_min_eigenvalue_symmetric():
-    assert min_eigenvalue_symmetric([[1.0, 0, 0], [0, 2, 0], [0, 0, 3]]) == pytest.approx(1.0)
-    assert min_eigenvalue_symmetric([[0.0, 0], [0, 0]]) == pytest.approx(0.0)
-    assert min_eigenvalue_symmetric([[2.0, 1], [1, 2]]) == pytest.approx(1.0, abs=1e-10)
-    with pytest.raises(ValidationError):
-        min_eigenvalue_symmetric([[0.0, 1], [0, 0]])
-
-
-def test_min_eigenvalue_random_diagonal():
-    rng = random.Random(5)
-    for _ in range(20):
-        diag = [rng.uniform(-4, 4) for _ in range(rng.randint(1, 8))]
-        m = [[diag[i] if i == j else 0.0 for j in range(len(diag))]
-             for i in range(len(diag))]
-        assert min_eigenvalue_symmetric(m) == pytest.approx(min(diag), abs=1e-10)
 
 
 # -- the elimination kernel against the plain Gauss-Jordan loop -------------------
@@ -454,3 +436,42 @@ def test_hsplit_rejects_widths_that_do_not_sum_to_cols():
     for widths in ([1, 1], [2, 2], [4, -1], []):
         with pytest.raises(ShapeError):
             m.hsplit(widths)
+
+
+# -- recorded selections against equal matrices that record nothing -------------
+
+
+def _plain(m):
+    """An equal matrix built entry by entry, which records no index list."""
+    return Matrix.from_entries(m.field, m.rows, m.cols, m.entries())
+
+
+def _index_lists(n, max_size=6):
+    return st.lists(st.integers(0, n - 1), max_size=max_size) if n else st.just([])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_recorded_selections_match_plain_matrices(data):
+    field = data.draw(st.sampled_from(PRODUCT_FIELDS))
+    n = data.draw(st.integers(0, 6))
+    ia, ia2 = data.draw(_index_lists(n)), data.draw(_index_lists(n))
+    a, a2 = Matrix.selection(field, n, ia), Matrix.selection(field, n, ia2)
+    b = Matrix.selection(field, a.cols, data.draw(_index_lists(a.cols)))
+    cuts = [0] + sorted(data.draw(st.lists(st.integers(0, a.cols), max_size=3))) + [a.cols]
+    widths = [hi - lo for lo, hi in zip(cuts, cuts[1:])]
+    outs = [(a, _plain(a)), (a @ b, _plain(a) @ _plain(b)),
+            (Matrix.hstack([a, a2]), Matrix.hstack([_plain(a), _plain(a2)]))]
+    outs += list(zip(a.hsplit(widths), _plain(a).hsplit(widths)))
+    for got, want in outs:
+        assert got._sel is not None and want._sel is None
+        assert got == want
+        assert got.is_selection() == want.is_selection()
+        assert got.rank() == want.rank()
+    assert outs[1][0].is_selection() == [ia[j] for j in b.is_selection()]
+    # is_selection hands out a copy: changing it leaves the record as it was
+    got = a.is_selection()
+    got.append(0)
+    assert a.is_selection() == ia
+    # a recorded factor next to a plain one takes the general product
+    assert a @ _plain(b) == _plain(a) @ b == outs[1][1]

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kronhf.errors import DomainError, GuardRefusal, PreconditionError, ValidationError
 from kronhf.fields import QQ, PrimeField
@@ -10,13 +12,15 @@ from kronhf.matrices import Matrix
 from kronhf import witness as witness_mod
 from kronhf.modules import (KroneckerModule, PencilBlock, build_P, build_Q, build_R,
                             build_preprojective_theta, direct_sum, kernel_module)
+from kronhf.quiver import build_gamma, components
 from kronhf.witness import (Witness, WitnessPart, combinator_bounded_codim,
                             combinator_direct_sum, fragment_postinjective_theta,
                             fragment_tree_module, monomial_submodule,
                             postinjective_fragment_size_bound, verify_weak_witness,
                             verify_witness, weak_stats, weaken,
                             witness_postinjective_2k, witness_preprojective_2k,
-                            witness_regular_2k, witness_to_dict, _zigzag_witness)
+                            witness_regular_2k, witness_to_dict, _verify_stacked,
+                            _zigzag_witness)
 
 QUARTER = Fraction(1, 4)
 
@@ -329,6 +333,60 @@ def test_verify_witness_detects_dimension_shortfall():
     assert not rep.ok and rep.clause == "dimension"
 
 
+def _report(rep):
+    return rep.ok, rep.clause, rep.detail
+
+
+def test_verify_witness_refuses_a_different_module():
+    w = witness_preprojective_2k(7, QUARTER)
+    assert _report(verify_witness(build_P(8), w)) == (
+        False, "embedding", "witness refers to a different module")
+
+
+def test_verify_witness_refuses_embedding_shapes():
+    M = build_P(7)
+    w = witness_preprojective_2k(7, QUARTER)
+    p = w.parts[1]
+    w.parts[1] = WitnessPart(p.module, Matrix.selection(QQ, M.dim1 + 1, p.emb1.is_selection()),
+                             p.emb2)
+    assert _report(verify_witness(M, w)) == (
+        False, "embedding", "part 1: embedding shape mismatch")
+    w = witness_preprojective_2k(7, QUARTER)
+    p = w.parts[2]
+    w.parts[2] = WitnessPart(p.module, p.emb1,
+                             Matrix.selection(QQ, M.dim2, p.emb2.is_selection()[:-1]))
+    assert _report(verify_witness(M, w)) == (
+        False, "embedding", "part 2: embedding/part shape mismatch")
+
+
+def test_verify_witness_refuses_arrow_count_or_field():
+    M = build_P(7)
+    for fld, d in ((PrimeField(5), 2), (QQ, 3)):
+        w = witness_preprojective_2k(7, QUARTER)
+        p = w.parts[0]
+        other = KroneckerModule(d, fld, p.module.dim1, p.module.dim2,
+                                [Matrix.zeros(fld, p.module.dim2, p.module.dim1)] * d)
+        w.parts[0] = WitnessPart(other, p.emb1, p.emb2)
+        assert _report(verify_witness(M, w)) == (
+            False, "embedding", "part 0: arrow count or field mismatch")
+
+
+def test_verify_witness_refuses_parts_sharing_an_index():
+    # the same closed part twice intertwines, but shares its source indices
+    M = build_P(7)
+    w = witness_preprojective_2k(7, QUARTER)
+    w.parts.append(w.parts[0])
+    assert _report(verify_witness(M, w)) == (
+        False, "embedding", "source embeddings are dependent")
+    # two sink-only parts on one sink: sources independent, sinks not
+    sink = KroneckerModule(2, QQ, 0, 1, [Matrix.zeros(QQ, 1, 0)] * 2)
+    part = WitnessPart(sink, Matrix.zeros(QQ, M.dim1, 0), Matrix.selection(QQ, M.dim2, [3]))
+    w = witness_preprojective_2k(7, QUARTER)
+    w.parts += [part, part]
+    assert _report(verify_witness(M, w)) == (
+        False, "embedding", "sink embeddings are dependent")
+
+
 def test_fragment_tree_module_small_and_theta():
     M = build_preprojective_theta(3, 1)
     w = fragment_tree_module(M, Fraction(1, 5))
@@ -393,3 +451,106 @@ def test_witness_serialization_roundtrip_fields():
     assert d["dim_n"] == 13
     assert d["verdict"]["pass"] is True
     assert all("source_indices" in p for p in d["parts"])
+
+
+# -- the one-pass route of verify_witness against the stacked check ---------------
+
+
+@pytest.mark.parametrize("make", [
+    lambda: witness_preprojective_2k(60, QUARTER),
+    lambda: witness_postinjective_2k(build_Q(80), Fraction(1, 10)),
+    lambda: witness_regular_2k(build_R(PencilBlock("R_poly", poly=(Fraction(-1),), e=60)),
+                               QUARTER),
+    lambda: witness_regular_2k(build_R(PencilBlock("R_mono", 60), PrimeField(5)), QUARTER),
+    lambda: fragment_tree_module(build_preprojective_theta(3, 6), Fraction(1, 5)),
+    lambda: fragment_postinjective_theta(3, 6, QUARTER, l_override=40),
+], ids=["P", "Q", "R_poly", "R_mono", "theta_pre", "theta_post"])
+def test_monomial_witnesses_verify_without_direct_sum_or_products(make, monkeypatch):
+    w = make()
+    assert len(w.parts) > 1
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the one-pass route builds no direct sum and no product")
+
+    monkeypatch.setattr(witness_mod, "direct_sum", refuse)
+    monkeypatch.setattr(Matrix, "__matmul__", refuse)
+    assert verify_witness(w.module, w).ok
+
+
+def _restricted_part(M, src, snk):
+    """The part on the given source and sink lists, with the maps of M
+    restricted to them and selection embeddings."""
+    sub = KroneckerModule(M.d, M.field, len(src), len(snk),
+                          [m.submatrix(snk, src) for m in M.maps])
+    return WitnessPart(sub, Matrix.selection(M.field, M.dim1, src),
+                       Matrix.selection(M.field, M.dim2, snk))
+
+
+_CORRUPTIONS = ["none", "entry", "drop_sink", "share_source", "share_sink",
+                "scaled", "extra_entry"]
+
+
+@st.composite
+def monomial_witnesses(draw):
+    """(M, witness, corruption): parts on the components of an arrow-closed
+    random vertex set of a random module, then one corruption."""
+    field = draw(st.sampled_from([QQ, PrimeField(5)]))
+    d = draw(st.integers(1, 3))
+    dim1, dim2 = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    cell = st.sampled_from([0, 0, 0, 0, 1, -1, 2, Fraction(1, 2)])
+    M = KroneckerModule(d, field, dim1, dim2, [
+        Matrix.from_entries(field, dim2, dim1, [(i, j, draw(cell)) for i in range(dim2)
+                                                for j in range(dim1)])
+        for _ in range(d)])
+    adj = build_gamma(M).adjacency()
+    kept = [j for j in range(dim1) if draw(st.booleans())]
+    hit = {w for j in kept for w in adj[j]}
+    kept += [v for v in range(dim1, dim1 + dim2) if v in hit or draw(st.booleans())]
+    lists = [(c[:sum(v < dim1 for v in c)], [v - dim1 for v in c if v >= dim1])
+             for c in components(adj, kept)]
+    kind = draw(st.sampled_from(_CORRUPTIONS))
+    if lists and kind != "none":
+        t = draw(st.integers(0, len(lists) - 1))
+        src, snk = lists[t]
+        u = draw(st.integers(0, len(lists) - 1))
+        if kind == "drop_sink" and snk:
+            del snk[draw(st.integers(0, len(snk) - 1))]
+        elif kind == "share_source" and lists[u][0]:
+            src.append(lists[u][0][0])
+        elif kind == "share_sink" and lists[u][1]:
+            snk.append(lists[u][1][0])
+    parts = [_restricted_part(M, src, snk) for src, snk in lists]
+    if parts and kind in ("entry", "scaled", "extra_entry"):
+        t = draw(st.integers(0, len(parts) - 1))
+        p = parts[t]
+        if kind == "entry" and p.module.dim1 and p.module.dim2:
+            k = draw(st.integers(0, d - 1))
+            r = draw(st.integers(0, p.module.dim2 - 1))
+            c = draw(st.integers(0, p.module.dim1 - 1))
+            maps = list(p.module.maps)
+            ent = [e for e in maps[k].entries() if e[:2] != (r, c)]
+            maps[k] = Matrix.from_entries(field, p.module.dim2, p.module.dim1,
+                                          ent + [(r, c, maps[k].entry(r, c) + 1)])
+            parts[t] = WitnessPart(KroneckerModule(d, field, p.module.dim1, p.module.dim2, maps),
+                                   p.emb1, p.emb2)
+        elif kind == "scaled":
+            parts[t] = WitnessPart(p.module, p.emb1.scale(2), p.emb2)
+        elif kind == "extra_entry" and p.emb2.cols and dim2 > 1:
+            sel = p.emb2.is_selection()
+            row = draw(st.integers(0, dim2 - 1).filter(lambda i: i != sel[0]))
+            emb2 = Matrix.from_entries(field, dim2, len(sel),
+                                       [(i, c, 1) for c, i in enumerate(sel)] + [(row, 0, 1)])
+            parts[t] = WitnessPart(p.module, p.emb1, emb2)
+    eps = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1)]))
+    l_eps = Fraction(draw(st.integers(0, dim1 + dim2)))
+    return M, Witness(M, eps, l_eps, parts), kind
+
+
+@settings(max_examples=400, deadline=None)
+@given(monomial_witnesses())
+def test_one_pass_route_matches_the_stacked_check(case):
+    M, w, kind = case
+    got = _report(verify_witness(M, w))
+    assert got == _report(_verify_stacked(M, w))
+    if kind == "none":
+        assert got[0] or got[1] in ("part-size", "dimension")
