@@ -2,15 +2,15 @@
 
 __version__ = "0.1.0"
 
-from .errors import (DomainError, GuardRefusal, PreconditionError, ShapeError,
-                     ValidationError)
+from .errors import (CertificateError, DomainError, GuardRefusal, PreconditionError,
+                     ShapeError, ValidationError)
 from .fields import QQ, PrimeField, RationalField, parse_rational
 from .matrices import Matrix, column_space_dim_of_stack
 from .modules import (DimVector, KroneckerModule, PencilBlock, a_sequence,
                       build_P, build_Q, build_R, build_postinjective_theta,
                       build_preprojective_theta, closed_form_a, direct_sum,
                       hom_space, kernel_module, t_bound_check)
-from .pencil import decompose_pencil
+from .pencil import certify_pencil, decompose_pencil
 from .quiver import (BasisChoice, CoefficientQuiver, build_gamma, centroid,
                      degree_stats, is_tree, split_components,
                      submodule_from_generators)

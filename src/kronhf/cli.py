@@ -17,8 +17,8 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from . import __version__
-from .errors import (DomainError, GuardRefusal, PreconditionError, ShapeError,
-                     ValidationError)
+from .errors import (CertificateError, DomainError, GuardRefusal, PreconditionError,
+                     ShapeError, ValidationError)
 from .fields import field_from_label, parse_rational
 from .modules import (KroneckerModule, PencilBlock, build_P, build_Q, build_R,
                       classify_standard, module_from_text, parse_poly,
@@ -491,6 +491,9 @@ def main(argv=None) -> int:
     except GuardRefusal as exc:
         print(f"guard refusal: {exc}", file=sys.stderr)
         return 3
+    except CertificateError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ValidationError, DomainError, ShapeError, PreconditionError, OSError,
             UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,3 +16,7 @@ class PreconditionError(ValueError):
 
 class GuardRefusal(RuntimeError):
     """Refused: a configured resource or safety guard would be exceeded."""
+
+
+class CertificateError(RuntimeError):
+    """No certificate was found for a result, so the result is not returned."""

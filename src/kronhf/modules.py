@@ -346,11 +346,13 @@ def build_Q(n: int, field=QQ) -> KroneckerModule:
     return KroneckerModule(2, field, n + 1, n, [a, b])
 
 
-def build_R(block: PencilBlock, field=QQ) -> KroneckerModule:
+def build_R(block: PencilBlock, field=QQ, *, check=True) -> KroneckerModule:
     """Regular indecomposable: identity paired with a companion matrix.
 
     R_poly(q^e) has the identity first; R_mono(n) has it second, with the
-    other map the companion of the monomial x^n.
+    other map the companion of the monomial x^n. With check, q must be
+    irreducible, which takes a sympy factorization; callers whose q comes
+    from factor_monic pass check=False.
     """
     if block.kind == "R_mono":
         if block.n < 1:
@@ -362,9 +364,10 @@ def build_R(block: PencilBlock, field=QQ) -> KroneckerModule:
         if e < 1:
             raise ValidationError("power e >= 1")
         full = poly_power_coeffs(field, q, e)
-        factors = factor_monic(field, q)
-        if len(factors) != 1 or factors[0][1] != 1:
-            raise ValidationError(f"{poly_to_str(q)} is not irreducible")
+        if check:
+            factors = factor_monic(field, q)
+            if len(factors) != 1 or factors[0][1] != 1:
+                raise ValidationError(f"{poly_to_str(q)} is not irreducible")
         psi = companion_matrix(field, full)
         n = len(full)
         return KroneckerModule(2, field, n, n, [Matrix.identity(field, n), psi])
@@ -494,27 +497,126 @@ def hom_system(X: KroneckerModule, Y: KroneckerModule) -> Matrix:
     return Matrix._build(fld, nrows, nf + ng, rows)
 
 
-def hom_space(X: KroneckerModule, Y: KroneckerModule):
-    """Basis of Hom(X, Y) as pairs (f, g) with g X(k) = Y(k) f for all arrows."""
-    ker = hom_system(X, Y).kernel_basis()
-    nf = Y.dim1 * X.dim1
-    fld = X.field
-    out = []
-    for t in range(ker.cols):
-        fent, gent = [], []
-        for var, row in ker._rows.items():
-            v = row.get(t)
-            if not v:
-                continue
+class PresolvedHom:
+    """Hom(X, Y) from the Hom system with the pinned g columns solved first.
+
+    A column j of an arrow matrix X(k) whose only nonzero is c, in row m,
+    turns the equations of that column into g[:, m] = c^-1 Y(k) f[:, j].
+    Each sink column m is pinned by the first such (k, j), arrows then
+    columns ascending, and is substituted into the equations of every other
+    column. For a direct sum of canonical blocks every g column but those of
+    P_0 is pinned, so the kernel is taken over about half the unknowns and
+    half the equations of hom_system.
+
+    The unknowns of the reduced system are f[l, j] in column-major order,
+    then g[i, m] for the unpinned columns m (self.free) in row-major order.
+    The equations of a canonical block chain f[:, j] to f[:, j + 1], so in
+    column-major order the elimination mostly stays in a band of two
+    columns of f; the row-major order of hom_system fills in the whole
+    block. The
+    columns of self.kernel are a basis of the solutions; pairs() turns such
+    columns into pairs (f, g).
+    """
+
+    def __init__(self, X: KroneckerModule, Y: KroneckerModule):
+        if X.d != Y.d or X.field != Y.field:
+            raise ValidationError("hom space needs matching arrow count and field")
+        fld = X.field
+        self.X, self.Y = X, Y
+        cols = [mp.transpose()._rows for mp in X.maps]
+        pins = {}                          # m -> (k, j, c^-1)
+        for k, ck in enumerate(cols):
+            for j in sorted(ck):
+                if len(ck[j]) == 1:
+                    (m, c), = ck[j].items()
+                    if m not in pins:
+                        pins[m] = (k, j, fld.inv(c))
+        self.free = [m for m in range(X.dim2) if m not in pins]
+        # per arrow, its pins as (m, c^-1); per source column j, (arrow, pin index)
+        self._pins = [[] for _ in range(X.d)]
+        self._by_col = {}
+        for m, (k, j, cinv) in sorted(pins.items(), key=lambda it: it[1][:2]):
+            self._by_col.setdefault(j, []).append((k, len(self._pins[k])))
+            self._pins[k].append((m, cinv))
+        self._nf = nf = Y.dim1 * X.dim1
+        ng = len(self.free)
+        gpos = {m: s for s, m in enumerate(self.free)}
+        used = {(k, j) for k, j, _ in pins.values()}
+        yrows = [mp._rows for mp in Y.maps]
+        rows = []
+        for k, ck in enumerate(cols):
+            for j in range(X.dim1):
+                if (k, j) in used:
+                    continue
+                col = ck.get(j, {})
+                # -Y(k) f[:, j], plus X(k)[m, j] c^-1 Y(k') f[:, j'] per pinned m
+                fterms = [(k, j, fld.neg(fld.one))] + [
+                    (pins[m][0], pins[m][1], fld.mul(v, pins[m][2]))
+                    for m, v in col.items() if m in pins]
+                gterms = [(gpos[m], v) for m, v in col.items() if m not in pins]
+                for i in range(Y.dim2):
+                    acc = {}
+                    for kk, jj, a in fterms:
+                        for l, w in yrows[kk].get(i, {}).items():
+                            var = jj * Y.dim1 + l
+                            acc[var] = acc.get(var, 0) + a * w
+                    r = {var: v for var, s in acc.items() if (v := fld.coerce(s))}
+                    for s, v in gterms:
+                        r[nf + i * ng + s] = v
+                    rows.append(r)
+        self.kernel = Matrix._build(fld, len(rows), nf + Y.dim2 * ng, rows).kernel_basis()
+
+    def unknown_column(self, var):
+        """('f', j) or ('g', m): the column of X whose f or g column holds
+        the reduced unknown var."""
+        if var < self._nf:
+            return "f", var // self.Y.dim1
+        return "g", self.free[(var - self._nf) % len(self.free)]
+
+    def pairs(self, V=None):
+        """The pair (f, g) of each column of V, in the reduced unknowns
+        (default: the kernel basis).
+
+        One pass over the rows of V places f and the unpinned g columns and
+        stacks, per arrow k, the f columns that pin a g column; the pinned g
+        columns of every pair then come from one product Y(k) @ stack.
+        """
+        X, Y = self.X, self.Y
+        V = self.kernel if V is None else V
+        fld, T, nf, ng = X.field, V.cols, self._nf, len(self.free)
+        fr = [{} for _ in range(T)]
+        gr = [{} for _ in range(T)]
+        stacks = [{} for _ in range(X.d)]
+        for var, row in V._rows.items():
             if var < nf:
-                fent.append((var // X.dim1, var % X.dim1, v))
+                j, l = divmod(var, Y.dim1)
+                targets = self._by_col.get(j, ())
+                for t, v in row.items():
+                    fr[t].setdefault(l, {})[j] = v
+                    for k, p in targets:
+                        stacks[k].setdefault(l, {})[p * T + t] = v
             else:
-                w = var - nf
-                gent.append((w // X.dim2, w % X.dim2, v))
-        f = Matrix.from_entries(fld, Y.dim1, X.dim1, fent)
-        g = Matrix.from_entries(fld, Y.dim2, X.dim2, gent)
-        out.append((f, g))
-    return out
+                i, s = divmod(var - nf, ng)
+                m = self.free[s]
+                for t, v in row.items():
+                    gr[t].setdefault(i, {})[m] = v
+        for k, pk in enumerate(self._pins):
+            if not pk:
+                continue
+            G = Y.maps[k] @ Matrix(fld, Y.dim1, len(pk) * T, stacks[k])
+            for i, row in G._rows.items():
+                for col, v in row.items():
+                    p, t = divmod(col, T)
+                    m, cinv = pk[p]
+                    gr[t].setdefault(i, {})[m] = v if cinv == fld.one else fld.mul(v, cinv)
+        return [(Matrix(fld, Y.dim1, X.dim1, f), Matrix(fld, Y.dim2, X.dim2, g))
+                for f, g in zip(fr, gr)]
+
+
+def hom_space(X: KroneckerModule, Y: KroneckerModule):
+    """Basis of Hom(X, Y) as pairs (f, g) with g X(k) = Y(k) f for all arrows,
+    from the presolved system (PresolvedHom)."""
+    return PresolvedHom(X, Y).pairs()
 
 
 def is_homomorphism(theta, X: KroneckerModule, Y: KroneckerModule) -> bool:

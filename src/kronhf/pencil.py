@@ -11,20 +11,30 @@ that of the Q and R_poly(x^e) blocks, so the Q blocks are peeled off on
 X*(a, b) ∩ X*(b, a). The P blocks come off the same way on the transposed
 quotient, and the R_mono blocks off the regular rest on its X*(a, b). In
 what remains a is invertible, and the rational canonical form of a^{-1} b
-gives the R_poly blocks. Literal canonical shapes short-circuit the
-machinery, which keeps the witness pipelines linear at four-digit
+gives the R_poly blocks.
+
+No multiset is returned without a certificate: an isomorphism (F1, F2) from
+D = reassemble(blocks) onto M, checked exactly (F1 and F2 invertible,
+m F1 = F2 d_m per arrow). It is drawn at random from Hom(D, M), which
+modules.PresolvedHom solves once, and exists only if M ≅ D (the certifying
+algorithms of McConnell, Mehlhorn, Näher and Schweitzer, Comput. Sci. Rev.
+2011). A literal canonical shape is D itself and (I, I) certifies it with
+no elimination, which keeps the witness pipelines linear at four-digit
 dimensions.
 """
 
 from __future__ import annotations
 
+import hashlib
+import random
 from collections import Counter
 
-from .errors import PreconditionError
+from .errors import CertificateError, PreconditionError
 from .matrices import Matrix
 from .modules import (
     KroneckerModule,
     PencilBlock,
+    PresolvedHom,
     build_P,
     build_Q,
     build_R,
@@ -177,31 +187,54 @@ def _rcf_blocks(C: Matrix) -> Counter:
 
 
 def block_module(b: PencilBlock, field) -> KroneckerModule:
+    """The canonical module of b. An R_poly block's q is taken as irreducible,
+    as it is in every block that decompose_pencil returns; build_R checks
+    it for other callers."""
     if b.kind == "P":
         return build_P(b.n, field)
     if b.kind == "Q":
         return build_Q(b.n, field)
-    return build_R(b, field)
+    return build_R(b, field, check=False)
+
+
+def certify_pencil(M: KroneckerModule):
+    """(blocks, F1, F2): the block multiset of a d = 2 module and an isomorphism
+    from D = reassemble(blocks) onto M, i.e. invertible F1, F2 with
+    m F1 = F2 d_m for each arrow m of M and d_m of D.
+
+    A literal canonical shape is D itself, with (I, I). Otherwise three
+    peels take off the Q blocks on X*(a, b) ∩ X*(b, a) (the limits add the
+    R_mono and the R_poly(x^e) blocks respectively), then the P blocks the
+    same way on the transposed quotient, then the R_mono blocks on X*(a, b);
+    a^{-1} b on what remains gives the R_poly blocks. The isomorphism is
+    then drawn from Hom(D, M) (_isomorphism); one exists only if M ≅ D, so
+    a wrong multiset raises CertificateError instead of being returned.
+    """
+    blocks, iso = _certified(M)
+    if iso is None:
+        iso = Matrix.identity(M.field, M.dim1), Matrix.identity(M.field, M.dim2)
+    return (blocks, *iso)
 
 
 def decompose_pencil(M: KroneckerModule) -> Counter:
-    """Block multiset of a d = 2 module.
+    """Block multiset of a d = 2 module, returned only with a checked
+    isomorphism certificate (certify_pencil); a literal canonical shape
+    builds no identity matrices."""
+    return _certified(M)[0]
 
-    Three peels take off the Q blocks on X*(a, b) ∩ X*(b, a) (the limits
-    add the R_mono and the R_poly(x^e) blocks respectively), then the P
-    blocks the same way on the transposed quotient, then the R_mono blocks
-    on X*(a, b); a^{-1} b on what remains gives the R_poly blocks. The only
-    check on the result is its rank profile (the rank of lam a + mu b at a
-    few sample points against the reassembled blocks), and that check can
-    accept a wrong multiset, e.g. R_poly(x^2 + 2) for R_poly(x^2 + 1) over
-    Q. A certifying decomposition that returns the isomorphism is the
-    "make the pencil decomposition certifying" item of ROADMAP.md.
-    """
+
+def _certified(M: KroneckerModule):
+    """(blocks, (F1, F2)), or (blocks, None) when M equals reassemble(blocks)."""
     if M.d != 2:
         raise PreconditionError("pencil decomposition is defined for d = 2")
     fast = _fast_path(M)
-    if fast is not None:
-        return fast
+    if fast is not None and fast[1]:
+        return fast[0], None
+    blocks = fast[0] if fast is not None else _peeled_blocks(M)
+    return blocks, _isomorphism(M, blocks)
+
+
+def _peeled_blocks(M: KroneckerModule) -> Counter:
     blocks = Counter()
     lengths, rest = _peel(M, _postinjective_source_space(M))
     for L, m in lengths.items():
@@ -217,59 +250,124 @@ def decompose_pencil(M: KroneckerModule) -> Counter:
     if R.dim1:
         C = R.maps[0].solve(R.maps[1])
         blocks += _rcf_blocks(C)
-    _certify(M, blocks)
     return blocks
 
 
 def _fast_path(M: KroneckerModule):
+    """(blocks, literal) for the zero module and the canonical shapes that
+    classify_standard recognises, else None. literal says that M equals
+    reassemble(blocks); a companion matrix with several distinct factors
+    is not literal."""
     if M.dim == 0:
-        return Counter()
+        return Counter(), True
     kind = classify_standard(M)
     if kind is None:
         return None
-    tag = kind[0]
-    if tag in ("P", "Q", "R_mono"):
-        return Counter({PencilBlock(tag, kind[1]): 1})
-    if tag == "R_poly":
-        out = Counter()
-        for q, e in factor_monic(M.field, kind[1]):
-            out[PencilBlock("R_poly", poly=q, e=e)] += 1
-        return out
-    return None
+    if kind[0] == "R_poly":
+        factors = factor_monic(M.field, kind[1])
+        return (Counter({PencilBlock("R_poly", poly=q, e=e): 1 for q, e in factors}),
+                len(factors) == 1)
+    return Counter({PencilBlock(*kind): 1}), True
+
+
+def _layout(blocks: Counter) -> list:
+    """The block of each summand of reassemble(blocks), in order."""
+    return [b for b in sorted(blocks, key=lambda b: (b.kind, b.n, b.e, b.poly))
+            for _ in range(blocks[b])]
 
 
 def reassemble(blocks: Counter, field, d=2) -> KroneckerModule:
-    mods = []
-    for b in sorted(blocks, key=lambda b: (b.kind, b.n, b.e, b.poly)):
-        mods.extend(block_module(b, field) for _ in range(blocks[b]))
-    return direct_sum(mods, d=d, field=field)
+    return direct_sum([block_module(b, field) for b in _layout(blocks)], d=d, field=field)
 
 
-def _sample_points(field, count):
-    """(0:1), (1:0), then (1:c) for c = 1, -1, 2, -2, ..."""
-    points = [(field.zero, field.one), (field.one, field.zero)]
-    c = 1
-    while len(points) < count:
-        points.append((field.one, field.coerce(c)))
-        c = -c if c > 0 else 1 - c
-    return points
+# -- isomorphism certificate -------------------------------------------------------
+
+DRAW_BUDGET = 64
+_COEFF_SPAN = 1 << 15          # random coefficients over Q lie in [-span, span]
 
 
-def rank_profile(M: KroneckerModule, points=None):
-    """rank(lam * a + mu * b) at deterministic sample pairs."""
+def _draw_key(b: PencilBlock):
+    """Draw order: Q by ascending n, each tube longest first, P by descending n.
+
+    Hom(B, B') vanishes whenever B comes before B' here, except within a
+    tube, so a dependent column of a draw shows first in the block whose
+    own part of the draw is singular (see _isomorphism).
+    """
+    if b.kind == "Q":
+        return (0, (), b.n)
+    if b.kind == "P":
+        return (2, (), -b.n)
+    return (1, b.poly, -(b.n + b.e))
+
+
+def _isomorphism(M: KroneckerModule, blocks: Counter):
+    """Invertible (F1, F2) with m F1 = F2 d_m per arrow, D = reassemble(blocks).
+
+    Hom(D, M) comes from one presolved solve. D is block diagonal, so each
+    basis vector of its kernel lives on the columns of one summand of D,
+    which owns it. A draw is a random combination of the basis, seeded by a
+    digest of M so that runs replay; the pair is accepted only when both
+    sides have full rank and every arrow intertwines. With the columns of
+    D in draw order (_draw_key), one pivot_columns() call per side finds
+    the first dependent column, and the next draw renews only the
+    coefficients owned by its summand (of the two sides' summands, the one
+    earlier in draw order). An
+    empty Hom(B, M) for a summand B, or DRAW_BUDGET failed draws, raises
+    CertificateError.
+    """
     fld = M.field
-    a, b = M.maps
-    if points is None:
-        points = _sample_points(fld, 2 * (M.dim + 1))
-    return [(lam, mu, (a.scale(lam) + b.scale(mu)).rank()) for lam, mu in points]
-
-
-def _certify(M: KroneckerModule, blocks: Counter):
-    D = reassemble(blocks, M.field)
+    inst = _layout(blocks)
+    D = direct_sum([block_module(b, fld) for b in inst], d=2, field=fld)
     if (D.dim1, D.dim2) != (M.dim1, M.dim2):
-        raise AssertionError(
-            f"decomposition dims {(D.dim1, D.dim2)} != module dims {(M.dim1, M.dim2)}")
-    for (lam, mu, r1), (_, _, r2) in zip(rank_profile(M), rank_profile(D)):
-        if r1 != r2:
-            raise AssertionError(f"rank profile mismatch at ({lam}, {mu}): {r1} != {r2}")
+        raise CertificateError(f"blocks of dims {D.dim1}x{D.dim2} cannot make up "
+                               f"a module of dims {M.dim1}x{M.dim2}")
+    position = {s: r for r, s in enumerate(sorted(range(len(inst)),
+                                                  key=lambda s: _draw_key(inst[s])))}
+    own = {"f": [], "g": []}           # the summand owning each column of D
+    for s, b in enumerate(inst):
+        dv = b.dim_vector()
+        own["f"] += [s] * dv.d1
+        own["g"] += [s] * dv.d2
+    orders = [sorted(range(len(own[side])), key=lambda c: position[own[side][c]])
+              for side in ("f", "g")]
+    hom = PresolvedHom(D, M)
+    K = hom.kernel
+    owner = [None] * K.cols
+    for var, row in K._rows.items():
+        side, c = hom.unknown_column(var)
+        for t in row:
+            if owner[t] is None:
+                owner[t] = own[side][c]
+    empty = set(range(len(inst))) - set(owner)
+    if empty:
+        b = inst[min(empty)]
+        raise CertificateError(f"Hom({b.describe()}, M) = 0, so M is not the sum "
+                               "of the claimed blocks")
+    digest = hashlib.blake2b(M.to_text().encode(), digest_size=16).digest()
+    rng = random.Random(digest)
 
+    def draw():
+        return rng.randrange(fld.q) if fld.char else rng.randint(-_COEFF_SPAN, _COEFF_SPAN)
+
+    coeffs = [draw() for _ in range(K.cols)]
+    for _ in range(DRAW_BUDGET):
+        c = Matrix(fld, K.cols, 1, {t: {0: v} for t, v in enumerate(coeffs) if v})
+        F1, F2 = hom.pairs(K @ c)[0]
+        bad = [own[side][order[i]] for side, F, order in zip("fg", (F1, F2), orders)
+               if (i := _first_dependent(F, order)) is not None]
+        if not bad:
+            if all(m @ F1 == F2 @ dm for m, dm in zip(M.maps, D.maps)):
+                return F1, F2
+            raise CertificateError("a drawn homomorphism does not intertwine the arrows")
+        worst = min(bad, key=position.get)
+        coeffs = [draw() if owner[t] == worst else v for t, v in enumerate(coeffs)]
+    raise CertificateError(f"no isomorphism onto M found in {DRAW_BUDGET} draws")
+
+
+def _first_dependent(F: Matrix, order):
+    """Position in order of the first column of F (square) that depends on
+    the columns before it, or None when F is invertible."""
+    piv = F.submatrix(range(F.rows), order).pivot_columns()
+    if len(piv) == F.cols:
+        return None
+    return next((i for i, p in enumerate(piv) if p != i), len(piv))

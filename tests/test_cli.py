@@ -313,6 +313,16 @@ def test_decompose_command(capsys, tmp_path):
     assert "P_2 x1" in out
 
 
+def test_decompose_without_a_certificate_exits_1(capsys, monkeypatch):
+    from kronhf import pencil
+
+    monkeypatch.setattr(pencil, "DRAW_BUDGET", 0)
+    mod = Path(__file__).parent / "golden" / "scrambled_q.mod"
+    code, out, err = run(capsys, "decompose", "--module", str(mod))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_gamma_command(capsys, tmp_path):
     mod = tmp_path / "P1.mod"
     run(capsys, "build", "P", "--n", "1", "--out", str(mod))

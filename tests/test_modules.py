@@ -3,16 +3,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kronhf.errors import DomainError, ValidationError
 from kronhf.fields import QQ, PrimeField
-from kronhf.matrices import Matrix
+from kronhf.matrices import Matrix, random_matrix
 from kronhf.modules import (KroneckerModule, PencilBlock, a_sequence,
                             build_P, build_Q, build_R, build_postinjective_theta,
                             build_preprojective_theta, classify_standard,
                             closed_form_a, direct_sum, factor_monic, hom_space,
-                            is_homomorphism, kernel_module, module_from_text,
-                            parse_poly, t_bound_check)
+                            hom_system, is_homomorphism, kernel_module,
+                            module_from_text, parse_poly, t_bound_check)
 from kronhf.quiver import build_gamma, degree_stats, is_tree
 
 
@@ -181,6 +183,55 @@ def test_hom_space_intertwines():
         for Y in mods:
             for f, g in hom_space(X, Y):
                 assert is_homomorphism((f, g), X, Y)
+
+
+@st.composite
+def hom_pairs(draw):
+    """(X, Y) over Q or GF(2), GF(3), GF(5): for d = 2 a direct sum of
+    canonical blocks with P_0 and Q_0 among them, which pins every g column
+    but those of P_0; for d = 2 and d = 3 also random sparse modules, whose
+    pins have coefficients other than 1 and leave some columns free."""
+    field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(3), PrimeField(5)]))
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+
+    def random_module(d):
+        dim1, dim2 = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+        maps = []
+        for _ in range(d):
+            dense = random_matrix(field, dim2, dim1, rng, span=2)
+            keep = [(i, j, v) for i, j, v in dense.entries() if rng.random() < 0.4]
+            maps.append(Matrix.from_entries(field, dim2, dim1, keep))
+        return KroneckerModule(d, field, dim1, dim2, maps)
+
+    if draw(st.booleans()):
+        d = draw(st.sampled_from([2, 3]))
+        return random_module(d), random_module(d)
+    one = (-1,) if field.char == 0 else (field.q - 1,)
+    pool = ([build_P(n, field) for n in range(3)] + [build_Q(n, field) for n in range(3)]
+            + [build_R(PencilBlock("R_mono", 2), field),
+               build_R(PencilBlock("R_poly", poly=one, e=2), field)])
+    X = direct_sum(draw(st.lists(st.sampled_from(pool), max_size=3)), d=2, field=field)
+    Y = direct_sum(draw(st.lists(st.sampled_from(pool), max_size=3)), d=2, field=field)
+    return X, Y
+
+
+def _flat(X, Y, f, g):
+    """A hom pair as one row vector in the unknowns of hom_system."""
+    nf = Y.dim1 * X.dim1
+    ent = [(0, i * X.dim1 + j, v) for i, j, v in f.entries()]
+    ent += [(0, nf + i * X.dim2 + j, v) for i, j, v in g.entries()]
+    return Matrix.from_entries(X.field, 1, nf + Y.dim2 * X.dim2, ent)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hom_pairs())
+def test_presolved_hom_space_matches_the_plain_hom_system(case):
+    X, Y = case
+    pairs = hom_space(X, Y)
+    assert len(pairs) == hom_system(X, Y).kernel_basis().cols
+    assert all(is_homomorphism(pair, X, Y) for pair in pairs)
+    if pairs:
+        assert Matrix.vstack([_flat(X, Y, f, g) for f, g in pairs]).rank() == len(pairs)
 
 
 def test_kernel_module_zero_and_identity():

@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kronhf.errors import PreconditionError
+from kronhf.errors import CertificateError, PreconditionError, ValidationError
 from kronhf.fields import QQ, PrimeField
 from kronhf.matrices import Matrix, random_invertible
+from kronhf import modules, pencil
 from kronhf.modules import (KroneckerModule, PencilBlock, build_P, build_Q,
                             build_R, direct_sum)
-from kronhf.pencil import (_chain_lengths, _colspace, _complete_basis, _intersect, _peel,
-                           _postinjective_source_space, _preimage, _xchain, block_module,
-                           decompose_pencil, rank_profile)
+from kronhf.pencil import (_chain_lengths, _colspace, _complete_basis, _intersect,
+                           _isomorphism, _peel, _postinjective_source_space, _preimage,
+                           _xchain, block_module, certify_pencil, decompose_pencil,
+                           reassemble)
 
 
 F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
@@ -123,10 +125,13 @@ def test_decomposed_polynomials_over_q_are_canonical():
                    for c in b.poly)
 
 
-def test_rank_profile_separates_eigenvalue_content():
-    r1 = build_R(PencilBlock("R_poly", poly=(Fraction(-1),), e=1))
-    r2 = build_R(PencilBlock("R_poly", poly=(Fraction(-2),), e=1))
-    assert rank_profile(r1) != rank_profile(r2)
+def test_certificate_separates_eigenvalue_content():
+    b1 = PencilBlock("R_poly", poly=(Fraction(-1),), e=1)
+    b2 = PencilBlock("R_poly", poly=(Fraction(-2),), e=1)
+    r1 = build_R(b1)
+    assert certify_pencil(r1)[0] == Counter({b1: 1})
+    with pytest.raises(CertificateError):
+        _isomorphism(r1, Counter({b2: 1}))
     # dims separate P from Q even though every pencil point has full rank
     assert build_P(2).dim_vector() != build_Q(2).dim_vector()
 
@@ -226,3 +231,99 @@ def test_source_space_matches_the_search_on_the_q_and_p_stages(case):
 def test_decompose_roundtrip_over_gf2_and_gf3(case):
     blocks, M = case
     assert decompose_pencil(M) == blocks
+
+
+# each claim below has the rank profile of the true block at every point a
+# rank-profile check would sample, and no isomorphism
+@pytest.mark.parametrize("field, true_poly, claimed_poly", [
+    (QQ, (Fraction(1), Fraction(0)), (Fraction(2), Fraction(0))),   # x^2+2 for x^2+1
+    (QQ, (Fraction(-7),), (Fraction(-9),)),                         # x-9 for x-7
+    (PrimeField(101), (3,), (5,)),                                  # x+5 for x+3
+])
+def test_certificate_rejects_a_wrong_multiset(field, true_poly, claimed_poly):
+    true = Counter({PencilBlock("R_poly", poly=true_poly, e=1): 1})
+    claimed = Counter({PencilBlock("R_poly", poly=claimed_poly, e=1): 1})
+    M = _scramble(reassemble(true, field), random.Random(1))
+    with pytest.raises(CertificateError):
+        _isomorphism(M, claimed)
+    assert certify_pencil(M)[0] == true
+
+
+def _is_certificate(M, blocks, F1, F2):
+    D = reassemble(blocks, M.field)
+    return (F1.rows == F1.cols == M.dim1 == F1.rank()
+            and F2.rows == F2.cols == M.dim2 == F2.rank()
+            and all(m @ F1 == F2 @ dm for m, dm in zip(M.maps, D.maps)))
+
+
+@st.composite
+def scrambled_with_repeats(draw):
+    """(block multiset, scrambled direct sum) of up to six blocks over Q,
+    GF(2), GF(3) or GF(5), some of them repeated."""
+    field = draw(st.sampled_from([QQ, F2, F3, F5]))
+    pool = ([PencilBlock("P", n) for n in range(3)] + [PencilBlock("Q", n) for n in range(3)]
+            + [PencilBlock("R_mono", n) for n in (1, 2)]
+            + [PencilBlock("R_poly", poly=q, e=e)
+               for q in _IRREDUCIBLE[field.char] for e in (1, 2) if len(q) * e <= 2])
+    kinds = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    picks = kinds + draw(st.lists(st.sampled_from(kinds), max_size=6 - len(kinds)))
+    D = direct_sum([block_module(b, field) for b in picks], d=2, field=field)
+    return Counter(picks), _scramble(D, random.Random(draw(st.integers(0, 2 ** 16))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(scrambled_with_repeats())
+def test_certify_pencil_returns_an_isomorphism(case):
+    blocks, M = case
+    got, F1, F2 = certify_pencil(M)
+    assert got == blocks
+    assert _is_certificate(M, got, F1, F2)
+
+
+def test_canonical_shapes_are_their_own_certificate():
+    two = Matrix.from_dense(QQ, [[0, -2], [1, 3]])   # (x-1)(x-2), two factors
+    for M in (build_P(3), build_Q(2), build_R(PencilBlock("R_mono", 3)),
+              build_R(PencilBlock("R_poly", poly=(Fraction(-1),), e=3)),
+              KroneckerModule(2, QQ, 2, 2, [Matrix.identity(QQ, 2), two])):
+        blocks, F1, F2 = certify_pencil(M)
+        assert _is_certificate(M, blocks, F1, F2)
+        literal = len(blocks) == 1
+        assert (F1 == Matrix.identity(QQ, M.dim1)) == literal
+
+
+def test_reassemble_does_not_refactor_polynomials(monkeypatch):
+    calls = []
+
+    def counting(field, coeffs):
+        calls.append(coeffs)
+        return factor_monic(field, coeffs)
+
+    factor_monic = modules.factor_monic
+    monkeypatch.setattr(modules, "factor_monic", counting)
+    monkeypatch.setattr(pencil, "factor_monic", counting)
+    blocks = Counter({PencilBlock("R_poly", poly=(Fraction(1), Fraction(0)), e=2): 1,
+                      PencilBlock("R_poly", poly=(Fraction(-1),), e=1): 2,
+                      PencilBlock("P", 1): 1})
+    D = reassemble(blocks, QQ)
+    assert calls == [] and D.dim1 == 7
+    # build_R still checks what a caller passes in
+    with pytest.raises(ValidationError):
+        build_R(PencilBlock("R_poly", poly=(Fraction(-1), Fraction(0)), e=1))   # x^2 - 1
+    assert calls == [(Fraction(-1), Fraction(0))]
+
+
+@pytest.mark.parametrize("blocks", [
+    Counter({PencilBlock("Q", 2): 2, PencilBlock("Q", 1): 2}),
+    Counter({PencilBlock("P", 2): 2, PencilBlock("P", 1): 2}),
+    Counter({PencilBlock("R_mono", 2): 2, PencilBlock("R_mono", 1): 2}),
+    Counter({PencilBlock("R_poly", poly=(1,), e=2): 2, PencilBlock("R_poly", poly=(1,), e=1): 2}),
+], ids=["Q", "P", "R_mono", "R_poly"])
+def test_draw_order_certifies_repeated_blocks_of_two_sizes_over_gf2(blocks):
+    # over GF(2) the draw for a pair of equal blocks is singular 5 times in
+    # 8; with Q_1 before Q_2, P_2 before P_1 and the longer block of a tube
+    # first, a failed draw renews the summand at fault (reversing any of
+    # the three orders runs out of draws on some of these scrambles)
+    D = reassemble(blocks, F2)
+    for seed in range(20):
+        M = _scramble(D, random.Random(seed))
+        assert _is_certificate(M, blocks, *_isomorphism(M, blocks))
