@@ -11,14 +11,13 @@ from .modules import (DimVector, KroneckerModule, PencilBlock, a_sequence,
                       build_preprojective_theta, closed_form_a, direct_sum,
                       hom_space, kernel_module, t_bound_check)
 from .pencil import certify_pencil, decompose_pencil
-from .quiver import (BasisChoice, CoefficientQuiver, build_gamma, centroid,
-                     degree_stats, is_tree, split_components,
-                     submodule_from_generators)
+from .quiver import (CoefficientQuiver, build_gamma, centroid, degree_stats,
+                     is_tree, split_components)
 from .witness import (WeakWitness, Witness, combinator_bounded_codim,
                       combinator_direct_sum, fragment_postinjective_theta,
                       fragment_tree_module, verify_weak_witness, verify_witness,
-                      weaken, witness_postinjective_2k, witness_preprojective_2k,
-                      witness_regular_2k)
+                      weaken, witness_for, witness_postinjective_2k,
+                      witness_preprojective_2k, witness_regular_2k)
 from .sl2p import (IrreducibleRep, KazhdanEstimate, ProjPoint, SL2pElement,
                    adjoint_rep, irreducible_rep, is_irreducible,
                    kazhdan_estimate, kazhdan_lower_bound, kazhdan_upper_bound,

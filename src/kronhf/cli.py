@@ -21,9 +21,8 @@ from .errors import (CertificateError, DomainError, GuardRefusal, PreconditionEr
                      ShapeError, ValidationError)
 from .fields import field_from_label, parse_rational
 from .modules import (KroneckerModule, PencilBlock, build_P, build_Q, build_R,
-                      classify_standard, module_from_text, parse_poly,
-                      prime_power_parts, build_preprojective_theta,
-                      build_postinjective_theta)
+                      module_from_text, parse_poly, prime_power_parts,
+                      build_preprojective_theta, build_postinjective_theta)
 from .pencil import decompose_pencil
 from .quiver import build_gamma, export_edges
 from .sl2p import (irreducible_rep, is_irreducible, kazhdan_estimate,
@@ -31,9 +30,7 @@ from .sl2p import (irreducible_rep, is_irreducible, kazhdan_estimate,
 from .expander import (ExpanderCandidate, check_exhaustive,
                        check_sampled_rational, nonhf_epsilon_bound,
                        weak_nonhf_epsilon_bound)
-from .witness import (fragment_postinjective_theta, fragment_tree_module,
-                      verify_witness, witness_postinjective_2k,
-                      witness_regular_2k, witness_to_dict, _zigzag_witness)
+from .witness import verify_witness, witness_for, witness_to_dict
 
 
 def sub_seed(seed: int, name: str) -> int:
@@ -116,7 +113,10 @@ def _write_out(args, content: str):
             fh.write(content)
 
 
-def _read_module(path) -> KroneckerModule:
+def _read_module(path, flag) -> KroneckerModule:
+    """The module in the file at path; flag names the option that gives it."""
+    if path is None:
+        raise ValidationError(f"missing {flag}")
     with open(path, "r", encoding="utf-8") as fh:
         return module_from_text(fh.read())
 
@@ -136,7 +136,10 @@ def cmd_build(args, cfgmap) -> int:
         if mono is not None:
             M = build_R(PencilBlock("R_mono", _as_int("monomial", mono)), field)
         else:
-            coeffs = parse_poly(field, _cfg(args, cfgmap, "poly"))
+            poly = _cfg(args, cfgmap, "poly")
+            if poly is None:
+                raise ValidationError("build R needs --poly or --monomial")
+            coeffs = parse_poly(field, poly)
             q, e = prime_power_parts(field, coeffs)
             M = build_R(PencilBlock("R_poly", poly=q, e=e), field)
     elif kind == "theta-pre":
@@ -158,31 +161,13 @@ def cmd_build(args, cfgmap) -> int:
 # -- witness ----------------------------------------------------------------------
 
 
-def _dispatch_witness(M: KroneckerModule, eps: Fraction, l_override=None):
-    kind = classify_standard(M)
-    if kind is None:
-        raise ValidationError("unsupported module shape for the witness producers")
-    tag = kind[0]
-    if tag == "P":
-        return _zigzag_witness(M, eps, producer="preprojective_2k")
-    if tag == "Q":
-        return witness_postinjective_2k(M, eps)
-    if tag in ("R_poly", "R_mono"):
-        return witness_regular_2k(M, eps)
-    if tag == "theta_pre":
-        return fragment_tree_module(M, eps)
-    if tag == "theta_post":
-        return fragment_postinjective_theta(M.d, kind[1], eps,
-                                            l_override=l_override, field=M.field)
-    raise ValidationError(f"no witness producer for shape {tag}")
-
-
 def cmd_witness(args, cfgmap) -> int:
     start = time.perf_counter()
-    M = _read_module(_cfg(args, cfgmap, "module"))
+    M = _read_module(_cfg(args, cfgmap, "module"), "--module")
     eps = parse_rational(_cfg(args, cfgmap, "eps"))
     l_override = _cfg(args, cfgmap, "l-override")
-    w = _dispatch_witness(M, eps, _as_int("l-override", l_override) if l_override else None)
+    w = witness_for(M, eps,
+                    l_override=_as_int("l-override", l_override) if l_override else None)
     rep = verify_witness(M, w)
     payload = witness_to_dict(w, rep)
     report = RunReport("witness",
@@ -231,6 +216,8 @@ def cmd_sweep(args, cfgmap) -> int:
     parts_spec = [_as_int("range", x) for x in rng_spec.split(":")] if rng_spec else []
     if len(parts_spec) == 3:
         lo, hi, step = parts_spec
+        if step < 1:
+            raise ValidationError(f"--range step must be at least 1, got {step}")
         ns = list(range(lo, hi + 1, step))
     elif len(parts_spec) <= 1:
         ns = parts_spec
@@ -242,7 +229,7 @@ def cmd_sweep(args, cfgmap) -> int:
         M, mid = _sweep_module(family, n, d, field)
         for eps in eps_list:
             t0 = time.perf_counter()
-            w = _dispatch_witness(M, eps)
+            w = witness_for(M, eps)
             rep = verify_witness(M, w)
             ms = (time.perf_counter() - t0) * 1000
             all_ok = all_ok and rep.ok
@@ -350,7 +337,7 @@ def cmd_expander(args, cfgmap) -> int:
         M = theta3_counterexample_module(p, field)
         params.update(from_sl2p=p, field=field.label)
     else:
-        M = _read_module(_cfg(args, cfgmap, "maps"))
+        M = _read_module(_cfg(args, cfgmap, "maps"), "--maps or --from-sl2p")
         want = _cfg(args, cfgmap, "field")
         if want is not None and field_from_label(want) != M.field:
             raise ValidationError(
@@ -387,7 +374,7 @@ def cmd_expander(args, cfgmap) -> int:
 
 def cmd_decompose(args, cfgmap) -> int:
     start = time.perf_counter()
-    M = _read_module(_cfg(args, cfgmap, "module"))
+    M = _read_module(_cfg(args, cfgmap, "module"), "--module")
     blocks = decompose_pencil(M)
     items = sorted((b.describe(), m) for b, m in blocks.items())
     results = {"blocks": [{"block": name, "multiplicity": m} for name, m in items]}
@@ -398,7 +385,7 @@ def cmd_decompose(args, cfgmap) -> int:
 
 
 def cmd_gamma(args, cfgmap) -> int:
-    M = _read_module(_cfg(args, cfgmap, "module"))
+    M = _read_module(_cfg(args, cfgmap, "module"), "--module")
     text = export_edges(build_gamma(M))
     _write_out(args, text)
     if not args.out:

@@ -1,15 +1,16 @@
 """Coefficient quivers: the basis-indexed graph of nonzero map entries.
 
-Vertex ids are ints: source basis vector j is vertex j and sink basis vector
-i is vertex n_src + i, so sources come first. An edge (j, i, k, c) exists
-exactly when entry (i, j) of the k-th arrow matrix in the chosen basis equals
-c != 0; edges, export_edges and centroid keep that numbering by layer, as the
-tags (0, j) and (1, i).
+The graph is read off the module's own standard bases; a caller who wants
+another basis transports the module first. Vertex ids are ints: source basis
+vector j is vertex j and sink basis vector i is vertex n_src + i, so sources
+come first. An edge (j, i, k, c) exists exactly when entry (i, j) of the k-th
+arrow matrix equals c != 0; edges, export_edges and centroid keep that
+numbering by layer, as the tags (0, j) and (1, i).
 
 This module is also the one graph layer of the package: components,
 centroid_of, split_until and component_modules work on an adjacency list and
-a vertex id subset, and the witness producers and the expander search use
-them for their component and centroid work.
+a vertex id subset, and split_components, the witness producers and the
+expander search use them for their component and centroid work.
 """
 
 from __future__ import annotations
@@ -17,21 +18,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .errors import PreconditionError, ValidationError
+from .errors import PreconditionError
 from .matrices import Matrix
 from .modules import KroneckerModule
-
-
-@dataclass
-class BasisChoice:
-    basis1: Matrix  # columns are the chosen source-space basis
-    basis2: Matrix
-    standard: bool = False
-
-    @classmethod
-    def standard_for(cls, M: KroneckerModule) -> "BasisChoice":
-        return cls(Matrix.identity(M.field, M.dim1),
-                   Matrix.identity(M.field, M.dim2), standard=True)
 
 
 @dataclass
@@ -60,17 +49,9 @@ class CoefficientQuiver:
         return adj
 
 
-def build_gamma(M: KroneckerModule, B: BasisChoice | None = None) -> CoefficientQuiver:
-    if B is None:
-        B = BasisChoice.standard_for(M)
-    if B.standard:
-        mats = M.maps
-    else:
-        if B.basis1.rank() != M.dim1 or B.basis2.rank() != M.dim2:
-            raise ValidationError("basis matrices must be invertible")
-        mats = [B.basis2.solve(m @ B.basis1) for m in M.maps]
+def build_gamma(M: KroneckerModule) -> CoefficientQuiver:
     edges = []
-    for k, mat in enumerate(mats):
+    for k, mat in enumerate(M.maps):
         for i, j, v in mat.entries():
             edges.append((j, i, k, v))
     edges.sort()  # by (source, sink, arrow); that triple is unique per edge
@@ -192,14 +173,14 @@ def split_until(adj, vertices, bound, choose_batch):
     return final, removed, batch_sizes
 
 
-def component_modules(M: KroneckerModule, mats, comps):
+def component_modules(M: KroneckerModule, comps):
     """One (submodule, (emb1, emb2)) per vertex set, with selection embeddings.
 
-    comps are disjoint sorted id lists. mats are the arrow matrices of M in
-    the basis the vertices index; each submodule keeps the rows and columns
-    of its sink and source vertices. One pass over each arrow matrix routes
-    every entry to its set through the owner and local index of its source
-    and sink; an entry whose sink lies outside its source's set is dropped.
+    comps are disjoint sorted id lists; each submodule keeps the rows and
+    columns of M's arrow matrices at its sink and source vertices. One pass
+    over each arrow matrix routes every entry to its set through the owner
+    and local index of its source and sink; an entry whose sink lies outside
+    its source's set is dropped.
     """
     n = M.dim1
     owner = [-1] * (n + M.dim2)  # position in comps of each vertex's set
@@ -211,8 +192,8 @@ def component_modules(M: KroneckerModule, mats, comps):
         for t, v in enumerate(verts):
             owner[v] = p
             local[v] = t if t < k else t - k
-    blocks = [[{} for _ in comps] for _ in mats]
-    for blk, m in zip(blocks, mats):
+    blocks = [[{} for _ in comps] for _ in M.maps]
+    for blk, m in zip(blocks, M.maps):
         for i, mrow in m._rows.items():
             p = owner[n + i]
             if p < 0:
@@ -233,50 +214,15 @@ def component_modules(M: KroneckerModule, mats, comps):
     return out
 
 
-def submodule_from_generators(M: KroneckerModule, gens):
-    """Smallest submodule containing the given standard basis vectors.
-
-    gens is an iterable of vertices (0, j) / (1, i); the closure adds the
-    span of the arrow images of the chosen source vectors. Returns the
-    submodule with its embedding pair.
-    """
-    src = sorted({v[1] for v in gens if v[0] == 0})
-    snk = {v[1] for v in gens if v[0] == 1}
-    fld = M.field
-    src_sel = Matrix.selection(fld, M.dim1, src)
-    images = [m @ src_sel for m in M.maps]
-    stack = [Matrix.selection(fld, M.dim2, sorted(snk))] + images if snk else images
-    if stack:
-        big = Matrix.hstack(stack) if len(stack) > 1 else stack[0]
-        emb2 = _column_basis(big, big.pivot_columns())
-    else:
-        emb2 = Matrix.zeros(fld, M.dim2, 0)
-    emb1 = src_sel
-    maps = [emb2.solve(m @ emb1) for m in M.maps]
-    sub = KroneckerModule(M.d, fld, emb1.cols, emb2.cols, maps)
-    return sub, (emb1, emb2)
-
-
-def _column_basis(m: Matrix, pivots):
-    return m.submatrix(range(m.rows), pivots)
-
-
-def split_components(M: KroneckerModule, B: BasisChoice | None = None):
+def split_components(M: KroneckerModule):
     """One module per connected component of the coefficient quiver.
 
-    Returns a list of (module, (emb1, emb2)); embeddings are expressed in the
-    given basis (coordinate selections composed with the basis matrices).
-    The block-diagonal sum over components is the module in that basis, up to
-    the recorded vertex partition.
+    Returns a list of (module, (emb1, emb2)) with selection embeddings. The
+    block-diagonal sum over components is M up to the recorded vertex
+    partition.
     """
-    if B is None:
-        B = BasisChoice.standard_for(M)
-    gamma = build_gamma(M, B)
-    mats = M.maps if B.standard else [B.basis2.solve(m @ B.basis1) for m in M.maps]
-    out = component_modules(M, mats, components(gamma.adjacency(), range(gamma.n_vertices)))
-    if B.standard:
-        return out
-    return [(sub, (B.basis1 @ e1, B.basis2 @ e2)) for sub, (e1, e2) in out]
+    n = M.dim1 + M.dim2
+    return component_modules(M, components(build_gamma(M).adjacency(), range(n)))
 
 
 def export_edges(gamma: CoefficientQuiver) -> str:

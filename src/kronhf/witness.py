@@ -24,7 +24,6 @@ from .modules import (
     is_homomorphism,
     a_sequence,
 )
-from .pencil import decompose_pencil
 from .quiver import (build_gamma, centroid_of, component_modules, components,
                      degree_stats, is_tree, split_until)
 
@@ -253,14 +252,14 @@ def _parts_from_kept(M: KroneckerModule, adj, kept):
                     raise ValidationError(
                         f"kept set not arrow-closed: source {v} hits dropped sink {w - n}")
     return [WitnessPart(sub, e1, e2)
-            for sub, (e1, e2) in component_modules(M, M.maps, components(adj, kept))]
+            for sub, (e1, e2) in component_modules(M, components(adj, kept))]
 
 
 def monomial_submodule(M: KroneckerModule, kept_sources):
     """Arrow-closed span of the kept source vectors and every sink they hit."""
     src = sorted(kept_sources)
     snk = _closure_sinks(build_gamma(M).adjacency(), src)
-    [(sub, embs)] = component_modules(M, M.maps, [src + snk])
+    [(sub, embs)] = component_modules(M, [src + snk])
     return sub, embs
 
 
@@ -273,6 +272,31 @@ def whole_module_witness(M: KroneckerModule, eps, l_eps, producer, **notes) -> W
 
 
 # -- Thm-style witness producers (d = 2) -----------------------------------------
+
+
+def witness_for(M: KroneckerModule, eps: Fraction, *, l_override: int | None = None) -> Witness:
+    """The producers' witness for a module of a shape classify_standard names.
+
+    Classifies M once and runs the producer for its kind: the zigzag for P,
+    the postinjective and regular producers for Q and R, and the tree
+    fragmentations for theta_pre and theta_post (l_override is the size
+    target of the latter). Any other module is refused.
+    """
+    check_eps(eps)
+    kind = classify_standard(M)
+    if kind is None:
+        raise ValidationError("unsupported module shape for the witness producers")
+    tag = kind[0]
+    if tag == "P":
+        return _zigzag_witness(M, eps, producer="preprojective_2k")
+    if tag == "Q":
+        return _postinjective_witness(M, kind[1], eps)
+    if tag in ("R_poly", "R_mono"):
+        return _regular_witness(M, eps)
+    if tag == "theta_pre":
+        return fragment_tree_module(M, eps)
+    return fragment_postinjective_theta(M.d, kind[1], eps, l_override=l_override,
+                                        field=M.field)
 
 
 def witness_preprojective_2k(n: int, eps: Fraction, field=QQ) -> Witness:
@@ -317,6 +341,11 @@ def witness_regular_2k(R: KroneckerModule, eps: Fraction) -> Witness:
     kind = classify_standard(R)
     if kind is None or kind[0] not in ("R_poly", "R_mono"):
         raise ValidationError("expected a regular canonical module (identity + companion)")
+    return _regular_witness(R, eps)
+
+
+def _regular_witness(R: KroneckerModule, eps: Fraction) -> Witness:
+    """witness_regular_2k on a module known to be R_poly or R_mono."""
     l_eps = 2 / eps + 3
     if Fraction(R.dim) <= l_eps:
         return whole_module_witness(R, eps, l_eps, "regular_2k")
@@ -341,19 +370,21 @@ def witness_postinjective_2k(Qm: KroneckerModule, eps: Fraction) -> Witness:
     kind = classify_standard(Qm)
     if kind is None or kind[0] != "Q":
         raise ValidationError("expected a standard postinjective module")
-    n = kind[1]
+    return _postinjective_witness(Qm, kind[1], eps)
+
+
+def _postinjective_witness(Qm: KroneckerModule, n: int, eps: Fraction) -> Witness:
+    """witness_postinjective_2k on a module known to be Q_n."""
     l_eps = 4 / eps + 3
     if Fraction(Qm.dim) <= l_eps:
         return whole_module_witness(Qm, eps, l_eps, "postinjective_2k")
     ker, embs = monomial_submodule(Qm, range(1, n + 1))
-    blocks = decompose_pencil(ker)
-    bad = [b for b in blocks if b.defect >= 1]
-    if bad:
-        raise AssertionError(f"kernel of theta contains defect >= 1 blocks: {bad}")
-    inner = witness_regular_2k(ker, eps / 2)
+    if classify_standard(ker) != ("R_mono", n):
+        raise AssertionError(f"kernel of theta is not R_mono({n}); bug")
+    inner = _regular_witness(ker, eps / 2)
     w = combinator_bounded_codim(Qm, ker, embs, inner, eps)
     w.notes["producer"] = "postinjective_2k"
-    w.notes["kernel_blocks"] = sorted(b.describe() for b in blocks.elements())
+    w.notes["kernel_blocks"] = [f"R_mono({n})"]
     return w
 
 

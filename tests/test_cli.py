@@ -47,6 +47,8 @@ def test_build_usage_error(capsys):
     # a symbolic coefficient is not in Q
     code, _, err = run(capsys, "build", "R", "--poly", "x^2+y")
     assert code == 2 and err.startswith("error: ")
+    code, out, err = run(capsys, "build", "R")
+    assert (code, out, err) == (2, "", "error: build R needs --poly or --monomial\n")
 
 
 def test_witness_p7(capsys, tmp_path):
@@ -158,6 +160,22 @@ def test_sweep_two_part_range_is_usage_error(capsys):
     code, out, err = run(capsys, "sweep", "--family", "P", "--range", "1:5", "--eps-list", "1/2")
     assert (code, out) == (2, "")
     assert err == "error: --range must be n or lo:hi:step, got '1:5'\n"
+
+
+@pytest.mark.parametrize("spec,step", [("1:10:0", 0), ("10:1:-1", -1)])
+def test_sweep_range_step_below_one_is_usage_error(capsys, spec, step):
+    code, out, err = run(capsys, "sweep", "--family", "P", "--range", spec, "--eps-list", "1/2")
+    assert (code, out) == (2, "")
+    assert err == f"error: --range step must be at least 1, got {step}\n"
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("witness", "--module"), ("decompose", "--module"), ("gamma", "--module"),
+    ("expander", "--maps or --from-sl2p"),
+])
+def test_missing_module_file_is_usage_error(capsys, command, flag):
+    code, out, err = run(capsys, command)
+    assert (code, out, err) == (2, "", f"error: missing {flag}\n")
 
 
 def test_sweep_without_range_is_usage_error(capsys):

@@ -8,15 +8,13 @@ from hypothesis import strategies as st
 
 from kronhf.errors import PreconditionError, ValidationError
 from kronhf.fields import QQ, PrimeField
-from kronhf.matrices import Matrix, random_invertible
+from kronhf.matrices import Matrix
 from kronhf.modules import (KroneckerModule, PencilBlock, build_P, build_R,
                             build_postinjective_theta, direct_sum)
-from kronhf.quiver import (BasisChoice, CoefficientQuiver, build_gamma, centroid,
-                           centroid_of, component_modules, components, degree_stats,
-                           export_edges,
-                           is_tree, split_components, split_until,
-                           submodule_from_generators)
-from kronhf.witness import _parts_from_kept
+from kronhf.quiver import (CoefficientQuiver, build_gamma, centroid, centroid_of,
+                           component_modules, components, degree_stats, export_edges,
+                           is_tree, split_components, split_until)
+from kronhf.witness import _parts_from_kept, monomial_submodule
 
 
 def _vid(gamma, tag):
@@ -65,20 +63,6 @@ def test_gamma_regular_has_back_edges():
     gamma = build_gamma(r)
     assert not is_tree(gamma)
     assert len(gamma.edges) >= gamma.n_vertices
-
-
-def test_gamma_nonstandard_basis():
-    rng = random.Random(3)
-    M = build_P(2)
-    g1 = random_invertible(QQ, 2, rng)
-    g2 = random_invertible(QQ, 3, rng)
-    B = BasisChoice(g1, g2)
-    gamma = build_gamma(M, B)
-    # entries of g2^{-1} m g1
-    expected = sum(g2.solve(m @ g1).nnz for m in M.maps)
-    assert len(gamma.edges) == expected
-    with pytest.raises(ValidationError):
-        build_gamma(M, BasisChoice(Matrix.zeros(QQ, 2, 2), g2))
 
 
 def test_is_tree_singleton():
@@ -186,16 +170,16 @@ def test_centroid_rejects_non_tree():
 
 def test_submodule_generators_full_and_empty():
     M = build_P(4)
-    sub, _ = submodule_from_generators(M, [(0, j) for j in range(4)])
+    sub, _ = monomial_submodule(M, range(4))
     assert (sub.dim1, sub.dim2) == (4, 5)
-    sub, _ = submodule_from_generators(M, [])
+    sub, _ = monomial_submodule(M, [])
     assert sub.dim == 0
 
 
 def test_submodule_generators_p7_drop_pattern():
     M = build_P(7)
-    gens = [(0, j) for j in (0, 1, 3, 4, 6)]  # e1 e2 e4 e5 e7
-    sub, (e1, e2) = submodule_from_generators(M, gens)
+    gens = [0, 1, 3, 4, 6]  # e1 e2 e4 e5 e7
+    sub, (e1, e2) = monomial_submodule(M, gens)
     assert (sub.dim1, sub.dim2) == (5, 8)
     assert sub.dim == 13
     # closure is exact: arrow images of the embedded sources stay inside
@@ -207,8 +191,8 @@ def test_submodule_closure_property_random():
     rng = random.Random(17)
     for _ in range(25):
         M = build_P(rng.randint(1, 8))
-        gens = [(0, j) for j in range(M.dim1) if rng.random() < 0.6]
-        sub, (e1, e2) = submodule_from_generators(M, gens)
+        gens = [j for j in range(M.dim1) if rng.random() < 0.6]
+        sub, (e1, e2) = monomial_submodule(M, gens)
         for k in range(2):
             assert M.maps[k] @ e1 == e2 @ sub.maps[k]
 
@@ -230,7 +214,7 @@ def test_split_components_direct_sum():
 
 def test_split_components_p7_witness_parts():
     M = build_P(7)
-    sub, _ = submodule_from_generators(M, [(0, j) for j in (0, 1, 3, 4, 6)])
+    sub, _ = monomial_submodule(M, [0, 1, 3, 4, 6])
     comps = split_components(sub)
     dims = sorted(c.dim for c, _ in comps)
     assert dims == [3, 5, 5]  # P_1, P_2, P_2
@@ -259,32 +243,6 @@ def test_export_edges_format():
     z = KroneckerModule(2, QQ, 1, 1, [Matrix.zeros(QQ, 1, 1)] * 2)
     iso = export_edges(build_gamma(z)).strip().splitlines()
     assert iso == ["1.1", "2.1"]
-
-
-def _block_diag(field, blocks):
-    n = sum(b.rows for b in blocks)
-    ent, off = [], 0
-    for b in blocks:
-        ent += [(i + off, j + off, v) for i, j, v in b.entries()]
-        off += b.rows
-    return Matrix.from_entries(field, n, n, ent)
-
-
-def test_split_components_nonstandard_basis_embeddings_intertwine():
-    rng = random.Random(29)
-    M = direct_sum([build_P(1), build_P(2)])
-    # block-diagonal basis changes keep the two summands apart
-    B = BasisChoice(
-        _block_diag(QQ, [random_invertible(QQ, 1, rng), random_invertible(QQ, 2, rng)]),
-        _block_diag(QQ, [random_invertible(QQ, 2, rng), random_invertible(QQ, 3, rng)]))
-    comps = split_components(M, B)
-    assert len(comps) >= 2
-    assert sum(c.dim1 for c, _ in comps) == M.dim1
-    assert sum(c.dim2 for c, _ in comps) == M.dim2
-    assert any(e1.is_selection() is None for _, (e1, _) in comps)
-    for sub, (e1, e2) in comps:
-        for k in range(2):
-            assert M.maps[k] @ e1 == e2 @ sub.maps[k]
 
 
 def test_parts_from_kept_rejects_kept_set_not_arrow_closed():
@@ -512,7 +470,7 @@ def test_id_graph_layer_matches_the_tag_keyed_reference(M, data):
     assert got[2] == want[2]
 
 
-def _reference_component_modules(M, mats, comps):
+def _reference_component_modules(M, comps):
     """One submatrix per arrow and two selections per vertex set: the slicing
     that component_modules does in one pass."""
     from bisect import bisect_left
@@ -523,7 +481,7 @@ def _reference_component_modules(M, mats, comps):
         src = verts[:k]
         snk = [v - n for v in verts[k:]]
         sub = KroneckerModule(M.d, M.field, len(src), len(snk),
-                              [m.submatrix(snk, src) for m in mats])
+                              [m.submatrix(snk, src) for m in M.maps])
         out.append((sub, (Matrix.selection(M.field, M.dim1, src),
                           Matrix.selection(M.field, M.dim2, snk))))
     return out
@@ -547,7 +505,7 @@ def test_component_modules_matches_per_part_slicing(data):
     k = data.draw(st.integers(0, 4))
     owner = [data.draw(st.integers(-1, k - 1)) for _ in range(dim1 + dim2)]
     comps = [[v for v, o in enumerate(owner) if o == p] for p in range(k)]
-    got = component_modules(M, M.maps, comps)
-    assert got == _reference_component_modules(M, M.maps, comps)
+    got = component_modules(M, comps)
+    assert got == _reference_component_modules(M, comps)
     for (sub, (e1, e2)), verts in zip(got, comps):
         assert e1.is_selection() + [dim1 + i for i in e2.is_selection()] == verts

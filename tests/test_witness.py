@@ -11,13 +11,14 @@ from kronhf.fields import QQ, PrimeField
 from kronhf.matrices import Matrix
 from kronhf import witness as witness_mod
 from kronhf.modules import (KroneckerModule, PencilBlock, build_P, build_Q, build_R,
-                            build_preprojective_theta, direct_sum, kernel_module)
+                            build_postinjective_theta, build_preprojective_theta,
+                            direct_sum, kernel_module)
 from kronhf.quiver import build_gamma, components
 from kronhf.witness import (Witness, WitnessPart, combinator_bounded_codim,
                             combinator_direct_sum, fragment_postinjective_theta,
                             fragment_tree_module, monomial_submodule,
                             postinjective_fragment_size_bound, verify_weak_witness,
-                            verify_witness, weak_stats, weaken,
+                            verify_witness, weak_stats, weaken, witness_for,
                             witness_postinjective_2k, witness_preprojective_2k,
                             witness_regular_2k, witness_to_dict, _verify_stacked,
                             _zigzag_witness)
@@ -141,6 +142,56 @@ def test_postinjective_kernel_blocks_defect():
     q20 = build_Q(20)
     w = witness_postinjective_2k(q20, Fraction(1, 8))
     assert verify_witness(q20, w).ok
+
+
+_R_POLY_60 = PencilBlock("R_poly", poly=(Fraction(-1),), e=60)
+
+
+@pytest.mark.parametrize("M,eps,named,l_override", [
+    (build_P(60), QUARTER, lambda: witness_preprojective_2k(60, QUARTER), None),
+    (build_Q(80), Fraction(1, 10),
+     lambda: witness_postinjective_2k(build_Q(80), Fraction(1, 10)), None),
+    (build_R(_R_POLY_60), QUARTER, lambda: witness_regular_2k(build_R(_R_POLY_60), QUARTER),
+     None),
+    (build_R(PencilBlock("R_mono", 60), PrimeField(5)), QUARTER,
+     lambda: witness_regular_2k(build_R(PencilBlock("R_mono", 60), PrimeField(5)), QUARTER),
+     None),
+    (build_preprojective_theta(3, 6), Fraction(1, 5),
+     lambda: fragment_tree_module(build_preprojective_theta(3, 6), Fraction(1, 5)), None),
+    (build_postinjective_theta(3, 6), QUARTER,
+     lambda: fragment_postinjective_theta(3, 6, QUARTER, l_override=40), 40),
+], ids=["P", "Q", "R_poly", "R_mono", "theta_pre", "theta_post"])
+def test_witness_for_matches_the_named_producer(M, eps, named, l_override):
+    w = witness_for(M, eps, l_override=l_override)
+    assert witness_to_dict(w) == witness_to_dict(named())
+    assert verify_witness(M, w).ok
+
+
+def test_witness_for_classifies_q_and_its_kernel_once_each(monkeypatch):
+    seen = []
+    classify = witness_mod.classify_standard
+
+    def counted(M):
+        seen.append((M.dim1, M.dim2))
+        return classify(M)
+
+    monkeypatch.setattr(witness_mod, "classify_standard", counted)
+    w = witness_for(build_Q(50), Fraction(1, 10))
+    assert seen == [(51, 50), (50, 50)]
+    assert w.notes["kernel_blocks"] == ["R_mono(50)"]
+
+
+def test_postinjective_producer_asserts_its_kernel_is_r_mono(monkeypatch):
+    classify = witness_mod.classify_standard
+    monkeypatch.setattr(witness_mod, "classify_standard",
+                        lambda M: ("R_mono", 49) if M.dim1 == M.dim2 else classify(M))
+    with pytest.raises(AssertionError, match=r"not R_mono\(50\)"):
+        witness_for(build_Q(50), Fraction(1, 10))
+
+
+def test_witness_for_refuses_other_shapes():
+    with pytest.raises(ValidationError, match="unsupported module shape"):
+        witness_for(direct_sum([build_P(1), build_Q(1)]), QUARTER)
 
 
 def test_witness_fuzz_q_and_r():
