@@ -27,7 +27,8 @@ class Matrix:
     # no method writes _rows after construction, so _int, the integrality
     # of the entries, is recorded on first use and stays valid, and so does
     # _sel, the row index of each column of a matrix built as a selection
-    # (None when no such list was recorded)
+    # (None when no such list was recorded). A recorded selection is a
+    # _Selection, which leaves _rows unset until it is first read
     __slots__ = ("field", "rows", "cols", "_rows", "_int", "_sel")
 
     def __init__(self, field, rows: int, cols: int, row_dicts=None):
@@ -93,7 +94,7 @@ class Matrix:
         if indices and (min(indices) < 0 or max(indices) >= n):
             bad = next(i for i in indices if not 0 <= i < n)
             raise ShapeError(f"selection index {bad} outside 0..{n - 1}")
-        return _selected(field, n, indices)
+        return _Selection(field, n, indices)
 
     # -- access -----------------------------------------------------------
 
@@ -163,7 +164,7 @@ class Matrix:
         if self._sel is not None and other._sel is not None:
             # column t of the product is self's column other._sel[t]
             a = self._sel
-            return _selected(self.field, self.rows, [a[j] for j in other._sel])
+            return _Selection(self.field, self.rows, [a[j] for j in other._sel])
         q = self.field.char
         out = {}
         if q or (self._integral() and other._integral()):
@@ -271,7 +272,7 @@ class Matrix:
             if m.field != fld or m.rows != rows:
                 raise ShapeError("hstack mismatch")
         if all(m._sel is not None for m in mats):
-            return _selected(fld, rows, [i for m in mats for i in m._sel])
+            return _Selection(fld, rows, [i for m in mats for i in m._sel])
         out = {}
         off = 0
         for m in mats:
@@ -290,7 +291,7 @@ class Matrix:
         if self._sel is not None:
             out, start = [], 0
             for w in widths:
-                out.append(_selected(self.field, self.rows, self._sel[start:start + w]))
+                out.append(_Selection(self.field, self.rows, self._sel[start:start + w]))
                 start += w
             return out
         where = [(t, c) for t, w in enumerate(widths) for c in range(w)]
@@ -434,20 +435,37 @@ class Matrix:
         return "\n".join(lines) + "\n"
 
 
-def _selected(field, n, sel):
+class _Selection(Matrix):
     """The n x len(sel) selection matrix of the index list sel, which is
-    recorded as it is: the caller checks the indices and keeps no reference."""
-    one = field.one
-    rd = {}
-    for t, i in enumerate(sel):
-        if i in rd:
-            rd[i][t] = one
-        else:
-            rd[i] = {t: one}
-    m = Matrix(field, n, len(sel), rd)
-    m._int = True
-    m._sel = sel
-    return m
+    recorded as it is: the caller checks the indices and keeps no reference.
+
+    _rows stays unset until it is first read; __getattr__, which Python
+    calls only for an attribute it did not find, then builds the row dicts
+    from sel once. The hook lives on this subclass, not on Matrix: a class
+    with __getattr__ loses the interpreter's specialised attribute reads,
+    and a plain matrix keeps them.
+    """
+    __slots__ = ()
+
+    def __init__(self, field, n, sel):
+        self.field = field
+        self.rows = n
+        self.cols = len(sel)
+        self._int = True
+        self._sel = sel
+
+    def __getattr__(self, name):
+        if name != "_rows":
+            raise AttributeError(name)
+        one = self.field.one
+        rd = {}
+        for t, i in enumerate(self._sel):
+            if i in rd:
+                rd[i][t] = one
+            else:
+                rd[i] = {t: one}
+        self._rows = rd
+        return rd
 
 
 def _int_row(row):

@@ -7,10 +7,13 @@ come first. An edge (j, i, k, c) exists exactly when entry (i, j) of the k-th
 arrow matrix equals c != 0; edges, export_edges and centroid keep that
 numbering by layer, as the tags (0, j) and (1, i).
 
-This module is also the one graph layer of the package: components,
-centroid_of, split_until and component_modules work on an adjacency list and
-a vertex id subset, and split_components, the witness producers and the
-expander search use them for their component and centroid work.
+This module is also the one graph layer of the package. Its entry point is
+adjacency_of(M), which reads the adjacency list straight off the rows of the
+arrow matrices; components, centroid_of, split_until and component_modules
+work on such a list and a vertex id subset, and split_components, the witness
+producers and the expander search use them for their component and centroid
+work. CoefficientQuiver keeps the sorted edge list, for export_edges and
+centroid.
 """
 
 from __future__ import annotations
@@ -47,6 +50,21 @@ class CoefficientQuiver:
             adj[j].append(n + i)
             adj[n + i].append(j)
         return adj
+
+
+def adjacency_of(M: KroneckerModule) -> list:
+    """build_gamma(M).adjacency(), up to the order of each neighbor list, read
+    off the rows of M's arrow matrices with no edge list built: adj[v] lists
+    v's neighbors, one entry per edge."""
+    n = M.dim1
+    adj = [[] for _ in range(n + M.dim2)]
+    for m in M.maps:
+        for i, row in m._rows.items():
+            s = n + i
+            adj[s].extend(row)
+            for j in row:
+                adj[j].append(s)
+    return adj
 
 
 def build_gamma(M: KroneckerModule) -> CoefficientQuiver:
@@ -93,7 +111,7 @@ def components(adj, vertices):
     """Components of the subgraph induced on vertices.
 
     Each component is a sorted id list; the list is ordered by smallest
-    vertex. adj is an adjacency list as from CoefficientQuiver.adjacency.
+    vertex. adj is an adjacency list as from adjacency_of.
     """
     left = bytearray(len(adj))
     vertices = sorted(vertices)
@@ -221,8 +239,7 @@ def split_components(M: KroneckerModule):
     block-diagonal sum over components is M up to the recorded vertex
     partition.
     """
-    n = M.dim1 + M.dim2
-    return component_modules(M, components(build_gamma(M).adjacency(), range(n)))
+    return component_modules(M, components(adjacency_of(M), range(M.dim)))
 
 
 def export_edges(gamma: CoefficientQuiver) -> str:

@@ -24,8 +24,7 @@ from .modules import (
     is_homomorphism,
     a_sequence,
 )
-from .quiver import (build_gamma, centroid_of, component_modules, components,
-                     degree_stats, is_tree, split_until)
+from .quiver import adjacency_of, centroid_of, component_modules, components, split_until
 
 
 @dataclass
@@ -235,13 +234,16 @@ def _closure_sinks(adj, kept_sources):
     return sorted({w for j in kept_sources for w in adj[j]})
 
 
-def _parts_from_kept(M: KroneckerModule, adj, kept):
-    """Connected components of the kept vertex ids as embedded part modules.
+def _parts_from_kept(M: KroneckerModule, adj, comps):
+    """The connected components of a kept vertex set as embedded part modules.
 
-    Requires the kept set to be arrow-closed: every kept source's neighbors
-    in the coefficient quiver are kept sinks (checked).
+    comps are those components, as components(adj, kept) gives them: sorted
+    id lists, ordered by smallest vertex. Requires the kept set to be
+    arrow-closed: every kept source's neighbors in the coefficient quiver
+    are kept sinks (checked).
     """
     n = M.dim1
+    kept = [v for comp in comps for v in comp]
     mark = bytearray(len(adj))
     for v in kept:
         mark[v] = 1
@@ -251,14 +253,13 @@ def _parts_from_kept(M: KroneckerModule, adj, kept):
                 if not mark[w]:
                     raise ValidationError(
                         f"kept set not arrow-closed: source {v} hits dropped sink {w - n}")
-    return [WitnessPart(sub, e1, e2)
-            for sub, (e1, e2) in component_modules(M, components(adj, kept))]
+    return [WitnessPart(sub, e1, e2) for sub, (e1, e2) in component_modules(M, comps)]
 
 
 def monomial_submodule(M: KroneckerModule, kept_sources):
     """Arrow-closed span of the kept source vectors and every sink they hit."""
     src = sorted(kept_sources)
-    snk = _closure_sinks(build_gamma(M).adjacency(), src)
+    snk = _closure_sinks(adjacency_of(M), src)
     [(sub, embs)] = component_modules(M, [src + snk])
     return sub, embs
 
@@ -295,8 +296,7 @@ def witness_for(M: KroneckerModule, eps: Fraction, *, l_override: int | None = N
         return _regular_witness(M, eps)
     if tag == "theta_pre":
         return fragment_tree_module(M, eps)
-    return fragment_postinjective_theta(M.d, kind[1], eps, l_override=l_override,
-                                        field=M.field)
+    return _postinjective_theta_witness(M, eps, l_override=l_override)
 
 
 def witness_preprojective_2k(n: int, eps: Fraction, field=QQ) -> Witness:
@@ -323,9 +323,9 @@ def _zigzag_witness(M: KroneckerModule, eps: Fraction, producer: str) -> Witness
     if r == 0 and Fraction(2 * K + 1) > L:
         drops.add(n - 2)
     kept = [c for c in range(n) if c not in drops]
-    adj = build_gamma(M).adjacency()
+    adj = adjacency_of(M)
     snk = _closure_sinks(adj, kept)
-    parts = _parts_from_kept(M, adj, kept + snk)
+    parts = _parts_from_kept(M, adj, components(adj, kept + snk))
     removed = M.dim - len(kept) - len(snk)
     w = Witness(M, eps, L, parts,
                 dict(producer=producer, dropped_sources=sorted(drops),
@@ -492,24 +492,27 @@ def fragment_tree_module(M: KroneckerModule, eps: Fraction) -> Witness:
     arrow-closed. The eps budget is verified a posteriori and reported.
     """
     check_eps(eps)
-    gamma = build_gamma(M)
-    if not is_tree(gamma):
+    # adj has one entry per edge at each end, so the sources' lists hold
+    # every edge once and a sink's list is its indegree
+    adj = adjacency_of(M)
+    n = M.dim1
+    if (M.dim == 0 or sum(map(len, adj[:n])) != M.dim - 1
+            or len(components(adj, range(M.dim))) != 1):
         raise PreconditionError("fragment_tree_module requires a tree coefficient quiver")
-    indeg, _ = degree_stats(gamma)
+    indeg = max(map(len, adj[n:]), default=0)
     if indeg > M.d:
         raise PreconditionError(f"indegree {indeg} exceeds arrow count {M.d}")
     C = math.ceil(Fraction(2 * (M.d + 1)) / eps)
     if M.dim <= C:
         return whole_module_witness(M, eps, C, "fragment_tree")
-    adj = gamma.adjacency()
 
     def choose_batch(comp):
         # a sink centroid takes its incoming sources, its neighbors in comp
         v, branch = centroid_of(comp, adj)
-        return {v} if v < gamma.n_src else {v, *branch}
+        return {v} if v < n else {v, *branch}
 
     final, removed, batch_sizes = split_until(adj, range(M.dim), C, choose_batch)
-    parts = _parts_from_kept(M, adj, set().union(*final))
+    parts = _parts_from_kept(M, adj, sorted(final))
     notes = dict(producer="fragment_tree", removed=len(removed),
                  removed_fraction=Fraction(len(removed), M.dim),
                  splits=len(batch_sizes), max_removed_per_split=max(batch_sizes, default=0),
@@ -547,9 +550,17 @@ def fragment_postinjective_theta(d: int, t: int, eps: Fraction, *,
     module; l_override exercises the staged machinery.
     """
     check_eps(eps)
-    M = build_postinjective_theta(d, t, field)
+    return _postinjective_theta_witness(build_postinjective_theta(d, t, field), eps,
+                                        delta=delta, l_override=l_override)
+
+
+def _postinjective_theta_witness(M: KroneckerModule, eps: Fraction, *,
+                                 delta: Fraction = Fraction(1, 8),
+                                 l_override: int | None = None) -> Witness:
+    """fragment_postinjective_theta on a module known to be theta_post(d, t)."""
     alpha = Fraction(1, 2) + delta
-    L = l_override if l_override is not None else postinjective_fragment_size_bound(d, eps, delta)
+    L = (l_override if l_override is not None
+         else postinjective_fragment_size_bound(M.d, eps, delta))
     if L < 1:
         raise ValidationError("size bound must be >= 1")
     n = M.dim
@@ -564,18 +575,17 @@ def fragment_postinjective_theta(d: int, t: int, eps: Fraction, *,
     if Fraction(n) * alpha ** (k - 1) <= 2:
         return whole_module_witness(M, eps, max(L, n), "fragment_postinjective",
                                     guard_triggered=True, size_bound=L)
-    gamma = build_gamma(M)
-    adj = gamma.adjacency()
+    adj = adjacency_of(M)
 
     def choose_batch(comp):
         # a source centroid hands over to the neighbor sink heading its largest branch
         v, branch = centroid_of(comp, adj)
-        sink = v if v >= gamma.n_src else min(branch, key=lambda nb: (-branch[nb], nb))
+        sink = v if v >= M.dim1 else min(branch, key=lambda nb: (-branch[nb], nb))
         inside = set(comp)
         return {sink} | {w for w in adj[sink] if w in inside}
 
     final, removed, batch_sizes = split_until(adj, range(M.dim), L, choose_batch)
-    parts = _parts_from_kept(M, adj, set().union(*final))
+    parts = _parts_from_kept(M, adj, sorted(final))
     notes = dict(producer="fragment_postinjective", removed=len(removed),
                  removed_fraction=Fraction(len(removed), M.dim),
                  stages=len(batch_sizes), size_bound=L, alpha=alpha,

@@ -450,28 +450,62 @@ def _index_lists(n, max_size=6):
     return st.lists(st.integers(0, n - 1), max_size=max_size) if n else st.just([])
 
 
+def _rows_built(m):
+    """Whether m's row dicts exist, read past the build on first access."""
+    try:
+        Matrix._rows.__get__(m, Matrix)
+    except AttributeError:
+        return False
+    return True
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_recorded_selections_match_plain_matrices(data):
     field = data.draw(st.sampled_from(PRODUCT_FIELDS))
     n = data.draw(st.integers(0, 6))
     ia, ia2 = data.draw(_index_lists(n)), data.draw(_index_lists(n))
-    a, a2 = Matrix.selection(field, n, ia), Matrix.selection(field, n, ia2)
-    b = Matrix.selection(field, a.cols, data.draw(_index_lists(a.cols)))
-    cuts = [0] + sorted(data.draw(st.lists(st.integers(0, a.cols), max_size=3))) + [a.cols]
+    ib = data.draw(_index_lists(len(ia)))
+    cuts = [0] + sorted(data.draw(st.lists(st.integers(0, len(ia)), max_size=3))) + [len(ia)]
     widths = [hi - lo for lo, hi in zip(cuts, cuts[1:])]
-    outs = [(a, _plain(a)), (a @ b, _plain(a) @ _plain(b)),
-            (Matrix.hstack([a, a2]), Matrix.hstack([_plain(a), _plain(a2)]))]
-    outs += list(zip(a.hsplit(widths), _plain(a).hsplit(widths)))
-    for got, want in outs:
+
+    def recorded():
+        a, a2 = Matrix.selection(field, n, ia), Matrix.selection(field, n, ia2)
+        b = Matrix.selection(field, a.cols, ib)
+        return [a, a @ b, Matrix.hstack([a, a2]), *a.hsplit(widths)], [a2, b]
+
+    outs, factors = recorded()
+    sels = [m.is_selection() for m in outs]
+    # composing, stacking, splitting and reading back index lists build no rows
+    assert not any(_rows_built(m) for m in outs + factors)
+    a, (a2, b) = outs[0], factors
+    plain = [_plain(a), _plain(a) @ _plain(b), Matrix.hstack([_plain(a), _plain(a2)]),
+             *_plain(a).hsplit(widths)]
+    for got, want, sel in zip(outs, plain, sels):
         assert got._sel is not None and want._sel is None
-        assert got == want
-        assert got.is_selection() == want.is_selection()
-        assert got.rank() == want.rank()
-    assert outs[1][0].is_selection() == [ia[j] for j in b.is_selection()]
+        assert sel == want.is_selection()
+    assert sels[1] == [ia[j] for j in ib]
+    # every reader of entries, each on matrices it is the first to read
+    rights = [data.draw(_mixed(field, m.cols, 2)) for m in plain]
+    lefts = [data.draw(_mixed(field, 2, m.rows)) for m in plain]
+    readers = [
+        lambda m, t: m,
+        lambda m, t: sorted(m.entries()),
+        lambda m, t: m.to_dense(),
+        lambda m, t: m.transpose(),
+        lambda m, t: m.submatrix(range(m.rows - 1, -1, -2), range(0, m.cols, 2)),
+        lambda m, t: m.rank(),
+        lambda m, t: m.kernel_basis(),
+        lambda m, t: m.to_text(),
+        lambda m, t: m @ rights[t],
+        lambda m, t: lefts[t] @ m,
+    ]
+    for read in readers:
+        for t, (got, want) in enumerate(zip(recorded()[0], plain)):
+            assert read(got, t) == read(want, t)
     # is_selection hands out a copy: changing it leaves the record as it was
     got = a.is_selection()
     got.append(0)
     assert a.is_selection() == ia
     # a recorded factor next to a plain one takes the general product
-    assert a @ _plain(b) == _plain(a) @ b == outs[1][1]
+    assert a @ _plain(b) == _plain(a) @ b == plain[1]

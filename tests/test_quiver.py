@@ -11,10 +11,10 @@ from kronhf.fields import QQ, PrimeField
 from kronhf.matrices import Matrix
 from kronhf.modules import (KroneckerModule, PencilBlock, build_P, build_R,
                             build_postinjective_theta, direct_sum)
-from kronhf.quiver import (CoefficientQuiver, build_gamma, centroid, centroid_of,
-                           component_modules, components, degree_stats, export_edges,
-                           is_tree, split_components, split_until)
-from kronhf.witness import _parts_from_kept, monomial_submodule
+from kronhf.quiver import (CoefficientQuiver, adjacency_of, build_gamma, centroid,
+                           centroid_of, component_modules, components, degree_stats,
+                           export_edges, is_tree, split_components, split_until)
+from kronhf.witness import _parts_from_kept, fragment_tree_module, monomial_submodule
 
 
 def _vid(gamma, tag):
@@ -245,13 +245,48 @@ def test_export_edges_format():
     assert iso == ["1.1", "2.1"]
 
 
+@st.composite
+def modules_with_parallel_edges(draw):
+    """A module with d = 1..4 whose arrows often share a nonzero cell."""
+    d = draw(st.integers(1, 4))
+    dim1, dim2 = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    cells = [(i, j) for i in range(dim2) for j in range(dim1)]
+    common = draw(st.sets(st.sampled_from(cells), max_size=3)) if cells else set()
+    maps = []
+    for _ in range(d):
+        own = draw(st.sets(st.sampled_from(cells), max_size=6)) if cells else set()
+        maps.append(Matrix.from_entries(QQ, dim2, dim1,
+                                        [(i, j, draw(st.sampled_from([1, -1, 2])))
+                                         for i, j in sorted(common | own)]))
+    return KroneckerModule(d, QQ, dim1, dim2, maps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(modules_with_parallel_edges())
+def test_adjacency_of_matches_the_quiver_adjacency(M):
+    got, want = adjacency_of(M), build_gamma(M).adjacency()
+    assert [sorted(nbrs) for nbrs in got] == [sorted(nbrs) for nbrs in want]
+
+
+def test_fragment_tree_module_refuses_a_parallel_pair_and_high_indegree():
+    # the only cycle: source 0 -> sink 0 under both arrows
+    pair = KroneckerModule(2, QQ, 2, 1, [Matrix.from_dense(QQ, [[1, 1]]),
+                                         Matrix.from_dense(QQ, [[1, 0]])])
+    with pytest.raises(PreconditionError, match="requires a tree"):
+        fragment_tree_module(pair, Fraction(1, 4))
+    fan = KroneckerModule(1, QQ, 2, 1, [Matrix.from_dense(QQ, [[1, 1]])])
+    assert is_tree(build_gamma(fan))
+    with pytest.raises(PreconditionError, match="indegree 2 exceeds arrow count 1"):
+        fragment_tree_module(fan, Fraction(1, 4))
+
+
 def test_parts_from_kept_rejects_kept_set_not_arrow_closed():
     M = build_P(2)  # source j maps to sinks j and j + 1; sink i is vertex 2 + i
     adj = build_gamma(M).adjacency()
     kept = [0, 1, 2, 3]
     with pytest.raises(ValidationError, match="not arrow-closed: source 1 hits dropped sink 2"):
-        _parts_from_kept(M, adj, kept)
-    [part] = _parts_from_kept(M, adj, kept + [4])
+        _parts_from_kept(M, adj, components(adj, kept))
+    [part] = _parts_from_kept(M, adj, components(adj, kept + [4]))
     assert (part.module.dim1, part.module.dim2) == (2, 3)
 
 

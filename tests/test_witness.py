@@ -181,6 +181,19 @@ def test_witness_for_classifies_q_and_its_kernel_once_each(monkeypatch):
     assert w.notes["kernel_blocks"] == ["R_mono(50)"]
 
 
+def test_witness_for_theta_post_keeps_the_module_it_was_given(monkeypatch):
+    M = build_postinjective_theta(3, 9)
+    built = []
+    build = witness_mod.build_postinjective_theta
+    monkeypatch.setattr(witness_mod, "build_postinjective_theta",
+                        lambda *args: built.append(args) or build(*args))
+    w = witness_for(M, QUARTER, l_override=40)
+    assert built == []
+    assert w.module is M
+    assert w.notes["producer"] == "fragment_postinjective" and len(w.parts) > 1
+    assert verify_witness(M, w).ok
+
+
 def test_postinjective_producer_asserts_its_kernel_is_r_mono(monkeypatch):
     classify = witness_mod.classify_standard
     monkeypatch.setattr(witness_mod, "classify_standard",
