@@ -9,7 +9,7 @@ from .matrices import Matrix, column_space_dim_of_stack
 from .modules import (DimVector, KroneckerModule, PencilBlock, a_sequence,
                       build_P, build_Q, build_R, build_postinjective_theta,
                       build_preprojective_theta, closed_form_a, direct_sum,
-                      hom_space, kernel_module, t_bound_check)
+                      hom_space, t_bound_check)
 from .pencil import certify_pencil, decompose_pencil
 from .quiver import (CoefficientQuiver, build_gamma, centroid, degree_stats,
                      is_tree, split_components)

@@ -632,19 +632,6 @@ def column_space_dim_of_stack(mats) -> int:
     return Matrix.hstack(mats).rank()
 
 
-def random_matrix(field, rows, cols, rng, span=5):
-    ent = []
-    for i in range(rows):
-        for j in range(cols):
-            if field.char == 0:
-                v = rational(rng.randint(-span, span), rng.randint(1, 3))
-            else:
-                v = rng.randrange(field.q)
-            if v:
-                ent.append((i, j, v))
-    return Matrix.from_entries(field, rows, cols, ent)
-
-
 def random_invertible(field, n, rng, span=3):
     """Product of random unitriangular factors and a permutation; always invertible."""
     lo_ent = [(i, i, field.one) for i in range(n)]

@@ -450,51 +450,7 @@ def build_preprojective_theta(d: int, t: int, field=QQ) -> KroneckerModule:
     return build_postinjective_theta(d, t, field).transpose()
 
 
-# -- hom spaces and kernels ---------------------------------------------------
-
-
-def hom_system(X: KroneckerModule, Y: KroneckerModule) -> Matrix:
-    """The linear system g X(k) = Y(k) f for all arrows k, in the unknowns
-    f[l, j] (first Y.dim1 * X.dim1 columns) and then g[i, m], each matrix
-    in row-major order."""
-    if X.d != Y.d or X.field != Y.field:
-        raise ValidationError("hom space needs matching arrow count and field")
-    fld = X.field
-    nf = Y.dim1 * X.dim1
-    ng = Y.dim2 * X.dim2
-
-    def fvar(l, j):  # f[l, j]
-        return l * X.dim1 + j
-
-    def gvar(i, m):  # g[i, m]
-        return nf + i * X.dim2 + m
-
-    nrows = X.d * Y.dim2 * X.dim1
-    rows = [dict() for _ in range(nrows)]
-
-    def ridx(k, i, j):
-        return (k * Y.dim2 + i) * X.dim1 + j
-
-    for k in range(X.d):
-        for m, j, v in X.maps[k].entries():
-            for i in range(Y.dim2):
-                r = rows[ridx(k, i, j)]
-                var = gvar(i, m)
-                nv = fld.add(r.get(var, fld.zero), v)
-                if nv:
-                    r[var] = nv
-                else:
-                    r.pop(var, None)
-        for i, l, w in Y.maps[k].entries():
-            for j in range(X.dim1):
-                r = rows[ridx(k, i, j)]
-                var = fvar(l, j)
-                nv = fld.sub(r.get(var, fld.zero), w)
-                if nv:
-                    r[var] = nv
-                else:
-                    r.pop(var, None)
-    return Matrix._build(fld, nrows, nf + ng, rows)
+# -- hom spaces ---------------------------------------------------------------
 
 
 class PresolvedHom:
@@ -506,16 +462,16 @@ class PresolvedHom:
     columns ascending, and is substituted into the equations of every other
     column. For a direct sum of canonical blocks every g column but those of
     P_0 is pinned, so the kernel is taken over about half the unknowns and
-    half the equations of hom_system.
+    half the equations of the plain Hom system, which has an unknown for
+    every entry of f and g.
 
     The unknowns of the reduced system are f[l, j] in column-major order,
     then g[i, m] for the unpinned columns m (self.free) in row-major order.
     The equations of a canonical block chain f[:, j] to f[:, j + 1], so in
     column-major order the elimination mostly stays in a band of two
-    columns of f; the row-major order of hom_system fills in the whole
-    block. The
-    columns of self.kernel are a basis of the solutions; pairs() turns such
-    columns into pairs (f, g).
+    columns of f; the row-major order of the plain Hom system fills in the
+    whole block. The columns of self.kernel are a basis of the solutions;
+    pairs() turns such columns into pairs (f, g).
     """
 
     def __init__(self, X: KroneckerModule, Y: KroneckerModule):
@@ -622,21 +578,6 @@ def hom_space(X: KroneckerModule, Y: KroneckerModule):
 def is_homomorphism(theta, X: KroneckerModule, Y: KroneckerModule) -> bool:
     f, g = theta
     return all(g @ X.maps[k] == Y.maps[k] @ f for k in range(X.d))
-
-
-def kernel_module(theta, X: KroneckerModule, Y: KroneckerModule):
-    """Kernel submodule of a homomorphism, with its embedding into X."""
-    if not is_homomorphism(theta, X, Y):
-        raise ValidationError("theta does not intertwine the arrow maps")
-    f, g = theta
-    k1 = f.kernel_basis()
-    k2 = g.kernel_basis()
-    maps = []
-    for k in range(X.d):
-        image = X.maps[k] @ k1
-        maps.append(k2.solve(image))
-    sub = KroneckerModule(X.d, X.field, k1.cols, k2.cols, maps)
-    return sub, (k1, k2)
 
 
 # -- structural classification -------------------------------------------------

@@ -4,11 +4,11 @@ The group acts on the projective line over F_p by Moebius transformations;
 the permutation representation on C^(p+1) restricts to the sum-zero
 hyperplane W, and in the difference basis w_i = e_{i+1} - e_i the restricted
 generators are integer matrices with entries in {-1, 0, 1}. Irreducibility
-is decided exactly: the commutant of the generators is read off the Hom
-system of a Kronecker module (modules.hom_system) with the exact
-elimination kernel. Spectral estimates for the adjoint action on trace-zero
-matrices run in floating point (numpy) on an orthonormal transport of the
-same representation.
+is decided exactly: the commutant of the generators is the kernel of the
+presolved Hom system of a Kronecker module (modules.PresolvedHom), whose
+identity arrow pins every g column to its f column. Spectral estimates for
+the adjoint action on trace-zero matrices run in floating point (numpy) on
+an orthonormal transport of the same representation.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainError, ValidationError
 from .fields import QQ, PrimeField, is_prime
 from .matrices import Matrix
-from .modules import KroneckerModule, hom_system
+from .modules import KroneckerModule, PresolvedHom
 
 
 @dataclass(frozen=True)
@@ -186,13 +186,13 @@ def commutant_dimension(mats) -> int:
 
     The commutant is End of the Kronecker module (I, m_1, ..., m_r) on
     (Q^n, Q^n): a pair (f, g) with g I = I f and g m = m f is X = f = g.
-    The identity arrow says only f = g, so it is substituted instead of
-    solved: in the Hom system g m_k = m_k f of (m_1, ..., m_r) with itself,
-    the column of each g entry is added to the column of the same f entry,
-    which leaves X m_k = m_k X in the n^2 unknowns of X. Its nullity is
-    taken first over F_p for the prime p = 2^31 - 1. Reducing the integer
-    system mod p can only lower its rank, and the identity always commutes,
-    so an answer of 1 there is exact; any other answer is recomputed over Q.
+    Every column of the identity arrow has a single entry, so PresolvedHom
+    pins each g column to the same f column, and nothing is substituted
+    here: the reduced system is X m_k = m_k X in the n^2 unknowns of X. Its
+    nullity is taken first over F_p for the prime p = 2^31 - 1. Reducing
+    the integer system mod p can only lower its rank, and the identity
+    always commutes, so an answer of 1 there is exact; any other answer is
+    recomputed over Q.
     """
     if not mats:
         raise ValidationError("need at least one matrix")
@@ -207,9 +207,9 @@ def commutant_dimension(mats) -> int:
                 raise ValidationError("integer matrices expected")
 
     def end_dimension(field):
-        X = KroneckerModule(len(mats), field, n, n, [_over(field, m) for m in mats])
-        f, g = hom_system(X, X).hsplit([n * n, n * n])
-        return n * n - (f + g).rank()
+        X = KroneckerModule(len(mats) + 1, field, n, n,
+                            [Matrix.identity(field, n)] + [_over(field, m) for m in mats])
+        return PresolvedHom(X, X).kernel.cols
 
     return 1 if end_dimension(_SCREEN) == 1 else end_dimension(QQ)
 

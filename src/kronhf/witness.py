@@ -526,7 +526,9 @@ def postinjective_fragment_size_bound(d: int, eps: Fraction,
 
     alpha = 1/2 + delta, A = 2 + (4 / ln phi) (d - 2), beta = sqrt(alpha);
     solving A n / (alpha L^(1/2) (1 - beta)) <= eps n for L gives
-    L = ceil((A / (alpha (1 - beta) eps))^2).
+    L = ceil((A / (alpha (1 - beta) eps))^2). ln phi and beta are computed in
+    floating point (math.log, math.sqrt), so L is an estimate of the proof
+    bound, not an exact one.
     """
     if not (0 < delta < Fraction(1, 4)):
         raise ValidationError("delta must lie in (0, 1/4)")

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from kronhf.errors import ShapeError, ValidationError
 from kronhf.fields import QQ, PrimeField, is_prime, parse_rational, rational
 from kronhf.matrices import (Matrix, column_space_dim_of_stack, matrix_from_text,
-                             random_matrix, random_invertible)
+                             random_invertible)
+
+from oracles import random_matrix
 
 
 def test_is_prime_small():

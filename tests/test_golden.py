@@ -21,12 +21,14 @@ import pytest
 from kronhf.cli import main
 from kronhf.expander import empirical_best_epsilon
 from kronhf.fields import QQ, PrimeField
-from kronhf.matrices import Matrix, random_invertible, random_matrix
+from kronhf.matrices import Matrix, random_invertible
 from kronhf.modules import (KroneckerModule, PencilBlock, build_P, build_Q,
                             build_R, build_preprojective_theta, direct_sum)
 from kronhf.witness import (fragment_postinjective_theta, fragment_tree_module,
                             verify_witness, witness_postinjective_2k,
                             witness_to_dict)
+
+from oracles import random_matrix
 
 GOLDEN = Path(__file__).parent / "golden"
 

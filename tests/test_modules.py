@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 
 from kronhf.errors import DomainError, ValidationError
 from kronhf.fields import QQ, PrimeField
-from kronhf.matrices import Matrix, random_matrix
+from kronhf.matrices import Matrix
 from kronhf.modules import (KroneckerModule, PencilBlock, a_sequence,
                             build_P, build_Q, build_R, build_postinjective_theta,
                             build_preprojective_theta, classify_standard,
                             closed_form_a, direct_sum, factor_monic, hom_space,
-                            hom_system, is_homomorphism, kernel_module,
-                            module_from_text, parse_poly, t_bound_check)
+                            is_homomorphism, module_from_text, parse_poly,
+                            t_bound_check)
 from kronhf.quiver import build_gamma, degree_stats, is_tree
+
+from oracles import hom_system, kernel_module, random_matrix
 
 
 def test_build_P_small():

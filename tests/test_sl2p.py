@@ -11,7 +11,7 @@ from kronhf import sl2p
 from kronhf.errors import DomainError, ValidationError
 from kronhf.fields import QQ, PrimeField
 from kronhf.matrices import Matrix
-from kronhf.modules import hom_system
+from kronhf.modules import PresolvedHom
 from kronhf.sl2p import (ProjPoint, SL2pElement, adjoint_generators,
                          adjoint_rep, commutant_dimension, gen_s, gen_t,
                          identity_element, irreducible_rep, is_irreducible,
@@ -148,7 +148,7 @@ def test_irreducibility_examples():
     assert not is_irreducible(perm)
     for p in (3, 5, 7):
         assert commutant_dimension([permutation_rep(gen_s(p)), permutation_rep(gen_t(p))]) == 2
-    for p in (3, 5, 7, 11, 13):
+    for p in (3, 5, 7, 11, 13, 17):
         rep = irreducible_rep(p)
         assert is_irreducible([rep.mat_s, rep.mat_t])
 
@@ -190,17 +190,22 @@ def test_commutant_dimension_matches_kron_oracle(dense_mats):
 def test_commutant_recomputes_over_q_when_the_screen_overcounts(monkeypatch):
     big = 2 ** 31 - 1
     screen = PrimeField(big)
-    systems = []
+    solves = []
 
     def recording(X, Y):
-        systems.append(hom_system(X, Y))
-        return systems[-1]
+        solves.append(PresolvedHom(X, Y))
+        return solves[-1]
 
-    monkeypatch.setattr(sl2p, "hom_system", recording)
+    monkeypatch.setattr(sl2p, "PresolvedHom", recording)
     # diag(0, 2^31 - 1) is the zero matrix mod 2^31 - 1: everything commutes there
     assert commutant_dimension([Matrix.from_dense(QQ, [[0, 0], [0, big]])]) == 2
-    assert [s.field for s in systems] == [screen, QQ]
-    assert systems[0].is_zero() and not systems[1].is_zero()
+    assert [s.X.field for s in solves] == [screen, QQ]
+    assert [s.kernel.cols for s in solves] == [4, 2]
+    # an irreducible input is settled by the screen alone
+    solves.clear()
+    rep = irreducible_rep(5)
+    assert commutant_dimension([rep.mat_s, rep.mat_t]) == 1
+    assert [s.X.field for s in solves] == [screen]
 
 
 def test_irreducible_rep_rejects_composite():

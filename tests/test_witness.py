@@ -12,7 +12,7 @@ from kronhf.matrices import Matrix
 from kronhf import witness as witness_mod
 from kronhf.modules import (KroneckerModule, PencilBlock, build_P, build_Q, build_R,
                             build_postinjective_theta, build_preprojective_theta,
-                            direct_sum, kernel_module)
+                            direct_sum)
 from kronhf.quiver import build_gamma, components
 from kronhf.witness import (Witness, WitnessPart, combinator_bounded_codim,
                             combinator_direct_sum, fragment_postinjective_theta,
@@ -22,6 +22,8 @@ from kronhf.witness import (Witness, WitnessPart, combinator_bounded_codim,
                             witness_postinjective_2k, witness_preprojective_2k,
                             witness_regular_2k, witness_to_dict, _verify_stacked,
                             _zigzag_witness)
+
+from oracles import kernel_module
 
 QUARTER = Fraction(1, 4)
 
