@@ -342,10 +342,11 @@ def test_upper_bound_matches_reference_descent(gens, trials, seed):
     assert kazhdan_upper_bound(gens, trials, seed) == reference_upper_bound(gens, trials, seed)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_upper_bound_matches_reference_on_adjoint_generators(p):
     gens = adjoint_generators(p)
-    for seed in (0, 1, 2, 903, 2 ** 32 - 1):
+    # n = 120 and 168 at p = 11 and 13, where the reference takes up to 0.6 s a seed
+    for seed in (0, 1, 2, 903, 2 ** 32 - 1) if p <= 7 else (0, 903):
         assert kazhdan_upper_bound(gens, 1, seed) == reference_upper_bound(gens, 1, seed)
 
 
@@ -368,6 +369,19 @@ def test_kazhdan_bounds_reject_generators_of_mixed_or_non_square_shape():
         for bound in (kazhdan_lower_bound, kazhdan_upper_bound):
             with pytest.raises(ValidationError):
                 bound(gens)
+
+
+def test_kazhdan_bounds_and_adjoint_rep_reject_non_finite_entries():
+    # a NaN compares False with any tolerance, so an orthogonality check written
+    # as `deviation > tol` would let these through
+    for bad in (np.full((2, 2), np.nan), np.diag([1.0, np.nan]), np.diag([np.inf, 1.0]),
+                np.diag([-np.inf, 1.0])):
+        for gens in ([bad], [np.eye(2), bad]):
+            for bound in (kazhdan_lower_bound, kazhdan_upper_bound):
+                with pytest.raises(ValidationError, match="finite"):
+                    bound(gens)
+        with pytest.raises(ValidationError, match="finite"):
+            adjoint_rep(bad)
 
 
 def test_theta3_module():
