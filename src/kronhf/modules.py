@@ -588,21 +588,27 @@ def classify_standard(M: KroneckerModule):
 
     Returns ('P', n), ('Q', n), ('R_poly', coeffs), ('R_mono', n),
     ('theta_post', t), ('theta_pre', t) or None. Matching is exact on the
-    matrices, not up to isomorphism.
+    matrices, not up to isomorphism. For d = 2 the two maps' row dicts are
+    read once and no reference module is built: every map of P_n, Q_n and
+    R_mono(n), and the identity of R_poly, is a band of ones (_is_band),
+    and the other map of R_poly is a companion matrix.
     """
     fld = M.field
     if M.d == 2:
-        n = min(M.dim1, M.dim2)
-        if M.dim2 == M.dim1 + 1 and M == build_P(M.dim1, fld):
-            return ("P", M.dim1)
-        if M.dim1 == M.dim2 + 1 and M == build_Q(M.dim2, fld):
-            return ("Q", M.dim2)
-        if M.dim1 == M.dim2 and n >= 1:
-            ident = Matrix.identity(fld, n)
-            if M.maps[0] == ident and _is_companion(M.maps[1]):
+        one = fld.one
+        a, b = M.maps[0]._rows, M.maps[1]._rows
+        n1, n2 = M.dim1, M.dim2
+        if n2 == n1 + 1:
+            if _is_band(a, 0, n1, 0, one) and _is_band(b, 1, n1, -1, one):
+                return ("P", n1)
+        elif n1 == n2 + 1:
+            if _is_band(a, 0, n2, 0, one) and _is_band(b, 0, n2, 1, one):
+                return ("Q", n2)
+        elif n1 == n2 >= 1:
+            if _is_band(a, 0, n1, 0, one) and _is_companion(M.maps[1]):
                 return ("R_poly", _companion_coeffs(M.maps[1]))
-            if M.maps[1] == ident and M.maps[0] == companion_matrix(fld, (fld.zero,) * n):
-                return ("R_mono", n)
+            if _is_band(b, 0, n1, 0, one) and _is_band(a, 1, n1 - 1, -1, one):
+                return ("R_mono", n1)
         return None
     if M.d >= 3:
         for t in range(1, 64):
@@ -616,20 +622,35 @@ def classify_standard(M: KroneckerModule):
     return None
 
 
+def _is_band(rows, first, count, shift, one) -> bool:
+    """Whether the row dicts rows are exactly {r: {r + shift: one}} for the
+    count rows r = first, first + 1, ...: no other row, and no other entry
+    in these."""
+    if len(rows) != count:
+        return False
+    for r in range(first, first + count):
+        row = rows.get(r)
+        if row is None or len(row) != 1 or row.get(r + shift) != one:
+            return False
+    return True
+
+
 def _is_companion(m: Matrix) -> bool:
+    """Whether m is square and, outside its last column, exactly the
+    subdiagonal of ones: in one pass over the rows, every entry off the
+    last column is a one on the subdiagonal, and there are n - 1 of them."""
     n = m.rows
     if n == 0 or m.cols != n:
         return False
-    for i in range(n):
-        for j, v in m.row_items(i):
-            if j == n - 1:
-                continue
-            if i != j + 1 or v != m.field.one:
-                return False
-    for i in range(n - 1):
-        if m.entry(i + 1, i) != m.field.one:
-            return False
-    return True
+    one, last = m.field.one, n - 1
+    count = 0
+    for i, row in m._rows.items():
+        for j, v in row.items():
+            if j != last:
+                if j != i - 1 or v != one:
+                    return False
+                count += 1
+    return count == n - 1
 
 
 def _companion_coeffs(m: Matrix) -> tuple:

@@ -280,14 +280,18 @@ def witness_for(M: KroneckerModule, eps: Fraction, *, l_override: int | None = N
 
     Classifies M once and runs the producer for its kind: the zigzag for P,
     the postinjective and regular producers for Q and R, and the tree
-    fragmentations for theta_pre and theta_post (l_override is the size
-    target of the latter). Any other module is refused.
+    fragmentations for theta_pre and theta_post. l_override is the size
+    target of the latter and is refused for every other shape, as is any
+    module of another shape.
     """
     check_eps(eps)
     kind = classify_standard(M)
     if kind is None:
         raise ValidationError("unsupported module shape for the witness producers")
     tag = kind[0]
+    if l_override is not None and tag != "theta_post":
+        raise ValidationError(f"l_override sets the size target of theta_post modules only, "
+                              f"not of {tag}")
     if tag == "P":
         return _zigzag_witness(M, eps, producer="preprojective_2k")
     if tag == "Q":
@@ -313,26 +317,44 @@ def _zigzag_witness(M: KroneckerModule, eps: Fraction, producer: str) -> Witness
     one so no sink is orphaned and the tail part stays below L.
     """
     check_eps(eps)
-    K = math.ceil(Fraction(1, 2) / eps) + 1
     L = 1 / eps + 3
     if Fraction(M.dim) <= L:
         return whole_module_witness(M, eps, L, producer)
-    n = M.dim1
-    j, r = divmod(n, K)
-    drops = {i * K - 1 for i in range(1, j + 1) if i * K < n}
-    if r == 0 and Fraction(2 * K + 1) > L:
-        drops.add(n - 2)
-    kept = [c for c in range(n) if c not in drops]
+    kept, drops = _zigzag_kept(range(M.dim1), eps)
     adj = adjacency_of(M)
     snk = _closure_sinks(adj, kept)
-    parts = _parts_from_kept(M, adj, components(adj, kept + snk))
     removed = M.dim - len(kept) - len(snk)
-    w = Witness(M, eps, L, parts,
-                dict(producer=producer, dropped_sources=sorted(drops),
-                     removed=removed, removed_fraction=Fraction(removed, M.dim)))
-    if Fraction(w.dim_n) < (1 - eps) * M.dim:
+    _check_zigzag(M.dim - removed, M.dim, eps)
+    parts = _parts_from_kept(M, adj, components(adj, kept + snk))
+    return Witness(M, eps, L, parts,
+                   dict(producer=producer, dropped_sources=drops,
+                        removed=removed, removed_fraction=Fraction(removed, M.dim)))
+
+
+def _zigzag_kept(sources, eps):
+    """The drop rule of _zigzag_witness at eps on the source ids of a module
+    in standard preprojective shape, in order: (kept sources, dropped
+    sources), both in order.
+
+    K = ceil(1/(2 eps)) + 1 and L = 1/eps + 3; every K-th source is
+    dropped, and when K divides their number and 2K + 1 > L the last drop
+    is shifted by one.
+    """
+    K = math.ceil(Fraction(1, 2) / eps) + 1
+    n = len(sources)
+    j, r = divmod(n, K)
+    drops = {i * K - 1 for i in range(1, j + 1) if i * K < n}
+    if r == 0 and Fraction(2 * K + 1) > 1 / eps + 3:
+        drops.add(n - 2)
+    return ([s for c, s in enumerate(sources) if c not in drops],
+            [sources[c] for c in sorted(drops)])
+
+
+def _check_zigzag(dim_n, dim, eps):
+    """The dimension bound of a zigzag witness of dim N = dim_n on a module
+    of dimension dim, which its construction guarantees."""
+    if Fraction(dim_n) < (1 - eps) * dim:
         raise AssertionError("zigzag witness violates the dimension bound; bug")
-    return w
 
 
 def witness_regular_2k(R: KroneckerModule, eps: Fraction) -> Witness:
@@ -345,18 +367,46 @@ def witness_regular_2k(R: KroneckerModule, eps: Fraction) -> Witness:
 
 
 def _regular_witness(R: KroneckerModule, eps: Fraction) -> Witness:
-    """witness_regular_2k on a module known to be R_poly or R_mono."""
+    """witness_regular_2k on a module known to be R_poly or R_mono.
+
+    Sources 0..n-2 and every sink span a codimension-1 submodule of
+    standard preprojective shape. Its zigzag witness at eps/2, carried up
+    to R by combinator_bounded_codim, is the witness. The kept vertex set
+    is computed in R's own ids (_regular_kept), so R's adjacency list and
+    part modules are built once, and the transport's guards and notes come
+    from _codim_notes.
+    """
     l_eps = 2 / eps + 3
     if Fraction(R.dim) <= l_eps:
         return whole_module_witness(R, eps, l_eps, "regular_2k")
-    n = R.dim1
-    sub, embs = monomial_submodule(R, range(n - 1))
-    if sub.dim != R.dim - 1:
+    adj = adjacency_of(R)
+    kept, snk = _regular_kept(adj, range(R.dim1), eps)
+    notes = _codim_notes(R.dim, R.dim - 1, eps / 2, len(kept) + len(snk), eps)
+    notes["producer"] = "regular_2k"
+    return Witness(R, eps, l_eps, _parts_from_kept(R, adj, components(adj, kept + snk)), notes)
+
+
+def _regular_kept(adj, sources, eps):
+    """The kept sources and their closure sinks of the regular producer at
+    eps, on a regular canonical module inside the module of adj: given by
+    its source ids, whose closure is its sinks, as many as the sources.
+
+    The codimension-1 submodule drops the last source and keeps every sink
+    (checked by counting the closure sinks of the others). Its zigzag at
+    eps/2 keeps all of it when its dimension is at most the zigzag's
+    L = 2/eps + 3, and otherwise the sources of the drop rule.
+    """
+    sub = sources[:-1]
+    snk = _closure_sinks(adj, sub)
+    if len(snk) != len(sources):
         raise AssertionError("regular submodule should have codimension 1")
-    inner = _zigzag_witness(sub, eps / 2, producer="regular_2k/inner")
-    w = combinator_bounded_codim(R, sub, embs, inner, eps)
-    w.notes["producer"] = "regular_2k"
-    return w
+    dim_sub = len(sub) + len(snk)
+    if Fraction(dim_sub) <= 2 / eps + 3:
+        return list(sub), snk
+    kept, _ = _zigzag_kept(sub, eps / 2)
+    snk = _closure_sinks(adj, kept)
+    _check_zigzag(len(kept) + len(snk), dim_sub, eps / 2)
+    return kept, snk
 
 
 def witness_postinjective_2k(Qm: KroneckerModule, eps: Fraction) -> Witness:
@@ -364,7 +414,8 @@ def witness_postinjective_2k(Qm: KroneckerModule, eps: Fraction) -> Witness:
 
     theta sends source 0 to the injective I(1) and every other vector to 0,
     so its kernel is the monomial submodule on sources 1..n: R_mono(n) with
-    the selection embeddings.
+    the selection embeddings (a lemma the tests check). The witness is the
+    regular producer's at eps/2 on the kernel, carried up to Q_n.
     """
     check_eps(eps)
     kind = classify_standard(Qm)
@@ -374,18 +425,34 @@ def witness_postinjective_2k(Qm: KroneckerModule, eps: Fraction) -> Witness:
 
 
 def _postinjective_witness(Qm: KroneckerModule, n: int, eps: Fraction) -> Witness:
-    """witness_postinjective_2k on a module known to be Q_n."""
+    """witness_postinjective_2k on a module known to be Q_n.
+
+    The kept vertex set is computed in Q_n's own ids: the kernel is sources
+    1..n with their closure sinks (checked to be n of them), the regular
+    producer's whole-module case at eps/2 keeps all of it, and otherwise
+    _regular_kept runs on those sources, so the zigzag's drop rule runs on
+    sources 1..n-1. Q_n's adjacency list and part modules are built once;
+    both transports' guards and notes come from _codim_notes.
+    """
     l_eps = 4 / eps + 3
     if Fraction(Qm.dim) <= l_eps:
         return whole_module_witness(Qm, eps, l_eps, "postinjective_2k")
-    ker, embs = monomial_submodule(Qm, range(1, n + 1))
-    if classify_standard(ker) != ("R_mono", n):
+    adj = adjacency_of(Qm)
+    ker = range(1, n + 1)
+    snk = _closure_sinks(adj, ker)
+    if len(snk) != n:
         raise AssertionError(f"kernel of theta is not R_mono({n}); bug")
-    inner = _regular_witness(ker, eps / 2)
-    w = combinator_bounded_codim(Qm, ker, embs, inner, eps)
-    w.notes["producer"] = "postinjective_2k"
-    w.notes["kernel_blocks"] = [f"R_mono({n})"]
-    return w
+    if Fraction(2 * n) <= l_eps:
+        kept = list(ker)
+    else:
+        kept, snk = _regular_kept(adj, ker, eps / 2)
+        # the regular producer's own transport, onto the kernel: its guards and check
+        _codim_notes(2 * n, 2 * n - 1, eps / 4, len(kept) + len(snk), eps / 2)
+    notes = _codim_notes(Qm.dim, 2 * n, eps / 2, len(kept) + len(snk), eps)
+    notes["producer"] = "postinjective_2k"
+    notes["kernel_blocks"] = [f"R_mono({n})"]
+    return Witness(Qm, eps, l_eps, _parts_from_kept(Qm, adj, components(adj, kept + snk)),
+                   notes)
 
 
 # -- combinators ------------------------------------------------------------------
@@ -410,11 +477,8 @@ def combinator_direct_sum(witnesses, *, eps: Fraction | None = None) -> Witness:
     off1 = off2 = 0
     for w in witnesses:
         for p in w.parts:
-            e1 = Matrix.from_entries(M.field, M.dim1, p.emb1.cols,
-                                     ((i + off1, j, v) for i, j, v in p.emb1.entries()))
-            e2 = Matrix.from_entries(M.field, M.dim2, p.emb2.cols,
-                                     ((i + off2, j, v) for i, j, v in p.emb2.entries()))
-            parts.append(WitnessPart(p.module, e1, e2))
+            parts.append(WitnessPart(p.module, _shifted(p.emb1, M.field, M.dim1, off1),
+                                     _shifted(p.emb2, M.field, M.dim2, off2)))
         off1 += w.module.dim1
         off2 += w.module.dim2
     l_eps = max(w.l_eps for w in witnesses)
@@ -422,6 +486,16 @@ def combinator_direct_sum(witnesses, *, eps: Fraction | None = None) -> Witness:
     if Fraction(out.dim_n) < (1 - eps0) * M.dim:
         raise AssertionError("direct sum combinator broke the dimension bound; bug")
     return out
+
+
+def _shifted(e: Matrix, fld, rows: int, off: int) -> Matrix:
+    """e moved down by off rows inside a matrix of the given rows: an
+    offset index list for a selection, so it stays a recorded selection
+    for verify_witness's one-pass route, else the offset entries."""
+    sel = e.is_selection()
+    if sel is not None:
+        return Matrix.selection(fld, rows, [i + off for i in sel])
+    return Matrix.from_entries(fld, rows, e.cols, ((i + off, j, v) for i, j, v in e.entries()))
 
 
 def combinator_bounded_codim(M: KroneckerModule, sub: KroneckerModule, embs,
@@ -437,28 +511,37 @@ def combinator_bounded_codim(M: KroneckerModule, sub: KroneckerModule, embs,
     is then split back into the parts' columns.
     """
     check_eps(eps)
-    L = M.dim - sub.dim
-    if L < 0:
-        raise ValidationError("submodule larger than the module")
-    if L > 0:
-        if w.eps > eps / 2:
-            raise GuardRefusal(
-                f"inner eps {w.eps} exceeds eps/2 = {eps / 2}; refusing to transport")
-        if Fraction(M.dim) < Fraction(2 * L) / eps:
-            raise GuardRefusal(
-                f"dim M = {M.dim} < 2L/eps = {Fraction(2 * L) / eps}; refusing to transport")
+    notes = _codim_notes(M.dim, sub.dim, w.eps, w.dim_n, eps)
     e1, e2 = embs
     parts = [WitnessPart(p.module, a, b) for p, a, b in
              zip(w.parts, _times_each(e1, [p.emb1 for p in w.parts]),
                  _times_each(e2, [p.emb2 for p in w.parts]))]
-    out = Witness(M, eps, w.l_eps, parts,
-                  dict(producer="bounded_codim", codim=L, inner_eps=w.eps,
-                       removed=M.dim - sum(p.module.dim for p in parts)))
-    out.notes["removed_fraction"] = Fraction(out.notes["removed"], M.dim) if M.dim else Fraction(0)
-    if Fraction(out.dim_n) < (1 - eps) * M.dim:
+    return Witness(M, eps, w.l_eps, parts, notes)
+
+
+def _codim_notes(dim_m, dim_sub, inner_eps, dim_n, eps) -> dict:
+    """The guards, notes and dimension check of combinator_bounded_codim,
+    on dimensions alone: a witness of dim N = dim_n at inner_eps, on a
+    submodule of dimension dim_sub, carried up to a module of dimension
+    dim_m at eps (the parts keep their modules, so dim N does not change).
+    Refuses with GuardRefusal before any part is built."""
+    L = dim_m - dim_sub
+    if L < 0:
+        raise ValidationError("submodule larger than the module")
+    if L > 0:
+        if inner_eps > eps / 2:
+            raise GuardRefusal(
+                f"inner eps {inner_eps} exceeds eps/2 = {eps / 2}; refusing to transport")
+        if Fraction(dim_m) < Fraction(2 * L) / eps:
+            raise GuardRefusal(
+                f"dim M = {dim_m} < 2L/eps = {Fraction(2 * L) / eps}; refusing to transport")
+    removed = dim_m - dim_n
+    notes = dict(producer="bounded_codim", codim=L, inner_eps=inner_eps, removed=removed,
+                 removed_fraction=Fraction(removed, dim_m) if dim_m else Fraction(0))
+    if Fraction(dim_n) < (1 - eps) * dim_m:
         raise GuardRefusal(
-            f"transported witness has dim N = {out.dim_n} < (1 - {eps}) * {M.dim}")
-    return out
+            f"transported witness has dim N = {dim_n} < (1 - {eps}) * {dim_m}")
+    return notes
 
 
 def _times_each(e: Matrix, mats) -> list:

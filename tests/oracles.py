@@ -2,15 +2,23 @@
 
 None of these is called by the library: hom_system is the Hom system
 without presolve, kernel_module builds a kernel submodule through
-kernel_basis and solve, and random_matrix draws the random matrices of
-several tests and of the matrix golden, whose text depends on its exact
-sequence of rng calls.
+kernel_basis and solve, classify_standard_d2 recognises the d = 2 canonical
+shapes by building each and comparing, nested_regular_witness and
+nested_postinjective_witness run the tame producers on submodules built as
+modules, and random_matrix draws the random matrices of several tests and
+of the matrix golden, whose text depends on its exact sequence of rng
+calls.
 """
+
+from fractions import Fraction
 
 from kronhf.errors import ValidationError
 from kronhf.fields import rational
 from kronhf.matrices import Matrix
-from kronhf.modules import KroneckerModule, is_homomorphism
+from kronhf.modules import (KroneckerModule, build_P, build_Q, companion_matrix,
+                            is_homomorphism)
+from kronhf.witness import (_zigzag_witness, combinator_bounded_codim, monomial_submodule,
+                            whole_module_witness)
 
 
 def hom_system(X: KroneckerModule, Y: KroneckerModule) -> Matrix:
@@ -70,6 +78,72 @@ def kernel_module(theta, X: KroneckerModule, Y: KroneckerModule):
         maps.append(k2.solve(image))
     sub = KroneckerModule(X.d, X.field, k1.cols, k2.cols, maps)
     return sub, (k1, k2)
+
+
+def classify_standard_d2(M: KroneckerModule):
+    """classify_standard on a d = 2 module, by building P_n, Q_n, the
+    identity and the companion of x^n and comparing them with M, and by
+    checking a companion matrix entry by entry."""
+    fld = M.field
+    n = min(M.dim1, M.dim2)
+    if M.dim2 == M.dim1 + 1 and M == build_P(M.dim1, fld):
+        return ("P", M.dim1)
+    if M.dim1 == M.dim2 + 1 and M == build_Q(M.dim2, fld):
+        return ("Q", M.dim2)
+    if M.dim1 == M.dim2 and n >= 1:
+        ident = Matrix.identity(fld, n)
+        if M.maps[0] == ident and _is_companion(M.maps[1]):
+            return ("R_poly", tuple(fld.neg(M.maps[1].entry(i, n - 1)) for i in range(n)))
+        if M.maps[1] == ident and M.maps[0] == companion_matrix(fld, (fld.zero,) * n):
+            return ("R_mono", n)
+    return None
+
+
+def _is_companion(m: Matrix) -> bool:
+    n = m.rows
+    if n == 0 or m.cols != n:
+        return False
+    for i in range(n):
+        for j, v in m.row_items(i):
+            if j == n - 1:
+                continue
+            if i != j + 1 or v != m.field.one:
+                return False
+    for i in range(n - 1):
+        if m.entry(i + 1, i) != m.field.one:
+            return False
+    return True
+
+
+def nested_regular_witness(R: KroneckerModule, eps: Fraction):
+    """The regular producer on R_poly or R_mono, one module per step: the
+    codimension-1 submodule on sources 0..n-2, its zigzag witness at eps/2,
+    and combinator_bounded_codim up to R."""
+    l_eps = 2 / eps + 3
+    if Fraction(R.dim) <= l_eps:
+        return whole_module_witness(R, eps, l_eps, "regular_2k")
+    sub, embs = monomial_submodule(R, range(R.dim1 - 1))
+    assert sub.dim == R.dim - 1
+    inner = _zigzag_witness(sub, eps / 2, producer="regular_2k/inner")
+    w = combinator_bounded_codim(R, sub, embs, inner, eps)
+    w.notes["producer"] = "regular_2k"
+    return w
+
+
+def nested_postinjective_witness(Qm: KroneckerModule, eps: Fraction):
+    """The postinjective producer on Q_n, one module per step: the kernel
+    of theta: Q_n -> I(1) on sources 1..n, nested_regular_witness on it at
+    eps/2, and combinator_bounded_codim up to Q_n."""
+    n = Qm.dim2
+    l_eps = 4 / eps + 3
+    if Fraction(Qm.dim) <= l_eps:
+        return whole_module_witness(Qm, eps, l_eps, "postinjective_2k")
+    ker, embs = monomial_submodule(Qm, range(1, n + 1))
+    inner = nested_regular_witness(ker, eps / 2)
+    w = combinator_bounded_codim(Qm, ker, embs, inner, eps)
+    w.notes["producer"] = "postinjective_2k"
+    w.notes["kernel_blocks"] = [f"R_mono({n})"]
+    return w
 
 
 def random_matrix(field, rows, cols, rng, span=5):

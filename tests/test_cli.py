@@ -142,6 +142,19 @@ def test_witness_theta_modules_via_cli(capsys, tmp_path):
     assert code == 0 and "verdict pass" in out
 
 
+def test_witness_refuses_l_override_off_theta_post(capsys):
+    """--l-override is the size target of theta_post modules; on any other
+    shape it is refused, not silently ignored."""
+    mod = Path(__file__).parent / "golden" / "r40.mod"
+    code, out, err = run(capsys, "witness", "--module", str(mod), "--eps", "1/4",
+                         "--l-override", "0")
+    assert (code, out) == (2, "")
+    assert err == ("error: l_override sets the size target of theta_post modules only, "
+                   "not of R_poly\n")
+    code, out, _ = run(capsys, "witness", "--module", str(mod), "--eps", "1/4")
+    assert code == 0 and "verdict pass" in out
+
+
 def test_sweep_empty_range(capsys, tmp_path):
     out_path = tmp_path / "sweep.csv"
     code, _, _ = run(capsys, "sweep", "--family", "P", "--range", "",

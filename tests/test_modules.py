@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kronhf.errors import DomainError, ValidationError
@@ -12,12 +12,13 @@ from kronhf.matrices import Matrix
 from kronhf.modules import (KroneckerModule, PencilBlock, a_sequence,
                             build_P, build_Q, build_R, build_postinjective_theta,
                             build_preprojective_theta, classify_standard,
-                            closed_form_a, direct_sum, factor_monic, hom_space,
+                            closed_form_a, companion_matrix, direct_sum, factor_monic,
+                            hom_space,
                             is_homomorphism, module_from_text, parse_poly,
                             t_bound_check)
 from kronhf.quiver import build_gamma, degree_stats, is_tree
 
-from oracles import hom_system, kernel_module, random_matrix
+from oracles import classify_standard_d2, hom_system, kernel_module, random_matrix
 
 
 def test_build_P_small():
@@ -297,3 +298,90 @@ def test_classify_standard():
     assert kind == ("R_poly", (Fraction(1), Fraction(0)))
     assert classify_standard(build_postinjective_theta(3, 2)) == ("theta_post", 2)
     assert classify_standard(build_preprojective_theta(3, 2)) == ("theta_pre", 2)
+    assert classify_standard(build_P(0)) == ("P", 0)
+    assert classify_standard(build_Q(0)) == ("Q", 0)
+    assert classify_standard(direct_sum([])) is None
+    assert classify_standard(build_R(PencilBlock("R_mono", 1))) == ("R_mono", 1)
+
+
+_CELLS = [0, 0, 1, -1, 2, Fraction(1, 2)]
+
+
+@st.composite
+def near_canonical_d2(draw):
+    """(module, mutation): P_n, Q_n, R_poly, R_mono or a zero module (of
+    small dims, so P_0 and Q_0 too), then one entry of one map changed,
+    added or removed, or the two maps swapped, or nothing."""
+    field = draw(st.sampled_from([QQ, PrimeField(5)]))
+    kind = draw(st.sampled_from(["P", "Q", "R_poly", "R_mono", "zero"]))
+    n = draw(st.integers(0 if kind in ("P", "Q") else 1, 7))
+    if kind == "P":
+        M = build_P(n, field)
+    elif kind == "Q":
+        M = build_Q(n, field)
+    elif kind == "R_mono":
+        M = build_R(PencilBlock("R_mono", n), field)
+    elif kind == "R_poly":
+        coeffs = draw(st.lists(st.sampled_from(_CELLS), min_size=n, max_size=n))
+        M = KroneckerModule(2, field, n, n,
+                            [Matrix.identity(field, n), companion_matrix(field, coeffs)])
+    else:
+        d1, d2 = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        M = KroneckerModule(2, field, d1, d2, [Matrix.zeros(field, d2, d1)] * 2)
+    mutation = draw(st.sampled_from(["none", "change", "add", "remove", "swap"]))
+    if mutation == "swap":
+        return KroneckerModule(2, field, M.dim1, M.dim2, M.maps[::-1]), mutation
+    k = draw(st.integers(0, 1))
+    ent = {(i, j): v for i, j, v in M.maps[k].entries()}
+    if mutation in ("change", "remove") and ent:
+        at = draw(st.sampled_from(sorted(ent)))
+        if mutation == "remove":
+            del ent[at]
+        else:
+            v = field.coerce(draw(st.sampled_from(_CELLS[2:])))
+            assume(v != ent[at])
+            ent[at] = v
+    elif mutation == "add":
+        free = [(i, j) for i in range(M.dim2) for j in range(M.dim1) if (i, j) not in ent]
+        if free:
+            ent[draw(st.sampled_from(free))] = field.coerce(draw(st.sampled_from(_CELLS[2:])))
+    maps = list(M.maps)
+    maps[k] = Matrix.from_entries(field, M.dim2, M.dim1, [(i, j, v) for (i, j), v in ent.items()])
+    return KroneckerModule(2, field, M.dim1, M.dim2, maps), mutation
+
+
+@settings(max_examples=500, deadline=None)
+@given(near_canonical_d2())
+def test_classify_standard_matches_build_and_compare(case):
+    """classify_standard reads the d = 2 shapes off the row dicts; the
+    oracle builds each candidate and compares."""
+    M, _ = case
+    assert classify_standard(M) == classify_standard_d2(M)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)])
+def test_classify_standard_matches_build_and_compare_on_every_one_entry_change(field):
+    """Every single entry of either map of the shapes up to n = 4 set to
+    each of 0, 1, -1 and 2, against the oracle."""
+    cells = [field.coerce(v) for v in (0, 1, -1, 2)]
+    shapes = []
+    for n in range(5):
+        shapes += [build_P(n, field), build_Q(n, field)]
+        if n:
+            shapes.append(build_R(PencilBlock("R_mono", n), field))
+            for coeffs in ((0,) * n, (1,) + (0,) * (n - 1), (2,) * n):
+                shapes.append(KroneckerModule(2, field, n, n, [
+                    Matrix.identity(field, n), companion_matrix(field, coeffs)]))
+    for M in shapes:
+        for k in range(2):
+            ent = {(i, j): v for i, j, v in M.maps[k].entries()}
+            for i in range(M.dim2):
+                for j in range(M.dim1):
+                    for v in cells:
+                        changed = dict(ent)
+                        changed[i, j] = v
+                        maps = list(M.maps)
+                        maps[k] = Matrix.from_entries(field, M.dim2, M.dim1,
+                                                      [(r, c, x) for (r, c), x in changed.items()])
+                        N = KroneckerModule(2, field, M.dim1, M.dim2, maps)
+                        assert classify_standard(N) == classify_standard_d2(N), (N, k, i, j, v)

@@ -12,7 +12,7 @@ from kronhf.matrices import Matrix
 from kronhf import witness as witness_mod
 from kronhf.modules import (KroneckerModule, PencilBlock, build_P, build_Q, build_R,
                             build_postinjective_theta, build_preprojective_theta,
-                            direct_sum)
+                            classify_standard, direct_sum)
 from kronhf.quiver import build_gamma, components
 from kronhf.witness import (Witness, WitnessPart, combinator_bounded_codim,
                             combinator_direct_sum, fragment_postinjective_theta,
@@ -23,7 +23,7 @@ from kronhf.witness import (Witness, WitnessPart, combinator_bounded_codim,
                             witness_regular_2k, witness_to_dict, _verify_stacked,
                             _zigzag_witness)
 
-from oracles import kernel_module
+from oracles import kernel_module, nested_postinjective_witness, nested_regular_witness
 
 QUARTER = Fraction(1, 4)
 
@@ -169,7 +169,9 @@ def test_witness_for_matches_the_named_producer(M, eps, named, l_override):
     assert verify_witness(M, w).ok
 
 
-def test_witness_for_classifies_q_and_its_kernel_once_each(monkeypatch):
+def test_witness_for_classifies_q_once(monkeypatch):
+    """The postinjective producer counts the kernel's vertices instead of
+    classifying it (its shape is the lemma below)."""
     seen = []
     classify = witness_mod.classify_standard
 
@@ -179,7 +181,7 @@ def test_witness_for_classifies_q_and_its_kernel_once_each(monkeypatch):
 
     monkeypatch.setattr(witness_mod, "classify_standard", counted)
     w = witness_for(build_Q(50), Fraction(1, 10))
-    assert seen == [(51, 50), (50, 50)]
+    assert seen == [(51, 50)]
     assert w.notes["kernel_blocks"] == ["R_mono(50)"]
 
 
@@ -196,12 +198,22 @@ def test_witness_for_theta_post_keeps_the_module_it_was_given(monkeypatch):
     assert verify_witness(M, w).ok
 
 
-def test_postinjective_producer_asserts_its_kernel_is_r_mono(monkeypatch):
-    classify = witness_mod.classify_standard
-    monkeypatch.setattr(witness_mod, "classify_standard",
-                        lambda M: ("R_mono", 49) if M.dim1 == M.dim2 else classify(M))
-    with pytest.raises(AssertionError, match=r"not R_mono\(50\)"):
-        witness_for(build_Q(50), Fraction(1, 10))
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)])
+def test_kernel_of_theta_on_q_is_r_mono(field):
+    """The lemma behind the postinjective producer's kernel_blocks note:
+    the monomial submodule of Q_n on sources 1..n is literally R_mono(n)."""
+    for n in range(1, 61):
+        ker, _ = monomial_submodule(build_Q(n, field), range(1, n + 1))
+        assert classify_standard(ker) == ("R_mono", n), n
+
+
+@pytest.mark.parametrize("M", [build_P(30), build_Q(30), build_R(_R_POLY_60),
+                               build_preprojective_theta(3, 5)],
+                         ids=["P", "Q", "R_poly", "theta_pre"])
+def test_witness_for_refuses_l_override_off_theta_post(M):
+    with pytest.raises(ValidationError, match="l_override sets the size target of "
+                                              "theta_post modules only"):
+        witness_for(M, QUARTER, l_override=40)
 
 
 def test_witness_for_refuses_other_shapes():
@@ -235,6 +247,28 @@ def test_combinator_direct_sum():
     empty = combinator_direct_sum([], eps=QUARTER)
     assert empty.module.dim == 0
     assert verify_witness(empty.module, empty).ok
+
+
+def test_combinator_direct_sum_keeps_recorded_selections():
+    """Selection embeddings are offset as index lists, so the sum's parts
+    stay recorded selections; the JSON is that of offsetting the entries."""
+    ws = [witness_preprojective_2k(30, QUARTER), witness_preprojective_2k(1, QUARTER),
+          witness_regular_2k(_regular(40, QQ), QUARTER)]
+    w = combinator_direct_sum(ws)
+    assert all(p.emb1._sel is not None and p.emb2._sel is not None for p in w.parts)
+    parts, off1, off2 = [], 0, 0
+    for x in ws:
+        for p in x.parts:
+            parts.append(WitnessPart(p.module, *(
+                Matrix.from_entries(QQ, rows, e.cols, ((i + off, j, v) for i, j, v in e.entries()))
+                for e, rows, off in ((p.emb1, w.module.dim1, off1),
+                                     (p.emb2, w.module.dim2, off2)))))
+        off1 += x.module.dim1
+        off2 += x.module.dim2
+    ref = Witness(w.module, w.eps, w.l_eps, parts, dict(w.notes))
+    assert w.parts == parts
+    assert json.dumps(witness_to_dict(w)) == json.dumps(witness_to_dict(ref))
+    assert verify_witness(w.module, w).ok
 
 
 def test_combinator_direct_sum_rejects_mixed_eps():
@@ -281,29 +315,42 @@ def _regular(n, field):
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)])
-def test_transport_matches_per_part_products(monkeypatch, field):
-    """Every transport of the regular and postinjective producers equals
-    e1 @ emb1, e2 @ emb2 taken part by part, down to the JSON bytes."""
-    real = witness_mod.combinator_bounded_codim
+def test_producers_match_the_nested_construction(field):
+    """The regular and postinjective producers, which compute their kept
+    vertex set in the module's own ids, give the witness of the nested
+    construction (each submodule built as a module, its inner witness, then
+    combinator_bounded_codim), parts and JSON bytes alike. n = 4..12 hits
+    the cases where an inner step keeps its whole module; at eps = 4/9 and
+    n = 6 the kernel of Q_n has exactly the size target 4/eps + 3."""
+    for n in [*range(1, 13), 30, 80, 300]:
+        for eps in (Fraction(1, 2), QUARTER, Fraction(1, 10), Fraction(4, 9)):
+            for M, produce, nested in (
+                    (_regular(n, field), witness_regular_2k, nested_regular_witness),
+                    (build_R(PencilBlock("R_mono", n), field), witness_regular_2k,
+                     nested_regular_witness),
+                    (build_Q(n, field), witness_postinjective_2k,
+                     nested_postinjective_witness)):
+                w, ref = produce(M, eps), nested(M, eps)
+                assert w.parts == ref.parts, (M, eps)
+                assert json.dumps(witness_to_dict(w)) == json.dumps(witness_to_dict(ref))
+
+
+@pytest.mark.parametrize("make", [lambda: _regular(300, QQ), lambda: build_Q(300)],
+                         ids=["R_poly", "Q"])
+def test_producers_build_each_module_once(make, monkeypatch):
+    """One adjacency list and one component_modules call on M itself, and
+    no combinator, submodule or product."""
+    M = make()
     calls = []
-
-    def spy(M, sub, embs, inner, eps):
-        out = real(M, sub, embs, inner, eps)
-        calls.append((embs, inner, out))
-        return out
-
-    monkeypatch.setattr(witness_mod, "combinator_bounded_codim", spy)
-    for n in (30, 80, 300):
-        for eps in (Fraction(1, 2), QUARTER, Fraction(1, 10)):
-            witness_regular_2k(_regular(n, field), eps)
-            witness_postinjective_2k(build_Q(n, field), eps)
-    assert len(calls) == 3 * 3 * 3
-    for (e1, e2), inner, out in calls:
-        parts = [WitnessPart(p.module, e1 @ p.emb1, e2 @ p.emb2) for p in inner.parts]
-        assert out.parts == parts
-        ref = Witness(out.module, out.eps, out.l_eps, parts, dict(out.notes))
-        assert (json.dumps(witness_to_dict(out), sort_keys=True)
-                == json.dumps(witness_to_dict(ref), sort_keys=True))
+    for name in ("adjacency_of", "component_modules", "combinator_bounded_codim",
+                 "monomial_submodule"):
+        real = getattr(witness_mod, name)
+        monkeypatch.setattr(witness_mod, name,
+                            lambda *a, _n=name, _f=real: calls.append((_n, a[0])) or _f(*a))
+    monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: calls.append("matmul"))
+    w = witness_for(M, Fraction(1, 10))
+    assert calls == [("adjacency_of", M), ("component_modules", M)]
+    assert len(w.parts) > 1
 
 
 def test_transport_of_an_inner_witness_without_parts():
