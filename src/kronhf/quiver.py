@@ -9,20 +9,20 @@ numbering by layer, as the tags (0, j) and (1, i).
 
 This module is also the one graph layer of the package. Its entry point is
 adjacency_of(M), which reads the adjacency list straight off the rows of the
-arrow matrices; components, centroid_of, split_until and component_modules
-work on such a list and a vertex id subset, and split_components, the witness
-producers and the expander search use them for their component and centroid
-work. CoefficientQuiver keeps the sorted edge list, for export_edges and
-centroid.
+arrow matrices; components, centroid_of and component_modules work on such
+a list and a vertex id subset, split_until on it and the components of a
+forest, and split_components, the witness producers and the expander search
+use them for their component and centroid work. CoefficientQuiver keeps the
+sorted edge list, for export_edges and centroid.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .matrices import Matrix
+from .matrices import Matrix, _Selection
 from .modules import KroneckerModule
 
 
@@ -132,73 +132,153 @@ def components(adj, vertices):
     return out
 
 
-def centroid_of(vertices, adj):
-    """Centroid of the tree induced on vertices, and its branch sizes.
+def _rooted(adj, root, inside):
+    """BFS from root over the vertices marked in inside, unmarking them.
 
-    Returns (c, branch) where c minimises the largest component left by
-    removing it, ties broken toward the smallest id, and branch maps each
-    neighbor of c inside the set to the size of its component once c is
-    removed (the sizes sum to len(vertices) - 1).
+    Returns (order, parent): order lists the vertices reached in BFS order
+    and parent[t] is the position in order of order[t]'s parent, -1 for the
+    root. A BFS appends the children of each vertex together, so parent
+    never decreases, which _children relies on. split_until keeps this form
+    for the pieces it cuts from such a tree: each piece keeps its vertices
+    in the same order, and their parents renumbered.
     """
-    inside = bytearray(len(adj))
-    for v in vertices:
-        inside[v] = 1
-    order = [vertices[0]]
-    inside[order[0]] = 0
-    parent = [-1]  # position in order of each vertex's BFS parent
+    order = [root]
+    parent = [-1]
+    inside[root] = 0
     for t, v in enumerate(order):
         for w in adj[v]:
             if inside[w]:
                 inside[w] = 0
                 order.append(w)
                 parent.append(t)
+    return order, parent
+
+
+def _children(parent, t):
+    """Positions of the children of position t in a rooted tree: parent is
+    sorted, so they are the run of t's in it."""
+    return range(bisect_left(parent, t, t + 1), bisect_right(parent, t, t + 1))
+
+
+def _tree_centroid(order, parent):
+    """Centroid of a rooted tree (order, parent) as _rooted gives it, and its
+    branch sizes, in positions of order.
+
+    Returns (c, branch) where order[c] minimises the largest component left
+    by removing it, ties broken toward the smallest vertex id, and branch
+    maps the position of each neighbor of order[c], its parent first, to the
+    size of its component once order[c] is removed (the sizes sum to
+    len(order) - 1).
+    """
     n = len(order)
     size = [1] * n
     for t in range(n - 1, 0, -1):
         size[parent[t]] += size[t]
-    # the vertices heavier than n/2 form a path down from the root; its last
-    # one is a centroid, and a child of it weighing n/2 is the only other one
-    c = max(t for t in range(n) if 2 * size[t] > n)
-    best = min([c] + [t for t in range(c + 1, n) if parent[t] == c and 2 * size[t] == n],
+    # the vertices heavier than n/2 form a path down from the root, their
+    # sizes falling, and no other vertex weighs as much; the path's last
+    # vertex, the lightest of them, is a centroid, and a child of it
+    # weighing n/2 is the only other one
+    c = size.index(min(filter((n // 2).__lt__, size)))
+    best = min([c] + [u for u in _children(parent, c) if 2 * size[u] == n],
                key=order.__getitem__)
-    branch = {} if best == 0 else {order[parent[best]]: n - size[best]}
-    for t in range(best + 1, n):
-        if parent[t] == best:
-            branch[order[t]] = size[t]
-    return order[best], branch
+    branch = {} if best == 0 else {parent[best]: n - size[best]}
+    for u in _children(parent, best):
+        branch[u] = size[u]
+    return best, branch
 
 
-def split_until(adj, vertices, bound, choose_batch):
+def centroid_of(vertices, adj):
+    """Centroid of the tree induced on vertices, and its branch sizes.
+
+    Returns (c, branch) where c minimises the largest component left by
+    removing it, ties broken toward the smallest id, and branch maps each
+    neighbor of c inside the set to the size of its component once c is
+    removed (the sizes sum to len(vertices) - 1). One BFS roots the tree at
+    vertices[0], and the centroid is read off the rooted tree.
+    """
+    inside = bytearray(len(adj))
+    for v in vertices:
+        inside[v] = 1
+    order, parent = _rooted(adj, vertices[0], inside)
+    c, branch = _tree_centroid(order, parent)
+    return order[c], {order[u]: size for u, size in branch.items()}
+
+
+def split_until(adj, comps, bound, choose_batch):
     """Remove batches of vertices until every component has at most bound vertices.
 
-    choose_batch(comp) gets an oversized component (sorted id list) and
-    returns the set of its vertices to remove. Returns (final components,
-    removed vertex set, size of each removed batch in removal order).
+    comps are the components of a forest, as components(adj, vertices) gives
+    them for a vertex set that induces one; both witness fragmenters pass
+    one tree. An oversized component is rooted by one BFS, and
+    choose_batch(order, parent) gets the rooted tree, as _rooted returns
+    it, and returns the set of its vertices to remove. Each split then walks
+    the component once more, in one pass over the parents, which is exact on
+    a forest: a kept vertex starts a new piece when it is the root or its
+    parent was removed, and joins its parent's piece otherwise. The pass
+    also roots each piece, at its first vertex, with the restriction of
+    (order, parent), so no piece is searched again. Pieces are queued by
+    smallest vertex, the order of components, and sorted only once they are
+    final. Returns (final components, each a sorted id list, removed vertex
+    set, size of each removed batch in removal order).
     """
-    queue = components(adj, vertices)
+    inside = bytearray(len(adj))
+    for comp in comps:
+        for v in comp:
+            inside[v] = 1
+    queue = [(comp, None) for comp in comps]  # (order, parent), None until rooted
     final = []
     removed = set()
     batch_sizes = []
     while queue:
-        comp = queue.pop()
-        if len(comp) <= bound:
-            final.append(comp)
+        order, parent = queue.pop()
+        if len(order) <= bound:
+            final.append(sorted(order))
             continue
-        batch = choose_batch(comp)
+        if parent is None:
+            order, parent = _rooted(adj, order[0], inside)
+        batch = choose_batch(order, parent)
         removed |= batch
         batch_sizes.append(len(batch))
-        queue.extend(components(adj, [u for u in comp if u not in batch]))
+        # label[t] is the index of order[t]'s piece, -1 if removed, with one
+        # slot more for the root's parent position -1; at[t] is its position
+        # in the piece
+        n = len(order)
+        label = [-1] * (n + 1)
+        at = [0] * n
+        orders = []
+        parents = []
+        for t, v in enumerate(order):
+            if v in batch:
+                continue
+            p = parent[t]
+            q = label[p]
+            if q < 0:
+                q = len(orders)
+                orders.append([v])
+                parents.append([-1])
+            else:
+                piece = orders[q]
+                at[t] = len(piece)
+                piece.append(v)
+                parents[q].append(at[p])
+            label[t] = q
+        for q in sorted(range(len(orders)), key=lambda q: min(orders[q])):
+            queue.append((orders[q], parents[q]))
     return final, removed, batch_sizes
 
 
 def component_modules(M: KroneckerModule, comps):
     """One (submodule, (emb1, emb2)) per vertex set, with selection embeddings.
 
-    comps are disjoint sorted id lists; each submodule keeps the rows and
-    columns of M's arrow matrices at its sink and source vertices. One pass
-    over each arrow matrix routes every entry to its set through the owner
-    and local index of its source and sink; an entry whose sink lies outside
-    its source's set is dropped.
+    comps are disjoint sorted lists of M's vertex ids; each submodule keeps
+    the rows and columns of M's arrow matrices at its sink and source
+    vertices. One pass over each arrow matrix routes every entry to its set
+    through the owner and local index of its source and sink; an entry whose
+    sink lies outside its source's set is dropped. The parts are built
+    without the checks of the public constructors, which would only confirm
+    what this pass builds: each submodule skips KroneckerModule's shape and
+    field checks, and each embedding is a recorded selection of sorted ids
+    in range, built without Matrix.selection's range check.
     """
     n = M.dim1
     owner = [-1] * (n + M.dim2)  # position in comps of each vertex's set
@@ -226,9 +306,10 @@ def component_modules(M: KroneckerModule, comps):
     out = []
     for p, (verts, k) in enumerate(zip(comps, cuts)):
         w = len(verts) - k
-        sub = KroneckerModule(M.d, fld, k, w, [Matrix(fld, w, k, blk[p]) for blk in blocks])
-        out.append((sub, (Matrix.selection(fld, n, verts[:k]),
-                          Matrix.selection(fld, M.dim2, [v - n for v in verts[k:]]))))
+        sub = KroneckerModule._unchecked(M.d, fld, k, w,
+                                         [Matrix(fld, w, k, blk[p]) for blk in blocks])
+        out.append((sub, (_Selection(fld, n, verts[:k]),
+                          _Selection(fld, M.dim2, [v - n for v in verts[k:]]))))
     return out
 
 

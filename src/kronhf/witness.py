@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .errors import GuardRefusal, PreconditionError, ValidationError
+from .errors import GuardRefusal, PreconditionError, ShapeError, ValidationError
 from .fields import QQ, check_eps
 from .matrices import Matrix
 from .modules import (
@@ -24,7 +24,8 @@ from .modules import (
     is_homomorphism,
     a_sequence,
 )
-from .quiver import adjacency_of, centroid_of, component_modules, components, split_until
+from .quiver import (_children, _tree_centroid, adjacency_of, component_modules, components,
+                     split_until)
 
 
 @dataclass
@@ -259,6 +260,9 @@ def _parts_from_kept(M: KroneckerModule, adj, comps):
 def monomial_submodule(M: KroneckerModule, kept_sources):
     """Arrow-closed span of the kept source vectors and every sink they hit."""
     src = sorted(kept_sources)
+    if src and (src[0] < 0 or src[-1] >= M.dim1):
+        bad = next(j for j in src if not 0 <= j < M.dim1)
+        raise ShapeError(f"selection index {bad} outside 0..{M.dim1 - 1}")
     snk = _closure_sinks(adjacency_of(M), src)
     [(sub, embs)] = component_modules(M, [src + snk])
     return sub, embs
@@ -567,6 +571,25 @@ def weaken(w: Witness) -> WeakWitness:
 # -- fragmentation for wild theta(d) ------------------------------------------------
 
 
+def _centroid_batch(n_src, order, parent):
+    """fragment_tree_module's batch in a tree rooted by split_until: the
+    centroid, and with a sink centroid its incoming sources, its neighbors."""
+    c, branch = _tree_centroid(order, parent)
+    v = order[c]
+    return {v} if v < n_src else {v, *(order[u] for u in branch)}
+
+
+def _sink_batch(n_src, order, parent):
+    """The postinjective fragmenter's batch in a tree rooted by split_until:
+    a sink centroid, or for a source centroid the neighbor sink heading its
+    largest branch, together with the sink's neighbors, its parent and
+    children."""
+    c, branch = _tree_centroid(order, parent)
+    s = c if order[c] >= n_src else min(branch, key=lambda u: (-branch[u], order[u]))
+    nbrs = _children(parent, s) if s == 0 else [parent[s], *_children(parent, s)]
+    return {order[s], *(order[u] for u in nbrs)}
+
+
 def fragment_tree_module(M: KroneckerModule, eps: Fraction) -> Witness:
     """Centroid-splitting witness for a tree module with indegree at most d.
 
@@ -579,8 +602,8 @@ def fragment_tree_module(M: KroneckerModule, eps: Fraction) -> Witness:
     # every edge once and a sink's list is its indegree
     adj = adjacency_of(M)
     n = M.dim1
-    if (M.dim == 0 or sum(map(len, adj[:n])) != M.dim - 1
-            or len(components(adj, range(M.dim))) != 1):
+    comps = components(adj, range(M.dim))
+    if M.dim == 0 or sum(map(len, adj[:n])) != M.dim - 1 or len(comps) != 1:
         raise PreconditionError("fragment_tree_module requires a tree coefficient quiver")
     indeg = max(map(len, adj[n:]), default=0)
     if indeg > M.d:
@@ -589,12 +612,8 @@ def fragment_tree_module(M: KroneckerModule, eps: Fraction) -> Witness:
     if M.dim <= C:
         return whole_module_witness(M, eps, C, "fragment_tree")
 
-    def choose_batch(comp):
-        # a sink centroid takes its incoming sources, its neighbors in comp
-        v, branch = centroid_of(comp, adj)
-        return {v} if v < n else {v, *branch}
-
-    final, removed, batch_sizes = split_until(adj, range(M.dim), C, choose_batch)
+    final, removed, batch_sizes = split_until(
+        adj, comps, C, lambda order, parent: _centroid_batch(n, order, parent))
     parts = _parts_from_kept(M, adj, sorted(final))
     notes = dict(producer="fragment_tree", removed=len(removed),
                  removed_fraction=Fraction(len(removed), M.dim),
@@ -662,14 +681,9 @@ def _postinjective_theta_witness(M: KroneckerModule, eps: Fraction, *,
                                     guard_triggered=True, size_bound=L)
     adj = adjacency_of(M)
 
-    def choose_batch(comp):
-        # a source centroid hands over to the neighbor sink heading its largest branch
-        v, branch = centroid_of(comp, adj)
-        sink = v if v >= M.dim1 else min(branch, key=lambda nb: (-branch[nb], nb))
-        inside = set(comp)
-        return {sink} | {w for w in adj[sink] if w in inside}
-
-    final, removed, batch_sizes = split_until(adj, range(M.dim), L, choose_batch)
+    # theta_post(d, t) is a tree: its vertex ids form the one component
+    final, removed, batch_sizes = split_until(
+        adj, [list(range(n))], L, lambda order, parent: _sink_batch(M.dim1, order, parent))
     parts = _parts_from_kept(M, adj, sorted(final))
     notes = dict(producer="fragment_postinjective", removed=len(removed),
                  removed_fraction=Fraction(len(removed), M.dim),

@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kronhf.errors import PreconditionError, ValidationError
+from kronhf.errors import PreconditionError, ShapeError, ValidationError
 from kronhf.fields import QQ, PrimeField
 from kronhf.matrices import Matrix
 from kronhf.modules import (KroneckerModule, PencilBlock, build_P, build_R,
                             build_postinjective_theta, direct_sum)
-from kronhf.quiver import (CoefficientQuiver, adjacency_of, build_gamma, centroid,
-                           centroid_of, component_modules, components, degree_stats,
-                           export_edges, is_tree, split_components, split_until)
-from kronhf.witness import _parts_from_kept, fragment_tree_module, monomial_submodule
+from kronhf.quiver import (CoefficientQuiver, _tree_centroid, adjacency_of, build_gamma,
+                           centroid, centroid_of, component_modules, components,
+                           degree_stats, export_edges, is_tree, split_components, split_until)
+from kronhf.witness import (_centroid_batch, _parts_from_kept, _sink_batch,
+                            fragment_tree_module, monomial_submodule)
 
 
 def _vid(gamma, tag):
@@ -174,6 +175,13 @@ def test_submodule_generators_full_and_empty():
     assert (sub.dim1, sub.dim2) == (4, 5)
     sub, _ = monomial_submodule(M, [])
     assert sub.dim == 0
+
+
+def test_submodule_generators_out_of_range_are_refused():
+    M = build_P(3)
+    for bad, shown in (([3], 3), ([-1, 0], -1), ([0, 10], 10)):
+        with pytest.raises(ShapeError, match=f"selection index {shown} outside 0..2"):
+            monomial_submodule(M, bad)
 
 
 def test_submodule_generators_p7_drop_pattern():
@@ -375,14 +383,61 @@ def test_split_until_bounds_components_and_covers(M, data):
     adj = gamma.adjacency()
     subset = _subset(data.draw, gamma)
     bound = data.draw(st.integers(1, gamma.n_vertices))
-    final, removed, batch_sizes = split_until(adj, subset, bound,
-                                              lambda comp: {centroid_of(comp, adj)[0]})
+    final, removed, batch_sizes = split_until(
+        adj, components(adj, subset), bound,
+        lambda order, parent: {order[_tree_centroid(order, parent)[0]]})
     kept = [v for comp in final for v in comp]
     assert all(len(comp) <= bound for comp in final)
     assert len(kept) == len(set(kept)) and not set(kept) & removed
     assert set(kept) | removed == set(subset)
     assert sum(batch_sizes) == len(removed)
     assert sorted(final) == components(adj, kept)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_modules(), st.data())
+def test_split_pieces_match_components_for_any_batch(M, data):
+    """Random nonempty batches, not only centroid ones: each component that
+    split_until hands over is rooted by a BFS of it, and the pieces of its
+    labelling pass are components(adj, comp - batch), queued in that order.
+    At bound 0 every piece is handed over in turn, so the sequence of
+    handed components compares each split's pieces, order included."""
+    gamma = build_gamma(M)
+    adj = gamma.adjacency()
+    subset = _subset(data.draw, gamma)
+    bound = data.draw(st.integers(0, gamma.n_vertices))
+    seed = data.draw(st.integers(0, 2 ** 32))
+
+    def batch_of(comp):  # fixed by the sorted component, so both runs agree
+        rng = random.Random(f"{seed}:{comp}")
+        return set(rng.sample(comp, rng.randint(1, len(comp))))
+
+    handed = []
+
+    def choose(order, parent):
+        assert parent[0] == -1 and parent == sorted(parent)
+        assert all(parent[t] < t and order[parent[t]] in adj[order[t]]
+                   for t in range(1, len(order)))
+        comp = sorted(order)
+        assert len(set(comp)) == len(comp)
+        handed.append(comp)
+        return batch_of(comp)
+
+    got = split_until(adj, components(adj, subset), bound, choose)
+    queue = components(adj, subset)
+    final, removed, batch_sizes, want_handed = [], set(), [], []
+    while queue:
+        comp = queue.pop()
+        if len(comp) <= bound:
+            final.append(comp)
+            continue
+        want_handed.append(comp)
+        batch = batch_of(comp)
+        removed |= batch
+        batch_sizes.append(len(batch))
+        queue.extend(components(adj, [u for u in comp if u not in batch]))
+    assert handed == want_handed
+    assert got == (final, removed, batch_sizes)
 
 
 # -- the (layer, index)-keyed graph layer as the reference for the id one ---------
@@ -462,17 +517,18 @@ def _tag_split_until(adj, vertices, bound, choose_batch):
     return final, removed, batch_sizes
 
 
-def _batch_rule(sink_rule, centroid, neighbors, is_sink):
+def _tag_batch_rule(sink_rule, adj):
     """The batch choice of fragment_tree_module (a sink centroid takes its
     branch heads) or, with sink_rule, of fragment_postinjective_theta (the
-    sink heading a source centroid's largest branch, with its neighbors)."""
+    sink heading a source centroid's largest branch, with its neighbors), on
+    a sorted tag list."""
     def choose(comp):
-        v, br = centroid(comp)
+        v, br = _tag_centroid_of(comp, adj)
         if not sink_rule:
-            return {v, *br} if is_sink(v) else {v}
-        sink = v if is_sink(v) else min(br, key=lambda nb: (-br[nb], nb))
+            return {v, *br} if v[0] == 1 else {v}
+        sink = v if v[0] == 1 else min(br, key=lambda nb: (-br[nb], nb))
         inside = set(comp)
-        return {sink} | {w for w in neighbors(sink) if w in inside}
+        return {sink} | {w for w, _ in adj[sink] if w in inside}
     return choose
 
 
@@ -493,13 +549,10 @@ def test_id_graph_layer_matches_the_tag_keyed_reference(M, data):
         assert {tag(w): size for w, size in branch.items()} == tbranch
     bound = data.draw(st.integers(1, gamma.n_vertices))
     rule = data.draw(st.booleans())
-    got = split_until(adj, subset, bound,
-                      _batch_rule(rule, lambda c: centroid_of(c, adj), adj.__getitem__,
-                                  lambda v: v >= gamma.n_src))
-    want = _tag_split_until(tadj, tsubset, bound,
-                            _batch_rule(rule, lambda c: _tag_centroid_of(c, tadj),
-                                        lambda v: [w for w, _ in tadj[v]],
-                                        lambda v: v[0] == 1))
+    batch = _sink_batch if rule else _centroid_batch
+    got = split_until(adj, comps, bound,
+                      lambda order, parent: batch(gamma.n_src, order, parent))
+    want = _tag_split_until(tadj, tsubset, bound, _tag_batch_rule(rule, tadj))
     assert [[tag(v) for v in c] for c in got[0]] == want[0]
     assert {tag(v) for v in got[1]} == want[1]
     assert got[2] == want[2]
@@ -541,6 +594,11 @@ def test_component_modules_matches_per_part_slicing(data):
     owner = [data.draw(st.integers(-1, k - 1)) for _ in range(dim1 + dim2)]
     comps = [[v for v, o in enumerate(owner) if o == p] for p in range(k)]
     got = component_modules(M, comps)
-    assert got == _reference_component_modules(M, comps)
-    for (sub, (e1, e2)), verts in zip(got, comps):
+    want = _reference_component_modules(M, comps)  # the validating constructors
+    assert got == want
+    for (sub, (e1, e2)), (_, (w1, w2)), verts in zip(got, want, comps):
+        # the parts skip the checks, which accept them
+        assert type(sub) is KroneckerModule
+        assert KroneckerModule(sub.d, sub.field, sub.dim1, sub.dim2, sub.maps) == sub
+        assert e1._sel == w1._sel and e2._sel == w2._sel
         assert e1.is_selection() + [dim1 + i for i in e2.is_selection()] == verts
