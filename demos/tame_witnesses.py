@@ -18,7 +18,7 @@ print("Preprojective P_7 at eps = 1/4: drop every third source generator")
 print("=" * 70)
 w = witness_preprojective_2k(7, Fraction(1, 4))
 print(f"dropped source indices (zero-based): {w.notes['dropped_sources']}")
-print(f"parts: {[p.module.dim for p in w.parts]}  (dims at most L = {w.l_eps})")
+print(f"parts: {[p.dim for p in w.parts]}  (dims at most L = {w.l_eps})")
 print(f"dim N = {w.dim_n} >= (3/4) * {w.module.dim} = {Fraction(3, 4) * w.module.dim}")
 print(f"verifier: {verify_witness(w.module, w)}")
 

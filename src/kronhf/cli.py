@@ -173,7 +173,7 @@ def cmd_witness(args, cfgmap) -> int:
     report = RunReport("witness",
                        {"module": str(_cfg(args, cfgmap, "module")), "eps": str(eps)},
                        payload, [rep.ok], (time.perf_counter() - start) * 1000)
-    part_dims = [p.module.dim for p in w.parts]
+    part_dims = [p.dim for p in w.parts]
     _emit(args, report, [
         f"module dims {M.dim1}x{M.dim2} (dim {M.dim})",
         f"eps {eps}  l_eps {w.l_eps}",

@@ -25,11 +25,8 @@ _EMPTY = {}
 
 class Matrix:
     # no method writes _rows after construction, so _int, the integrality
-    # of the entries, is recorded on first use and stays valid, and so does
-    # _sel, the row index of each column of a matrix built as a selection
-    # (None when no such list was recorded). A recorded selection is a
-    # _Selection, which leaves _rows unset until it is first read
-    __slots__ = ("field", "rows", "cols", "_rows", "_int", "_sel")
+    # of the entries, is recorded on first use and stays valid
+    __slots__ = ("field", "rows", "cols", "_rows", "_int")
 
     def __init__(self, field, rows: int, cols: int, row_dicts=None):
         """row_dicts: {row_index: {col: nonzero value}}, empty rows omitted."""
@@ -40,7 +37,6 @@ class Matrix:
         self.cols = cols
         self._rows = {} if row_dicts is None else row_dicts
         self._int = None
-        self._sel = None
 
     # -- construction -----------------------------------------------------
 
@@ -87,14 +83,16 @@ class Matrix:
     def selection(cls, field, n, indices):
         """n x len(indices) matrix whose t-th column is the unit e_{indices[t]}.
 
-        The index list is recorded, so is_selection() reads it back, and
-        products, hstack and hsplit of recorded selections work on the lists.
+        Refuses an index outside 0..n-1; an index may repeat.
         """
         indices = list(indices)
         if indices and (min(indices) < 0 or max(indices) >= n):
             bad = next(i for i in indices if not 0 <= i < n)
             raise ShapeError(f"selection index {bad} outside 0..{n - 1}")
-        return _Selection(field, n, indices)
+        rd = {}
+        for t, i in enumerate(indices):
+            rd.setdefault(i, {})[t] = field.one
+        return cls(field, n, len(indices), rd)
 
     # -- access -----------------------------------------------------------
 
@@ -149,7 +147,6 @@ class Matrix:
     def __matmul__(self, other):
         """The product, on the integer arithmetic of the elimination kernel.
 
-        Two recorded selections compose their index lists and build no sum.
         Over F_q, and over Q when both factors hold only ints, an output row
         is the integer combination of the rows of other it touches, reduced
         mod q once per output entry over F_q. Otherwise each row of other
@@ -161,10 +158,6 @@ class Matrix:
         self._check_same_field(other)
         if self.cols != other.rows:
             raise ShapeError(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        if self._sel is not None and other._sel is not None:
-            # column t of the product is self's column other._sel[t]
-            a = self._sel
-            return _Selection(self.field, self.rows, [a[j] for j in other._sel])
         q = self.field.char
         out = {}
         if q or (self._integral() and other._integral()):
@@ -271,8 +264,6 @@ class Matrix:
         for m in mats:
             if m.field != fld or m.rows != rows:
                 raise ShapeError("hstack mismatch")
-        if all(m._sel is not None for m in mats):
-            return _Selection(fld, rows, [i for m in mats for i in m._sel])
         out = {}
         off = 0
         for m in mats:
@@ -288,12 +279,6 @@ class Matrix:
         inverse of hstack, in one pass over the entries."""
         if any(w < 0 for w in widths) or sum(widths) != self.cols:
             raise ShapeError(f"widths {list(widths)} do not split {self.cols} columns")
-        if self._sel is not None:
-            out, start = [], 0
-            for w in widths:
-                out.append(_Selection(self.field, self.rows, self._sel[start:start + w]))
-                start += w
-            return out
         where = [(t, c) for t, w in enumerate(widths) for c in range(w)]
         blocks = [{} for _ in widths]
         for i, row in self._rows.items():
@@ -364,11 +349,8 @@ class Matrix:
         """Row indices per column if every column is a unit vector, else None.
 
         Duplicate row indices are possible; rank() only takes the fast path
-        when they are distinct. A recorded selection returns a copy of its
-        index list without a scan.
+        when they are distinct. One scan of the entries.
         """
-        if self._sel is not None:
-            return list(self._sel)
         seen = {}
         count = 0
         one = self.field.one
@@ -433,39 +415,6 @@ class Matrix:
             row = self._rows.get(i, _EMPTY)
             lines.append(" ".join(fmt(row.get(j, z)) for j in range(self.cols)))
         return "\n".join(lines) + "\n"
-
-
-class _Selection(Matrix):
-    """The n x len(sel) selection matrix of the index list sel, which is
-    recorded as it is: the caller checks the indices and keeps no reference.
-
-    _rows stays unset until it is first read; __getattr__, which Python
-    calls only for an attribute it did not find, then builds the row dicts
-    from sel once. The hook lives on this subclass, not on Matrix: a class
-    with __getattr__ loses the interpreter's specialised attribute reads,
-    and a plain matrix keeps them.
-    """
-    __slots__ = ()
-
-    def __init__(self, field, n, sel):
-        self.field = field
-        self.rows = n
-        self.cols = len(sel)
-        self._int = True
-        self._sel = sel
-
-    def __getattr__(self, name):
-        if name != "_rows":
-            raise AttributeError(name)
-        one = self.field.one
-        rd = {}
-        for t, i in enumerate(self._sel):
-            if i in rd:
-                rd[i][t] = one
-            else:
-                rd[i] = {t: one}
-        self._rows = rd
-        return rd
 
 
 def _int_row(row):

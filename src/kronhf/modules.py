@@ -48,18 +48,6 @@ class KroneckerModule:
         self.dim2 = dim2
         self.maps = tuple(maps)
 
-    @classmethod
-    def _unchecked(cls, d, field, dim1, dim2, maps):
-        """The module of __init__ without its checks, for a caller that has
-        just built d maps of shape dim2 x dim1 over field itself."""
-        self = object.__new__(cls)
-        self.d = d
-        self.field = field
-        self.dim1 = dim1
-        self.dim2 = dim2
-        self.maps = tuple(maps)
-        return self
-
     @property
     def dim(self) -> int:
         return self.dim1 + self.dim2

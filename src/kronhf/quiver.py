@@ -9,11 +9,14 @@ numbering by layer, as the tags (0, j) and (1, i).
 
 This module is also the one graph layer of the package. Its entry point is
 adjacency_of(M), which reads the adjacency list straight off the rows of the
-arrow matrices; components, centroid_of and component_modules work on such
-a list and a vertex id subset, split_until on it and the components of a
-forest, and split_components, the witness producers and the expander search
-use them for their component and centroid work. CoefficientQuiver keeps the
-sorted edge list, for export_edges and centroid.
+arrow matrices; components and centroid_of work on such a list and a vertex
+id subset, split_until on it and the components of a forest, and
+split_components, the witness producers and the expander search use them for
+their component and centroid work. A vertex id subset closed under arrows is
+a coordinate submodule: the witness producers keep it as its id lists, and
+its module is the restriction of each arrow matrix to its sink rows and
+source columns. CoefficientQuiver keeps the sorted edge list, for
+export_edges and centroid.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .matrices import Matrix, _Selection
+from .matrices import Matrix
 from .modules import KroneckerModule
 
 
@@ -267,60 +270,22 @@ def split_until(adj, comps, bound, choose_batch):
     return final, removed, batch_sizes
 
 
-def component_modules(M: KroneckerModule, comps):
-    """One (submodule, (emb1, emb2)) per vertex set, with selection embeddings.
-
-    comps are disjoint sorted lists of M's vertex ids; each submodule keeps
-    the rows and columns of M's arrow matrices at its sink and source
-    vertices. One pass over each arrow matrix routes every entry to its set
-    through the owner and local index of its source and sink; an entry whose
-    sink lies outside its source's set is dropped. The parts are built
-    without the checks of the public constructors, which would only confirm
-    what this pass builds: each submodule skips KroneckerModule's shape and
-    field checks, and each embedding is a recorded selection of sorted ids
-    in range, built without Matrix.selection's range check.
-    """
-    n = M.dim1
-    owner = [-1] * (n + M.dim2)  # position in comps of each vertex's set
-    local = [0] * (n + M.dim2)   # index among the sources, or the sinks, of its set
-    cuts = []
-    for p, verts in enumerate(comps):
-        k = bisect_left(verts, n)
-        cuts.append(k)
-        for t, v in enumerate(verts):
-            owner[v] = p
-            local[v] = t if t < k else t - k
-    blocks = [[{} for _ in comps] for _ in M.maps]
-    for blk, m in zip(blocks, M.maps):
-        for i, mrow in m._rows.items():
-            p = owner[n + i]
-            if p < 0:
-                continue
-            row = None
-            for j, v in mrow.items():
-                if owner[j] == p:
-                    if row is None:
-                        row = blk[p][local[n + i]] = {}
-                    row[local[j]] = v
-    fld = M.field
-    out = []
-    for p, (verts, k) in enumerate(zip(comps, cuts)):
-        w = len(verts) - k
-        sub = KroneckerModule._unchecked(M.d, fld, k, w,
-                                         [Matrix(fld, w, k, blk[p]) for blk in blocks])
-        out.append((sub, (_Selection(fld, n, verts[:k]),
-                          _Selection(fld, M.dim2, [v - n for v in verts[k:]]))))
-    return out
-
-
 def split_components(M: KroneckerModule):
     """One module per connected component of the coefficient quiver.
 
-    Returns a list of (module, (emb1, emb2)) with selection embeddings. The
-    block-diagonal sum over components is M up to the recorded vertex
-    partition.
+    Returns a list of (module, (emb1, emb2)) with selection embeddings, one
+    per component in the order of components: the module restricts each
+    arrow matrix to the component's sinks and sources. The block-diagonal
+    sum over components is M up to that vertex partition.
     """
-    return component_modules(M, components(adjacency_of(M), range(M.dim)))
+    n, fld = M.dim1, M.field
+    out = []
+    for comp in components(adjacency_of(M), range(M.dim)):
+        k = bisect_left(comp, n)
+        src, snk = comp[:k], [v - n for v in comp[k:]]
+        sub = KroneckerModule(M.d, fld, k, len(snk), [m.submatrix(snk, src) for m in M.maps])
+        out.append((sub, (Matrix.selection(fld, n, src), Matrix.selection(fld, M.dim2, snk))))
+    return out
 
 
 def export_edges(gamma: CoefficientQuiver) -> str:

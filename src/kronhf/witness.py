@@ -4,12 +4,20 @@ A witness for a module M at tolerance eps is a list of submodule parts whose
 embeddings are jointly independent; their direct sum N satisfies
 dim N >= (1 - eps) * dim M and every part has dimension at most l_eps. All
 inequalities are decided in exact rational arithmetic.
+
+The producers' parts are coordinate submodules, each given by a source id
+list and a sink id list of M (MonomialPart), so their witness is a vertex
+partition of the coefficient quiver with every part closed under arrows.
+Parts with other embeddings (WitnessPart) hold their module and embedding
+matrices.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import GuardRefusal, PreconditionError, ShapeError, ValidationError
@@ -24,15 +32,53 @@ from .modules import (
     is_homomorphism,
     a_sequence,
 )
-from .quiver import (_children, _tree_centroid, adjacency_of, component_modules, components,
-                     split_until)
+from .quiver import _children, _tree_centroid, adjacency_of, components, split_until
 
 
 @dataclass
 class WitnessPart:
+    """A part with general embeddings: its module and the embeddings of its
+    source and sink spaces into M's."""
     module: KroneckerModule
     emb1: Matrix
     emb2: Matrix
+
+    @property
+    def dim(self) -> int:
+        return self.module.dim
+
+
+@dataclass
+class MonomialPart:
+    """The coordinate submodule of ambient on a list of source ids and a list
+    of sink ids: the span of those basis vectors, in that order.
+
+    Its dim is read off the lists. Its module, the restriction of each arrow
+    matrix of ambient to the sink rows and source columns, and its selection
+    embeddings are built the first time something asks for them. The ids are
+    checked by verify_witness, not here.
+    """
+    ambient: KroneckerModule
+    sources: list
+    sinks: list
+
+    @property
+    def dim(self) -> int:
+        return len(self.sources) + len(self.sinks)
+
+    @cached_property
+    def module(self) -> KroneckerModule:
+        M, src, snk = self.ambient, self.sources, self.sinks
+        return KroneckerModule(M.d, M.field, len(src), len(snk),
+                               [m.submatrix(snk, src) for m in M.maps])
+
+    @cached_property
+    def emb1(self) -> Matrix:
+        return Matrix.selection(self.ambient.field, self.ambient.dim1, self.sources)
+
+    @cached_property
+    def emb2(self) -> Matrix:
+        return Matrix.selection(self.ambient.field, self.ambient.dim2, self.sinks)
 
 
 @dataclass
@@ -40,12 +86,12 @@ class Witness:
     module: KroneckerModule
     eps: Fraction
     l_eps: Fraction
-    parts: list
+    parts: list   # of MonomialPart and WitnessPart
     notes: dict = dc_field(default_factory=dict)
 
     @property
     def dim_n(self) -> int:
-        return sum(p.module.dim for p in self.parts)
+        return sum(p.dim for p in self.parts)
 
 
 @dataclass
@@ -79,121 +125,120 @@ def verify_witness(M: KroneckerModule, w: Witness) -> VerifyReport:
     e1 = [emb1 of each part] and e2 = [emb2 of each part] have full column
     rank and that M_k @ e1 == e2 @ N_k for every arrow k, where N is the
     block-diagonal sum of the parts; split by part, this is the per-part
-    condition. They are checked by one of two routes, with the same clause
-    and detail on every witness:
+    condition. Every id of a monomial part is first checked to lie in
+    range. The two clauses are then checked by one of two routes, with the
+    same clause and detail on every witness:
 
-    - One pass over each arrow of M, when every emb1 and emb2 is a selection
-      and no source index or sink index is used twice across the parts (the
-      monomial witnesses of the producers). Then both stacked ranks are
-      full, and column t of M_k @ e1 is column s_t of M_k, for the selected
-      source s_t, while e2 @ N_k places the entries of each part's maps[k]
-      at its selected sinks. So the equality holds exactly when every
-      nonzero M_k[i, j] with j selected has its sink i selected by the same
-      part as j, and equals that part's maps[k] entry at the local (row,
-      column) of (i, j), and the number of entries so matched equals the
-      number of nonzero entries in the parts' maps[k]: the matched entries
-      are then all of them. No direct sum or product is built.
-    - Otherwise (for instance an emb2 that spans images, as in the
-      refutation witnesses of the expander search), the stacked check
+    - The partition check, when every part is a MonomialPart of w.module and
+      no source id or sink id is used twice (the producers' witnesses). It
+      reads only the rows of M's arrow matrices. Distinct ids make both
+      stacked ranks full. Column t of M_k @ e1 is column s_t of M_k, for the
+      part's t-th source s_t, and column t of e2 @ N_k is that column with
+      the rows outside the part's sinks set to zero, since the part's map is
+      M_k restricted to its sinks and sources. So the equality holds exactly
+      when every nonzero M_k[i, j] whose source j is in a part has its sink i
+      in the same part. No part module, embedding, direct sum or product is
+      built.
+    - Otherwise (an emb2 that spans images, as in the refutation witnesses
+      of the expander search, or an id used twice), the stacked check
       itself: N, e1 and e2 are built, the products compared, and both
-      ranks taken. This is _verify_stacked, the reference for the first
-      route.
+      ranks taken. This is _verify_stacked, the reference for the partition
+      check.
     """
-    return _verify(M, w, one_pass=True)
+    return _verify(M, w, partition=True)
 
 
 def _verify_stacked(M: KroneckerModule, w: Witness) -> VerifyReport:
     """verify_witness by the stacked check on every witness."""
-    return _verify(M, w, one_pass=False)
+    return _verify(M, w, partition=False)
 
 
-def _verify(M, w, one_pass):
+def _verify(M, w, partition):
     if w.module is not M and w.module != M:
         return VerifyReport(False, "embedding", "witness refers to a different module")
     for idx, p in enumerate(w.parts):
-        if p.emb1.rows != M.dim1 or p.emb2.rows != M.dim2:
-            return VerifyReport(False, "embedding", f"part {idx}: embedding shape mismatch")
-        if p.emb1.cols != p.module.dim1 or p.emb2.cols != p.module.dim2:
-            return VerifyReport(False, "embedding", f"part {idx}: embedding/part shape mismatch")
-        if p.module.d != M.d or p.module.field != M.field:
-            return VerifyReport(False, "embedding", f"part {idx}: arrow count or field mismatch")
-    tot1 = sum(p.module.dim1 for p in w.parts)
-    tot2 = sum(p.module.dim2 for p in w.parts)
-    if w.parts:
-        index = _monomial_index(M, w.parts) if one_pass else None
-        if index is None:
-            bad = _stacked_mismatch(M, w.parts, tot1, tot2)
-        else:
-            bad = _one_pass_mismatch(M, w.parts, *index)
+        bad = _id_out_of_range(p) if isinstance(p, MonomialPart) else None
         if bad:
-            return VerifyReport(False, "embedding", bad)
+            return VerifyReport(False, "embedding", f"part {idx}: {bad}")
+    owners = None
+    if partition and all(isinstance(p, MonomialPart) and p.ambient is w.module
+                         for p in w.parts):
+        owners = _owners(M, w.parts)
+    bad = _stacked_mismatch(M, w.parts) if owners is None else _partition_mismatch(M, *owners)
+    if bad:
+        return VerifyReport(False, "embedding", bad)
     cap = math.floor(w.l_eps)  # an int dim exceeds l_eps exactly when it exceeds this
     for idx, p in enumerate(w.parts):
-        if p.module.dim > cap:
+        if p.dim > cap:
             return VerifyReport(False, "part-size",
-                                f"part {idx} has dim {p.module.dim} > l_eps {w.l_eps}")
-    if Fraction(tot1 + tot2) < (1 - w.eps) * M.dim:
+                                f"part {idx} has dim {p.dim} > l_eps {w.l_eps}")
+    if Fraction(w.dim_n) < (1 - w.eps) * M.dim:
         return VerifyReport(False, "dimension",
-                            f"dim N = {tot1 + tot2} < (1 - {w.eps}) * {M.dim}")
+                            f"dim N = {w.dim_n} < (1 - {w.eps}) * {M.dim}")
     return VerifyReport(True)
 
 
-def _stacked_mismatch(M, parts, tot1, tot2):
-    """The detail of the first failed closure or independence clause, by
-    the stacked products and ranks, or None."""
+def _id_out_of_range(p):
+    """The detail of the first id of a monomial part outside its module, or None."""
+    for name, ids, n in (("source", p.sources, p.ambient.dim1),
+                         ("sink", p.sinks, p.ambient.dim2)):
+        if ids and (min(ids) < 0 or max(ids) >= n):
+            bad = next(v for v in ids if not 0 <= v < n)
+            return f"{name} id {bad} outside 0..{n - 1}"
+    return None
+
+
+def _stacked_mismatch(M, parts):
+    """The detail of the first failed shape, closure or independence clause,
+    by the stacked products and ranks, or None."""
+    for idx, p in enumerate(parts):
+        if p.emb1.rows != M.dim1 or p.emb2.rows != M.dim2:
+            return f"part {idx}: embedding shape mismatch"
+        if p.emb1.cols != p.module.dim1 or p.emb2.cols != p.module.dim2:
+            return f"part {idx}: embedding/part shape mismatch"
+        if p.module.d != M.d or p.module.field != M.field:
+            return f"part {idx}: arrow count or field mismatch"
+    if not parts:
+        return None
     N = direct_sum([p.module for p in parts])
     e1 = Matrix.hstack([p.emb1 for p in parts])
     e2 = Matrix.hstack([p.emb2 for p in parts])
     for k in range(M.d):
         if M.maps[k] @ e1 != e2 @ N.maps[k]:
             return f"arrow {k} does not intertwine with the embeddings"
-    if e1.rank() != tot1:
+    if e1.rank() != e1.cols:
         return "source embeddings are dependent"
-    if e2.rank() != tot2:
+    if e2.rank() != e2.cols:
         return "sink embeddings are dependent"
     return None
 
 
-def _monomial_index(M, parts):
-    """(owner1, local1, owner2, local2) when every embedding is a selection
-    and no index is selected twice, else None: owner1[j] is the part that
-    selects source j (-1 for none) and local1[j] its column there; the same
-    for sinks."""
-    index = []
-    for dim, embs in ((M.dim1, [p.emb1 for p in parts]), (M.dim2, [p.emb2 for p in parts])):
-        owner = [-1] * dim
-        local = [0] * dim
-        for idx, e in enumerate(embs):
-            sel = e.is_selection()
-            if sel is None:
-                return None
-            for c, i in enumerate(sel):
-                if owner[i] >= 0:
-                    return None
-                owner[i] = idx
-                local[i] = c
-        index += [owner, local]
-    return index
+def _owners(M, parts):
+    """(owner1, owner2): the index of the part holding each source id and
+    each sink id, -1 for none; None when an id is used twice, which shows as
+    fewer ids held than listed."""
+    owner1, owner2 = [-1] * M.dim1, [-1] * M.dim2
+    for idx, p in enumerate(parts):
+        for v in p.sources:
+            owner1[v] = idx
+        for v in p.sinks:
+            owner2[v] = idx
+    if (M.dim1 - owner1.count(-1) != sum(len(p.sources) for p in parts)
+            or M.dim2 - owner2.count(-1) != sum(len(p.sinks) for p in parts)):
+        return None
+    return owner1, owner2
 
 
-def _one_pass_mismatch(M, parts, owner1, local1, owner2, local2):
-    """The detail of the first arrow that fails to intertwine, by one pass
-    over its entries (see verify_witness), or None."""
-    for k in range(M.d):
-        prows = [p.module.maps[k]._rows for p in parts]
-        matched = 0
-        for i, row in M.maps[k]._rows.items():
+def _partition_mismatch(M, owner1, owner2):
+    """The detail of the first arrow with a nonzero entry from a source in
+    a part to a sink outside it, or None (see verify_witness)."""
+    for k, m in enumerate(M.maps):
+        for i, row in m._rows.items():
             own = owner2[i]
-            lrow = prows[own].get(local2[i], {}) if own >= 0 else None
-            for j, v in row.items():
-                idx = owner1[j]
-                if idx < 0:
-                    continue
-                if idx != own or lrow.get(local1[j]) != v:
+            for j in row:
+                o = owner1[j]
+                if o >= 0 and o != own:
                     return f"arrow {k} does not intertwine with the embeddings"
-                matched += 1
-        if matched != sum(len(r) for rows in prows for r in rows.values()):
-            return f"arrow {k} does not intertwine with the embeddings"
     return None
 
 
@@ -231,12 +276,12 @@ def weak_stats(M: KroneckerModule, w: WeakWitness):
 
 
 def _closure_sinks(adj, kept_sources):
-    """Sorted ids of the sinks the given sources hit."""
+    """Sorted vertex ids of the sinks the given sources hit."""
     return sorted({w for j in kept_sources for w in adj[j]})
 
 
 def _parts_from_kept(M: KroneckerModule, adj, comps):
-    """The connected components of a kept vertex set as embedded part modules.
+    """The connected components of a kept vertex set as monomial parts.
 
     comps are those components, as components(adj, kept) gives them: sorted
     id lists, ordered by smallest vertex. Requires the kept set to be
@@ -254,22 +299,27 @@ def _parts_from_kept(M: KroneckerModule, adj, comps):
                 if not mark[w]:
                     raise ValidationError(
                         f"kept set not arrow-closed: source {v} hits dropped sink {w - n}")
-    return [WitnessPart(sub, e1, e2) for sub, (e1, e2) in component_modules(M, comps)]
+    cuts = [bisect_left(comp, n) for comp in comps]
+    return [MonomialPart(M, comp[:k], [v - n for v in comp[k:]]) for comp, k in zip(comps, cuts)]
 
 
 def monomial_submodule(M: KroneckerModule, kept_sources):
-    """Arrow-closed span of the kept source vectors and every sink they hit."""
+    """Arrow-closed span of the kept source vectors and every sink they hit,
+    as (module, (emb1, emb2)) with selection embeddings, sources and sinks in
+    ascending order. Refuses a source outside 0..dim1-1 or given twice."""
     src = sorted(kept_sources)
     if src and (src[0] < 0 or src[-1] >= M.dim1):
         bad = next(j for j in src if not 0 <= j < M.dim1)
         raise ShapeError(f"selection index {bad} outside 0..{M.dim1 - 1}")
-    snk = _closure_sinks(adjacency_of(M), src)
-    [(sub, embs)] = component_modules(M, [src + snk])
-    return sub, embs
+    twice = next((a for a, b in zip(src, src[1:]) if a == b), None)
+    if twice is not None:
+        raise ShapeError(f"source {twice} given twice")
+    part = MonomialPart(M, src, [v - M.dim1 for v in _closure_sinks(adjacency_of(M), src)])
+    return part.module, (part.emb1, part.emb2)
 
 
 def whole_module_witness(M: KroneckerModule, eps, l_eps, producer, **notes) -> Witness:
-    part = WitnessPart(M, Matrix.identity(M.field, M.dim1), Matrix.identity(M.field, M.dim2))
+    part = MonomialPart(M, list(range(M.dim1)), list(range(M.dim2)))
     nd = dict(producer=producer, whole_module=True, removed=0,
               removed_fraction=Fraction(0))
     nd.update(notes)
@@ -376,9 +426,9 @@ def _regular_witness(R: KroneckerModule, eps: Fraction) -> Witness:
     Sources 0..n-2 and every sink span a codimension-1 submodule of
     standard preprojective shape. Its zigzag witness at eps/2, carried up
     to R by combinator_bounded_codim, is the witness. The kept vertex set
-    is computed in R's own ids (_regular_kept), so R's adjacency list and
-    part modules are built once, and the transport's guards and notes come
-    from _codim_notes.
+    is computed in R's own ids (_regular_kept), so R's adjacency list is
+    built once and no module is built, and the transport's guards and notes
+    come from _codim_notes.
     """
     l_eps = 2 / eps + 3
     if Fraction(R.dim) <= l_eps:
@@ -435,8 +485,8 @@ def _postinjective_witness(Qm: KroneckerModule, n: int, eps: Fraction) -> Witnes
     1..n with their closure sinks (checked to be n of them), the regular
     producer's whole-module case at eps/2 keeps all of it, and otherwise
     _regular_kept runs on those sources, so the zigzag's drop rule runs on
-    sources 1..n-1. Q_n's adjacency list and part modules are built once;
-    both transports' guards and notes come from _codim_notes.
+    sources 1..n-1. Q_n's adjacency list is built once and no module is
+    built; both transports' guards and notes come from _codim_notes.
     """
     l_eps = 4 / eps + 3
     if Fraction(Qm.dim) <= l_eps:
@@ -481,8 +531,12 @@ def combinator_direct_sum(witnesses, *, eps: Fraction | None = None) -> Witness:
     off1 = off2 = 0
     for w in witnesses:
         for p in w.parts:
-            parts.append(WitnessPart(p.module, _shifted(p.emb1, M.field, M.dim1, off1),
-                                     _shifted(p.emb2, M.field, M.dim2, off2)))
+            if isinstance(p, MonomialPart):
+                parts.append(MonomialPart(M, [j + off1 for j in p.sources],
+                                          [i + off2 for i in p.sinks]))
+            else:
+                parts.append(WitnessPart(p.module, _shifted(p.emb1, M.dim1, off1),
+                                         _shifted(p.emb2, M.dim2, off2)))
         off1 += w.module.dim1
         off2 += w.module.dim2
     l_eps = max(w.l_eps for w in witnesses)
@@ -492,14 +546,10 @@ def combinator_direct_sum(witnesses, *, eps: Fraction | None = None) -> Witness:
     return out
 
 
-def _shifted(e: Matrix, fld, rows: int, off: int) -> Matrix:
-    """e moved down by off rows inside a matrix of the given rows: an
-    offset index list for a selection, so it stays a recorded selection
-    for verify_witness's one-pass route, else the offset entries."""
-    sel = e.is_selection()
-    if sel is not None:
-        return Matrix.selection(fld, rows, [i + off for i in sel])
-    return Matrix.from_entries(fld, rows, e.cols, ((i + off, j, v) for i, j, v in e.entries()))
+def _shifted(e: Matrix, rows: int, off: int) -> Matrix:
+    """e moved down by off rows inside a matrix of the given rows."""
+    return Matrix.from_entries(e.field, rows, e.cols,
+                               ((i + off, j, v) for i, j, v in e.entries()))
 
 
 def combinator_bounded_codim(M: KroneckerModule, sub: KroneckerModule, embs,
@@ -510,16 +560,23 @@ def combinator_bounded_codim(M: KroneckerModule, sub: KroneckerModule, embs,
     tolerance is at most eps/2 and dim M >= 2 L / eps where L is the
     codimension. The resulting dimension inequality is re-checked exactly.
 
-    Transport is linear in the size of M: each side takes one product of the
-    submodule embedding with the inner part embeddings side by side, which
-    is then split back into the parts' columns.
+    Transport is linear in the size of M. When both embeddings are
+    selections and every inner part is monomial, each part's ids are read
+    through the selections' index lists. Otherwise each side takes one
+    product of the submodule embedding with the inner part embeddings side
+    by side, which is then split back into the parts' columns.
     """
     check_eps(eps)
     notes = _codim_notes(M.dim, sub.dim, w.eps, w.dim_n, eps)
     e1, e2 = embs
-    parts = [WitnessPart(p.module, a, b) for p, a, b in
-             zip(w.parts, _times_each(e1, [p.emb1 for p in w.parts]),
-                 _times_each(e2, [p.emb2 for p in w.parts]))]
+    s1, s2 = e1.is_selection(), e2.is_selection()
+    if s1 is not None and s2 is not None and all(isinstance(p, MonomialPart) for p in w.parts):
+        parts = [MonomialPart(M, [s1[j] for j in p.sources], [s2[i] for i in p.sinks])
+                 for p in w.parts]
+    else:
+        parts = [WitnessPart(p.module, a, b) for p, a, b in
+                 zip(w.parts, _times_each(e1, [p.emb1 for p in w.parts]),
+                     _times_each(e2, [p.emb2 for p in w.parts]))]
     return Witness(M, eps, w.l_eps, parts, notes)
 
 
@@ -527,7 +584,7 @@ def _codim_notes(dim_m, dim_sub, inner_eps, dim_n, eps) -> dict:
     """The guards, notes and dimension check of combinator_bounded_codim,
     on dimensions alone: a witness of dim N = dim_n at inner_eps, on a
     submodule of dimension dim_sub, carried up to a module of dimension
-    dim_m at eps (the parts keep their modules, so dim N does not change).
+    dim_m at eps (the parts keep their dimensions, so dim N does not change).
     Refuses with GuardRefusal before any part is built."""
     L = dim_m - dim_sub
     if L < 0:
@@ -698,6 +755,10 @@ def _postinjective_theta_witness(M: KroneckerModule, eps: Fraction, *,
 def witness_to_dict(w: Witness, report: VerifyReport | None = None) -> dict:
     parts = []
     for p in w.parts:
+        if isinstance(p, MonomialPart):
+            parts.append({"dims": [len(p.sources), len(p.sinks)],
+                          "source_indices": p.sources, "sink_indices": p.sinks})
+            continue
         entry = {"dims": [p.module.dim1, p.module.dim2]}
         s1, s2 = p.emb1.is_selection(), p.emb2.is_selection()
         if s1 is not None and s2 is not None:

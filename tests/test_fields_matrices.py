@@ -440,25 +440,16 @@ def test_hsplit_rejects_widths_that_do_not_sum_to_cols():
             m.hsplit(widths)
 
 
-# -- recorded selections against equal matrices that record nothing -------------
+# -- selections against equal matrices built entry by entry --------------------
 
 
 def _plain(m):
-    """An equal matrix built entry by entry, which records no index list."""
+    """An equal matrix built entry by entry."""
     return Matrix.from_entries(m.field, m.rows, m.cols, m.entries())
 
 
 def _index_lists(n, max_size=6):
     return st.lists(st.integers(0, n - 1), max_size=max_size) if n else st.just([])
-
-
-def _rows_built(m):
-    """Whether m's row dicts exist, read past the build on first access."""
-    try:
-        Matrix._rows.__get__(m, Matrix)
-    except AttributeError:
-        return False
-    return True
 
 
 @settings(max_examples=200, deadline=None)
@@ -471,23 +462,20 @@ def test_recorded_selections_match_plain_matrices(data):
     cuts = [0] + sorted(data.draw(st.lists(st.integers(0, len(ia)), max_size=3))) + [len(ia)]
     widths = [hi - lo for lo, hi in zip(cuts, cuts[1:])]
 
-    def recorded():
+    def built():
         a, a2 = Matrix.selection(field, n, ia), Matrix.selection(field, n, ia2)
         b = Matrix.selection(field, a.cols, ib)
         return [a, a @ b, Matrix.hstack([a, a2]), *a.hsplit(widths)], [a2, b]
 
-    outs, factors = recorded()
+    outs, factors = built()
     sels = [m.is_selection() for m in outs]
-    # composing, stacking, splitting and reading back index lists build no rows
-    assert not any(_rows_built(m) for m in outs + factors)
     a, (a2, b) = outs[0], factors
     plain = [_plain(a), _plain(a) @ _plain(b), Matrix.hstack([_plain(a), _plain(a2)]),
              *_plain(a).hsplit(widths)]
-    for got, want, sel in zip(outs, plain, sels):
-        assert got._sel is not None and want._sel is None
+    for sel, want in zip(sels, plain):
         assert sel == want.is_selection()
     assert sels[1] == [ia[j] for j in ib]
-    # every reader of entries, each on matrices it is the first to read
+    # every reader of entries, each on newly built matrices
     rights = [data.draw(_mixed(field, m.cols, 2)) for m in plain]
     lefts = [data.draw(_mixed(field, 2, m.rows)) for m in plain]
     readers = [
@@ -503,11 +491,11 @@ def test_recorded_selections_match_plain_matrices(data):
         lambda m, t: lefts[t] @ m,
     ]
     for read in readers:
-        for t, (got, want) in enumerate(zip(recorded()[0], plain)):
+        for t, (got, want) in enumerate(zip(built()[0], plain)):
             assert read(got, t) == read(want, t)
-    # is_selection hands out a copy: changing it leaves the record as it was
+    # is_selection hands out a new list: changing it leaves the matrix as it was
     got = a.is_selection()
     got.append(0)
     assert a.is_selection() == ia
-    # a recorded factor next to a plain one takes the general product
+    # a selection next to a plain factor
     assert a @ _plain(b) == _plain(a) @ b == plain[1]

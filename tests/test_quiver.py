@@ -12,7 +12,7 @@ from kronhf.matrices import Matrix
 from kronhf.modules import (KroneckerModule, PencilBlock, build_P, build_R,
                             build_postinjective_theta, direct_sum)
 from kronhf.quiver import (CoefficientQuiver, _tree_centroid, adjacency_of, build_gamma,
-                           centroid, centroid_of, component_modules, components,
+                           centroid, centroid_of, components,
                            degree_stats, export_edges, is_tree, split_components, split_until)
 from kronhf.witness import (_centroid_batch, _parts_from_kept, _sink_batch,
                             fragment_tree_module, monomial_submodule)
@@ -181,6 +181,13 @@ def test_submodule_generators_out_of_range_are_refused():
     M = build_P(3)
     for bad, shown in (([3], 3), ([-1, 0], -1), ([0, 10], 10)):
         with pytest.raises(ShapeError, match=f"selection index {shown} outside 0..2"):
+            monomial_submodule(M, bad)
+
+
+def test_submodule_generators_given_twice_are_refused():
+    M = build_P(3)
+    for bad, shown in (([0, 0], 0), ([2, 1, 2], 2)):
+        with pytest.raises(ShapeError, match=f"source {shown} given twice"):
             monomial_submodule(M, bad)
 
 
@@ -556,49 +563,3 @@ def test_id_graph_layer_matches_the_tag_keyed_reference(M, data):
     assert [[tag(v) for v in c] for c in got[0]] == want[0]
     assert {tag(v) for v in got[1]} == want[1]
     assert got[2] == want[2]
-
-
-def _reference_component_modules(M, comps):
-    """One submatrix per arrow and two selections per vertex set: the slicing
-    that component_modules does in one pass."""
-    from bisect import bisect_left
-    n = M.dim1
-    out = []
-    for verts in comps:
-        k = bisect_left(verts, n)
-        src = verts[:k]
-        snk = [v - n for v in verts[k:]]
-        sub = KroneckerModule(M.d, M.field, len(src), len(snk),
-                              [m.submatrix(snk, src) for m in M.maps])
-        out.append((sub, (Matrix.selection(M.field, M.dim1, src),
-                          Matrix.selection(M.field, M.dim2, snk))))
-    return out
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_component_modules_matches_per_part_slicing(data):
-    """Disjoint random vertex sets, arrow-closed or not, some vertices in
-    none, over Q and GF(5); each set's module and embeddings equal those of
-    the per-part slicing."""
-    field = data.draw(st.sampled_from([QQ, PrimeField(5)]))
-    d = data.draw(st.integers(1, 3))
-    dim1, dim2 = data.draw(st.integers(0, 7)), data.draw(st.integers(0, 7))
-    cell = st.one_of(st.just(0), st.just(0), st.integers(-3, 3),
-                     st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)))
-    maps = [Matrix.from_entries(field, dim2, dim1, [(i, j, data.draw(cell))
-                                                    for i in range(dim2) for j in range(dim1)])
-            for _ in range(d)]
-    M = KroneckerModule(d, field, dim1, dim2, maps)
-    k = data.draw(st.integers(0, 4))
-    owner = [data.draw(st.integers(-1, k - 1)) for _ in range(dim1 + dim2)]
-    comps = [[v for v, o in enumerate(owner) if o == p] for p in range(k)]
-    got = component_modules(M, comps)
-    want = _reference_component_modules(M, comps)  # the validating constructors
-    assert got == want
-    for (sub, (e1, e2)), (_, (w1, w2)), verts in zip(got, want, comps):
-        # the parts skip the checks, which accept them
-        assert type(sub) is KroneckerModule
-        assert KroneckerModule(sub.d, sub.field, sub.dim1, sub.dim2, sub.maps) == sub
-        assert e1._sel == w1._sel and e2._sel == w2._sel
-        assert e1.is_selection() + [dim1 + i for i in e2.is_selection()] == verts

@@ -14,7 +14,7 @@ from kronhf.modules import (KroneckerModule, PencilBlock, build_P, build_Q, buil
                             build_postinjective_theta, build_preprojective_theta,
                             classify_standard, direct_sum)
 from kronhf.quiver import build_gamma, components
-from kronhf.witness import (Witness, WitnessPart, combinator_bounded_codim,
+from kronhf.witness import (MonomialPart, Witness, WitnessPart, combinator_bounded_codim,
                             combinator_direct_sum, fragment_postinjective_theta,
                             fragment_tree_module, monomial_submodule,
                             postinjective_fragment_size_bound, verify_weak_witness,
@@ -249,13 +249,14 @@ def test_combinator_direct_sum():
     assert verify_witness(empty.module, empty).ok
 
 
-def test_combinator_direct_sum_keeps_recorded_selections():
-    """Selection embeddings are offset as index lists, so the sum's parts
-    stay recorded selections; the JSON is that of offsetting the entries."""
+def test_combinator_direct_sum_offsets_id_lists():
+    """Monomial parts are offset as id lists, so the sum's parts stay
+    monomial; their modules and embeddings, and the JSON, are those of
+    offsetting the embeddings' entries."""
     ws = [witness_preprojective_2k(30, QUARTER), witness_preprojective_2k(1, QUARTER),
           witness_regular_2k(_regular(40, QQ), QUARTER)]
     w = combinator_direct_sum(ws)
-    assert all(p.emb1._sel is not None and p.emb2._sel is not None for p in w.parts)
+    assert all(type(p) is MonomialPart and p.ambient is w.module for p in w.parts)
     parts, off1, off2 = [], 0, 0
     for x in ws:
         for p in x.parts:
@@ -266,7 +267,7 @@ def test_combinator_direct_sum_keeps_recorded_selections():
         off1 += x.module.dim1
         off2 += x.module.dim2
     ref = Witness(w.module, w.eps, w.l_eps, parts, dict(w.notes))
-    assert w.parts == parts
+    assert [WitnessPart(p.module, p.emb1, p.emb2) for p in w.parts] == parts
     assert json.dumps(witness_to_dict(w)) == json.dumps(witness_to_dict(ref))
     assert verify_witness(w.module, w).ok
 
@@ -338,18 +339,20 @@ def test_producers_match_the_nested_construction(field):
 @pytest.mark.parametrize("make", [lambda: _regular(300, QQ), lambda: build_Q(300)],
                          ids=["R_poly", "Q"])
 def test_producers_build_each_module_once(make, monkeypatch):
-    """One adjacency list and one component_modules call on M itself, and
-    no combinator, submodule or product."""
+    """One adjacency list of M itself, and no part module, combinator,
+    submodule, product, restriction or selection."""
     M = make()
     calls = []
-    for name in ("adjacency_of", "component_modules", "combinator_bounded_codim",
-                 "monomial_submodule"):
+    for name in ("adjacency_of", "combinator_bounded_codim", "monomial_submodule"):
         real = getattr(witness_mod, name)
         monkeypatch.setattr(witness_mod, name,
                             lambda *a, _n=name, _f=real: calls.append((_n, a[0])) or _f(*a))
     monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: calls.append("matmul"))
+    monkeypatch.setattr(Matrix, "submatrix", lambda *a: calls.append("submatrix"))
+    monkeypatch.setattr(Matrix, "selection", lambda *a: calls.append("selection"))
+    monkeypatch.setattr(KroneckerModule, "__init__", lambda *a: calls.append("module"))
     w = witness_for(M, Fraction(1, 10))
-    assert calls == [("adjacency_of", M), ("component_modules", M)]
+    assert calls == [("adjacency_of", M)]
     assert len(w.parts) > 1
 
 
@@ -369,7 +372,8 @@ def test_transport_of_an_inner_witness_without_parts():
 
 def test_transport_takes_one_product_per_side(monkeypatch):
     """Two products whatever the number of parts, so the transport stays
-    linear in dim M (one product per part made it quadratic)."""
+    linear in dim M (one product per part made it quadratic). The inner
+    parts are given as general parts, which take the product route."""
     R = _regular(500, QQ)
     sub, embs = monomial_submodule(R, range(499))
     real = Matrix.__matmul__
@@ -382,6 +386,7 @@ def test_transport_takes_one_product_per_side(monkeypatch):
     seen = []
     for eps in (Fraction(1, 2), Fraction(1, 10)):
         inner = _zigzag_witness(sub, eps / 2, "test")
+        inner.parts = [WitnessPart(p.module, p.emb1, p.emb2) for p in inner.parts]
         count[0] = 0
         monkeypatch.setattr(Matrix, "__matmul__", counting)
         combinator_bounded_codim(R, sub, embs, inner, eps)
@@ -566,7 +571,7 @@ def test_witness_serialization_roundtrip_fields():
     assert all("source_indices" in p for p in d["parts"])
 
 
-# -- the one-pass route of verify_witness against the stacked check ---------------
+# -- the partition check of verify_witness against the stacked check -------------
 
 
 @pytest.mark.parametrize("make", [
@@ -583,30 +588,38 @@ def test_monomial_witnesses_verify_without_direct_sum_or_products(make, monkeypa
     assert len(w.parts) > 1
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the one-pass route builds no direct sum and no product")
+        raise AssertionError("the partition check builds no direct sum, product, "
+                             "restriction, selection or module")
 
     monkeypatch.setattr(witness_mod, "direct_sum", refuse)
     monkeypatch.setattr(Matrix, "__matmul__", refuse)
+    monkeypatch.setattr(Matrix, "submatrix", refuse)
+    monkeypatch.setattr(Matrix, "selection", refuse)
+    monkeypatch.setattr(KroneckerModule, "__init__", refuse)
     assert verify_witness(w.module, w).ok
 
 
-def _restricted_part(M, src, snk):
-    """The part on the given source and sink lists, with the maps of M
-    restricted to them and selection embeddings."""
-    sub = KroneckerModule(M.d, M.field, len(src), len(snk),
-                          [m.submatrix(snk, src) for m in M.maps])
-    return WitnessPart(sub, Matrix.selection(M.field, M.dim1, src),
-                       Matrix.selection(M.field, M.dim2, snk))
-
-
-_CORRUPTIONS = ["none", "entry", "drop_sink", "share_source", "share_sink",
-                "scaled", "extra_entry"]
+_CHANGES = ["none", "unclosed", "drop_sink", "share_source", "share_sink", "repeat",
+            "out_of_range", "entry", "scaled", "extra_entry"]
 
 
 @st.composite
-def monomial_witnesses(draw):
-    """(M, witness, corruption): parts on the components of an arrow-closed
-    random vertex set of a random module, then one corruption."""
+def partition_witnesses(draw):
+    """(M, witness, refused): monomial parts of a random module, on id lists
+    drawn for one change, and whether that change must be refused on the
+    embedding clause. The change is one of
+
+    - none: the components of a random arrow-closed vertex set;
+    - unclosed: random disjoint vertex sets, closed under arrows or not;
+    - drop_sink, share_source, share_sink, repeat, out_of_range: a component
+      loses a sink, takes a source or sink of some component (itself
+      included), repeats one of its ids, or gets an id past either end;
+    - entry, scaled, extra_entry: a component becomes a general part, with
+      one map entry changed, emb1 doubled, or one more entry in emb2.
+
+    An id used twice, an id out of range and a changed map entry are
+    always refused; the other changes may leave a valid witness.
+    """
     field = draw(st.sampled_from([QQ, PrimeField(5)]))
     d = draw(st.integers(1, 3))
     dim1, dim2 = draw(st.integers(0, 6)), draw(st.integers(0, 6))
@@ -616,13 +629,19 @@ def monomial_witnesses(draw):
                                                 for j in range(dim1)])
         for _ in range(d)])
     adj = build_gamma(M).adjacency()
-    kept = [j for j in range(dim1) if draw(st.booleans())]
-    hit = {w for j in kept for w in adj[j]}
-    kept += [v for v in range(dim1, dim1 + dim2) if v in hit or draw(st.booleans())]
-    lists = [(c[:sum(v < dim1 for v in c)], [v - dim1 for v in c if v >= dim1])
-             for c in components(adj, kept)]
-    kind = draw(st.sampled_from(_CORRUPTIONS))
-    if lists and kind != "none":
+    kind = draw(st.sampled_from(_CHANGES))
+    if kind == "unclosed":
+        owner = [draw(st.integers(-1, 3)) for _ in range(dim1 + dim2)]
+        comps = [[v for v, o in enumerate(owner) if o == t] for t in range(4)]
+    else:
+        kept = [j for j in range(dim1) if draw(st.booleans())]
+        hit = {w for j in kept for w in adj[j]}
+        kept += [v for v in range(dim1, dim1 + dim2) if v in hit or draw(st.booleans())]
+        comps = components(adj, kept)
+    lists = [([v for v in c if v < dim1], [v - dim1 for v in c if v >= dim1]) for c in comps]
+    parts = [MonomialPart(M, src, snk) for src, snk in lists]
+    refused = False
+    if lists and kind not in ("none", "unclosed"):
         t = draw(st.integers(0, len(lists) - 1))
         src, snk = lists[t]
         u = draw(st.integers(0, len(lists) - 1))
@@ -630,40 +649,49 @@ def monomial_witnesses(draw):
             del snk[draw(st.integers(0, len(snk) - 1))]
         elif kind == "share_source" and lists[u][0]:
             src.append(lists[u][0][0])
+            refused = True
         elif kind == "share_sink" and lists[u][1]:
-            snk.append(lists[u][1][0])
-    parts = [_restricted_part(M, src, snk) for src, snk in lists]
-    if parts and kind in ("entry", "scaled", "extra_entry"):
-        t = draw(st.integers(0, len(parts) - 1))
+            snk.append(lists[u][1][-1])
+            refused = True
+        elif kind == "repeat" and src + snk:
+            ids = draw(st.sampled_from([ids for ids in (src, snk) if ids]))
+            ids.insert(draw(st.integers(0, len(ids))), draw(st.sampled_from(ids)))
+            refused = True
+        elif kind == "out_of_range":
+            ids, n = draw(st.sampled_from([(src, dim1), (snk, dim2)]))
+            ids.insert(draw(st.integers(0, len(ids))), draw(st.sampled_from([-1, n, n + 3])))
+            refused = True
         p = parts[t]
-        if kind == "entry" and p.module.dim1 and p.module.dim2:
+        if kind == "entry" and src and snk:
             k = draw(st.integers(0, d - 1))
-            r = draw(st.integers(0, p.module.dim2 - 1))
-            c = draw(st.integers(0, p.module.dim1 - 1))
+            r = draw(st.integers(0, len(snk) - 1))
+            c = draw(st.integers(0, len(src) - 1))
             maps = list(p.module.maps)
             ent = [e for e in maps[k].entries() if e[:2] != (r, c)]
-            maps[k] = Matrix.from_entries(field, p.module.dim2, p.module.dim1,
+            maps[k] = Matrix.from_entries(field, len(snk), len(src),
                                           ent + [(r, c, maps[k].entry(r, c) + 1)])
-            parts[t] = WitnessPart(KroneckerModule(d, field, p.module.dim1, p.module.dim2, maps),
+            parts[t] = WitnessPart(KroneckerModule(d, field, len(src), len(snk), maps),
                                    p.emb1, p.emb2)
+            refused = True
         elif kind == "scaled":
             parts[t] = WitnessPart(p.module, p.emb1.scale(2), p.emb2)
-        elif kind == "extra_entry" and p.emb2.cols and dim2 > 1:
-            sel = p.emb2.is_selection()
-            row = draw(st.integers(0, dim2 - 1).filter(lambda i: i != sel[0]))
-            emb2 = Matrix.from_entries(field, dim2, len(sel),
-                                       [(i, c, 1) for c, i in enumerate(sel)] + [(row, 0, 1)])
+        elif kind == "extra_entry" and snk and dim2 > 1:
+            row = draw(st.integers(0, dim2 - 1).filter(lambda i: i != snk[0]))
+            emb2 = Matrix.from_entries(field, dim2, len(snk),
+                                       [(i, c, 1) for c, i in enumerate(snk)] + [(row, 0, 1)])
             parts[t] = WitnessPart(p.module, p.emb1, emb2)
     eps = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1)]))
     l_eps = Fraction(draw(st.integers(0, dim1 + dim2)))
-    return M, Witness(M, eps, l_eps, parts), kind
+    return M, Witness(M, eps, l_eps, parts), kind, refused
 
 
 @settings(max_examples=400, deadline=None)
-@given(monomial_witnesses())
-def test_one_pass_route_matches_the_stacked_check(case):
-    M, w, kind = case
+@given(partition_witnesses())
+def test_partition_route_matches_the_stacked_check(case):
+    M, w, kind, refused = case
     got = _report(verify_witness(M, w))
     assert got == _report(_verify_stacked(M, w))
     if kind == "none":
         assert got[0] or got[1] in ("part-size", "dimension")
+    if refused:
+        assert got[1] == "embedding"
