@@ -24,7 +24,7 @@ for t in range(1, 7):
     for name, M in ((f"pre (t={t})", build_preprojective_theta(d, t)),
                     (f"post (t={t})", build_postinjective_theta(d, t))):
         g = build_gamma(M)
-        i, o = degree_stats(g)
+        i, o = degree_stats(g, M.dim1)
         print(f"{name:<18} {f'{M.dim1}x{M.dim2}':>12} {str(is_tree(g)):>6} "
               f"{i:>6} {o:>7}")
 

@@ -11,8 +11,7 @@ from .modules import (DimVector, KroneckerModule, PencilBlock, a_sequence,
                       build_preprojective_theta, closed_form_a, direct_sum,
                       hom_space, t_bound_check)
 from .pencil import certify_pencil, decompose_pencil
-from .quiver import (CoefficientQuiver, build_gamma, centroid, degree_stats,
-                     is_tree, split_components)
+from .quiver import build_gamma, degree_stats, is_tree, split_components
 from .witness import (WeakWitness, Witness, combinator_bounded_codim,
                       combinator_direct_sum, fragment_postinjective_theta,
                       fragment_tree_module, verify_weak_witness, verify_witness,

@@ -24,7 +24,7 @@ from .modules import (KroneckerModule, PencilBlock, build_P, build_Q, build_R,
                       module_from_text, parse_poly, prime_power_parts,
                       build_preprojective_theta, build_postinjective_theta)
 from .pencil import decompose_pencil
-from .quiver import build_gamma, export_edges
+from .quiver import export_edges
 from .sl2p import (irreducible_rep, is_irreducible, kazhdan_estimate,
                    rep_dump_text, theta3_counterexample_module)
 from .expander import (ExpanderCandidate, check_exhaustive,
@@ -386,7 +386,7 @@ def cmd_decompose(args, cfgmap) -> int:
 
 def cmd_gamma(args, cfgmap) -> int:
     M = _read_module(_cfg(args, cfgmap, "module"), "--module")
-    text = export_edges(build_gamma(M))
+    text = export_edges(M)
     _write_out(args, text)
     if not args.out:
         sys.stdout.write(text)

@@ -17,7 +17,7 @@ from .errors import DomainError, GuardRefusal, ShapeError, ValidationError
 from .fields import PrimeField
 from .matrices import Matrix, column_space_dim_of_stack
 from .modules import KroneckerModule
-from .quiver import adjacency_of, components
+from .quiver import build_gamma, components
 from .witness import Witness, verify_witness
 
 
@@ -434,7 +434,7 @@ def empirical_best_epsilon(M: KroneckerModule, l_eps: int,
     """
     if M.dim == 0:
         return BestEpsReport(Fraction(0), False, [])
-    adj = adjacency_of(M)
+    adj = build_gamma(M)
     sinks = list(range(M.dim1, M.dim))  # vertex ids of the sinks
     n1 = M.dim1
     spent = 0

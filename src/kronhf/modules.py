@@ -112,8 +112,8 @@ def module_from_text(text: str) -> KroneckerModule:
 
 def direct_sum(mods, *, d=None, field=None) -> KroneckerModule:
     if not mods:
-        if d is None or field is None:
-            d, field = 2, QQ
+        d = 2 if d is None else d
+        field = QQ if field is None else field
         return KroneckerModule(d, field, 0, 0, [Matrix.zeros(field, 0, 0)] * d)
     d0, f0 = mods[0].d, mods[0].field
     for m in mods:

@@ -3,62 +3,34 @@
 The graph is read off the module's own standard bases; a caller who wants
 another basis transports the module first. Vertex ids are ints: source basis
 vector j is vertex j and sink basis vector i is vertex n_src + i, so sources
-come first. An edge (j, i, k, c) exists exactly when entry (i, j) of the k-th
-arrow matrix equals c != 0; edges, export_edges and centroid keep that
-numbering by layer, as the tags (0, j) and (1, i).
+come first. Source j and sink i are joined by one edge per arrow k whose
+matrix has a nonzero entry (i, j); export_edges prints each edge with that
+entry as its coefficient, numbering each layer from 1.
 
-This module is also the one graph layer of the package. Its entry point is
-adjacency_of(M), which reads the adjacency list straight off the rows of the
-arrow matrices; components and centroid_of work on such a list and a vertex
-id subset, split_until on it and the components of a forest, and
-split_components, the witness producers and the expander search use them for
-their component and centroid work. A vertex id subset closed under arrows is
-a coordinate submodule: the witness producers keep it as its id lists, and
-its module is the restriction of each arrow matrix to its sink rows and
-source columns. CoefficientQuiver keeps the sorted edge list, for
-export_edges and centroid.
+This module is the one graph layer of the package, and its one graph is an
+adjacency list: build_gamma(M) reads it straight off the rows of the arrow
+matrices, adj[v] listing v's neighbors with one entry per edge. is_tree and
+degree_stats read that list; components and centroid_of work on it and a
+vertex id subset, split_until on it and the components of a forest, and
+split_components, the witness producers and the expander search use them
+for their component and centroid work. A vertex id subset closed under
+arrows is a coordinate submodule: the witness producers keep it as its id
+lists, and its module is the restriction of each arrow matrix to its sink
+rows and source columns.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
-from .errors import PreconditionError
 from .matrices import Matrix
 from .modules import KroneckerModule
 
 
-@dataclass
-class CoefficientQuiver:
-    n_src: int
-    n_snk: int
-    edges: list  # (src_index, snk_index, arrow, coeff)
-    d: int
-
-    @property
-    def n_vertices(self) -> int:
-        return self.n_src + self.n_snk
-
-    def tag(self, v: int):
-        """The (layer, index) tag of vertex id v."""
-        return (0, v) if v < self.n_src else (1, v - self.n_src)
-
-    def adjacency(self) -> list:
-        """Undirected adjacency on vertex ids (source j is j, sink i is
-        n_src + i): adj[v] lists v's neighbors, one entry per edge."""
-        n = self.n_src
-        adj = [[] for _ in range(n + self.n_snk)]
-        for j, i, _, _ in self.edges:
-            adj[j].append(n + i)
-            adj[n + i].append(j)
-        return adj
-
-
-def adjacency_of(M: KroneckerModule) -> list:
-    """build_gamma(M).adjacency(), up to the order of each neighbor list, read
-    off the rows of M's arrow matrices with no edge list built: adj[v] lists
-    v's neighbors, one entry per edge."""
+def build_gamma(M: KroneckerModule) -> list:
+    """The coefficient quiver of M as an adjacency list, read off the rows of
+    M's arrow matrices: adj[v] lists v's neighbors, one entry per edge, so a
+    pair joined under several arrows lists each other once per arrow."""
     n = M.dim1
     adj = [[] for _ in range(n + M.dim2)]
     for m in M.maps:
@@ -70,41 +42,19 @@ def adjacency_of(M: KroneckerModule) -> list:
     return adj
 
 
-def build_gamma(M: KroneckerModule) -> CoefficientQuiver:
-    edges = []
-    for k, mat in enumerate(M.maps):
-        for i, j, v in mat.entries():
-            edges.append((j, i, k, v))
-    edges.sort()  # by (source, sink, arrow); that triple is unique per edge
-    return CoefficientQuiver(M.dim1, M.dim2, edges, M.d)
-
-
-def is_tree(gamma: CoefficientQuiver) -> bool:
+def is_tree(adj) -> bool:
     """Connected and acyclic, counting parallel edges as cycles; empty is not a tree."""
-    n = gamma.n_vertices
-    if n == 0 or len(gamma.edges) != n - 1:
+    n = len(adj)
+    if n == 0 or sum(map(len, adj)) // 2 != n - 1:
         return False
-    return len(components(gamma.adjacency(), range(n))) == 1
+    return len(components(adj, range(n))) == 1
 
 
-def degree_stats(gamma: CoefficientQuiver):
-    """(max indegree, max outdegree) over all vertices, parallel edges counted."""
-    indeg = [0] * gamma.n_snk
-    outdeg = [0] * gamma.n_src
-    for j, i, _, _ in gamma.edges:
-        outdeg[j] += 1
-        indeg[i] += 1
-    return (max(indeg, default=0), max(outdeg, default=0))
-
-
-def centroid(gamma: CoefficientQuiver):
-    """Tree vertex whose removal leaves components of size <= ceil((n-1)/2).
-
-    Ties break toward the smallest vertex id, sources before sinks.
-    """
-    if not is_tree(gamma):
-        raise PreconditionError("centroid requires a tree")
-    return gamma.tag(centroid_of(range(gamma.n_vertices), gamma.adjacency())[0])
+def degree_stats(adj, n_src: int):
+    """(max indegree, max outdegree) over all vertices, parallel edges counted:
+    the first n_src lists are the sources', holding their outgoing edges, and
+    the rest the sinks', holding their incoming ones."""
+    return (max(map(len, adj[n_src:]), default=0), max(map(len, adj[:n_src]), default=0))
 
 
 # -- graph layer: components, centroids and splitting over an adjacency list ------
@@ -114,7 +64,7 @@ def components(adj, vertices):
     """Components of the subgraph induced on vertices.
 
     Each component is a sorted id list; the list is ordered by smallest
-    vertex. adj is an adjacency list as from adjacency_of.
+    vertex. adj is an adjacency list as from build_gamma.
     """
     left = bytearray(len(adj))
     vertices = sorted(vertices)
@@ -280,7 +230,7 @@ def split_components(M: KroneckerModule):
     """
     n, fld = M.dim1, M.field
     out = []
-    for comp in components(adjacency_of(M), range(M.dim)):
+    for comp in components(build_gamma(M), range(M.dim)):
         k = bisect_left(comp, n)
         src, snk = comp[:k], [v - n for v in comp[k:]]
         sub = KroneckerModule(M.d, fld, k, len(snk), [m.submatrix(snk, src) for m in M.maps])
@@ -288,11 +238,12 @@ def split_components(M: KroneckerModule):
     return out
 
 
-def export_edges(gamma: CoefficientQuiver) -> str:
-    """Edge-list text: 'u v arrow=<k> coeff=<c>' lines plus isolated vertices."""
-    lines = [f"1.{j + 1} 2.{i + 1} arrow={k + 1} coeff={c}" for j, i, k, c in gamma.edges]
-    for v, nbrs in enumerate(gamma.adjacency()):
-        if not nbrs:
-            layer, idx = gamma.tag(v)
-            lines.append(f"{layer + 1}.{idx + 1}")
+def export_edges(M: KroneckerModule) -> str:
+    """Edge-list text: 'u v arrow=<k> coeff=<c>' lines, sorted by source, sink
+    and arrow, then the isolated vertices, sources first."""
+    edges = sorted((j, i, k, c) for k, m in enumerate(M.maps) for i, j, c in m.entries())
+    lines = [f"1.{j + 1} 2.{i + 1} arrow={k + 1} coeff={c}" for j, i, k, c in edges]
+    n = M.dim1
+    lines += [f"1.{v + 1}" if v < n else f"2.{v - n + 1}"
+              for v, nbrs in enumerate(build_gamma(M)) if not nbrs]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -350,10 +350,10 @@ def kazhdan_upper_bound(gens, trials: int = 200, seed: int = 0) -> float:
     ||m(v + s e_i)||^2 = ||m v||^2 + 2 s (G v)_i + s^2 G_ii and
     ||v + s e_i||^2 = ||v||^2 + 2 s v_i + s^2. The cross term is at most
     ||m v||^2 + s^2 G_ii in size, so taking 2e-12 of that off the price covers
-    its rounding. Only moves priced below (val - 1e-12 + 1e-9)^2 are tried,
-    in sweep order, by the exact step, which alone decides: a move the price
-    rules out is one the exact step rejects, so the descent takes the same
-    path as trying every move.
+    its rounding. Only moves priced below (val - 1e-12)^2, the square of the
+    acceptance threshold, are tried, in sweep order, by the exact step, which
+    alone decides: a move the price rules out is one the exact step rejects,
+    so the descent takes the same path as trying every move.
 
     The exact step makes one product Y = stack @ cand and takes
     sqrt(max_k Y_k . Y_k). That is max_k ||m_k cand|| bit for bit: the 3-D
@@ -399,7 +399,7 @@ def kazhdan_upper_bound(gens, trials: int = 200, seed: int = 0) -> float:
                 cross, shift = two_s * gv, two_s * v
                 np.divide(np.maximum.reduce(low + cross), vv + s2 + shift, out=plus)
                 np.divide(np.maximum.reduce(low - cross), vv + s2 - shift, out=minus)
-                passed = (prices[start:] < (val - 1e-12 + 1e-9) ** 2).nonzero()[0]
+                passed = (prices[start:] < (val - 1e-12) ** 2).nonzero()[0]
                 for pos in start + passed:
                     i, down = divmod(int(pos), 2)
                     cand = v.copy()

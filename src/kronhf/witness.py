@@ -32,7 +32,8 @@ from .modules import (
     is_homomorphism,
     a_sequence,
 )
-from .quiver import _children, _tree_centroid, adjacency_of, components, split_until
+from .quiver import (_children, _tree_centroid, build_gamma, components, degree_stats, is_tree,
+                     split_until)
 
 
 @dataclass
@@ -314,7 +315,7 @@ def monomial_submodule(M: KroneckerModule, kept_sources):
     twice = next((a for a, b in zip(src, src[1:]) if a == b), None)
     if twice is not None:
         raise ShapeError(f"source {twice} given twice")
-    part = MonomialPart(M, src, [v - M.dim1 for v in _closure_sinks(adjacency_of(M), src)])
+    part = MonomialPart(M, src, [v - M.dim1 for v in _closure_sinks(build_gamma(M), src)])
     return part.module, (part.emb1, part.emb2)
 
 
@@ -375,7 +376,7 @@ def _zigzag_witness(M: KroneckerModule, eps: Fraction, producer: str) -> Witness
     if Fraction(M.dim) <= L:
         return whole_module_witness(M, eps, L, producer)
     kept, drops = _zigzag_kept(range(M.dim1), eps)
-    adj = adjacency_of(M)
+    adj = build_gamma(M)
     snk = _closure_sinks(adj, kept)
     removed = M.dim - len(kept) - len(snk)
     _check_zigzag(M.dim - removed, M.dim, eps)
@@ -433,7 +434,7 @@ def _regular_witness(R: KroneckerModule, eps: Fraction) -> Witness:
     l_eps = 2 / eps + 3
     if Fraction(R.dim) <= l_eps:
         return whole_module_witness(R, eps, l_eps, "regular_2k")
-    adj = adjacency_of(R)
+    adj = build_gamma(R)
     kept, snk = _regular_kept(adj, range(R.dim1), eps)
     notes = _codim_notes(R.dim, R.dim - 1, eps / 2, len(kept) + len(snk), eps)
     notes["producer"] = "regular_2k"
@@ -491,7 +492,7 @@ def _postinjective_witness(Qm: KroneckerModule, n: int, eps: Fraction) -> Witnes
     l_eps = 4 / eps + 3
     if Fraction(Qm.dim) <= l_eps:
         return whole_module_witness(Qm, eps, l_eps, "postinjective_2k")
-    adj = adjacency_of(Qm)
+    adj = build_gamma(Qm)
     ker = range(1, n + 1)
     snk = _closure_sinks(adj, ker)
     if len(snk) != n:
@@ -655,14 +656,11 @@ def fragment_tree_module(M: KroneckerModule, eps: Fraction) -> Witness:
     arrow-closed. The eps budget is verified a posteriori and reported.
     """
     check_eps(eps)
-    # adj has one entry per edge at each end, so the sources' lists hold
-    # every edge once and a sink's list is its indegree
-    adj = adjacency_of(M)
+    adj = build_gamma(M)
     n = M.dim1
-    comps = components(adj, range(M.dim))
-    if M.dim == 0 or sum(map(len, adj[:n])) != M.dim - 1 or len(comps) != 1:
+    if not is_tree(adj):
         raise PreconditionError("fragment_tree_module requires a tree coefficient quiver")
-    indeg = max(map(len, adj[n:]), default=0)
+    indeg, _ = degree_stats(adj, n)
     if indeg > M.d:
         raise PreconditionError(f"indegree {indeg} exceeds arrow count {M.d}")
     C = math.ceil(Fraction(2 * (M.d + 1)) / eps)
@@ -670,7 +668,7 @@ def fragment_tree_module(M: KroneckerModule, eps: Fraction) -> Witness:
         return whole_module_witness(M, eps, C, "fragment_tree")
 
     final, removed, batch_sizes = split_until(
-        adj, comps, C, lambda order, parent: _centroid_batch(n, order, parent))
+        adj, [list(range(M.dim))], C, lambda order, parent: _centroid_batch(n, order, parent))
     parts = _parts_from_kept(M, adj, sorted(final))
     notes = dict(producer="fragment_tree", removed=len(removed),
                  removed_fraction=Fraction(len(removed), M.dim),
@@ -679,19 +677,21 @@ def fragment_tree_module(M: KroneckerModule, eps: Fraction) -> Witness:
     return Witness(M, eps, Fraction(C), parts, notes)
 
 
-def postinjective_fragment_size_bound(d: int, eps: Fraction,
-                                      delta: Fraction = Fraction(1, 8)) -> int:
+# alpha = 1/2 + delta of the postinjective removal estimate, at delta = 1/8;
+# the estimate needs delta in (0, 1/4)
+_ALPHA = Fraction(5, 8)
+
+
+def postinjective_fragment_size_bound(d: int, eps: Fraction) -> int:
     """Component size bound from the geometric-series removal estimate.
 
-    alpha = 1/2 + delta, A = 2 + (4 / ln phi) (d - 2), beta = sqrt(alpha);
+    alpha = _ALPHA = 5/8, A = 2 + (4 / ln phi) (d - 2), beta = sqrt(alpha);
     solving A n / (alpha L^(1/2) (1 - beta)) <= eps n for L gives
     L = ceil((A / (alpha (1 - beta) eps))^2). ln phi and beta are computed in
     floating point (math.log, math.sqrt), so L is an estimate of the proof
     bound, not an exact one.
     """
-    if not (0 < delta < Fraction(1, 4)):
-        raise ValidationError("delta must lie in (0, 1/4)")
-    alpha = float(Fraction(1, 2) + delta)
+    alpha = float(_ALPHA)
     phi = a_sequence(d, 1).phi
     A = 2.0 + (4.0 / math.log(phi)) * (d - 2)
     beta = math.sqrt(alpha)
@@ -699,7 +699,6 @@ def postinjective_fragment_size_bound(d: int, eps: Fraction,
 
 
 def fragment_postinjective_theta(d: int, t: int, eps: Fraction, *,
-                                 delta: Fraction = Fraction(1, 8),
                                  l_override: int | None = None,
                                  field=QQ) -> Witness:
     """Staged sink-removal witness for the canonical postinjective tree module.
@@ -712,16 +711,14 @@ def fragment_postinjective_theta(d: int, t: int, eps: Fraction, *,
     """
     check_eps(eps)
     return _postinjective_theta_witness(build_postinjective_theta(d, t, field), eps,
-                                        delta=delta, l_override=l_override)
+                                        l_override=l_override)
 
 
 def _postinjective_theta_witness(M: KroneckerModule, eps: Fraction, *,
-                                 delta: Fraction = Fraction(1, 8),
                                  l_override: int | None = None) -> Witness:
     """fragment_postinjective_theta on a module known to be theta_post(d, t)."""
-    alpha = Fraction(1, 2) + delta
     L = (l_override if l_override is not None
-         else postinjective_fragment_size_bound(M.d, eps, delta))
+         else postinjective_fragment_size_bound(M.d, eps))
     if L < 1:
         raise ValidationError("size bound must be >= 1")
     n = M.dim
@@ -731,12 +728,12 @@ def _postinjective_theta_witness(M: KroneckerModule, eps: Fraction, *,
     k = 0
     x = Fraction(n)
     while x > L:
-        x *= alpha
+        x *= _ALPHA
         k += 1
-    if Fraction(n) * alpha ** (k - 1) <= 2:
+    if Fraction(n) * _ALPHA ** (k - 1) <= 2:
         return whole_module_witness(M, eps, max(L, n), "fragment_postinjective",
                                     guard_triggered=True, size_bound=L)
-    adj = adjacency_of(M)
+    adj = build_gamma(M)
 
     # theta_post(d, t) is a tree: its vertex ids form the one component
     final, removed, batch_sizes = split_until(
@@ -744,7 +741,7 @@ def _postinjective_theta_witness(M: KroneckerModule, eps: Fraction, *,
     parts = _parts_from_kept(M, adj, sorted(final))
     notes = dict(producer="fragment_postinjective", removed=len(removed),
                  removed_fraction=Fraction(len(removed), M.dim),
-                 stages=len(batch_sizes), size_bound=L, alpha=alpha,
+                 stages=len(batch_sizes), size_bound=L, alpha=_ALPHA,
                  budget_met=Fraction(len(removed), M.dim) <= eps)
     return Witness(M, eps, Fraction(L), parts, notes)
 

@@ -5,9 +5,11 @@ without presolve, kernel_module builds a kernel submodule through
 kernel_basis and solve, classify_standard_d2 recognises the d = 2 canonical
 shapes by building each and comparing, nested_regular_witness and
 nested_postinjective_witness run the tame producers on submodules built as
-modules, and random_matrix draws the random matrices of several tests and
-of the matrix golden, whose text depends on its exact sequence of rng
-calls.
+modules, random_matrix draws the random matrices of several tests and of
+the matrix golden, whose text depends on its exact sequence of rng calls,
+and edge_list is the coefficient quiver as a sorted edge list, with the tree
+and degree checks over it that quiver.is_tree and quiver.degree_stats are
+compared against.
 """
 
 from fractions import Fraction
@@ -157,3 +159,37 @@ def random_matrix(field, rows, cols, rng, span=5):
             if v:
                 ent.append((i, j, v))
     return Matrix.from_entries(field, rows, cols, ent)
+
+
+def edge_list(M: KroneckerModule) -> list:
+    """The coefficient quiver of M as its sorted (source, sink, arrow, coeff)
+    edges, one per nonzero entry (sink, source) of each arrow matrix."""
+    return sorted((j, i, k, c) for k, m in enumerate(M.maps) for i, j, c in m.entries())
+
+
+def edge_list_is_tree(n_src: int, n_snk: int, edges) -> bool:
+    """Connected and acyclic by union-find over the edges, parallel edges
+    counting as cycles; the empty graph is not a tree."""
+    root = list(range(n_src + n_snk))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for j, i, _, _ in edges:
+        a, b = find(j), find(n_src + i)
+        if a == b:
+            return False
+        root[a] = b
+    return len(edges) == n_src + n_snk - 1
+
+
+def edge_list_degree_stats(n_src: int, n_snk: int, edges):
+    """(max indegree, max outdegree) counted over the edges."""
+    indeg = [0] * n_snk
+    outdeg = [0] * n_src
+    for j, i, _, _ in edges:
+        outdeg[j] += 1
+        indeg[i] += 1
+    return (max(indeg, default=0), max(outdeg, default=0))

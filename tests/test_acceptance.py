@@ -136,9 +136,9 @@ def test_criterion_07_qt_structure():
         for t in range(1, 9):
             M = build_postinjective_theta(d, t)
             assert (M.dim1, M.dim2) == (vals[t + 1], vals[t]), (d, t)
-            gamma = build_gamma(M)
-            assert is_tree(gamma), (d, t)
-            indeg, outdeg = degree_stats(gamma)
+            adj = build_gamma(M)
+            assert is_tree(adj), (d, t)
+            indeg, outdeg = degree_stats(adj, M.dim1)
             assert outdeg <= 2, (d, t)
             assert indeg <= (t - 1) * (d - 2) + d, (d, t)
     _report(7, "Q[t] dims, tree property, and degree bounds for d in {3,4}, t <= 8",

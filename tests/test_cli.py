@@ -362,6 +362,19 @@ def test_gamma_command(capsys, tmp_path):
     assert "1.1 2.1 arrow=1 coeff=1" in out
 
 
+def test_gamma_output_matches_golden(capsys, tmp_path):
+    """Byte for byte on theta_pre(3, 4), and on a d = 3 module over GF(5)
+    with parallel edges, one isolated source and one isolated sink."""
+    golden = Path(__file__).parent / "golden"
+    theta = tmp_path / "theta_pre_3_4.mod"
+    run(capsys, "build", "theta-pre", "--d", "3", "--t", "4", "--out", str(theta))
+    for mod, want in ((theta, "gamma_theta_pre_3_4.txt"),
+                      (golden / "gamma_parallel.mod", "gamma_parallel.txt")):
+        code, out, err = run(capsys, "gamma", "--module", str(mod))
+        assert (code, err) == (0, "")
+        assert out.encode() == (golden / want).read_bytes(), want
+
+
 def test_config_file(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n=3\nfield=rational\n")

@@ -32,13 +32,14 @@ def test_build_P_small():
 
 
 def test_build_P3_zigzag():
-    gamma = build_gamma(build_P(3))
-    assert gamma.n_vertices == 7
-    assert len(gamma.edges) == 6
-    assert is_tree(gamma)
-    labels = sorted((e[0], e[2]) for e in gamma.edges)
+    M = build_P(3)
+    adj = build_gamma(M)
+    assert len(adj) == 7
+    assert sum(map(len, adj)) == 2 * 6
+    assert is_tree(adj)
     # each source carries one edge per arrow
-    assert labels == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
+    for k, m in enumerate(M.maps):
+        assert sorted(j for _, j, _ in m.entries()) == [0, 1, 2], k
 
 
 def test_build_Q_small():
@@ -148,9 +149,9 @@ def test_theta_post_structure():
         for t in range(1, tmax + 1):
             m = build_postinjective_theta(d, t)
             assert (m.dim1, m.dim2) == (vals[t + 1], vals[t])
-            gamma = build_gamma(m)
-            assert is_tree(gamma)
-            indeg, outdeg = degree_stats(gamma)
+            adj = build_gamma(m)
+            assert is_tree(adj)
+            indeg, outdeg = degree_stats(adj, m.dim1)
             assert outdeg <= 2
             assert indeg <= (t - 1) * (d - 2) + d
 
@@ -161,9 +162,9 @@ def test_theta_pre_structure():
         for t in range(1, tmax + 1):
             m = build_preprojective_theta(d, t)
             assert (m.dim1, m.dim2) == (vals[t], vals[t + 1])
-            gamma = build_gamma(m)
-            assert is_tree(gamma)
-            indeg, _ = degree_stats(gamma)
+            adj = build_gamma(m)
+            assert is_tree(adj)
+            indeg, _ = degree_stats(adj, m.dim1)
             assert indeg <= d
             # at most one incoming edge per arrow label at each sink
             for mp in m.maps:
@@ -268,6 +269,11 @@ def test_kernel_of_theta_into_injective_has_low_defect():
 
 def test_direct_sum_dims_and_defect():
     assert direct_sum([]).dim == 0
+    # each of d and field keeps its own default on the empty sum
+    z = direct_sum([], d=3)
+    assert (z.d, z.field, len(z.maps)) == (3, QQ, 3)
+    z = direct_sum([], field=PrimeField(5))
+    assert (z.d, z.field) == (2, PrimeField(5))
     s = direct_sum([build_P(1), build_P(1)])
     assert (s.dim1, s.dim2) == (2, 4)
     mix = direct_sum([build_P(1), build_Q(2), build_R(PencilBlock("R_mono", 3))])

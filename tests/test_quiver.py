@@ -11,22 +11,17 @@ from kronhf.fields import QQ, PrimeField
 from kronhf.matrices import Matrix
 from kronhf.modules import (KroneckerModule, PencilBlock, build_P, build_R,
                             build_postinjective_theta, direct_sum)
-from kronhf.quiver import (CoefficientQuiver, _tree_centroid, adjacency_of, build_gamma,
-                           centroid, centroid_of, components,
-                           degree_stats, export_edges, is_tree, split_components, split_until)
+from kronhf.quiver import (_tree_centroid, build_gamma, centroid_of, components, degree_stats,
+                           export_edges, is_tree, split_components, split_until)
 from kronhf.witness import (_centroid_batch, _parts_from_kept, _sink_batch,
                             fragment_tree_module, monomial_submodule)
 
-
-def _vid(gamma, tag):
-    """The vertex id of a (layer, index) tag."""
-    return tag[1] + (gamma.n_src if tag[0] else 0)
+from oracles import edge_list, edge_list_degree_stats, edge_list_is_tree
 
 
-def _path_quiver(n):
-    """Zigzag path on n vertices as the coefficient quiver of a P-type module."""
-    assert n % 2 == 1
-    return build_gamma(build_P(n // 2))
+def _tag(M, v):
+    """The (layer, index) tag of vertex id v of M's coefficient quiver."""
+    return (0, v) if v < M.dim1 else (1, v - M.dim1)
 
 
 def test_build_gamma_edge_count_matches_nnz():
@@ -38,69 +33,63 @@ def test_build_gamma_edge_count_matches_nnz():
                                      for j in range(n1)))
                 for _ in range(2)]
         M = KroneckerModule(2, QQ, n1, n2, maps)
-        gamma = build_gamma(M)
-        assert len(gamma.edges) == sum(m.nnz for m in M.maps)
+        # one entry per edge at each end
+        assert sum(map(len, build_gamma(M))) == 2 * sum(m.nnz for m in M.maps)
 
 
 def test_build_gamma_p3_is_figure_zigzag():
-    gamma = build_gamma(build_P(3))
-    assert gamma.n_vertices == 7 and len(gamma.edges) == 6
-    assert is_tree(gamma)
+    M = build_P(3)
+    adj = build_gamma(M)
+    assert len(adj) == 7 and sum(map(len, adj)) == 2 * 6
+    assert is_tree(adj)
     # alternating arrow labels along the path
-    labels = [k for (_, _, k, _) in sorted(gamma.edges)]
-    assert labels == [0, 1, 0, 1, 0, 1]
+    labels = [line.split()[2] for line in export_edges(M).splitlines()]
+    assert labels == ["arrow=1", "arrow=2"] * 3
 
 
 def test_gamma_zero_module_empty():
-    z = direct_sum([])
-    gamma = build_gamma(z)
-    assert gamma.n_vertices == 0 and gamma.edges == []
-    assert not is_tree(gamma)
+    adj = build_gamma(direct_sum([]))
+    assert adj == []
+    assert not is_tree(adj)
 
 
 def test_gamma_regular_has_back_edges():
     # companion of an irreducible quadratic adds edges out of the last source
     r = build_R(PencilBlock("R_poly", poly=(1, 1), e=1), PrimeField(2))
-    gamma = build_gamma(r)
-    assert not is_tree(gamma)
-    assert len(gamma.edges) >= gamma.n_vertices
+    adj = build_gamma(r)
+    assert not is_tree(adj)
+    assert sum(map(len, adj)) // 2 >= len(adj)
 
 
 def test_is_tree_singleton():
-    gamma = CoefficientQuiver(1, 0, [], 2)
-    assert is_tree(gamma)
+    assert is_tree(build_gamma(build_P(0)))  # one sink, no edge
 
 
 def test_degree_stats():
-    gamma = build_gamma(build_P(3))
-    assert degree_stats(gamma) == (2, 2)
-    assert degree_stats(CoefficientQuiver(0, 0, [], 2)) == (0, 0)
-    q33 = build_gamma(build_postinjective_theta(3, 3))
-    indeg, outdeg = degree_stats(q33)
+    assert degree_stats(build_gamma(build_P(3)), 3) == (2, 2)
+    assert degree_stats([], 0) == (0, 0)
+    q33 = build_postinjective_theta(3, 3)
+    indeg, outdeg = degree_stats(build_gamma(q33), q33.dim1)
     assert indeg <= 5 and outdeg <= 2
 
 
 def test_centroid_path():
-    gamma = _path_quiver(5)
-    c = centroid(gamma)
-    # path f1-e1-f2-e2-f3: middle is f2
-    assert c == (1, 1)
+    # path f1-e1-f2-e2-f3 with sinks f: the middle f2 is sink 1, vertex 2 + 1
+    assert centroid_of(range(5), build_gamma(build_P(2)))[0] == 3
 
 
 def test_centroid_star():
-    m = build_postinjective_theta(3, 1)  # star with sink center
-    assert centroid(build_gamma(m)) == (1, 0)
+    m = build_postinjective_theta(3, 1)  # star with sink center, vertex 3
+    assert centroid_of(range(4), build_gamma(m))[0] == 3
 
 
 def test_centroid_p3_and_postcondition():
-    gamma = build_gamma(build_P(3))
-    c = centroid(gamma)
-    # 4th vertex along the path f1-e1-f2-e2-f3-e3-f4
-    assert c == (0, 1)
+    adj = build_gamma(build_P(3))
+    verts = list(range(len(adj)))
+    c = centroid_of(verts, adj)[0]
+    # 4th vertex along the path f1-e1-f2-e2-f3-e3-f4, source 1
+    assert c == 1
     # exhaustive check: no vertex does better
-    adj = gamma.adjacency()
-    verts = list(range(gamma.n_vertices))
-    c = _vid(gamma, c)
 
     def worst(v):
         rest = [u for u in verts if u != v]
@@ -138,12 +127,11 @@ def test_centroid_random_trees():
         # simpler: only accept connected instances
         maps = [Matrix.from_entries(QQ, n2, n1, e) for e in ent]
         M = KroneckerModule(2, QQ, n1, n2, maps)
-        gamma = build_gamma(M)
-        if not is_tree(gamma):
+        adj = build_gamma(M)
+        if not is_tree(adj):
             continue
-        c = _vid(gamma, centroid(gamma))
-        n = gamma.n_vertices
-        adj = gamma.adjacency()
+        n = len(adj)
+        c = centroid_of(range(n), adj)[0]
         comp_sizes = []
         seen = {c}
         for s in range(n):
@@ -161,12 +149,6 @@ def test_centroid_random_trees():
                         stack.append(wv)
             comp_sizes.append(len(comp))
         assert all(s <= (n - 1 + 1) // 2 for s in comp_sizes)
-
-
-def test_centroid_rejects_non_tree():
-    r = build_R(PencilBlock("R_poly", poly=(1, 1), e=1), PrimeField(2))
-    with pytest.raises(PreconditionError):
-        centroid(build_gamma(r))
 
 
 def test_submodule_generators_full_and_empty():
@@ -251,12 +233,12 @@ def test_split_component_dim_sum_invariant():
 
 
 def test_export_edges_format():
-    text = export_edges(build_gamma(build_P(1)))
+    text = export_edges(build_P(1))
     lines = text.strip().splitlines()
     assert lines[0] == "1.1 2.1 arrow=1 coeff=1"
     assert lines[1] == "1.1 2.2 arrow=2 coeff=1"
     z = KroneckerModule(2, QQ, 1, 1, [Matrix.zeros(QQ, 1, 1)] * 2)
-    iso = export_edges(build_gamma(z)).strip().splitlines()
+    iso = export_edges(z).strip().splitlines()
     assert iso == ["1.1", "2.1"]
 
 
@@ -278,9 +260,15 @@ def modules_with_parallel_edges(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(modules_with_parallel_edges())
-def test_adjacency_of_matches_the_quiver_adjacency(M):
-    got, want = adjacency_of(M), build_gamma(M).adjacency()
-    assert [sorted(nbrs) for nbrs in got] == [sorted(nbrs) for nbrs in want]
+def test_build_gamma_matches_the_edge_list_reference(M):
+    adj, edges, n = build_gamma(M), edge_list(M), M.dim1
+    want = [[] for _ in range(M.dim)]
+    for j, i, _, _ in edges:
+        want[j].append(n + i)
+        want[n + i].append(j)
+    assert [sorted(nbrs) for nbrs in adj] == [sorted(nbrs) for nbrs in want]
+    assert is_tree(adj) == edge_list_is_tree(n, M.dim2, edges)
+    assert degree_stats(adj, n) == edge_list_degree_stats(n, M.dim2, edges)
 
 
 def test_fragment_tree_module_refuses_a_parallel_pair_and_high_indegree():
@@ -297,7 +285,7 @@ def test_fragment_tree_module_refuses_a_parallel_pair_and_high_indegree():
 
 def test_parts_from_kept_rejects_kept_set_not_arrow_closed():
     M = build_P(2)  # source j maps to sinks j and j + 1; sink i is vertex 2 + i
-    adj = build_gamma(M).adjacency()
+    adj = build_gamma(M)
     kept = [0, 1, 2, 3]
     with pytest.raises(ValidationError, match="not arrow-closed: source 1 hits dropped sink 2"):
         _parts_from_kept(M, adj, components(adj, kept))
@@ -329,9 +317,10 @@ def tree_modules(draw):
     return KroneckerModule(2, QQ, counts[0], counts[1], maps)
 
 
-def _brute_components(gamma, verts):
+def _brute_components(M, verts):
     """Partition of the vertex ids verts by search over the raw edge list,
     ordered by smallest vertex."""
+    edges, n_src = edge_list(M), M.dim1
     verts = set(verts)
     left = set(verts)
     out = []
@@ -341,8 +330,8 @@ def _brute_components(gamma, verts):
         frontier = [start]
         while frontier:
             u = frontier.pop()
-            for j, i, _, _ in gamma.edges:
-                for a, b in ((j, gamma.n_src + i), (gamma.n_src + i, j)):
+            for j, i, _, _ in edges:
+                for a, b in ((j, n_src + i), (n_src + i, j)):
                     if a == u and b in verts and b not in comp:
                         comp.add(b)
                         frontier.append(b)
@@ -351,33 +340,31 @@ def _brute_components(gamma, verts):
     return out
 
 
-def _subset(draw, gamma):
-    return [v for v in range(gamma.n_vertices) if draw(st.booleans())]
+def _subset(draw, M):
+    return [v for v in range(M.dim) if draw(st.booleans())]
 
 
 @settings(max_examples=60, deadline=None)
 @given(tree_modules(), st.data())
 def test_components_match_brute_force(M, data):
-    gamma = build_gamma(M)
-    assert is_tree(gamma)
-    adj = gamma.adjacency()
-    subset = _subset(data.draw, gamma)
-    assert components(adj, subset) == _brute_components(gamma, subset)
-    assert components(adj, range(gamma.n_vertices)) == [list(range(gamma.n_vertices))]
+    adj = build_gamma(M)
+    assert is_tree(adj)
+    subset = _subset(data.draw, M)
+    assert components(adj, subset) == _brute_components(M, subset)
+    assert components(adj, range(M.dim)) == [list(range(M.dim))]
 
 
 @settings(max_examples=60, deadline=None)
 @given(tree_modules(), st.data())
 def test_centroid_of_minimises_largest_branch(M, data):
-    gamma = build_gamma(M)
-    adj = gamma.adjacency()
-    for comp in components(adj, _subset(data.draw, gamma)) or [list(range(gamma.n_vertices))]:
+    adj = build_gamma(M)
+    for comp in components(adj, _subset(data.draw, M)) or [list(range(M.dim))]:
         c, branch = centroid_of(comp, adj)
-        largest = {v: max(map(len, _brute_components(gamma, set(comp) - {v})), default=0)
+        largest = {v: max(map(len, _brute_components(M, set(comp) - {v})), default=0)
                    for v in comp}
         assert c == min(comp, key=lambda v: (largest[v], v))
         assert sum(branch.values()) == len(comp) - 1
-        pieces = _brute_components(gamma, set(comp) - {c})
+        pieces = _brute_components(M, set(comp) - {c})
         assert set(branch) == {w for w in adj[c] if w in comp}
         for nb, size in branch.items():
             assert len(next(p for p in pieces if nb in p)) == size
@@ -386,10 +373,9 @@ def test_centroid_of_minimises_largest_branch(M, data):
 @settings(max_examples=60, deadline=None)
 @given(tree_modules(), st.data())
 def test_split_until_bounds_components_and_covers(M, data):
-    gamma = build_gamma(M)
-    adj = gamma.adjacency()
-    subset = _subset(data.draw, gamma)
-    bound = data.draw(st.integers(1, gamma.n_vertices))
+    adj = build_gamma(M)
+    subset = _subset(data.draw, M)
+    bound = data.draw(st.integers(1, M.dim))
     final, removed, batch_sizes = split_until(
         adj, components(adj, subset), bound,
         lambda order, parent: {order[_tree_centroid(order, parent)[0]]})
@@ -409,10 +395,9 @@ def test_split_pieces_match_components_for_any_batch(M, data):
     labelling pass are components(adj, comp - batch), queued in that order.
     At bound 0 every piece is handed over in turn, so the sequence of
     handed components compares each split's pieces, order included."""
-    gamma = build_gamma(M)
-    adj = gamma.adjacency()
-    subset = _subset(data.draw, gamma)
-    bound = data.draw(st.integers(0, gamma.n_vertices))
+    adj = build_gamma(M)
+    subset = _subset(data.draw, M)
+    bound = data.draw(st.integers(0, M.dim))
     seed = data.draw(st.integers(0, 2 ** 32))
 
     def batch_of(comp):  # fixed by the sorted component, so both runs agree
@@ -450,10 +435,10 @@ def test_split_pieces_match_components_for_any_batch(M, data):
 # -- the (layer, index)-keyed graph layer as the reference for the id one ---------
 
 
-def _tag_adjacency(gamma):
+def _tag_adjacency(M):
     """vertex tag -> list of (neighbor tag, arrow)."""
-    adj = {gamma.tag(v): [] for v in range(gamma.n_vertices)}
-    for j, i, k, _ in gamma.edges:
+    adj = {_tag(M, v): [] for v in range(M.dim)}
+    for j, i, k, _ in edge_list(M):
         adj[(0, j)].append(((1, i), k))
         adj[(1, i)].append(((0, j), k))
     return adj
@@ -542,23 +527,25 @@ def _tag_batch_rule(sink_rule, adj):
 @settings(max_examples=80, deadline=None)
 @given(tree_modules(), st.data())
 def test_id_graph_layer_matches_the_tag_keyed_reference(M, data):
-    gamma = build_gamma(M)
-    adj, tadj = gamma.adjacency(), _tag_adjacency(gamma)
-    tag = gamma.tag
-    subset = _subset(data.draw, gamma)
+    adj, tadj = build_gamma(M), _tag_adjacency(M)
+
+    def tag(v):
+        return _tag(M, v)
+
+    subset = _subset(data.draw, M)
     tsubset = [tag(v) for v in subset]
     comps = components(adj, subset)
     assert [[tag(v) for v in c] for c in comps] == _tag_components(tadj, tsubset)
-    for comp in comps + [list(range(gamma.n_vertices))]:
+    for comp in comps + [list(range(M.dim))]:
         c, branch = centroid_of(comp, adj)
         tc, tbranch = _tag_centroid_of([tag(v) for v in comp], tadj)
         assert tag(c) == tc
         assert {tag(w): size for w, size in branch.items()} == tbranch
-    bound = data.draw(st.integers(1, gamma.n_vertices))
+    bound = data.draw(st.integers(1, M.dim))
     rule = data.draw(st.booleans())
     batch = _sink_batch if rule else _centroid_batch
     got = split_until(adj, comps, bound,
-                      lambda order, parent: batch(gamma.n_src, order, parent))
+                      lambda order, parent: batch(M.dim1, order, parent))
     want = _tag_split_until(tadj, tsubset, bound, _tag_batch_rule(rule, tadj))
     assert [[tag(v) for v in c] for c in got[0]] == want[0]
     assert {tag(v) for v in got[1]} == want[1]

@@ -343,7 +343,7 @@ def test_producers_build_each_module_once(make, monkeypatch):
     submodule, product, restriction or selection."""
     M = make()
     calls = []
-    for name in ("adjacency_of", "combinator_bounded_codim", "monomial_submodule"):
+    for name in ("build_gamma", "combinator_bounded_codim", "monomial_submodule"):
         real = getattr(witness_mod, name)
         monkeypatch.setattr(witness_mod, name,
                             lambda *a, _n=name, _f=real: calls.append((_n, a[0])) or _f(*a))
@@ -352,7 +352,7 @@ def test_producers_build_each_module_once(make, monkeypatch):
     monkeypatch.setattr(Matrix, "selection", lambda *a: calls.append("selection"))
     monkeypatch.setattr(KroneckerModule, "__init__", lambda *a: calls.append("module"))
     w = witness_for(M, Fraction(1, 10))
-    assert calls == [("adjacency_of", M)]
+    assert calls == [("build_gamma", M)]
     assert len(w.parts) > 1
 
 
@@ -628,7 +628,7 @@ def partition_witnesses(draw):
         Matrix.from_entries(field, dim2, dim1, [(i, j, draw(cell)) for i in range(dim2)
                                                 for j in range(dim1)])
         for _ in range(d)])
-    adj = build_gamma(M).adjacency()
+    adj = build_gamma(M)
     kind = draw(st.sampled_from(_CHANGES))
     if kind == "unclosed":
         owner = [draw(st.integers(-1, 3)) for _ in range(dim1 + dim2)]
