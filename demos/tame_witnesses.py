@@ -9,8 +9,7 @@ the independent verifier.
 from fractions import Fraction
 
 from kronhf.modules import PencilBlock, build_P, build_Q, build_R
-from kronhf.witness import (verify_weak_witness, verify_witness, weak_stats,
-                            weaken, witness_postinjective_2k,
+from kronhf.witness import (verify_witness, witness_postinjective_2k,
                             witness_preprojective_2k, witness_regular_2k)
 
 print("=" * 70)
@@ -37,10 +36,3 @@ for eps in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 10)):
         print(f"{name:<10} {str(eps):>5} {w.module.dim:>6} {w.dim_n:>6} "
               f"{len(w.parts):>6} {str(w.l_eps):>6} {'pass' if ok else 'FAIL'}")
 
-print()
-print("Weakening: the inclusion of N becomes a homomorphism witness")
-w = witness_preprojective_2k(7, Fraction(1, 4))
-ww = weaken(w)
-ker, coker = weak_stats(w.module, ww)
-print(f"ker dim = {ker}, coker dim = {coker} <= eps * dim M = {Fraction(1, 4) * 15}")
-print(f"weak verifier: {verify_weak_witness(w.module, ww)}")

@@ -1,9 +1,11 @@
 """Batch command line interface.
 
-Commands: build, witness, sweep, sl2p, expander, decompose, gamma. Global
-flags --out, --seed, --json, --config. Exit codes: 0 success, 1 verification
-failure, 2 usage error, 3 guard refusal. All randomness flows from the
-single --seed through named substreams so reports replay byte-for-byte.
+Commands: build, witness, sweep, sl2p, expander, decompose, gamma. Every
+command takes --out and --config; witness, sl2p, expander and decompose take
+--json, and sl2p and expander take --seed. Exit codes: 0 success, 1
+verification failure, 2 usage error, 3 guard refusal. All randomness flows
+from the single --seed through named substreams so reports replay
+byte-for-byte.
 """
 
 from __future__ import annotations
@@ -401,11 +403,13 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, *, json=False, seed=False):
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", default=None)
-        p.add_argument("--json", action="store_true")
         p.add_argument("--config", default=None)
+        if json:
+            p.add_argument("--json", action="store_true")
+        if seed:
+            p.add_argument("--seed", default=None)
 
     p = sub.add_parser("build", help="construct a standard module and print its shape")
     p.add_argument("kind", choices=["P", "Q", "R", "theta-pre", "theta-post"])
@@ -422,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--module", default=None)
     p.add_argument("--eps", default=None)
     p.add_argument("--l-override", default=None)
-    common(p)
+    common(p, json=True)
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("sweep", help="witness sweep over a module family, CSV output")
@@ -439,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixture", choices=["check", "dump"], default=None)
     p.add_argument("--kazhdan", action="store_true")
     p.add_argument("--trials", default=None)
-    common(p)
+    common(p, json=True, seed=True)
     p.set_defaults(func=cmd_sl2p)
 
     p = sub.add_parser("expander", help="expansion checks and epsilon bounds")
@@ -452,12 +456,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", default=None)
     p.add_argument("--guard", default=None)
     p.add_argument("--bounds-only", action="store_true")
-    common(p)
+    common(p, json=True, seed=True)
     p.set_defaults(func=cmd_expander)
 
     p = sub.add_parser("decompose", help="pencil block multiset of a d=2 module")
     p.add_argument("--module", default=None)
-    common(p)
+    common(p, json=True)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("gamma", help="coefficient quiver edge list")

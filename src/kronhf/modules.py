@@ -59,9 +59,6 @@ class KroneckerModule:
     def defect(self) -> int:
         return self.dim1 - self.dim2
 
-    def map(self, k) -> Matrix:
-        return self.maps[k]
-
     def transpose(self) -> "KroneckerModule":
         """Vector-space dual; swaps the two vertices and transposes each map."""
         return KroneckerModule(self.d, self.field, self.dim2, self.dim1,
@@ -573,11 +570,6 @@ def hom_space(X: KroneckerModule, Y: KroneckerModule):
     """Basis of Hom(X, Y) as pairs (f, g) with g X(k) = Y(k) f for all arrows,
     from the presolved system (PresolvedHom)."""
     return PresolvedHom(X, Y).pairs()
-
-
-def is_homomorphism(theta, X: KroneckerModule, Y: KroneckerModule) -> bool:
-    f, g = theta
-    return all(g @ X.maps[k] == Y.maps[k] @ f for k in range(X.d))
 
 
 # -- structural classification -------------------------------------------------

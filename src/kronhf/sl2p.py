@@ -25,28 +25,6 @@ from .modules import KroneckerModule, PresolvedHom
 
 
 @dataclass(frozen=True)
-class ProjPoint:
-    """Point of P^1(F_p): a residue 0..p-1 or None for infinity."""
-
-    p: int
-    value: int | None
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValidationError(f"{self.p} is not prime")
-        if self.value is not None and not (0 <= self.value < self.p):
-            raise ValidationError("finite point out of range")
-
-    @property
-    def index(self) -> int:
-        """Position in the fixed ordering 0, 1, ..., p-1, infinity."""
-        return self.p if self.value is None else self.value
-
-    def __repr__(self):
-        return f"({'inf' if self.value is None else self.value} : P1(F_{self.p}))"
-
-
-@dataclass(frozen=True)
 class SL2pElement:
     p: int
     a: int
@@ -82,33 +60,16 @@ def gen_t(p: int) -> SL2pElement:
     return SL2pElement(p, 0, 1, (-1) % p, 0)
 
 
-def identity_element(p: int) -> SL2pElement:
-    return SL2pElement(p, 1, 0, 0, 1)
-
-
-def mobius(g: SL2pElement, z: ProjPoint) -> ProjPoint:
-    """(a z + b) / (c z + d) with x/0 = infinity and evaluation at infinity a/c."""
-    if g.p != z.p:
-        raise ValidationError("characteristic mismatch")
-    p = g.p
-    if z.value is None:
-        if g.c % p == 0:
-            return ProjPoint(p, None)
-        return ProjPoint(p, g.a * pow(g.c, -1, p) % p)
-    num = (g.a * z.value + g.b) % p
-    den = (g.c * z.value + g.d) % p
-    if den == 0:
-        return ProjPoint(p, None)
-    return ProjPoint(p, num * pow(den, -1, p) % p)
-
-
 def point_permutation(g: SL2pElement) -> list:
-    """sigma[i] = index of the Moebius image of the i-th point."""
-    p = g.p
+    """sigma[i] = index of the Moebius image (a z + b) / (c z + d) of the i-th
+    point of P^1(F_p), in the order 0, 1, ..., p-1, infinity = p. x/0 is
+    infinity, and infinity goes to a/c (to itself when c = 0)."""
+    p, a, b, c, d = g.p, g.a, g.b, g.c, g.d
     out = []
-    for i in range(p + 1):
-        z = ProjPoint(p, None if i == p else i)
-        out.append(mobius(g, z).index)
+    for z in range(p):
+        den = (c * z + d) % p
+        out.append(p if den == 0 else (a * z + b) * pow(den, -1, p) % p)
+    out.append(p if c == 0 else a * pow(c, -1, p) % p)
     return out
 
 

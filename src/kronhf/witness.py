@@ -29,7 +29,6 @@ from .modules import (
     build_postinjective_theta,
     classify_standard,
     direct_sum,
-    is_homomorphism,
     a_sequence,
 )
 from .quiver import (_children, _tree_centroid, build_gamma, components, degree_stats, is_tree,
@@ -93,17 +92,6 @@ class Witness:
     @property
     def dim_n(self) -> int:
         return sum(p.dim for p in self.parts)
-
-
-@dataclass
-class WeakWitness:
-    module: KroneckerModule
-    eps: Fraction
-    l_eps: Fraction
-    n_module: KroneckerModule
-    theta: tuple  # (f, g) : N -> M
-    parts: list   # modules N_i with direct sum N
-    notes: dict = dc_field(default_factory=dict)
 
 
 @dataclass
@@ -243,36 +231,6 @@ def _partition_mismatch(M, owner1, owner2):
     return None
 
 
-def verify_weak_witness(M: KroneckerModule, w: WeakWitness) -> VerifyReport:
-    f, g = w.theta
-    N = w.n_module
-    if direct_sum(w.parts, d=M.d, field=M.field) != N:
-        return VerifyReport(False, "parts", "N is not the direct sum of the listed parts")
-    if f.rows != M.dim1 or g.rows != M.dim2 or f.cols != N.dim1 or g.cols != N.dim2:
-        return VerifyReport(False, "homomorphism", "theta shape mismatch")
-    if not is_homomorphism((f, g), N, M):
-        return VerifyReport(False, "homomorphism", "theta does not intertwine")
-    for idx, part in enumerate(w.parts):
-        if Fraction(part.dim) > w.l_eps:
-            return VerifyReport(False, "part-size",
-                                f"part {idx} has dim {part.dim} > l_eps {w.l_eps}")
-    ker_dim, coker_dim = weak_stats(M, w)
-    if Fraction(ker_dim) > w.eps * M.dim:
-        return VerifyReport(False, "kernel", f"dim ker = {ker_dim} > eps * dim M")
-    if Fraction(coker_dim) > w.eps * M.dim:
-        return VerifyReport(False, "cokernel", f"dim coker = {coker_dim} > eps * dim M")
-    return VerifyReport(True)
-
-
-def weak_stats(M: KroneckerModule, w: WeakWitness):
-    f, g = w.theta
-    N = w.n_module
-    rank_f, rank_g = f.rank(), g.rank()
-    ker_dim = (N.dim1 - rank_f) + (N.dim2 - rank_g)
-    coker_dim = (M.dim1 - rank_f) + (M.dim2 - rank_g)
-    return ker_dim, coker_dim
-
-
 # -- shared monomial machinery ---------------------------------------------------
 
 
@@ -281,25 +239,15 @@ def _closure_sinks(adj, kept_sources):
     return sorted({w for j in kept_sources for w in adj[j]})
 
 
-def _parts_from_kept(M: KroneckerModule, adj, comps):
+def _monomial_parts(M: KroneckerModule, comps):
     """The connected components of a kept vertex set as monomial parts.
 
     comps are those components, as components(adj, kept) gives them: sorted
-    id lists, ordered by smallest vertex. Requires the kept set to be
-    arrow-closed: every kept source's neighbors in the coefficient quiver
-    are kept sinks (checked).
+    id lists, ordered by smallest vertex. The producers keep arrow-closed
+    sets (d = 2: the closure sinks of the kept sources; trees: a removed sink
+    goes with its sources); verify_witness checks that they are.
     """
     n = M.dim1
-    kept = [v for comp in comps for v in comp]
-    mark = bytearray(len(adj))
-    for v in kept:
-        mark[v] = 1
-    for v in kept:
-        if v < n:
-            for w in adj[v]:
-                if not mark[w]:
-                    raise ValidationError(
-                        f"kept set not arrow-closed: source {v} hits dropped sink {w - n}")
     cuts = [bisect_left(comp, n) for comp in comps]
     return [MonomialPart(M, comp[:k], [v - n for v in comp[k:]]) for comp, k in zip(comps, cuts)]
 
@@ -348,7 +296,7 @@ def witness_for(M: KroneckerModule, eps: Fraction, *, l_override: int | None = N
         raise ValidationError(f"l_override sets the size target of theta_post modules only, "
                               f"not of {tag}")
     if tag == "P":
-        return _zigzag_witness(M, eps, producer="preprojective_2k")
+        return _zigzag_witness(M, eps)
     if tag == "Q":
         return _postinjective_witness(M, kind[1], eps)
     if tag in ("R_poly", "R_mono"):
@@ -361,10 +309,10 @@ def witness_for(M: KroneckerModule, eps: Fraction, *, l_override: int | None = N
 def witness_preprojective_2k(n: int, eps: Fraction, field=QQ) -> Witness:
     """Drop-every-K-th witness for the standard preprojective P_n."""
     check_eps(eps)
-    return _zigzag_witness(build_P(n, field), eps, producer="preprojective_2k")
+    return _zigzag_witness(build_P(n, field), eps)
 
 
-def _zigzag_witness(M: KroneckerModule, eps: Fraction, producer: str) -> Witness:
+def _zigzag_witness(M: KroneckerModule, eps: Fraction) -> Witness:
     """Witness for a module in standard preprojective shape (both orientations).
 
     K = ceil(1/(2 eps)) + 1, L = 1/eps + 3; every K-th source generator is
@@ -374,15 +322,15 @@ def _zigzag_witness(M: KroneckerModule, eps: Fraction, producer: str) -> Witness
     check_eps(eps)
     L = 1 / eps + 3
     if Fraction(M.dim) <= L:
-        return whole_module_witness(M, eps, L, producer)
+        return whole_module_witness(M, eps, L, "preprojective_2k")
     kept, drops = _zigzag_kept(range(M.dim1), eps)
     adj = build_gamma(M)
     snk = _closure_sinks(adj, kept)
     removed = M.dim - len(kept) - len(snk)
     _check_zigzag(M.dim - removed, M.dim, eps)
-    parts = _parts_from_kept(M, adj, components(adj, kept + snk))
+    parts = _monomial_parts(M, components(adj, kept + snk))
     return Witness(M, eps, L, parts,
-                   dict(producer=producer, dropped_sources=drops,
+                   dict(producer="preprojective_2k", dropped_sources=drops,
                         removed=removed, removed_fraction=Fraction(removed, M.dim)))
 
 
@@ -438,7 +386,7 @@ def _regular_witness(R: KroneckerModule, eps: Fraction) -> Witness:
     kept, snk = _regular_kept(adj, range(R.dim1), eps)
     notes = _codim_notes(R.dim, R.dim - 1, eps / 2, len(kept) + len(snk), eps)
     notes["producer"] = "regular_2k"
-    return Witness(R, eps, l_eps, _parts_from_kept(R, adj, components(adj, kept + snk)), notes)
+    return Witness(R, eps, l_eps, _monomial_parts(R, components(adj, kept + snk)), notes)
 
 
 def _regular_kept(adj, sources, eps):
@@ -506,7 +454,7 @@ def _postinjective_witness(Qm: KroneckerModule, n: int, eps: Fraction) -> Witnes
     notes = _codim_notes(Qm.dim, 2 * n, eps / 2, len(kept) + len(snk), eps)
     notes["producer"] = "postinjective_2k"
     notes["kernel_blocks"] = [f"R_mono({n})"]
-    return Witness(Qm, eps, l_eps, _parts_from_kept(Qm, adj, components(adj, kept + snk)),
+    return Witness(Qm, eps, l_eps, _monomial_parts(Qm, components(adj, kept + snk)),
                    notes)
 
 
@@ -613,19 +561,6 @@ def _times_each(e: Matrix, mats) -> list:
     return (e @ Matrix.hstack(mats)).hsplit([m.cols for m in mats])
 
 
-def weaken(w: Witness) -> WeakWitness:
-    """Inclusion of the witness submodule as a weak witness (kernel zero)."""
-    N = direct_sum([p.module for p in w.parts], d=w.module.d, field=w.module.field)
-    if w.parts:
-        f = Matrix.hstack([p.emb1 for p in w.parts])
-        g = Matrix.hstack([p.emb2 for p in w.parts])
-    else:
-        f = Matrix.zeros(w.module.field, w.module.dim1, 0)
-        g = Matrix.zeros(w.module.field, w.module.dim2, 0)
-    return WeakWitness(w.module, w.eps, w.l_eps, N, (f, g),
-                       [p.module for p in w.parts], dict(w.notes))
-
-
 # -- fragmentation for wild theta(d) ------------------------------------------------
 
 
@@ -669,7 +604,7 @@ def fragment_tree_module(M: KroneckerModule, eps: Fraction) -> Witness:
 
     final, removed, batch_sizes = split_until(
         adj, [list(range(M.dim))], C, lambda order, parent: _centroid_batch(n, order, parent))
-    parts = _parts_from_kept(M, adj, sorted(final))
+    parts = _monomial_parts(M, sorted(final))
     notes = dict(producer="fragment_tree", removed=len(removed),
                  removed_fraction=Fraction(len(removed), M.dim),
                  splits=len(batch_sizes), max_removed_per_split=max(batch_sizes, default=0),
@@ -725,20 +660,12 @@ def _postinjective_theta_witness(M: KroneckerModule, eps: Fraction, *,
     if n <= L:
         return whole_module_witness(M, eps, L, "fragment_postinjective",
                                     below_threshold=True, size_bound=L)
-    k = 0
-    x = Fraction(n)
-    while x > L:
-        x *= _ALPHA
-        k += 1
-    if Fraction(n) * _ALPHA ** (k - 1) <= 2:
-        return whole_module_witness(M, eps, max(L, n), "fragment_postinjective",
-                                    guard_triggered=True, size_bound=L)
     adj = build_gamma(M)
 
     # theta_post(d, t) is a tree: its vertex ids form the one component
     final, removed, batch_sizes = split_until(
         adj, [list(range(n))], L, lambda order, parent: _sink_batch(M.dim1, order, parent))
-    parts = _parts_from_kept(M, adj, sorted(final))
+    parts = _monomial_parts(M, sorted(final))
     notes = dict(producer="fragment_postinjective", removed=len(removed),
                  removed_fraction=Fraction(len(removed), M.dim),
                  stages=len(batch_sizes), size_bound=L, alpha=_ALPHA,

@@ -7,9 +7,10 @@ shapes by building each and comparing, nested_regular_witness and
 nested_postinjective_witness run the tame producers on submodules built as
 modules, random_matrix draws the random matrices of several tests and of
 the matrix golden, whose text depends on its exact sequence of rng calls,
-and edge_list is the coefficient quiver as a sorted edge list, with the tree
+edge_list is the coefficient quiver as a sorted edge list, with the tree
 and degree checks over it that quiver.is_tree and quiver.degree_stats are
-compared against.
+compared against, and is_homomorphism checks a pair (f, g) against the
+arrows directly.
 """
 
 from fractions import Fraction
@@ -17,10 +18,15 @@ from fractions import Fraction
 from kronhf.errors import ValidationError
 from kronhf.fields import rational
 from kronhf.matrices import Matrix
-from kronhf.modules import (KroneckerModule, build_P, build_Q, companion_matrix,
-                            is_homomorphism)
+from kronhf.modules import KroneckerModule, build_P, build_Q, companion_matrix
 from kronhf.witness import (_zigzag_witness, combinator_bounded_codim, monomial_submodule,
                             whole_module_witness)
+
+
+def is_homomorphism(theta, X: KroneckerModule, Y: KroneckerModule) -> bool:
+    """g X(k) == Y(k) f for every arrow k, for theta = (f, g): X -> Y."""
+    f, g = theta
+    return all(g @ X.maps[k] == Y.maps[k] @ f for k in range(X.d))
 
 
 def hom_system(X: KroneckerModule, Y: KroneckerModule) -> Matrix:
@@ -126,7 +132,7 @@ def nested_regular_witness(R: KroneckerModule, eps: Fraction):
         return whole_module_witness(R, eps, l_eps, "regular_2k")
     sub, embs = monomial_submodule(R, range(R.dim1 - 1))
     assert sub.dim == R.dim - 1
-    inner = _zigzag_witness(sub, eps / 2, producer="regular_2k/inner")
+    inner = _zigzag_witness(sub, eps / 2)
     w = combinator_bounded_codim(R, sub, embs, inner, eps)
     w.notes["producer"] = "regular_2k"
     return w

@@ -111,7 +111,7 @@ def test_criterion_06_witness_suite():
         l_pre = 1 / eps + 3
         for n in p_sizes:
             M = build_P(n)
-            w = _zigzag_witness(M, eps, "preprojective_2k")
+            w = _zigzag_witness(M, eps)
             assert verify_witness(M, w).ok, (n, eps)
             assert all(Fraction(p.module.dim) <= l_pre for p in w.parts)
             assert Fraction(w.dim_n) >= (1 - eps) * M.dim

@@ -142,6 +142,26 @@ def test_witness_theta_modules_via_cli(capsys, tmp_path):
     assert code == 0 and "verdict pass" in out
 
 
+def test_witness_theta_post_at_size_target_one_fails_verification(capsys, tmp_path):
+    """Split down to size target 1, theta_post(3, 3) keeps too little of itself."""
+    post = tmp_path / "post.mod"
+    run(capsys, "build", "theta-post", "--d", "3", "--t", "3", "--out", str(post))
+    code, out, _ = run(capsys, "witness", "--module", str(post), "--eps", "1/4",
+                       "--l-override", "1")
+    assert code == 1 and "verdict FAIL dimension" in out
+
+
+def test_flags_a_command_does_not_read_are_usage_errors(capsys, tmp_path):
+    """--seed is taken only by sl2p and expander, --json only by the
+    commands that write a JSON report."""
+    mod = tmp_path / "F.mod"
+    run(capsys, "build", "P", "--n", "1", "--out", str(mod))
+    assert run(capsys, "build", "P", "--n", "3", "--seed", "1")[0] == 2
+    assert run(capsys, "gamma", "--module", str(mod), "--json")[0] == 2
+    assert run(capsys, "sweep", "--family", "P", "--range", "3", "--eps-list", "1/2",
+               "--json")[0] == 2
+
+
 def test_witness_refuses_l_override_off_theta_post(capsys):
     """--l-override is the size target of theta_post modules; on any other
     shape it is refused, not silently ignored."""

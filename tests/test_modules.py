@@ -13,12 +13,11 @@ from kronhf.modules import (KroneckerModule, PencilBlock, a_sequence,
                             build_P, build_Q, build_R, build_postinjective_theta,
                             build_preprojective_theta, classify_standard,
                             closed_form_a, companion_matrix, direct_sum, factor_monic,
-                            hom_space,
-                            is_homomorphism, module_from_text, parse_poly,
-                            t_bound_check)
+                            hom_space, module_from_text, parse_poly, t_bound_check)
 from kronhf.quiver import build_gamma, degree_stats, is_tree
 
-from oracles import classify_standard_d2, hom_system, kernel_module, random_matrix
+from oracles import (classify_standard_d2, hom_system, is_homomorphism, kernel_module,
+                     random_matrix)
 
 
 def test_build_P_small():

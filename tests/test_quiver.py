@@ -6,15 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kronhf.errors import PreconditionError, ShapeError, ValidationError
+from kronhf.errors import PreconditionError, ShapeError
 from kronhf.fields import QQ, PrimeField
 from kronhf.matrices import Matrix
 from kronhf.modules import (KroneckerModule, PencilBlock, build_P, build_R,
                             build_postinjective_theta, direct_sum)
 from kronhf.quiver import (_tree_centroid, build_gamma, centroid_of, components, degree_stats,
                            export_edges, is_tree, split_components, split_until)
-from kronhf.witness import (_centroid_batch, _parts_from_kept, _sink_batch,
-                            fragment_tree_module, monomial_submodule)
+from kronhf.witness import (Witness, _centroid_batch, _monomial_parts, _sink_batch,
+                            fragment_tree_module, monomial_submodule, verify_witness)
 
 from oracles import edge_list, edge_list_degree_stats, edge_list_is_tree
 
@@ -283,14 +283,16 @@ def test_fragment_tree_module_refuses_a_parallel_pair_and_high_indegree():
         fragment_tree_module(fan, Fraction(1, 4))
 
 
-def test_parts_from_kept_rejects_kept_set_not_arrow_closed():
+def test_verify_witness_refuses_kept_set_not_arrow_closed():
     M = build_P(2)  # source j maps to sinks j and j + 1; sink i is vertex 2 + i
     adj = build_gamma(M)
-    kept = [0, 1, 2, 3]
-    with pytest.raises(ValidationError, match="not arrow-closed: source 1 hits dropped sink 2"):
-        _parts_from_kept(M, adj, components(adj, kept))
-    [part] = _parts_from_kept(M, adj, components(adj, kept + [4]))
+    [part] = _monomial_parts(M, components(adj, [0, 1, 2, 3]))
+    rep = verify_witness(M, Witness(M, Fraction(1, 4), Fraction(5), [part]))
+    assert (rep.ok, rep.clause) == (False, "embedding")
+    assert rep.detail == "arrow 1 does not intertwine with the embeddings"
+    [part] = _monomial_parts(M, components(adj, [0, 1, 2, 3, 4]))
     assert (part.module.dim1, part.module.dim2) == (2, 3)
+    assert verify_witness(M, Witness(M, Fraction(1, 4), Fraction(5), [part])).ok
 
 
 # -- graph layer properties on random tree modules -----------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -12,12 +13,11 @@ from kronhf.errors import DomainError, ValidationError
 from kronhf.fields import QQ, PrimeField
 from kronhf.matrices import Matrix
 from kronhf.modules import PresolvedHom
-from kronhf.sl2p import (ProjPoint, SL2pElement, adjoint_generators,
-                         adjoint_rep, commutant_dimension, gen_s, gen_t,
-                         identity_element, irreducible_rep, is_irreducible,
-                         kazhdan_estimate, kazhdan_lower_bound,
-                         kazhdan_upper_bound, mobius, orthogonal_rep,
-                         permutation_rep, restricted_rep,
+from kronhf.sl2p import (SL2pElement, adjoint_generators, adjoint_rep,
+                         commutant_dimension, gen_s, gen_t, irreducible_rep,
+                         is_irreducible, kazhdan_estimate, kazhdan_lower_bound,
+                         kazhdan_upper_bound, orthogonal_rep, permutation_rep,
+                         point_permutation, restricted_rep,
                          theta3_counterexample_module)
 
 # transcribed ground truth: the explicit matrices of the construction
@@ -70,16 +70,27 @@ def _as_int(mat: Matrix):
     return [[int(mat.entry(i, j)) for j in range(mat.cols)] for i in range(mat.rows)]
 
 
+def _homogeneous_permutation(g):
+    """point_permutation by homogeneous coordinates: (x : y) -> (a x + b y : c x + d y),
+    with z as (z : 1) and infinity as (1 : 0)."""
+    p = g.p
+    out = []
+    for x, y in [(z, 1) for z in range(p)] + [(1, 0)]:
+        u, v = (g.a * x + g.b * y) % p, (g.c * x + g.d * y) % p
+        out.append(p if v == 0 else u * pow(v, -1, p) % p)
+    return out
+
+
 def test_mobius_conventions():
-    e = identity_element(5)
-    for v in [0, 1, 4, None]:
-        z = ProjPoint(5, v)
-        assert mobius(e, z) == z
-    t3 = gen_t(3)
-    assert mobius(t3, ProjPoint(3, 0)) == ProjPoint(3, None)
-    s5 = gen_s(5)
-    assert mobius(s5, ProjPoint(5, 1)) == ProjPoint(5, 2)
-    assert mobius(s5, ProjPoint(5, None)) == ProjPoint(5, None)
+    assert point_permutation(SL2pElement(5, 1, 0, 0, 1)) == list(range(6))
+    assert point_permutation(gen_t(3))[0] == 3  # z -> -1/z sends 0 to infinity
+    s5 = point_permutation(gen_s(5))  # z -> z + 1 fixes infinity
+    assert s5[1] == 2 and s5[5] == 5
+    for p in (2, 3, 5, 7):
+        for a, b, c, d in itertools.product(range(p), repeat=4):
+            if (a * d - b * c) % p == 1:
+                g = SL2pElement(p, a, b, c, d)
+                assert point_permutation(g) == _homogeneous_permutation(g)
 
 
 def test_sl2p_element_validation():
@@ -90,7 +101,7 @@ def test_sl2p_element_validation():
 
 
 def test_permutation_rep_identity_and_t():
-    assert permutation_rep(identity_element(3)) == Matrix.identity(QQ, 4)
+    assert permutation_rep(SL2pElement(3, 1, 0, 0, 1)) == Matrix.identity(QQ, 4)
     pt = permutation_rep(gen_t(3))
     # t swaps (0, inf) and (1, 2)
     expected = Matrix.selection(QQ, 4, [3, 2, 1, 0])

@@ -17,8 +17,7 @@ from kronhf.quiver import build_gamma, components
 from kronhf.witness import (MonomialPart, Witness, WitnessPart, combinator_bounded_codim,
                             combinator_direct_sum, fragment_postinjective_theta,
                             fragment_tree_module, monomial_submodule,
-                            postinjective_fragment_size_bound, verify_weak_witness,
-                            verify_witness, weak_stats, weaken, witness_for,
+                            postinjective_fragment_size_bound, verify_witness, witness_for,
                             witness_postinjective_2k, witness_preprojective_2k,
                             witness_regular_2k, witness_to_dict, _verify_stacked,
                             _zigzag_witness)
@@ -281,7 +280,7 @@ def test_combinator_direct_sum_rejects_mixed_eps():
 
 def test_combinator_bounded_codim_identity_transport():
     M = build_P(10)
-    w = _zigzag_witness(M, QUARTER, "test")
+    w = _zigzag_witness(M, QUARTER)
     out = combinator_bounded_codim(M, M, (Matrix.identity(QQ, 10), Matrix.identity(QQ, 11)),
                                    w, QUARTER)
     assert verify_witness(M, out).ok
@@ -297,7 +296,7 @@ def test_combinator_bounded_codim_guard():
     M = build_P(24)  # dim 49, close enough: use dims to trip the guard
     sub, embs = monomial_submodule(M, range(21))
     L = M.dim - sub.dim
-    inner = _zigzag_witness(sub, Fraction(1, 20), "test")
+    inner = _zigzag_witness(sub, Fraction(1, 20))
     if Fraction(M.dim) < Fraction(2 * L) / Fraction(1, 10):
         with pytest.raises(GuardRefusal):
             combinator_bounded_codim(M, sub, embs, inner, Fraction(1, 10))
@@ -306,7 +305,7 @@ def test_combinator_bounded_codim_guard():
 def test_combinator_bounded_codim_rejects_large_inner_eps():
     M = build_P(40)
     sub, embs = monomial_submodule(M, range(39))
-    inner = _zigzag_witness(sub, QUARTER, "test")
+    inner = _zigzag_witness(sub, QUARTER)
     with pytest.raises(GuardRefusal):
         combinator_bounded_codim(M, sub, embs, inner, QUARTER)
 
@@ -385,7 +384,7 @@ def test_transport_takes_one_product_per_side(monkeypatch):
 
     seen = []
     for eps in (Fraction(1, 2), Fraction(1, 10)):
-        inner = _zigzag_witness(sub, eps / 2, "test")
+        inner = _zigzag_witness(sub, eps / 2)
         inner.parts = [WitnessPart(p.module, p.emb1, p.emb2) for p in inner.parts]
         count[0] = 0
         monkeypatch.setattr(Matrix, "__matmul__", counting)
@@ -394,31 +393,6 @@ def test_transport_takes_one_product_per_side(monkeypatch):
         seen.append((len(inner.parts), count[0]))
     assert seen[0][0] != seen[1][0] and min(seen)[0] > 2
     assert [c for _, c in seen] == [2, 2]
-
-
-def test_weaken():
-    w = witness_preprojective_2k(7, QUARTER)
-    ww = weaken(w)
-    ker, coker = weak_stats(w.module, ww)
-    assert ker == 0
-    assert coker == 2
-    assert Fraction(coker) <= QUARTER * 15
-    assert verify_weak_witness(w.module, ww).ok
-
-    whole = witness_preprojective_2k(1, QUARTER)
-    ww = weaken(whole)
-    assert weak_stats(whole.module, ww) == (0, 0)
-    assert verify_weak_witness(whole.module, ww).ok
-
-
-def test_weaken_always_zero_kernel():
-    rng = random.Random(31)
-    for _ in range(10):
-        n = rng.randint(0, 60)
-        w = witness_preprojective_2k(n, Fraction(1, 2))
-        ww = weaken(w)
-        assert weak_stats(w.module, ww)[0] == 0
-        assert verify_weak_witness(w.module, ww).ok
 
 
 def test_verify_witness_detects_oversized_part():
@@ -551,6 +525,17 @@ def test_fragment_postinjective_staged_with_override():
         assert all(p.module.dim <= L for p in w.parts)
         assert w.notes["removed_fraction"] <= QUARTER
         assert w.notes["budget_met"]
+
+
+def test_fragment_postinjective_size_target_one_splits_and_fails_the_dimension_clause():
+    """At size target 1 the tree is split like at any other target, and so
+    much is removed that the dimension clause fails."""
+    for t in (1, 2, 3):
+        w = fragment_postinjective_theta(3, t, QUARTER, l_override=1)
+        assert w.l_eps == 1 and "guard_triggered" not in w.notes
+        assert not w.notes.get("whole_module")
+        assert all(p.dim <= 1 for p in w.parts)
+        assert verify_witness(w.module, w).clause == "dimension"
 
 
 def test_fragment_postinjective_parts_are_closed_submodules():
