@@ -2,7 +2,9 @@
 
 Commands: build, witness, sweep, sl2p, expander, decompose, gamma. Every
 command takes --out and --config; witness, sl2p, expander and decompose take
---json, and sl2p and expander take --seed. Exit codes: 0 success, 1
+--json, and sl2p and expander take --seed. A --config file sets, by
+key=value lines, only the command's options that take a value; any other
+key is a usage error. Exit codes: 0 success, 1
 verification failure, 2 usage error, 3 guard refusal. All randomness flows
 from the single --seed through named substreams so reports replay
 byte-for-byte.
@@ -65,7 +67,9 @@ class RunReport:
         return all(self.verdicts)
 
 
-def _load_config(path):
+def _load_config(path, keys):
+    """The key=value lines of a --config file; a key that is not in keys, the
+    value options of the command, is a usage error."""
     out = {}
     if not path:
         return out
@@ -76,6 +80,10 @@ def _load_config(path):
                 continue
             key, _, val = line.partition("=")
             out[key.strip()] = val.strip()
+    unknown = sorted(set(out) - keys)
+    if unknown:
+        raise ValidationError(f"--config sets options this command does not take: "
+                              f"{', '.join(unknown)}")
     return out
 
 
@@ -404,12 +412,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p, *, json=False, seed=False):
+        if seed:
+            p.add_argument("--seed", default=None)
+        # what a --config file may set: each option added so far that takes a value
+        p.set_defaults(config_keys=frozenset(
+            a.option_strings[0][2:] for a in p._actions if a.option_strings and a.nargs is None))
         p.add_argument("--out", default=None)
         p.add_argument("--config", default=None)
         if json:
             p.add_argument("--json", action="store_true")
-        if seed:
-            p.add_argument("--seed", default=None)
 
     p = sub.add_parser("build", help="construct a standard module and print its shape")
     p.add_argument("kind", choices=["P", "Q", "R", "theta-pre", "theta-post"])
@@ -478,7 +489,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args, _load_config(getattr(args, "config", None)))
+        return args.func(args, _load_config(args.config, args.config_keys))
     except GuardRefusal as exc:
         print(f"guard refusal: {exc}", file=sys.stderr)
         return 3

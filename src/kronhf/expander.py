@@ -72,10 +72,11 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
-def _image_dim(cand: ExpanderCandidate, W: Matrix) -> int:
-    """dim of sum of T_i(W) for the row-span W (k x n generator matrix)."""
-    wt = W.transpose()
-    return column_space_dim_of_stack([m @ wt for m in cand.maps])
+def _stacked_image_dim(W: Matrix, maps_t: list) -> int:
+    """dim sum T_i(W) for the row span W of a k x n matrix, given the
+    transposes T_i^t of the maps: the rank of the dk x n row stack of the
+    W T_i^t, whose rows are the T_i w_j."""
+    return Matrix.vstack([W @ t for t in maps_t]).rank()
 
 
 class _PackedImages:
@@ -291,7 +292,15 @@ def check_exhaustive(cand: ExpanderCandidate, guard: int = 10 ** 7) -> Expansion
 
 def check_sampled_rational(cand: ExpanderCandidate, trials: int, max_entry: int = 9,
                            seed: int = 0) -> ExpansionReport:
-    """Sample random rational subspaces; refutation is definitive, a pass is not."""
+    """Sample random rational subspaces; refutation is definitive, a pass is not.
+
+    Trial t draws a k x n integer matrix W of rank k = 1 + t mod floor(eta n),
+    entries uniform in -max_entry..max_entry, redrawn until its rank is k,
+    and takes dim sum T_i(W) as the rank of the dk x n row stack of the
+    W T_i^t (_stacked_image_dim), with each map transposed once per call.
+    The first W with dim sum T_i(W) < (1 + alpha) k refutes; otherwise the
+    report passes with the least ratio dim / k seen.
+    """
     if trials < 1:
         raise DomainError("trials >= 1")
     kmax = int(cand.eta * cand.n)
@@ -300,6 +309,7 @@ def check_sampled_rational(cand: ExpanderCandidate, trials: int, max_entry: int 
         return ExpansionReport("sampled-pass", cand.eta, cand.alpha, None, None, 0,
                                "sampled", seed)
     rng = random.Random(seed)
+    maps_t = [m.transpose() for m in cand.maps]
     worst = None
     checked = 0
     for trial in range(trials):
@@ -311,7 +321,7 @@ def check_sampled_rational(cand: ExpanderCandidate, trials: int, max_entry: int 
             if W.rank() == k:
                 break
         checked += 1
-        dim_sum = _image_dim(cand, W)
+        dim_sum = _stacked_image_dim(W, maps_t)
         ratio = Fraction(dim_sum, k)
         if worst is None or ratio < worst:
             worst = ratio

@@ -4,11 +4,13 @@ The group acts on the projective line over F_p by Moebius transformations;
 the permutation representation on C^(p+1) restricts to the sum-zero
 hyperplane W, and in the difference basis w_i = e_{i+1} - e_i the restricted
 generators are integer matrices with entries in {-1, 0, 1}. Irreducibility
-is decided exactly: the commutant of the generators is the kernel of the
-presolved Hom system of a Kronecker module (modules.PresolvedHom), whose
-identity arrow pins every g column to its f column. Spectral estimates for
-the adjoint action on trace-zero matrices run in floating point (numpy) on
-an orthonormal transport of the same representation.
+is decided exactly over Q from the dimension of the commutant of the
+generators: in n unknowns, the coefficients of a polynomial in s, when a
+Krylov matrix of s has full rank, and otherwise as the kernel of the
+presolved Hom system of a Kronecker module (modules.PresolvedHom) in n^2
+unknowns. Spectral estimates for the adjoint action on trace-zero matrices
+run in floating point (numpy) on an orthonormal transport of the same
+representation.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .fields import QQ, PrimeField, is_prime
+from .fields import QQ, is_prime
 from .matrices import Matrix
 from .modules import KroneckerModule, PresolvedHom
 
@@ -131,29 +133,42 @@ def irreducible_rep(p: int) -> IrreducibleRep:
 
 # -- irreducibility via the commutant -------------------------------------------
 
-_SCREEN = PrimeField(2_147_483_647)
+
+def _action(m: Matrix):
+    """x -> m x on lists of ints, for an integer matrix m."""
+    rows = [tuple(m.row_items(i)) for i in range(m.rows)]
+    return lambda x: [sum(a * x[j] for j, a in row) for row in rows]
 
 
-def _over(field, m: Matrix) -> Matrix:
-    """An integer matrix over Q with its entries taken in field."""
-    if field == QQ:
-        return m
-    return Matrix.from_entries(field, m.rows, m.cols,
-                               ((i, j, field.coerce(v)) for i, j, v in m.entries()))
+def _orbit(act, x: list, count: int) -> list:
+    """x, act(x), ..., act^(count-1)(x)."""
+    out = [x]
+    while len(out) < count:
+        out.append(act(out[-1]))
+    return out
 
 
 def commutant_dimension(mats) -> int:
     """Exact dimension over Q of {X : X m = m X for all m}.
 
-    The commutant is End of the Kronecker module (I, m_1, ..., m_r) on
-    (Q^n, Q^n): a pair (f, g) with g I = I f and g m = m f is X = f = g.
-    Every column of the identity arrow has a single entry, so PresolvedHom
-    pins each g column to the same f column, and nothing is substituted
-    here: the reduced system is X m_k = m_k X in the n^2 unknowns of X. Its
-    nullity is taken first over F_p for the prime p = 2^31 - 1. Reducing
-    the integer system mod p can only lower its rank, and the identity
-    always commutes, so an answer of 1 there is exact; any other answer is
-    recomputed over Q.
+    Krylov route. Let s = mats[0] and v the all-ones vector. When the
+    Krylov matrix K = [v, s v, ..., s^(n-1) v] has rank n over Q, v is a
+    cyclic vector of s: s is nonderogatory, and every X that commutes with
+    s is sum_j c_j s^j, with c unique (Horn & Johnson, Matrix Analysis,
+    2nd ed., section 3.2). Such an X commutes with another generator m iff
+    X m - m X kills the basis s^i v, i = 0..n-1, that is iff
+    sum_j c_j (s^j m s^i v - m s^(i+j) v) = 0. The commutant is the kernel
+    of these equations in the n unknowns c_j, over Q. The identity
+    (c = e_0) always solves them, so the nullity is at least 1, and the
+    equations are added one i at a time only until it reaches 1.
+
+    Q route. When K is singular (always so when s is derogatory, and for
+    the few nonderogatory s of which v is no cyclic vector), the commutant
+    is End of the Kronecker module (I, m_1, ..., m_r) on (Q^n, Q^n): a pair
+    (f, g) with g I = I f and g m = m f is X = f = g. Every column of the
+    identity arrow has a single entry, so PresolvedHom pins each g column
+    to the same f column, and its kernel is X m_k = m_k X in the n^2
+    unknowns of X, over Q.
     """
     if not mats:
         raise ValidationError("need at least one matrix")
@@ -166,17 +181,33 @@ def commutant_dimension(mats) -> int:
         for _, _, v in m.entries():
             if v.denominator != 1:
                 raise ValidationError("integer matrices expected")
-
-    def end_dimension(field):
-        X = KroneckerModule(len(mats) + 1, field, n, n,
-                            [Matrix.identity(field, n)] + [_over(field, m) for m in mats])
+    s = _action(mats[0])
+    powers = _orbit(s, [1] * n, 2 * n - 1)        # powers[k] = s^k v
+    if Matrix.from_dense(QQ, powers[:n]).rank() < n:
+        X = KroneckerModule(len(mats) + 1, QQ, n, n, [Matrix.identity(QQ, n), *mats])
         return PresolvedHom(X, X).kernel.cols
-
-    return 1 if end_dimension(_SCREEN) == 1 else end_dimension(QQ)
+    rows = []
+    rank = 0
+    for m in map(_action, mats[1:]):
+        images = [m(x) for x in powers[:n - 1]]   # images[k] = m s^k v
+        for i in range(n):
+            images.append(m(powers[i + n - 1]))
+            left = _orbit(s, images[i], n)        # left[j] = s^j m s^i v
+            rows += [[left[j][r] - images[i + j][r] for j in range(n)] for r in range(n)]
+            rank = Matrix.from_dense(QQ, rows).rank()
+            if rank == n - 1:
+                return 1
+    return n - rank
 
 
 def is_irreducible(mats) -> bool:
-    """True iff the commutant of the rational representation is the scalars."""
+    """True iff the commutant of the rational representation is the scalars.
+
+    On the generators of irreducible_rep(p) the Krylov route of
+    commutant_dimension decides, for every p: the all-ones vector is
+    e_inf - e_0 in point coordinates, which has a nonzero component on each
+    of the p distinct eigenlines of rho_p(s) on W, so it is cyclic.
+    """
     return commutant_dimension(mats) == 1
 
 
@@ -405,6 +436,14 @@ def kazhdan_estimate(p: int, trials: int = 200, seed: int = 0) -> KazhdanEstimat
 
 
 # -- the wild counterexample family ---------------------------------------------------
+
+
+def _over(field, m: Matrix) -> Matrix:
+    """An integer matrix over Q with its entries taken in field."""
+    if field == QQ:
+        return m
+    return Matrix.from_entries(field, m.rows, m.cols,
+                               ((i, j, field.coerce(v)) for i, j, v in m.entries()))
 
 
 def theta3_counterexample_module(p: int, field=QQ) -> KroneckerModule:

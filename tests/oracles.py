@@ -9,15 +9,17 @@ modules, random_matrix draws the random matrices of several tests and of
 the matrix golden, whose text depends on its exact sequence of rng calls,
 edge_list is the coefficient quiver as a sorted edge list, with the tree
 and degree checks over it that quiver.is_tree and quiver.degree_stats are
-compared against, and is_homomorphism checks a pair (f, g) against the
-arrows directly.
+compared against, is_homomorphism checks a pair (f, g) against the
+arrows directly, and image_dim takes dim sum T_i(W) as the rank of the
+n x dk column stack of the T_i W^t, which expander._stacked_image_dim
+takes on the dk x n row stack instead.
 """
 
 from fractions import Fraction
 
 from kronhf.errors import ValidationError
 from kronhf.fields import rational
-from kronhf.matrices import Matrix
+from kronhf.matrices import Matrix, column_space_dim_of_stack
 from kronhf.modules import KroneckerModule, build_P, build_Q, companion_matrix
 from kronhf.witness import (_zigzag_witness, combinator_bounded_codim, monomial_submodule,
                             whole_module_witness)
@@ -27,6 +29,13 @@ def is_homomorphism(theta, X: KroneckerModule, Y: KroneckerModule) -> bool:
     """g X(k) == Y(k) f for every arrow k, for theta = (f, g): X -> Y."""
     f, g = theta
     return all(g @ X.maps[k] == Y.maps[k] @ f for k in range(X.d))
+
+
+def image_dim(cand, W: Matrix) -> int:
+    """dim sum T_i(W) for the row span W of a k x n matrix, over the maps of
+    the expander candidate cand: the rank of the columns of the T_i W^t."""
+    wt = W.transpose()
+    return column_space_dim_of_stack([m @ wt for m in cand.maps])
 
 
 def hom_system(X: KroneckerModule, Y: KroneckerModule) -> Matrix:

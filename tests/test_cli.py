@@ -403,6 +403,22 @@ def test_config_file(capsys, tmp_path):
     assert "dims 3x4" in out
 
 
+def test_config_key_that_is_not_a_value_option_is_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n=3\nseed=1\nbogus=2\n")
+    code, out, err = run(capsys, "build", "P", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == "error: --config sets options this command does not take: bogus, seed\n"
+    for line in ("json=1", "out=P.mod", "config=other.cfg"):
+        cfg.write_text(f"n=3\n{line}\n")
+        code, _, err = run(capsys, "build", "P", "--config", str(cfg))
+        assert code == 2 and err.endswith(f": {line.partition('=')[0]}\n")
+    # seed is a value option of sl2p, so its config may set it
+    cfg.write_text("p=3\nseed=1\nfixture=check\n")
+    code, out, _ = run(capsys, "sl2p", "--config", str(cfg))
+    assert code == 0 and "fixture match: True" in out
+
+
 def test_sub_seed_stable():
     assert sub_seed(7, "expander") == sub_seed(7, "expander")
     assert sub_seed(7, "expander") != sub_seed(8, "expander")

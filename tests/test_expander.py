@@ -11,11 +11,13 @@ from kronhf.fields import QQ, PrimeField
 from kronhf.matrices import Matrix, column_space_dim_of_stack
 from kronhf.modules import KroneckerModule, build_P
 from kronhf.sl2p import theta3_counterexample_module
-from kronhf.expander import (ExpanderCandidate, _image_dim, _PackedImages,
+from kronhf.expander import (ExpanderCandidate, _PackedImages, _stacked_image_dim,
                              check_exhaustive, check_sampled_rational,
                              empirical_best_epsilon, gaussian_binomial, nonhf_epsilon_bound,
                              refute_witness, weak_nonhf_epsilon_bound)
 from kronhf.witness import Witness, WitnessPart, verify_witness
+
+from oracles import image_dim
 
 F2 = PrimeField(2)
 HALF = Fraction(1, 2)
@@ -140,7 +142,7 @@ def _reference_exhaustive(c):
     for k in range(1, kmax + 1):
         for W in enumerate_subspaces(c.field, c.n, k):
             checked += 1
-            ratio = Fraction(_image_dim(c, W), k)
+            ratio = Fraction(image_dim(c, W), k)
             if worst is None or ratio < worst:
                 worst = ratio
             if ratio < 1 + c.alpha:
@@ -262,6 +264,70 @@ def test_check_sampled_theta3_passes():
     rep = check_sampled_rational(c, trials=2000, seed=7)
     assert rep.verdict == "sampled-pass"
     assert rep.worst_ratio is not None and rep.worst_ratio > 1
+
+
+@st.composite
+def image_dim_inputs(draw):
+    """W and the maps over Q (rational entries) or GF(q); W is k x n with k up
+    to n + 1, and sometimes has its last row a multiple of the first (or
+    zero), so it need not have rank k; some maps are zero."""
+    field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(3), PrimeField(7)]))
+    values = (st.fractions(-4, 4, max_denominator=3) if field == QQ
+              else st.integers(0, field.q - 1))
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n + 1))
+
+    def dense(rows):
+        return draw(st.lists(st.lists(values, min_size=n, max_size=n),
+                             min_size=rows, max_size=rows))
+
+    W = dense(k)
+    if draw(st.booleans()):
+        f = draw(values)
+        W[-1] = [f * x for x in W[0]] if k > 1 else [0] * n
+    maps = [Matrix.zeros(field, n, n) if draw(st.booleans()) else
+            Matrix.from_dense(field, dense(n)) for _ in range(draw(st.integers(1, 3)))]
+    return ExpanderCandidate(field, n, maps, Fraction(1), Fraction(1)), Matrix.from_dense(field, W)
+
+
+@settings(max_examples=300, deadline=None)
+@given(image_dim_inputs())
+def test_stacked_image_dim_matches_column_stack_reference(case):
+    c, W = case
+    assert _stacked_image_dim(W, [m.transpose() for m in c.maps]) == image_dim(c, W)
+
+
+def _reference_sampled(c, trials, seed, max_entry=9):
+    """The sampled check with the column-stack image dimension of the oracles,
+    on the same draws: the reference of check_sampled_rational's reports."""
+    rng = random.Random(seed)
+    kmax = int(c.eta * c.n)
+    worst = None
+    for trial in range(trials):
+        k = 1 + trial % kmax
+        while True:
+            W = Matrix.from_dense(c.field, [[rng.randint(-max_entry, max_entry)
+                                             for _ in range(c.n)] for _ in range(k)])
+            if W.rank() == k:
+                break
+        ratio = Fraction(image_dim(c, W), k)
+        worst = ratio if worst is None else min(worst, ratio)
+        if ratio < 1 + c.alpha:
+            return "refuted", ratio, W, trial + 1
+    return "sampled-pass", worst, None, trials
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.lists(st.lists(st.integers(-2, 2), min_size=25, max_size=25),
+                                   min_size=1, max_size=3),
+       st.sampled_from([Fraction(1, 10), Fraction(1, 2), Fraction(1)]), st.integers(0, 2 ** 32))
+def test_check_sampled_matches_reference_loop(n, flat_maps, alpha, seed):
+    maps = [Matrix.from_dense(QQ, [flat[i * 5:i * 5 + n] for i in range(n)])
+            for flat in flat_maps]
+    c = ExpanderCandidate(QQ, n, maps, HALF, alpha)
+    rep = check_sampled_rational(c, trials=12, seed=seed)
+    assert (rep.verdict, rep.worst_ratio, rep.witness,
+            rep.subspaces_checked) == _reference_sampled(c, 12, seed)
 
 
 def test_proved_candidates_expand_monomial_submodules():

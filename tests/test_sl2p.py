@@ -175,13 +175,41 @@ def _commutant_oracle(dense_mats):
     return n * n - sympy.Matrix.vstack(*blocks).rank()
 
 
+def _first_block(draw, b):
+    """A b x b diagonal block of the first matrix: random, the companion
+    matrix of a random monic polynomial (nonderogatory), or triangular with
+    one repeated eigenvalue (derogatory or a single Jordan block)."""
+    entries = st.integers(-2, 2)
+    kind = draw(st.sampled_from(["random", "companion", "repeated"]))
+    if kind == "random":
+        return draw(st.lists(st.lists(entries, min_size=b, max_size=b), min_size=b, max_size=b))
+    m = [[0] * b for _ in range(b)]
+    if kind == "companion":
+        for i in range(b - 1):
+            m[i + 1][i] = 1
+        for i in range(b):
+            m[i][b - 1] = draw(entries)
+    else:
+        lam = draw(entries)
+        for i in range(b):
+            m[i][i] = lam
+            for j in range(i + 1, b):
+                m[i][j] = draw(entries)
+    return m
+
+
 @st.composite
 def integer_tuples(draw):
     n = draw(st.integers(1, 4))
     r = draw(st.integers(1, 3))
-    mats = [draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
-                          min_size=n, max_size=n)) for _ in range(r)]
     split = draw(st.integers(0, n - 1))
+    blocks = [(0, split), (split, n)] if split else [(0, n)]
+    first = [[0] * n for _ in range(n)]
+    for lo, hi in blocks:
+        for i, row in enumerate(_first_block(draw, hi - lo)):
+            first[lo + i][lo:hi] = row
+    mats = [first] + [draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                                    min_size=n, max_size=n)) for _ in range(r - 1)]
     if split:  # block diagonal: reducible, the commutant has dimension >= 2
         for m in mats:
             for i in range(n):
@@ -198,9 +226,7 @@ def test_commutant_dimension_matches_kron_oracle(dense_mats):
     assert commutant_dimension(mats) == _commutant_oracle(dense_mats)
 
 
-def test_commutant_recomputes_over_q_when_the_screen_overcounts(monkeypatch):
-    big = 2 ** 31 - 1
-    screen = PrimeField(big)
+def test_commutant_routes_by_the_rank_of_the_krylov_matrix(monkeypatch):
     solves = []
 
     def recording(X, Y):
@@ -208,15 +234,21 @@ def test_commutant_recomputes_over_q_when_the_screen_overcounts(monkeypatch):
         return solves[-1]
 
     monkeypatch.setattr(sl2p, "PresolvedHom", recording)
-    # diag(0, 2^31 - 1) is the zero matrix mod 2^31 - 1: everything commutes there
-    assert commutant_dimension([Matrix.from_dense(QQ, [[0, 0], [0, big]])]) == 2
-    assert [s.X.field for s in solves] == [screen, QQ]
-    assert [s.kernel.cols for s in solves] == [4, 2]
-    # an irreducible input is settled by the screen alone
-    solves.clear()
-    rep = irreducible_rep(5)
-    assert commutant_dimension([rep.mat_s, rep.mat_t]) == 1
-    assert [s.X.field for s in solves] == [screen]
+    # the all-ones vector is cyclic for rho_p(s): the Krylov route decides
+    for p in (3, 5, 7, 11, 13, 17, 19, 23):
+        rep = irreducible_rep(p)
+        assert commutant_dimension([rep.mat_s, rep.mat_t]) == 1
+    assert solves == []
+    # the permutation action of s fixes infinity and cycles the other p
+    # points, so the eigenvalue 1 is repeated and s is derogatory
+    for p in (3, 5, 7):
+        assert commutant_dimension([permutation_rep(gen_s(p)), permutation_rep(gen_t(p))]) == 2
+        assert [(h.X.field, h.kernel.cols) for h in solves] == [(QQ, 2)]
+        solves.clear()
+    # nonderogatory with two eigenvalues, and no other generator: the
+    # commutant is the polynomials in s, of dimension 2
+    assert commutant_dimension([Matrix.from_dense(QQ, [[0, 0], [0, 2 ** 31 - 1]])]) == 2
+    assert solves == []
 
 
 def test_irreducible_rep_rejects_composite():
