@@ -3,11 +3,11 @@
 Commands: build, witness, sweep, sl2p, expander, decompose, gamma. Every
 command takes --out and --config; witness, sl2p, expander and decompose take
 --json, and sl2p and expander take --seed. A --config file sets, by
-key=value lines, only the command's options that take a value; any other
-key is a usage error. Exit codes: 0 success, 1
-verification failure, 2 usage error, 3 guard refusal. All randomness flows
-from the single --seed through named substreams so reports replay
-byte-for-byte.
+key=value lines, only the command's options that take a value, each to
+one of that option's choices if it has any; any other key or value is a
+usage error. Exit codes: 0 success, 1 verification failure, 2 usage
+error, 3 guard refusal. All randomness flows from the single --seed
+through named substreams so reports replay byte-for-byte.
 """
 
 from __future__ import annotations
@@ -69,7 +69,8 @@ class RunReport:
 
 def _load_config(path, keys):
     """The key=value lines of a --config file; a key that is not in keys, the
-    value options of the command, is a usage error."""
+    value options of the command, or a value outside the key's argparse
+    choices is a usage error."""
     out = {}
     if not path:
         return out
@@ -80,10 +81,14 @@ def _load_config(path, keys):
                 continue
             key, _, val = line.partition("=")
             out[key.strip()] = val.strip()
-    unknown = sorted(set(out) - keys)
+    unknown = sorted(set(out).difference(keys))
     if unknown:
         raise ValidationError(f"--config sets options this command does not take: "
                               f"{', '.join(unknown)}")
+    for key, val in out.items():
+        if keys[key] is not None and val not in keys[key]:
+            raise ValidationError(f"--config sets {key} to {val!r}; choose from "
+                                  f"{', '.join(keys[key])}")
     return out
 
 
@@ -414,9 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, *, json=False, seed=False):
         if seed:
             p.add_argument("--seed", default=None)
-        # what a --config file may set: each option added so far that takes a value
-        p.set_defaults(config_keys=frozenset(
-            a.option_strings[0][2:] for a in p._actions if a.option_strings and a.nargs is None))
+        # what a --config file may set: each option added so far that takes a
+        # value, with its choices (None for any value)
+        p.set_defaults(config_keys={a.option_strings[0][2:]: a.choices for a in p._actions
+                                    if a.option_strings and a.nargs is None})
         p.add_argument("--out", default=None)
         p.add_argument("--config", default=None)
         if json:

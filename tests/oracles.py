@@ -21,7 +21,7 @@ from kronhf.errors import ValidationError
 from kronhf.fields import rational
 from kronhf.matrices import Matrix, column_space_dim_of_stack
 from kronhf.modules import KroneckerModule, build_P, build_Q, companion_matrix
-from kronhf.witness import (_zigzag_witness, combinator_bounded_codim, monomial_submodule,
+from kronhf.witness import (_drop_rule_chain, combinator_bounded_codim, monomial_submodule,
                             whole_module_witness)
 
 
@@ -141,7 +141,7 @@ def nested_regular_witness(R: KroneckerModule, eps: Fraction):
         return whole_module_witness(R, eps, l_eps, "regular_2k")
     sub, embs = monomial_submodule(R, range(R.dim1 - 1))
     assert sub.dim == R.dim - 1
-    inner = _zigzag_witness(sub, eps / 2)
+    inner = _drop_rule_chain(sub, eps / 2)
     w = combinator_bounded_codim(R, sub, embs, inner, eps)
     w.notes["producer"] = "regular_2k"
     return w

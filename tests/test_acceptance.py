@@ -27,7 +27,7 @@ from kronhf.expander import (ExpanderCandidate, check_exhaustive,
 from kronhf.witness import (Witness, WitnessPart, fragment_postinjective_theta,
                             fragment_tree_module, verify_witness,
                             witness_postinjective_2k, witness_regular_2k,
-                            _zigzag_witness)
+                            _drop_rule_chain)
 
 from test_sl2p import RHO3_T, RHO5_T, RHO7_T, RHO11_T, _rho_s_expected
 
@@ -111,7 +111,7 @@ def test_criterion_06_witness_suite():
         l_pre = 1 / eps + 3
         for n in p_sizes:
             M = build_P(n)
-            w = _zigzag_witness(M, eps)
+            w = _drop_rule_chain(M, eps)
             assert verify_witness(M, w).ok, (n, eps)
             assert all(Fraction(p.module.dim) <= l_pre for p in w.parts)
             assert Fraction(w.dim_n) >= (1 - eps) * M.dim

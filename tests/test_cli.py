@@ -419,6 +419,19 @@ def test_config_key_that_is_not_a_value_option_is_usage_error(capsys, tmp_path):
     assert code == 0 and "fixture match: True" in out
 
 
+def test_config_value_outside_the_option_choices_is_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p=3\nfixture=chek\n")
+    code, out, err = run(capsys, "sl2p", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == "error: --config sets fixture to 'chek'; choose from check, dump\n"
+    # the same value on the command line is refused by argparse
+    assert run(capsys, "sl2p", "--p", "3", "--fixture", "chek")[0] == 2
+    cfg.write_text("p=3\nfixture=check\n")
+    code, out, _ = run(capsys, "sl2p", "--config", str(cfg))
+    assert code == 0 and "fixture match: True" in out
+
+
 def test_sub_seed_stable():
     assert sub_seed(7, "expander") == sub_seed(7, "expander")
     assert sub_seed(7, "expander") != sub_seed(8, "expander")

@@ -20,7 +20,7 @@ from kronhf.witness import (MonomialPart, Witness, WitnessPart, combinator_bound
                             postinjective_fragment_size_bound, verify_witness, witness_for,
                             witness_postinjective_2k, witness_preprojective_2k,
                             witness_regular_2k, witness_to_dict, _verify_stacked,
-                            _zigzag_witness)
+                            _drop_rule_chain)
 
 from oracles import kernel_module, nested_postinjective_witness, nested_regular_witness
 
@@ -271,6 +271,18 @@ def test_combinator_direct_sum_offsets_id_lists():
     assert verify_witness(w.module, w).ok
 
 
+def test_combinator_direct_sum_leaves_the_dimension_bound_to_verify_witness():
+    """A sum that misses the dimension bound is returned, not raised on:
+    verify_witness refuses it on clause dimension."""
+    good = witness_preprojective_2k(7, QUARTER)
+    short = Witness(build_P(10), QUARTER, Fraction(21), [])
+    out = combinator_direct_sum([good, short])
+    assert [(p.sources, p.sinks) for p in out.parts] == [(p.sources, p.sinks)
+                                                         for p in good.parts]
+    rep = verify_witness(out.module, out)
+    assert not rep.ok and rep.clause == "dimension"
+
+
 def test_combinator_direct_sum_rejects_mixed_eps():
     w1 = witness_preprojective_2k(7, QUARTER)
     w2 = witness_preprojective_2k(7, Fraction(1, 2))
@@ -280,7 +292,7 @@ def test_combinator_direct_sum_rejects_mixed_eps():
 
 def test_combinator_bounded_codim_identity_transport():
     M = build_P(10)
-    w = _zigzag_witness(M, QUARTER)
+    w = _drop_rule_chain(M, QUARTER)
     out = combinator_bounded_codim(M, M, (Matrix.identity(QQ, 10), Matrix.identity(QQ, 11)),
                                    w, QUARTER)
     assert verify_witness(M, out).ok
@@ -296,7 +308,7 @@ def test_combinator_bounded_codim_guard():
     M = build_P(24)  # dim 49, close enough: use dims to trip the guard
     sub, embs = monomial_submodule(M, range(21))
     L = M.dim - sub.dim
-    inner = _zigzag_witness(sub, Fraction(1, 20))
+    inner = _drop_rule_chain(sub, Fraction(1, 20))
     if Fraction(M.dim) < Fraction(2 * L) / Fraction(1, 10):
         with pytest.raises(GuardRefusal):
             combinator_bounded_codim(M, sub, embs, inner, Fraction(1, 10))
@@ -305,13 +317,32 @@ def test_combinator_bounded_codim_guard():
 def test_combinator_bounded_codim_rejects_large_inner_eps():
     M = build_P(40)
     sub, embs = monomial_submodule(M, range(39))
-    inner = _zigzag_witness(sub, QUARTER)
+    inner = _drop_rule_chain(sub, QUARTER)
     with pytest.raises(GuardRefusal):
         combinator_bounded_codim(M, sub, embs, inner, QUARTER)
 
 
 def _regular(n, field):
     return build_R(PencilBlock("R_poly", poly=(field.coerce(-1),), e=n), field)
+
+
+_FAMILIES = (
+    (_regular, witness_regular_2k, nested_regular_witness),
+    (lambda n, field: build_R(PencilBlock("R_mono", n), field), witness_regular_2k,
+     nested_regular_witness),
+    (build_Q, witness_postinjective_2k, nested_postinjective_witness))
+
+
+def _assert_matches_nested(M, eps, produce, nested):
+    """produce(M, eps) and the nested construction give the same parts and
+    witness_to_dict bytes, and the nested construction refuses nothing."""
+    try:
+        ref = nested(M, eps)
+    except GuardRefusal as exc:
+        pytest.fail(f"nested construction refused {M.dim1}x{M.dim2} at eps {eps}: {exc}")
+    w = produce(M, eps)
+    assert w.parts == ref.parts, (M, eps)
+    assert json.dumps(witness_to_dict(w)) == json.dumps(witness_to_dict(ref))
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)])
@@ -324,15 +355,18 @@ def test_producers_match_the_nested_construction(field):
     n = 6 the kernel of Q_n has exactly the size target 4/eps + 3."""
     for n in [*range(1, 13), 30, 80, 300]:
         for eps in (Fraction(1, 2), QUARTER, Fraction(1, 10), Fraction(4, 9)):
-            for M, produce, nested in (
-                    (_regular(n, field), witness_regular_2k, nested_regular_witness),
-                    (build_R(PencilBlock("R_mono", n), field), witness_regular_2k,
-                     nested_regular_witness),
-                    (build_Q(n, field), witness_postinjective_2k,
-                     nested_postinjective_witness)):
-                w, ref = produce(M, eps), nested(M, eps)
-                assert w.parts == ref.parts, (M, eps)
-                assert json.dumps(witness_to_dict(w)) == json.dumps(witness_to_dict(ref))
+            for build, produce, nested in _FAMILIES:
+                _assert_matches_nested(build(n, field), eps, produce, nested)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 200), b=st.integers(2, 60), data=st.data(),
+       field=st.sampled_from([QQ, PrimeField(5)]), family=st.sampled_from(_FAMILIES))
+def test_producers_match_the_nested_construction_on_drawn_cases(n, b, data, field, family):
+    """As above on drawn cases: eps = a/b with 1 <= a < b <= 60, n up to 200."""
+    eps = Fraction(data.draw(st.integers(1, b - 1), label="a"), b)
+    build, produce, nested = family
+    _assert_matches_nested(build(n, field), eps, produce, nested)
 
 
 @pytest.mark.parametrize("make", [lambda: _regular(300, QQ), lambda: build_Q(300)],
@@ -384,7 +418,7 @@ def test_transport_takes_one_product_per_side(monkeypatch):
 
     seen = []
     for eps in (Fraction(1, 2), Fraction(1, 10)):
-        inner = _zigzag_witness(sub, eps / 2)
+        inner = _drop_rule_chain(sub, eps / 2)
         inner.parts = [WitnessPart(p.module, p.emb1, p.emb2) for p in inner.parts]
         count[0] = 0
         monkeypatch.setattr(Matrix, "__matmul__", counting)
