@@ -100,8 +100,8 @@ class _PackedImages:
         self.bias = unit * ((1 << (B - 1)) - q)
         self.spare = B - 1
         self.offsets = [j * n * B for j in range(d)]
-        # bit length of a nonzero packed vector -> shift of its highest nonzero entry
-        self.lead = [0] + [(b - 1) // B * B for b in range(1, n * B + 1)]
+        # bit length of a nonzero packed value -> shift of its highest nonzero entry
+        self.lead = [0] + [(b - 1) // B * B for b in range(1, n * d * B + 1)]
         self.columns = [0] * n
         for j, m in enumerate(cand.maps):
             for r, c, v in m.entries():
@@ -124,9 +124,14 @@ class _PackedImages:
             f >>= 1
         return out
 
-    def echelon(self, images: int) -> dict:
+    def echelon(self, images: int, cap: int) -> dict:
         """Rows spanning the d packed vectors of ``images``, keyed by the shift of
-        their highest nonzero entry, which is 1."""
+        their highest nonzero entry, which is 1, or the first ``cap`` of them.
+
+        The elimination stops once it holds ``cap`` rows, so it returns
+        min(cap, rank) rows: a result of ``cap`` rows says only that the rank
+        is at least ``cap`` (its last row is left unscaled), and a shorter
+        one holds all the rows."""
         q, lead, vec, scale, add = self.q, self.lead, self.vec, self.scale, self.add
         rows = {}
         for off in self.offsets:
@@ -136,10 +141,38 @@ class _PackedImages:
                 c = v >> sh
                 r = rows.get(sh)
                 if r is None:
+                    if len(rows) + 1 == cap:
+                        rows[sh] = v
+                        return rows
                     rows[sh] = v if c == 1 else scale(v, pow(c, -1, q))
                     break
                 v = add(v, r if c == q - 1 else scale(r, q - c))
         return rows
+
+    def spans(self, vectors: list, target: int) -> bool:
+        """Whether ``target`` lies in the span of ``vectors``, all packed
+        values of d * n entries: one elimination of ``vectors``, then
+        ``target`` reduced by its rows."""
+        q, lead, scale, add = self.q, self.lead, self.scale, self.add
+        rows = {}
+        for v in vectors:
+            while v:
+                sh = lead[v.bit_length()]
+                c = v >> sh
+                r = rows.get(sh)
+                if r is None:
+                    rows[sh] = v if c == 1 else scale(v, pow(c, -1, q))
+                    break
+                v = add(v, r if c == q - 1 else scale(r, q - c))
+        v = target
+        while v:
+            sh = lead[v.bit_length()]
+            r = rows.get(sh)
+            if r is None:
+                return False
+            c = v >> sh
+            v = add(v, r if c == q - 1 else scale(r, q - c))
+        return True
 
     def reduce(self, images: int, order: list) -> int:
         """Kill the entries of every packed vector of ``images`` at the leading
@@ -180,21 +213,35 @@ class _PackedImages:
         of the failing W or None). Row i of W is e_p + sum of digit * e_c over
         its free columns c. Its images are kept reduced modulo the span of the
         images of rows 0..i-1 (the prefix), and updated by one column per
-        odometer step, so the last row costs one echelon of d short vectors
-        per subspace that the bound below does not skip.
+        odometer step, so the last row costs at most one echelon of d short
+        vectors per subspace that the bound or the span test below does not
+        decide.
 
         Bound: U inside W gives sum T_i(U) inside sum T_i(W), and every W below
         a choice of rows 0..i contains their span. Once the images of rows
         0..i span at least the least dimension seen so far, which is >= need
         while the walk runs, no W below lowers it or fails, so the walk skips
-        them and counts them as decided without an echelon. The count, the
-        least dimension, the order and the first failing W are those of the
-        walk without the bound.
+        them and counts them as decided. So each echelon only has to tell
+        whether the rank of the reduced images reaches cap = least - base,
+        where base is the dimension of the prefix, and stops once it holds
+        cap rows; only a shorter result, the full rows, is used further.
+
+        Span test: in a last row with least - base == 1 and base >= need, an
+        option lowers least, to base, exactly when its images all vanish. The
+        options' images form the affine set images + span(steps), so one
+        elimination decides the whole row: least becomes base when the images
+        lie in span(steps). No option there can fail, so no order is needed.
+        With base < need such an option refutes, and the row is enumerated to
+        find the first one.
+
+        The count, the least dimension, the order and the first failing W are
+        those of the walk that computes every image.
         """
         q, n, echelon, reduce, options = self.q, self.n, self.echelon, self.reduce, self.options
+        spans = self.spans
         last = k - 1
         walked = 0
-        least = None
+        least = n + 1                 # above every dim sum T_i(W) inside F_q^n
 
         def walk(i, cols, base):
             # cols[c]: images of e_c reduced modulo the prefix of row i, of dim base
@@ -204,22 +251,31 @@ class _PackedImages:
             steps = [cols[c] for c in free]
             digits[:] = [0] * len(free)
             if i == last:
+                if least - base == 1 and base >= need:
+                    # only an option whose images all vanish lowers least, to
+                    # base >= need, and the options are images + span(steps)
+                    if spans(steps, images):
+                        least = base
+                    walked += sizes[i]
+                    return False
                 for index, images in enumerate(options(images, steps, digits)):
-                    dim = base + len(echelon(images))
-                    if least is None or dim < least:
-                        least = dim
-                        if dim < need:
+                    cap = least - base
+                    if cap <= 0:
+                        break
+                    rank = len(echelon(images, cap))
+                    if rank < cap:
+                        least = base + rank
+                        if least < need:
                             walked += index + 1
                             return True
                 walked += sizes[i]
                 return False
             after, below = pivots[i + 1], sizes[i + 1]
             for images in options(images, steps, digits):
-                rows = echelon(images)
-                if least is not None and base + len(rows) >= least:
+                cap = least - base
+                if cap <= 0 or len(rows := echelon(images, cap)) == cap:
                     # every W below contains rows 0..i, so its dim sum T_i(W) is
-                    # at least base + len(rows) >= least >= need: none of them
-                    # lowers least or refutes
+                    # at least least >= need: none of them lowers least or refutes
                     walked += below
                     continue
                 if rows:
@@ -258,11 +314,14 @@ def check_exhaustive(cand: ExpanderCandidate, guard: int = 10 ** 7) -> Expansion
 
     The walk skips every W whose first RREF rows already have images of
     dimension at least the least dim sum T_i(W) seen at that k, since such a
-    W contains them (see _PackedImages.scan). ``subspaces_checked`` counts
-    the subspaces decided, some of them by that bound: all of them for a
-    proof, and those up to the first failing W for a refutation. The order,
-    the first failing W and ``worst_ratio`` are those of a walk that
-    computes every image.
+    W contains them. Each elimination stops once its rank reaches that
+    bound, and a last RREF row whose subspaces can at best lower the least
+    by one, without failing, is decided by one span test (see
+    _PackedImages.scan). ``subspaces_checked`` counts the subspaces decided,
+    some of them by the bound or the span test: all of them for a proof, and
+    those up to the first failing W for a refutation. The order, the first
+    failing W and ``worst_ratio`` are those of a walk that computes every
+    image.
     """
     if not isinstance(cand.field, PrimeField):
         raise ValidationError("exhaustive check requires a prime field")
@@ -389,7 +448,6 @@ def refute_witness(M: KroneckerModule, w: Witness, eta: Fraction,
                 f"part {idx} has source dim {p.module.dim1} > eta * n", idx)
     for idx, p in enumerate(w.parts):
         src = p.emb1  # n x k1 basis of P_j(1) inside V
-        snk_dim = p.module.dim2
         images = [m @ src for m in M.maps]
         img_dim = column_space_dim_of_stack(images) if src.cols else 0
         inside = column_space_dim_of_stack(images + [p.emb2]) if src.cols else p.emb2.rank()
@@ -448,13 +506,11 @@ def empirical_best_epsilon(M: KroneckerModule, l_eps: int,
     sinks = list(range(M.dim1, M.dim))  # vertex ids of the sinks
     n1 = M.dim1
     spent = 0
-    best = None
     for k in range(n1, -1, -1):
         for subset in combinations(range(n1), k):
             spent += 1
             if spent > budget:
-                eps = best if best is not None else Fraction(M.dim1, M.dim)
-                return BestEpsReport(eps, True, [],
+                return BestEpsReport(Fraction(M.dim1, M.dim), True, [],
                                      detail=f"budget {budget} exhausted")
             kept = [*subset, *sinks]
             if all(len(c) <= l_eps for c in components(adj, kept)):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -192,11 +192,127 @@ BOUND_EDGE = _cand(F2, [[[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
                    HALF, Fraction(1, 100))
 
 
+# proved over GF(5); at k = 2 a last row with least - base = 1 and base >= need
+# is decided by one span test, which finds an option whose images all vanish
+SPAN_PROOF = _cand(PrimeField(5), [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                   [[3, 2, 0], [3, 4, 4], [3, 2, 1]],
+                                   [[3, 2, 2], [3, 3, 3], [2, 4, 1]]],
+                   Fraction(2, 3), Fraction(1, 3))
+
+# refuted over GF(7) by the seventh option of a last row at k = 2 with
+# least - base = 1 and base < need, which the walk enumerates with cap 1
+SLACK_ONE_REFUTATION = _cand(PrimeField(7), [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                             [[3, 2, 2], [0, 3, 2], [0, 5, 6]],
+                                             [[5, 2, 3], [0, 4, 2], [5, 4, 5]]],
+                             Fraction(2, 3), Fraction(1, 3))
+
+
 @settings(max_examples=300, deadline=None)
 @given(small_candidates())
 @example(BOUND_EDGE)
+@example(SPAN_PROOF)
+@example(SLACK_ONE_REFUTATION)
 def test_check_exhaustive_matches_reference_loop(c):
     assert _outcome(check_exhaustive(c)) == _reference_exhaustive(c)
+
+
+def _recorded_walk(monkeypatch, c):
+    """check_exhaustive(c), with the (cap, rows) of each echelon and the
+    result of each span test in the order the walk ran them."""
+    echelons, span_tests = [], []
+    echelon, spans = _PackedImages.echelon, _PackedImages.spans
+
+    def recording_echelon(self, images, cap):
+        rows = echelon(self, images, cap)
+        echelons.append((cap, len(rows)))
+        return rows
+
+    def recording_spans(self, vectors, target):
+        span_tests.append(spans(self, vectors, target))
+        return span_tests[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(_PackedImages, "echelon", recording_echelon)
+        m.setattr(_PackedImages, "spans", recording_spans)
+        return check_exhaustive(c), echelons, span_tests
+
+
+def test_examples_take_the_slack_one_paths(monkeypatch):
+    rep, _, span_tests = _recorded_walk(monkeypatch, SPAN_PROOF)
+    assert rep.verdict == "proved" and True in span_tests
+    rep, echelons, _ = _recorded_walk(monkeypatch, SLACK_ONE_REFUTATION)
+    assert rep.verdict == "refuted" and echelons[-1] == (1, 0)
+
+
+def _bench_shaped_candidate(seed):
+    """Three random 6 x 6 maps over GF(2) at eta = 1/2, alpha = 1/10, redrawn
+    until every line has images of dimension at least 2, as the bench's
+    'prove' slots draw them."""
+    rng = random.Random(seed)
+    while True:
+        maps = [Matrix.from_dense(F2, [[rng.randrange(2) for _ in range(6)] for _ in range(6)])
+                for _ in range(3)]
+        if check_exhaustive(ExpanderCandidate(F2, 6, maps, Fraction(1, 6), Fraction(1))
+                            ).verdict == "proved":
+            return ExpanderCandidate(F2, 6, maps, HALF, Fraction(1, 10))
+
+
+def test_span_tests_run_on_a_bench_shaped_candidate(monkeypatch):
+    """57 last rows of its 2109-subspace proof are each decided by one span
+    test, 3 of which find an option whose images all vanish."""
+    c = _bench_shaped_candidate(3)
+    rep, _, span_tests = _recorded_walk(monkeypatch, c)
+    assert _outcome(rep) == _reference_exhaustive(c)
+    assert (len(span_tests), span_tests.count(True)) == (57, 3)
+
+
+@st.composite
+def packed_vectors(draw):
+    """A _PackedImages for q <= 5, n <= 4 and d <= 3, up to 3 step vectors of
+    d * n entries, and a target that is sometimes minus a combination of them."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    field = PrimeField(q)
+    packed = _PackedImages(ExpanderCandidate(field, n, [Matrix.zeros(field, n, n)] * d,
+                                             HALF, HALF))
+    vector = st.lists(st.integers(0, q - 1), min_size=n * d, max_size=n * d)
+    steps = draw(st.lists(vector, max_size=3))
+    if steps and draw(st.booleans()):
+        digits = draw(st.lists(st.integers(0, q - 1), min_size=len(steps),
+                               max_size=len(steps)))
+        target = [-sum(f * v[s] for f, v in zip(digits, steps)) % q for s in range(n * d)]
+    else:
+        target = draw(vector)
+    return packed, steps, target
+
+
+def _pack(packed, entries):
+    B = packed.entry.bit_length()
+    return sum(e << (s * B) for s, e in enumerate(entries))
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_vectors())
+def test_span_test_matches_brute_force_over_digit_vectors(case):
+    packed, steps, target = case
+    q = packed.q
+    vanishes = any(all((t + sum(f * v[s] for f, v in zip(digits, steps))) % q == 0
+                       for s, t in enumerate(target))
+                   for digits in product(range(q), repeat=len(steps)))
+    assert packed.spans([_pack(packed, v) for v in steps], _pack(packed, target)) == vanishes
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_vectors())
+def test_capped_echelon_holds_min_of_cap_and_rank_rows(case):
+    packed, _, target = case
+    n, d = packed.n, len(packed.offsets)
+    images = _pack(packed, target)
+    rank = Matrix.from_dense(PrimeField(packed.q),
+                             [target[j * n:(j + 1) * n] for j in range(d)]).rank()
+    assert len(packed.echelon(images, d + 1)) == rank
+    for cap in range(1, d + 1):
+        assert len(packed.echelon(images, cap)) == min(cap, rank)
 
 
 def _theta3_mod(p, q):
@@ -216,10 +332,10 @@ def test_check_exhaustive_bound_skips_most_echelons(monkeypatch):
     calls = 0
     echelon = _PackedImages.echelon
 
-    def counting(self, images):
+    def counting(self, images, cap):
         nonlocal calls
         calls += 1
-        return echelon(self, images)
+        return echelon(self, images, cap)
 
     monkeypatch.setattr(_PackedImages, "echelon", counting)
     rep = check_exhaustive(_theta3_mod(5, 7))
