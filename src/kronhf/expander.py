@@ -152,7 +152,9 @@ class _PackedImages:
     def spans(self, vectors: list, target: int) -> bool:
         """Whether ``target`` lies in the span of ``vectors``, all packed
         values of d * n entries: one elimination of ``vectors``, then
-        ``target`` reduced by its rows."""
+        ``target`` reduced by its rows. With ``target`` the images of a row's
+        pivot column and ``vectors`` those of its free columns, this says
+        whether some option of the row has images that all vanish."""
         q, lead, scale, add = self.q, self.lead, self.scale, self.add
         rows = {}
         for v in vectors:
@@ -189,10 +191,12 @@ class _PackedImages:
         return images
 
     def options(self, images: int, steps: list, digits: list):
-        """Odometer over the digits of one row, last digit fastest: yields the
-        packed images of each option; stepping a digit adds steps[pos], the
-        images of its column."""
+        """Odometer over the digits of one row, from all zeros, last digit
+        fastest: yields the packed images of each option, with ``digits``
+        set to its digits; stepping a digit adds steps[pos], the images of
+        its column."""
         q, add = self.q, self.add
+        digits[:] = [0] * len(steps)
         for _ in range(q ** len(steps)):
             yield images
             pos = len(steps) - 1
@@ -212,93 +216,84 @@ class _PackedImages:
         Returns (subspaces decided, least dim sum T_i(W) over them, RREF entries
         of the failing W or None). Row i of W is e_p + sum of digit * e_c over
         its free columns c. Its images are kept reduced modulo the span of the
-        images of rows 0..i-1 (the prefix), and updated by one column per
-        odometer step, so the last row costs at most one echelon of d short
-        vectors per subspace that the bound or the span test below does not
-        decide.
+        images of rows 0..i-1 (the prefix), of dimension base, and updated by
+        one column per odometer step.
 
         Bound: U inside W gives sum T_i(U) inside sum T_i(W), and every W below
-        a choice of rows 0..i contains their span. Once the images of rows
-        0..i span at least the least dimension seen so far, which is >= need
-        while the walk runs, no W below lowers it or fails, so the walk skips
-        them and counts them as decided. So each echelon only has to tell
-        whether the rank of the reduced images reaches cap = least - base,
-        where base is the dimension of the prefix, and stops once it holds
-        cap rows; only a shorter result, the full rows, is used further.
+        a prefix contains its span, so has dim sum T_i(W) >= base. Once the
+        images of rows 0..i span at least the least dimension seen so far,
+        which is >= need while the walk runs, no W below lowers it or fails,
+        so the walk skips them. So each echelon only has to tell whether the
+        rank of the reduced images of row i reaches cap = least - base, and
+        stops once it holds cap rows; only a shorter result, the full rows,
+        is used further.
 
-        Span test: in a last row with least - base == 1 and base >= need, an
-        option lowers least, to base, exactly when its images all vanish. The
-        options' images form the affine set images + span(steps), so one
-        elimination decides the whole row: least becomes base when the images
-        lie in span(steps). No option there can fail, so no order is needed.
-        With base < need such an option refutes, and the row is enumerated to
-        find the first one.
+        Decided prefix: a complete W (i == k), or one with least - base == 1.
+        Below it only a W of dimension base can lower least, and it does so
+        exactly when every row i.. takes an option whose images all vanish.
+        Such a row leaves the reduced columns unchanged, so the rows are
+        independent, and row j has such an option exactly when its pivot
+        column's images lie in the span of its free columns' images: one span
+        test per row decides the whole subtree. If all pass, least becomes
+        base; if base < need too, the first failing W takes each row's first
+        vanishing option. Every other prefix goes through the row loop.
 
         The count, the least dimension, the order and the first failing W are
         those of the walk that computes every image.
         """
         q, n, echelon, reduce, options = self.q, self.n, self.echelon, self.reduce, self.options
         spans = self.spans
-        last = k - 1
-        walked = 0
         least = n + 1                 # above every dim sum T_i(W) inside F_q^n
 
         def walk(i, cols, base):
-            # cols[c]: images of e_c reduced modulo the prefix of row i, of dim base
-            nonlocal walked, least
-            p, free, digits = pivots[i], frees[i], digit_rows[i]
-            images = cols[p]
-            steps = [cols[c] for c in free]
-            digits[:] = [0] * len(free)
-            if i == last:
-                if least - base == 1 and base >= need:
-                    # only an option whose images all vanish lowers least, to
-                    # base >= need, and the options are images + span(steps)
-                    if spans(steps, images):
-                        least = base
-                    walked += sizes[i]
-                    return False
-                for index, images in enumerate(options(images, steps, digits)):
-                    cap = least - base
-                    if cap <= 0:
-                        break
-                    rank = len(echelon(images, cap))
-                    if rank < cap:
-                        least = base + rank
-                        if least < need:
-                            walked += index + 1
-                            return True
-                walked += sizes[i]
-                return False
-            after, below = pivots[i + 1], sizes[i + 1]
-            for images in options(images, steps, digits):
+            # cols[c]: images of e_c reduced modulo the prefix, rows 0..i-1, of dim
+            # base. Returns the position below the prefix of the first W with
+            # dim sum T_i(W) < need, or None if there is none
+            nonlocal least
+            if i == k or least - base == 1:
+                if not all(spans([cols[c] for c in frees[j]], cols[pivots[j]])
+                           for j in range(i, k)):
+                    return None
+                least = base
+                if base >= need:
+                    return None
+                count = 1             # the first failing W: each row's first vanishing option
+                for j in range(i, k):
+                    row = options(cols[pivots[j]], [cols[c] for c in frees[j]], digit_rows[j])
+                    count += sizes[j + 1] * next(index for index, v in enumerate(row) if not v)
+                return count
+            row = options(cols[pivots[i]], [cols[c] for c in frees[i]], digit_rows[i])
+            for index, images in enumerate(row):
                 cap = least - base
-                if cap <= 0 or len(rows := echelon(images, cap)) == cap:
-                    # every W below contains rows 0..i, so its dim sum T_i(W) is
-                    # at least least >= need: none of them lowers least or refutes
-                    walked += below
+                if cap <= 0:
+                    return None
+                rows = echelon(images, cap)
+                if len(rows) == cap:
                     continue
-                if rows:
+                nxt = cols
+                if rows and i + 1 < k:
                     # rows i+1.. only read columns from their own pivot on
-                    order = sorted(rows.items(), reverse=True)
+                    after, order = pivots[i + 1], sorted(rows.items(), reverse=True)
                     nxt = cols[:after] + [reduce(c, order) if c else 0 for c in cols[after:]]
-                else:
-                    nxt = cols
-                if walk(i + 1, nxt, base + len(rows)):
-                    return True
-            return False
+                count = walk(i + 1, nxt, base + len(rows))
+                if count is not None:
+                    return index * sizes[i + 1] + count
+            return None
 
+        walked = 0
         for pivots in combinations(range(n), k):
             pivset = set(pivots)
             frees = [[c for c in range(p + 1, n) if c not in pivset] for p in pivots]
             # sizes[i]: the number of W that share a given choice of rows 0..i-1
-            sizes = [q ** sum(map(len, frees[i:])) for i in range(k)]
+            sizes = [q ** sum(map(len, frees[i:])) for i in range(k + 1)]
             digit_rows = [[] for _ in pivots]
-            if walk(0, self.columns, 0):
+            count = walk(0, self.columns, 0)
+            if count is not None:
                 entries = [(i, p, 1) for i, p in enumerate(pivots)]
                 entries += [(i, c, v) for i in range(k)
                             for c, v in zip(frees[i], digit_rows[i]) if v]
-                return walked, least, entries
+                return walked + count, least, entries
+            walked += sizes[0]
         return walked, least, None
 
 
@@ -315,13 +310,13 @@ def check_exhaustive(cand: ExpanderCandidate, guard: int = 10 ** 7) -> Expansion
     The walk skips every W whose first RREF rows already have images of
     dimension at least the least dim sum T_i(W) seen at that k, since such a
     W contains them. Each elimination stops once its rank reaches that
-    bound, and a last RREF row whose subspaces can at best lower the least
-    by one, without failing, is decided by one span test (see
-    _PackedImages.scan). ``subspaces_checked`` counts the subspaces decided,
-    some of them by the bound or the span test: all of them for a proof, and
-    those up to the first failing W for a refutation. The order, the first
-    failing W and ``worst_ratio`` are those of a walk that computes every
-    image.
+    bound. First rows whose images span one dimension less than that least
+    are decided, with every W below them, by one span test per remaining
+    row (see _PackedImages.scan). ``subspaces_checked`` counts the
+    subspaces decided, most of them by the bound or the span tests: all of
+    them for a proof, and those up to the first failing W for a refutation.
+    The order, the first failing W and ``worst_ratio`` are those of a walk
+    that computes every image.
     """
     if not isinstance(cand.field, PrimeField):
         raise ValidationError("exhaustive check requires a prime field")
@@ -349,14 +344,18 @@ def check_exhaustive(cand: ExpanderCandidate, guard: int = 10 ** 7) -> Expansion
                            "exhaustive", notes={"expected_total": total})
 
 
-def check_sampled_rational(cand: ExpanderCandidate, trials: int, max_entry: int = 9,
+SAMPLED_MAX_ENTRY = 9
+
+
+def check_sampled_rational(cand: ExpanderCandidate, trials: int,
                            seed: int = 0) -> ExpansionReport:
     """Sample random rational subspaces; refutation is definitive, a pass is not.
 
     Trial t draws a k x n integer matrix W of rank k = 1 + t mod floor(eta n),
-    entries uniform in -max_entry..max_entry, redrawn until its rank is k,
-    and takes dim sum T_i(W) as the rank of the dk x n row stack of the
-    W T_i^t (_stacked_image_dim), with each map transposed once per call.
+    entries uniform in -SAMPLED_MAX_ENTRY..SAMPLED_MAX_ENTRY, redrawn until
+    its rank is k, and takes dim sum T_i(W) as the rank of the dk x n row
+    stack of the W T_i^t (_stacked_image_dim), with each map transposed once
+    per call.
     The first W with dim sum T_i(W) < (1 + alpha) k refutes; otherwise the
     report passes with the least ratio dim / k seen.
     """
@@ -375,7 +374,7 @@ def check_sampled_rational(cand: ExpanderCandidate, trials: int, max_entry: int 
         k = 1 + trial % kmax
         while True:
             W = Matrix.from_dense(cand.field, [
-                [rng.randint(-max_entry, max_entry) for _ in range(cand.n)]
+                [rng.randint(-SAMPLED_MAX_ENTRY, SAMPLED_MAX_ENTRY) for _ in range(cand.n)]
                 for _ in range(k)])
             if W.rank() == k:
                 break

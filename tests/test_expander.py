@@ -192,19 +192,28 @@ BOUND_EDGE = _cand(F2, [[[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
                    HALF, Fraction(1, 100))
 
 
-# proved over GF(5); at k = 2 a last row with least - base = 1 and base >= need
-# is decided by one span test, which finds an option whose images all vanish
+# proved over GF(5); at k = 2 a prefix with least - base = 1 and base >= need
+# is decided by span tests, one of which finds an option whose images all vanish
 SPAN_PROOF = _cand(PrimeField(5), [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
                                    [[3, 2, 0], [3, 4, 4], [3, 2, 1]],
                                    [[3, 2, 2], [3, 3, 3], [2, 4, 1]]],
                    Fraction(2, 3), Fraction(1, 3))
 
 # refuted over GF(7) by the seventh option of a last row at k = 2 with
-# least - base = 1 and base < need, which the walk enumerates with cap 1
+# least - base = 1 and base < need: the span test finds that an option's
+# images vanish, and the first such option is the failing W
 SLACK_ONE_REFUTATION = _cand(PrimeField(7), [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
                                              [[3, 2, 2], [0, 3, 2], [0, 5, 6]],
                                              [[5, 2, 3], [0, 4, 2], [5, 4, 5]]],
                              Fraction(2, 3), Fraction(1, 3))
+
+# refuted over GF(2) at subspace 59 with ratio 1, by a k = 3 prefix of one row
+# with least - base = 1 and base < need: span tests on rows 1 and 2 both pass,
+# and the failing W takes each row's first vanishing option
+MIDDLE_ROW_REFUTATION = _cand(F2, [[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                                   [[1, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 1, 1, 0]],
+                                   [[0, 1, 1, 0], [0, 1, 1, 1], [0, 0, 1, 0], [1, 0, 1, 0]]],
+                              Fraction(3, 4), Fraction(1, 3))
 
 
 @settings(max_examples=300, deadline=None)
@@ -212,36 +221,57 @@ SLACK_ONE_REFUTATION = _cand(PrimeField(7), [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
 @example(BOUND_EDGE)
 @example(SPAN_PROOF)
 @example(SLACK_ONE_REFUTATION)
+@example(MIDDLE_ROW_REFUTATION)
 def test_check_exhaustive_matches_reference_loop(c):
     assert _outcome(check_exhaustive(c)) == _reference_exhaustive(c)
 
 
 def _recorded_walk(monkeypatch, c):
-    """check_exhaustive(c), with the (cap, rows) of each echelon and the
-    result of each span test in the order the walk ran them."""
-    echelons, span_tests = [], []
+    """check_exhaustive(c), with the echelons, as ("echelon", cap, rows), and
+    the span tests, as ("spans", result), in the order the walk ran them."""
+    events = []
     echelon, spans = _PackedImages.echelon, _PackedImages.spans
 
     def recording_echelon(self, images, cap):
         rows = echelon(self, images, cap)
-        echelons.append((cap, len(rows)))
+        events.append(("echelon", cap, len(rows)))
         return rows
 
     def recording_spans(self, vectors, target):
-        span_tests.append(spans(self, vectors, target))
-        return span_tests[-1]
+        events.append(("spans", spans(self, vectors, target)))
+        return events[-1][1]
 
     with monkeypatch.context() as m:
         m.setattr(_PackedImages, "echelon", recording_echelon)
         m.setattr(_PackedImages, "spans", recording_spans)
-        return check_exhaustive(c), echelons, span_tests
+        return check_exhaustive(c), events
+
+
+def _span_tests(events):
+    return [e[1] for e in events if e[0] == "spans"]
+
+
+def _after_last_echelon(events):
+    """The span tests run after the walk's last echelon."""
+    last = max(i for i, e in enumerate(events) if e[0] == "echelon")
+    return _span_tests(events[last + 1:])
 
 
 def test_examples_take_the_slack_one_paths(monkeypatch):
-    rep, _, span_tests = _recorded_walk(monkeypatch, SPAN_PROOF)
-    assert rep.verdict == "proved" and True in span_tests
-    rep, echelons, _ = _recorded_walk(monkeypatch, SLACK_ONE_REFUTATION)
-    assert rep.verdict == "refuted" and echelons[-1] == (1, 0)
+    rep, events = _recorded_walk(monkeypatch, SPAN_PROOF)
+    assert rep.verdict == "proved" and True in _span_tests(events)
+    # the failing W is found by the rule on the last row: one span test, and
+    # no echelon after it
+    rep, events = _recorded_walk(monkeypatch, SLACK_ONE_REFUTATION)
+    assert rep.verdict == "refuted" and _after_last_echelon(events) == [True]
+
+
+def test_middle_row_refutation_takes_the_rule_at_row_1(monkeypatch):
+    rep, events = _recorded_walk(monkeypatch, MIDDLE_ROW_REFUTATION)
+    assert (rep.verdict, rep.subspaces_checked, rep.worst_ratio, rep.witness.rows) == (
+        "refuted", 59, 1, 3)
+    # one passing span test for each of rows 1 and 2, and no echelon after them
+    assert _after_last_echelon(events) == [True, True]
 
 
 def _bench_shaped_candidate(seed):
@@ -258,12 +288,13 @@ def _bench_shaped_candidate(seed):
 
 
 def test_span_tests_run_on_a_bench_shaped_candidate(monkeypatch):
-    """57 last rows of its 2109-subspace proof are each decided by one span
-    test, 3 of which find an option whose images all vanish."""
+    """Its 2109-subspace proof runs 68 span tests on the rows below prefixes
+    with least - base = 1, 3 of which find an option whose images all vanish."""
     c = _bench_shaped_candidate(3)
-    rep, _, span_tests = _recorded_walk(monkeypatch, c)
+    rep, events = _recorded_walk(monkeypatch, c)
     assert _outcome(rep) == _reference_exhaustive(c)
-    assert (len(span_tests), span_tests.count(True)) == (57, 3)
+    span_tests = _span_tests(events)
+    assert (len(span_tests), span_tests.count(True)) == (68, 3)
 
 
 @st.composite
@@ -326,22 +357,31 @@ def test_check_exhaustive_matches_reference_on_theta3_reductions(p, q):
     assert _outcome(check_exhaustive(c)) == _reference_exhaustive(c)
 
 
+def _echelon_count(monkeypatch, c):
+    """check_exhaustive(c) and the number of echelons its walk runs."""
+    rep, events = _recorded_walk(monkeypatch, c)
+    return rep, sum(e[0] == "echelon" for e in events)
+
+
 def test_check_exhaustive_bound_skips_most_echelons(monkeypatch):
     """theta(3) mod 7 at p = 5: without the bound the walk runs 144385 echelons
-    for its 142851 subspaces; with it, 9435."""
-    calls = 0
-    echelon = _PackedImages.echelon
-
-    def counting(self, images, cap):
-        nonlocal calls
-        calls += 1
-        return echelon(self, images, cap)
-
-    monkeypatch.setattr(_PackedImages, "echelon", counting)
-    rep = check_exhaustive(_theta3_mod(5, 7))
+    for its 142851 subspaces; with it, 5021."""
+    rep, calls = _echelon_count(monkeypatch, _theta3_mod(5, 7))
     assert (rep.verdict, rep.worst_ratio, rep.subspaces_checked) == (
         "proved", Fraction(3, 2), 142851)
     assert calls < rep.subspaces_checked // 10
+
+
+def test_decided_prefixes_skip_the_slack_one_rows(monkeypatch):
+    """theta(3) mod 3 at p = 7, alpha = 1/3: a walk that enumerates every
+    option of a middle row with least - base = 1 runs 59730 echelons; one
+    that decides such a prefix by a span test per row below it runs 8953."""
+    c = ExpanderCandidate.from_module(theta3_counterexample_module(7, PrimeField(3)),
+                                      HALF, Fraction(1, 3))
+    rep, calls = _echelon_count(monkeypatch, c)
+    assert (rep.verdict, rep.worst_ratio, rep.subspaces_checked) == (
+        "proved", Fraction(4, 3), 1026327)
+    assert calls < 20000
 
 
 def test_checks_pass_vacuously_when_eta_n_below_one():
