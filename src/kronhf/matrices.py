@@ -348,8 +348,7 @@ class Matrix:
     def is_selection(self):
         """Row indices per column if every column is a unit vector, else None.
 
-        Duplicate row indices are possible; rank() only takes the fast path
-        when they are distinct. One scan of the entries.
+        Duplicate row indices are possible. One scan of the entries.
         """
         seen = {}
         count = 0
@@ -365,9 +364,6 @@ class Matrix:
         return [seen[j] for j in range(self.cols)]
 
     def rank(self):
-        sel = self.is_selection()
-        if sel is not None and len(set(sel)) == len(sel):
-            return len(sel)
         return len(self.pivot_columns())
 
     def kernel_basis(self):
@@ -581,14 +577,15 @@ def column_space_dim_of_stack(mats) -> int:
     return Matrix.hstack(mats).rank()
 
 
-def random_invertible(field, n, rng, span=3):
-    """Product of random unitriangular factors and a permutation; always invertible."""
+def random_invertible(field, n, rng):
+    """Product of random unitriangular factors and a permutation; always
+    invertible. Over Q the factors' entries lie in -3..3."""
     lo_ent = [(i, i, field.one) for i in range(n)]
     up_ent = [(i, i, field.one) for i in range(n)]
     for i in range(n):
         for j in range(i):
             if field.char == 0:
-                a, b = rng.randint(-span, span), rng.randint(-span, span)
+                a, b = rng.randint(-3, 3), rng.randint(-3, 3)
             else:
                 a, b = rng.randrange(field.q), rng.randrange(field.q)
             if a:

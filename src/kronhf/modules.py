@@ -576,41 +576,31 @@ def hom_space(X: KroneckerModule, Y: KroneckerModule):
 
 
 def classify_standard(M: KroneckerModule):
-    """Recognize the literal canonical shapes produced by the builders.
+    """Recognize the literal canonical d = 2 shapes produced by the builders.
 
-    Returns ('P', n), ('Q', n), ('R_poly', coeffs), ('R_mono', n),
-    ('theta_post', t), ('theta_pre', t) or None. Matching is exact on the
-    matrices, not up to isomorphism. For d = 2 the two maps' row dicts are
-    read once and no reference module is built: every map of P_n, Q_n and
-    R_mono(n), and the identity of R_poly, is a band of ones (_is_band),
-    and the other map of R_poly is a companion matrix.
+    Returns ('P', n), ('Q', n), ('R_poly', coeffs), ('R_mono', n) or None,
+    and None for every module with d != 2. Matching is exact on the
+    matrices, not up to isomorphism. The two maps' row dicts are read once
+    and no reference module is built: every map of P_n, Q_n and R_mono(n),
+    and the identity of R_poly, is a band of ones (_is_band), and the other
+    map of R_poly is a companion matrix.
     """
-    fld = M.field
-    if M.d == 2:
-        one = fld.one
-        a, b = M.maps[0]._rows, M.maps[1]._rows
-        n1, n2 = M.dim1, M.dim2
-        if n2 == n1 + 1:
-            if _is_band(a, 0, n1, 0, one) and _is_band(b, 1, n1, -1, one):
-                return ("P", n1)
-        elif n1 == n2 + 1:
-            if _is_band(a, 0, n2, 0, one) and _is_band(b, 0, n2, 1, one):
-                return ("Q", n2)
-        elif n1 == n2 >= 1:
-            if _is_band(a, 0, n1, 0, one) and _is_companion(M.maps[1]):
-                return ("R_poly", _companion_coeffs(M.maps[1]))
-            if _is_band(b, 0, n1, 0, one) and _is_band(a, 1, n1 - 1, -1, one):
-                return ("R_mono", n1)
+    if M.d != 2:
         return None
-    if M.d >= 3:
-        for t in range(1, 64):
-            a = a_sequence(M.d, t + 1).values
-            if a[t + 1] > max(M.dim1, M.dim2):
-                break
-            if (M.dim1, M.dim2) == (a[t + 1], a[t]) and M == build_postinjective_theta(M.d, t, fld):
-                return ("theta_post", t)
-            if (M.dim1, M.dim2) == (a[t], a[t + 1]) and M == build_preprojective_theta(M.d, t, fld):
-                return ("theta_pre", t)
+    one = M.field.one
+    a, b = M.maps[0]._rows, M.maps[1]._rows
+    n1, n2 = M.dim1, M.dim2
+    if n2 == n1 + 1:
+        if _is_band(a, 0, n1, 0, one) and _is_band(b, 1, n1, -1, one):
+            return ("P", n1)
+    elif n1 == n2 + 1:
+        if _is_band(a, 0, n2, 0, one) and _is_band(b, 0, n2, 1, one):
+            return ("Q", n2)
+    elif n1 == n2 >= 1:
+        if _is_band(a, 0, n1, 0, one) and _is_companion(M.maps[1]):
+            return ("R_poly", _companion_coeffs(M.maps[1]))
+        if _is_band(b, 0, n1, 0, one) and _is_band(a, 1, n1 - 1, -1, one):
+            return ("R_mono", n1)
     return None
 
 

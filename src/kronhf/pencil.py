@@ -276,8 +276,8 @@ def _layout(blocks: Counter) -> list:
             for _ in range(blocks[b])]
 
 
-def reassemble(blocks: Counter, field, d=2) -> KroneckerModule:
-    return direct_sum([block_module(b, field) for b in _layout(blocks)], d=d, field=field)
+def reassemble(blocks: Counter, field) -> KroneckerModule:
+    return direct_sum([block_module(b, field) for b in _layout(blocks)], field=field)
 
 
 # -- isomorphism certificate -------------------------------------------------------

@@ -10,8 +10,8 @@ entry as its coefficient, numbering each layer from 1.
 This module is the one graph layer of the package, and its one graph is an
 adjacency list: build_gamma(M) reads it straight off the rows of the arrow
 matrices, adj[v] listing v's neighbors with one entry per edge. is_tree and
-degree_stats read that list; components and centroid_of work on it and a
-vertex id subset, split_until on it and the components of a forest, and
+degree_stats read that list; components works on it and a vertex id
+subset, split_until on it and the components of a forest, and
 split_components, the witness producers and the expander search use them
 for their component and centroid work. A vertex id subset closed under
 arrows is a coordinate submodule: the witness producers keep it as its id
@@ -138,23 +138,6 @@ def _tree_centroid(order, parent):
     for u in _children(parent, best):
         branch[u] = size[u]
     return best, branch
-
-
-def centroid_of(vertices, adj):
-    """Centroid of the tree induced on vertices, and its branch sizes.
-
-    Returns (c, branch) where c minimises the largest component left by
-    removing it, ties broken toward the smallest id, and branch maps each
-    neighbor of c inside the set to the size of its component once c is
-    removed (the sizes sum to len(vertices) - 1). One BFS roots the tree at
-    vertices[0], and the centroid is read off the rooted tree.
-    """
-    inside = bytearray(len(adj))
-    for v in vertices:
-        inside[v] = 1
-    order, parent = _rooted(adj, vertices[0], inside)
-    c, branch = _tree_centroid(order, parent)
-    return order[c], {order[u]: size for u, size in branch.items()}
 
 
 def split_until(adj, comps, bound, choose_batch):

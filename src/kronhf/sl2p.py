@@ -75,13 +75,6 @@ def point_permutation(g: SL2pElement) -> list:
     return out
 
 
-def permutation_rep(g: SL2pElement) -> Matrix:
-    """(p+1) x (p+1) permutation matrix of the projective action over Q."""
-    sigma = point_permutation(g)
-    return Matrix.from_entries(QQ, g.p + 1, g.p + 1,
-                               ((sigma[z], z, QQ.one) for z in range(g.p + 1)))
-
-
 def restricted_rep(g: SL2pElement) -> Matrix:
     """Matrix of the permutation action on the sum-zero subspace W.
 
@@ -256,11 +249,11 @@ def _traceless_basis(p: int) -> np.ndarray:
     return np.array(mats + prev)
 
 
-def adjoint_rep(rho_g: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def adjoint_rep(rho_g: np.ndarray) -> np.ndarray:
     """Matrix of T -> g T g^(-1) on trace-zero matrices, orthonormal basis.
 
-    Requires an orthogonal input (covers invertibility); the output is again
-    orthogonal within tol.
+    Requires an input orthogonal within 1e-8 (covers invertibility); the
+    output is again orthogonal within 1e-8.
     """
     rho_g = np.asarray(rho_g, dtype=float)
     n = rho_g.shape[0]
@@ -269,7 +262,7 @@ def adjoint_rep(rho_g: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     if not np.isfinite(rho_g).all():
         raise ValidationError("matrix entries must be finite")
     # written so that a NaN deviation fails
-    if not np.max(np.abs(rho_g @ rho_g.T - np.eye(n))) <= max(tol, 1e-8):
+    if not np.max(np.abs(rho_g @ rho_g.T - np.eye(n))) <= 1e-8:
         raise ValidationError("adjoint transport expects an orthogonal matrix")
     basis = _traceless_basis(n)
     images = np.einsum("ij,bjk,lk->bil", rho_g, basis, rho_g)
@@ -307,7 +300,7 @@ def _float_generators(gens) -> list:
     return arrays
 
 
-def kazhdan_lower_bound(gens, tol: float = 1e-8) -> float:
+def kazhdan_lower_bound(gens) -> float:
     """sqrt of the smallest eigenvalue of the averaged displacement form.
 
     For unit v, max_s ||g v - v|| is at least the quadratic mean, whose square
@@ -318,8 +311,8 @@ def kazhdan_lower_bound(gens, tol: float = 1e-8) -> float:
     n = gens[0].shape[0]
     acc = np.zeros((n, n))
     for g in gens:
-        if not np.max(np.abs(g @ g.T - np.eye(n))) <= tol:  # a NaN deviation fails
-            raise ValidationError("generators must be orthogonal within tol")
+        if not np.max(np.abs(g @ g.T - np.eye(n))) <= 1e-8:  # a NaN deviation fails
+            raise ValidationError("generators must be orthogonal within 1e-8")
         d = np.eye(n) - g
         acc += d.T @ d
     acc /= len(gens)

@@ -21,7 +21,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from .errors import GuardRefusal, PreconditionError, ShapeError, ValidationError
-from .fields import QQ, check_eps
+from .fields import check_eps
 from .matrices import Matrix
 from .modules import (
     KroneckerModule,
@@ -279,34 +279,42 @@ def whole_module_witness(M: KroneckerModule, eps, l_eps, producer, **notes) -> W
 
 
 def witness_for(M: KroneckerModule, eps: Fraction, *, l_override: int | None = None) -> Witness:
-    """The producers' witness for a module of a shape classify_standard names.
+    """The producers' witness for M, a d = 2 module of a shape that
+    classify_standard names or a d >= 3 tree module of nonzero defect.
 
-    Classifies M once and runs the producer for its kind: the drop-rule
-    chain (_drop_rule_chain) at depth 0 for P, 1 for R_poly and R_mono and
-    2 for Q, and the tree fragmentations for theta_pre and theta_post.
-    l_override is the size target of the latter and is refused for every
-    other shape, as is any module of another shape.
+    For d = 2, classifies M once and runs the drop-rule chain
+    (_drop_rule_chain) at depth 0 for P, 1 for R_poly and R_mono and 2 for
+    Q. For d >= 3, builds M's adjacency list once: a tree of positive
+    defect, the shape of theta_post, goes to the sink fragmenter, and a
+    tree of negative defect, the shape of theta_pre, to the centroid
+    fragmenter. l_override is the size target of the sink fragmenter and is
+    refused for every other shape, as is any module of another shape.
     """
     check_eps(eps)
-    kind = classify_standard(M)
-    if kind is None:
+    if M.d >= 3:
+        adj = build_gamma(M)
+        tag = (None if M.defect == 0 or not is_tree(adj)
+               else "theta_post" if M.defect > 0 else "theta_pre")
+    else:
+        kind = classify_standard(M)
+        tag = kind and kind[0]
+    if tag is None:
         raise ValidationError("unsupported module shape for the witness producers")
-    tag = kind[0]
     if l_override is not None and tag != "theta_post":
         raise ValidationError(f"l_override sets the size target of theta_post modules only, "
                               f"not of {tag}")
-    if tag in _CHAIN_DEPTH:
-        return _drop_rule_chain(M, eps, _CHAIN_DEPTH[tag])
+    if tag == "theta_post":
+        return _sink_witness(M, adj, eps, l_override)
     if tag == "theta_pre":
-        return fragment_tree_module(M, eps)
-    return _postinjective_theta_witness(M, eps, l_override=l_override)
+        return _centroid_witness(M, adj, eps)
+    return _drop_rule_chain(M, eps, _CHAIN_DEPTH[tag])
 
 
-def witness_preprojective_2k(n: int, eps: Fraction, field=QQ) -> Witness:
-    """Drop-every-K-th witness for the standard preprojective P_n: the chain
-    at depth 0."""
+def witness_preprojective_2k(n: int, eps: Fraction) -> Witness:
+    """Drop-every-K-th witness for the standard preprojective P_n over Q: the
+    chain at depth 0."""
     check_eps(eps)
-    return _drop_rule_chain(build_P(n, field), eps)
+    return _drop_rule_chain(build_P(n), eps)
 
 
 def witness_regular_2k(R: KroneckerModule, eps: Fraction) -> Witness:
@@ -526,9 +534,14 @@ def fragment_tree_module(M: KroneckerModule, eps: Fraction) -> Witness:
     """
     check_eps(eps)
     adj = build_gamma(M)
-    n = M.dim1
     if not is_tree(adj):
         raise PreconditionError("fragment_tree_module requires a tree coefficient quiver")
+    return _centroid_witness(M, adj, eps)
+
+
+def _centroid_witness(M: KroneckerModule, adj, eps: Fraction) -> Witness:
+    """fragment_tree_module on a module whose adjacency list adj is a tree."""
+    n = M.dim1
     indeg, _ = degree_stats(adj, n)
     if indeg > M.d:
         raise PreconditionError(f"indegree {indeg} exceeds arrow count {M.d}")
@@ -568,9 +581,9 @@ def postinjective_fragment_size_bound(d: int, eps: Fraction) -> int:
 
 
 def fragment_postinjective_theta(d: int, t: int, eps: Fraction, *,
-                                 l_override: int | None = None,
-                                 field=QQ) -> Witness:
-    """Staged sink-removal witness for the canonical postinjective tree module.
+                                 l_override: int | None = None) -> Witness:
+    """Staged sink-removal witness for the canonical postinjective tree module
+    theta_post(d, t) over Q.
 
     Oversized components lose a centroid sink (or, for a source centroid, the
     neighboring sink in its largest branch) together with all sources mapping
@@ -579,13 +592,13 @@ def fragment_postinjective_theta(d: int, t: int, eps: Fraction, *,
     module; l_override exercises the staged machinery.
     """
     check_eps(eps)
-    return _postinjective_theta_witness(build_postinjective_theta(d, t, field), eps,
-                                        l_override=l_override)
+    M = build_postinjective_theta(d, t)
+    return _sink_witness(M, build_gamma(M), eps, l_override)
 
 
-def _postinjective_theta_witness(M: KroneckerModule, eps: Fraction, *,
-                                 l_override: int | None = None) -> Witness:
-    """fragment_postinjective_theta on a module known to be theta_post(d, t)."""
+def _sink_witness(M: KroneckerModule, adj, eps: Fraction, l_override: int | None) -> Witness:
+    """fragment_postinjective_theta on a module whose adjacency list adj is
+    a tree."""
     L = (l_override if l_override is not None
          else postinjective_fragment_size_bound(M.d, eps))
     if L < 1:
@@ -594,9 +607,6 @@ def _postinjective_theta_witness(M: KroneckerModule, eps: Fraction, *,
     if n <= L:
         return whole_module_witness(M, eps, L, "fragment_postinjective",
                                     below_threshold=True, size_bound=L)
-    adj = build_gamma(M)
-
-    # theta_post(d, t) is a tree: its vertex ids form the one component
     final, removed, batch_sizes = split_until(
         adj, [list(range(n))], L, lambda order, parent: _sink_batch(M.dim1, order, parent))
     parts = _monomial_parts(M, sorted(final))

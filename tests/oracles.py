@@ -10,17 +10,22 @@ the matrix golden, whose text depends on its exact sequence of rng calls,
 edge_list is the coefficient quiver as a sorted edge list, with the tree
 and degree checks over it that quiver.is_tree and quiver.degree_stats are
 compared against, is_homomorphism checks a pair (f, g) against the
-arrows directly, and image_dim takes dim sum T_i(W) as the rank of the
+arrows directly, image_dim takes dim sum T_i(W) as the rank of the
 n x dk column stack of the T_i W^t, which expander._stacked_image_dim
-takes on the dk x n row stack instead.
+takes on the dk x n row stack instead, centroid_of finds the centroid of
+an induced tree by one BFS and quiver._tree_centroid, and permutation_rep
+is the permutation matrix of SL(2, p) acting on P^1(F_p), a reducible
+representation.
 """
 
 from fractions import Fraction
 
 from kronhf.errors import ValidationError
-from kronhf.fields import rational
+from kronhf.fields import QQ, rational
 from kronhf.matrices import Matrix, column_space_dim_of_stack
 from kronhf.modules import KroneckerModule, build_P, build_Q, companion_matrix
+from kronhf.quiver import _rooted, _tree_centroid
+from kronhf.sl2p import SL2pElement, point_permutation
 from kronhf.witness import (_drop_rule_chain, combinator_bounded_codim, monomial_submodule,
                             whole_module_witness)
 
@@ -208,3 +213,27 @@ def edge_list_degree_stats(n_src: int, n_snk: int, edges):
         outdeg[j] += 1
         indeg[i] += 1
     return (max(indeg, default=0), max(outdeg, default=0))
+
+
+def centroid_of(vertices, adj):
+    """Centroid of the tree induced on vertices, and its branch sizes.
+
+    Returns (c, branch) where c minimises the largest component left by
+    removing it, ties broken toward the smallest id, and branch maps each
+    neighbor of c inside the set to the size of its component once c is
+    removed (the sizes sum to len(vertices) - 1). One BFS roots the tree at
+    vertices[0], and the centroid is read off the rooted tree.
+    """
+    inside = bytearray(len(adj))
+    for v in vertices:
+        inside[v] = 1
+    order, parent = _rooted(adj, vertices[0], inside)
+    c, branch = _tree_centroid(order, parent)
+    return order[c], {order[u]: size for u, size in branch.items()}
+
+
+def permutation_rep(g: SL2pElement) -> Matrix:
+    """(p+1) x (p+1) permutation matrix of the projective action over Q."""
+    sigma = point_permutation(g)
+    return Matrix.from_entries(QQ, g.p + 1, g.p + 1,
+                               ((sigma[z], z, QQ.one) for z in range(g.p + 1)))

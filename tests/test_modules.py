@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from kronhf import modules as modules_mod
 from kronhf.errors import DomainError, ValidationError
 from kronhf.fields import QQ, PrimeField
 from kronhf.matrices import Matrix
@@ -301,12 +302,26 @@ def test_classify_standard():
     assert classify_standard(build_R(PencilBlock("R_mono", 5))) == ("R_mono", 5)
     kind = classify_standard(build_R(PencilBlock("R_poly", poly=(Fraction(1), Fraction(0)), e=1)))
     assert kind == ("R_poly", (Fraction(1), Fraction(0)))
-    assert classify_standard(build_postinjective_theta(3, 2)) == ("theta_post", 2)
-    assert classify_standard(build_preprojective_theta(3, 2)) == ("theta_pre", 2)
+    assert classify_standard(build_postinjective_theta(3, 2)) is None
+    assert classify_standard(build_preprojective_theta(3, 2)) is None
     assert classify_standard(build_P(0)) == ("P", 0)
     assert classify_standard(build_Q(0)) == ("Q", 0)
     assert classify_standard(direct_sum([])) is None
     assert classify_standard(build_R(PencilBlock("R_mono", 1))) == ("R_mono", 1)
+
+
+def test_classify_standard_builds_no_theta_module(monkeypatch):
+    """classify_standard names d = 2 shapes only: a d >= 3 module is None
+    without a theta module built or an a-sequence taken."""
+    mods = [build(d, t, fld) for build in (build_postinjective_theta, build_preprojective_theta)
+            for d, t in ((3, 1), (3, 4), (4, 3)) for fld in (QQ, PrimeField(5))]
+
+    def refuse(*args):
+        raise AssertionError("classify_standard built a theta module")
+
+    for name in ("build_postinjective_theta", "build_preprojective_theta", "a_sequence"):
+        monkeypatch.setattr(modules_mod, name, refuse)
+    assert [classify_standard(M) for M in mods] == [None] * len(mods)
 
 
 _CELLS = [0, 0, 1, -1, 2, Fraction(1, 2)]

@@ -11,12 +11,12 @@ from kronhf.fields import QQ, PrimeField
 from kronhf.matrices import Matrix
 from kronhf.modules import (KroneckerModule, PencilBlock, build_P, build_R,
                             build_postinjective_theta, direct_sum)
-from kronhf.quiver import (_tree_centroid, build_gamma, centroid_of, components, degree_stats,
-                           export_edges, is_tree, split_components, split_until)
+from kronhf.quiver import (_tree_centroid, build_gamma, components, degree_stats, export_edges,
+                           is_tree, split_components, split_until)
 from kronhf.witness import (Witness, _centroid_batch, _monomial_parts, _sink_batch,
                             fragment_tree_module, monomial_submodule, verify_witness)
 
-from oracles import edge_list, edge_list_degree_stats, edge_list_is_tree
+from oracles import centroid_of, edge_list, edge_list_degree_stats, edge_list_is_tree
 
 
 def _tag(M, v):

@@ -16,9 +16,10 @@ from kronhf.modules import PresolvedHom
 from kronhf.sl2p import (SL2pElement, adjoint_generators, adjoint_rep,
                          commutant_dimension, gen_s, gen_t, irreducible_rep,
                          is_irreducible, kazhdan_estimate, kazhdan_lower_bound,
-                         kazhdan_upper_bound, orthogonal_rep, permutation_rep,
-                         point_permutation, restricted_rep,
-                         theta3_counterexample_module)
+                         kazhdan_upper_bound, orthogonal_rep, point_permutation,
+                         restricted_rep, theta3_counterexample_module)
+
+from oracles import permutation_rep
 
 # transcribed ground truth: the explicit matrices of the construction
 RHO3_S = [[0, -1, 1], [1, -1, 1], [0, 0, 1]]

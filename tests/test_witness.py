@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +11,11 @@ from kronhf.errors import DomainError, GuardRefusal, PreconditionError, Validati
 from kronhf.fields import QQ, PrimeField
 from kronhf.matrices import Matrix
 from kronhf import witness as witness_mod
+from kronhf.cli import main
 from kronhf.modules import (KroneckerModule, PencilBlock, build_P, build_Q, build_R,
                             build_postinjective_theta, build_preprojective_theta,
-                            classify_standard, direct_sum)
-from kronhf.quiver import build_gamma, components
+                            classify_standard, direct_sum, module_from_text)
+from kronhf.quiver import build_gamma, components, is_tree
 from kronhf.witness import (MonomialPart, Witness, WitnessPart, combinator_bounded_codim,
                             combinator_direct_sum, fragment_postinjective_theta,
                             fragment_tree_module, monomial_submodule,
@@ -218,6 +220,65 @@ def test_witness_for_refuses_l_override_off_theta_post(M):
 def test_witness_for_refuses_other_shapes():
     with pytest.raises(ValidationError, match="unsupported module shape"):
         witness_for(direct_sum([build_P(1), build_Q(1)]), QUARTER)
+
+
+def _arrow_scaled(M, k, c):
+    """M with arrow k multiplied by c."""
+    maps = list(M.maps)
+    maps[k] = maps[k].scale(c)
+    return KroneckerModule(M.d, M.field, M.dim1, M.dim2, maps)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "GF5"])
+@pytest.mark.parametrize("build,eps,l_override", [
+    (build_postinjective_theta, QUARTER, 40),
+    (build_preprojective_theta, Fraction(1, 5), None),
+], ids=["theta_post", "theta_pre"])
+def test_witness_for_takes_theta_trees_with_other_coefficients(field, build, eps, l_override):
+    """A d >= 3 witness needs a tree, not the literal theta module: with
+    arrow 0 scaled by 2 (a diagonal change of basis away from theta), the
+    producers split the same tree into the literal module's id lists."""
+    literal = build(3, 6, field)
+    M = _arrow_scaled(literal, 0, 2)
+    assert M != literal
+    w = witness_for(M, eps, l_override=l_override)
+    want = witness_for(literal, eps, l_override=l_override)
+    assert len(w.parts) > 1
+    assert [(p.sources, p.sinks) for p in w.parts] == [(p.sources, p.sinks) for p in want.parts]
+    assert w.module is M and verify_witness(M, w).ok
+
+
+def _defect_zero_tree():
+    """d = 3, dims 2x2: the path source 0 - sink 0 - source 1 - sink 1, one
+    arrow per edge, so a tree of defect 0."""
+    F = PrimeField(5)
+    maps = [Matrix.from_entries(F, 2, 2, [(i, j, 1)]) for i, j in ((0, 0), (0, 1), (1, 1))]
+    return KroneckerModule(3, F, 2, 2, maps)
+
+
+_GAMMA_PARALLEL = Path(__file__).parent / "golden" / "gamma_parallel.mod"
+
+
+def test_witness_for_refuses_d3_modules_that_are_no_tree_or_of_defect_zero():
+    parallel = module_from_text(_GAMMA_PARALLEL.read_text())
+    assert parallel.d == 3 and not is_tree(build_gamma(parallel))
+    flat = _defect_zero_tree()
+    assert flat.defect == 0 and is_tree(build_gamma(flat))
+    for M in (parallel, flat):
+        for l_override in (None, 40):
+            with pytest.raises(ValidationError, match="unsupported module shape"):
+                witness_for(M, QUARTER, l_override=l_override)
+
+
+def test_witness_command_refuses_d3_modules_that_are_no_tree_or_of_defect_zero(capsys,
+                                                                             tmp_path):
+    flat = tmp_path / "flat.mod"
+    flat.write_text(_defect_zero_tree().to_text())
+    for mod in (_GAMMA_PARALLEL, flat):
+        assert main(["witness", "--module", str(mod), "--eps", "1/4"]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == (
+            "", "error: unsupported module shape for the witness producers\n")
 
 
 def test_witness_fuzz_q_and_r():
