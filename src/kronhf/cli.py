@@ -142,11 +142,7 @@ def _read_module(path, flag) -> KroneckerModule:
 def cmd_build(args, cfgmap) -> int:
     field = field_from_label(_cfg(args, cfgmap, "field", "rational"))
     kind = args.kind
-    if kind == "P":
-        M = build_P(_cfg_int(args, cfgmap, "n"), field)
-    elif kind == "Q":
-        M = build_Q(_cfg_int(args, cfgmap, "n"), field)
-    elif kind == "R":
+    if kind == "R":
         mono = _cfg(args, cfgmap, "monomial")
         if mono is not None:
             M = build_R(PencilBlock("R_mono", _as_int("monomial", mono)), field)
@@ -157,14 +153,11 @@ def cmd_build(args, cfgmap) -> int:
             coeffs = parse_poly(field, poly)
             q, e = prime_power_parts(field, coeffs)
             M = build_R(PencilBlock("R_poly", poly=q, e=e), field)
-    elif kind == "theta-pre":
-        M = build_preprojective_theta(_cfg_int(args, cfgmap, "d"),
-                                      _cfg_int(args, cfgmap, "t"), field)
-    elif kind == "theta-post":
-        M = build_postinjective_theta(_cfg_int(args, cfgmap, "d"),
-                                      _cfg_int(args, cfgmap, "t"), field)
+    elif kind in ("P", "Q"):
+        M, _ = _sweep_module(kind, _cfg_int(args, cfgmap, "n"), None, field)
     else:
-        raise ValidationError(f"unknown module kind {kind}")
+        d = _cfg_int(args, cfgmap, "d")
+        M, _ = _sweep_module(kind, _cfg_int(args, cfgmap, "t"), d, field)
     text = M.to_text()
     _write_out(args, text)
     print(f"dims {M.dim1}x{M.dim2} defect {M.defect}")

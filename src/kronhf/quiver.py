@@ -13,15 +13,22 @@ matrices, adj[v] listing v's neighbors with one entry per edge. is_tree and
 degree_stats read that list; components works on it and a vertex id
 subset, split_until on it and the components of a forest, and
 split_components, the witness producers and the expander search use them
-for their component and centroid work. A vertex id subset closed under
-arrows is a coordinate submodule: the witness producers keep it as its id
-lists, and its module is the restriction of each arrow matrix to its sink
-rows and source columns.
+for their component and centroid work.
+
+A vertex id subset closed under arrows is a coordinate submodule. Its one
+form is a MonomialPart: M with a source id list and a sink id list, whose
+module (each arrow matrix restricted to the sink rows and source columns)
+and selection embeddings are built only when something asks for them.
+_monomial_parts turns sorted id lists, such as components, into
+MonomialParts; split_components and the witness producers build their
+parts with it, and witness re-exports both names.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from functools import cached_property
 
 from .matrices import Matrix
 from .modules import KroneckerModule
@@ -203,22 +210,66 @@ def split_until(adj, comps, bound, choose_batch):
     return final, removed, batch_sizes
 
 
+# -- coordinate submodules ----------------------------------------------------------
+
+
+@dataclass
+class MonomialPart:
+    """The coordinate submodule of ambient on a list of source ids and a list
+    of sink ids: the span of those basis vectors, in that order.
+
+    Its dim is read off the lists. Its module, the restriction of each arrow
+    matrix of ambient to the sink rows and source columns, and its selection
+    embeddings are built the first time something asks for them. The ids are
+    checked by verify_witness, not here.
+    """
+    ambient: KroneckerModule
+    sources: list
+    sinks: list
+
+    @property
+    def dim(self) -> int:
+        return len(self.sources) + len(self.sinks)
+
+    @cached_property
+    def module(self) -> KroneckerModule:
+        M, src, snk = self.ambient, self.sources, self.sinks
+        return KroneckerModule(M.d, M.field, len(src), len(snk),
+                               [m.submatrix(snk, src) for m in M.maps])
+
+    @cached_property
+    def emb1(self) -> Matrix:
+        return Matrix.selection(self.ambient.field, self.ambient.dim1, self.sources)
+
+    @cached_property
+    def emb2(self) -> Matrix:
+        return Matrix.selection(self.ambient.field, self.ambient.dim2, self.sinks)
+
+
+def _monomial_parts(M: KroneckerModule, comps):
+    """Vertex id sets of M's coefficient quiver as monomial parts of M.
+
+    comps are sorted id lists, as components(adj, vertices) gives them;
+    each becomes the part on its sources and its sinks, in order. The
+    producers pass the components of arrow-closed kept sets (d = 2: the
+    closure sinks of the kept sources; trees: a removed sink goes with its
+    sources), and verify_witness checks that they are closed.
+    """
+    n = M.dim1
+    cuts = [bisect_left(comp, n) for comp in comps]
+    return [MonomialPart(M, comp[:k], [v - n for v in comp[k:]]) for comp, k in zip(comps, cuts)]
+
+
 def split_components(M: KroneckerModule):
     """One module per connected component of the coefficient quiver.
 
     Returns a list of (module, (emb1, emb2)) with selection embeddings, one
-    per component in the order of components: the module restricts each
-    arrow matrix to the component's sinks and sources. The block-diagonal
-    sum over components is M up to that vertex partition.
+    per component in the order of components: the module and embeddings of
+    the component's MonomialPart. The block-diagonal sum over components is
+    M up to that vertex partition.
     """
-    n, fld = M.dim1, M.field
-    out = []
-    for comp in components(build_gamma(M), range(M.dim)):
-        k = bisect_left(comp, n)
-        src, snk = comp[:k], [v - n for v in comp[k:]]
-        sub = KroneckerModule(M.d, fld, k, len(snk), [m.submatrix(snk, src) for m in M.maps])
-        out.append((sub, (Matrix.selection(fld, n, src), Matrix.selection(fld, M.dim2, snk))))
-    return out
+    return [(p.module, (p.emb1, p.emb2))
+            for p in _monomial_parts(M, components(build_gamma(M), range(M.dim)))]
 
 
 def export_edges(M: KroneckerModule) -> str:

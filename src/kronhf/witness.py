@@ -6,18 +6,17 @@ dim N >= (1 - eps) * dim M and every part has dimension at most l_eps. All
 inequalities are decided in exact rational arithmetic.
 
 The producers' parts are coordinate submodules, each given by a source id
-list and a sink id list of M (MonomialPart), so their witness is a vertex
-partition of the coefficient quiver with every part closed under arrows.
-Parts with other embeddings (WitnessPart) hold their module and embedding
-matrices.
+list and a sink id list of M (MonomialPart, defined in quiver and
+re-exported here), so their witness is a vertex partition of the
+coefficient quiver with every part closed under arrows. Parts with other
+embeddings (WitnessPart) hold their module and embedding matrices. Both
+combinators carry parts into a larger module by one rule, _transported.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 from fractions import Fraction
 
 from .errors import GuardRefusal, PreconditionError, ShapeError, ValidationError
@@ -31,8 +30,8 @@ from .modules import (
     direct_sum,
     a_sequence,
 )
-from .quiver import (_children, _tree_centroid, build_gamma, components, degree_stats, is_tree,
-                     split_until)
+from .quiver import (MonomialPart, _children, _monomial_parts, _tree_centroid, build_gamma,
+                     components, degree_stats, is_tree, split_until)
 
 
 @dataclass
@@ -46,39 +45,6 @@ class WitnessPart:
     @property
     def dim(self) -> int:
         return self.module.dim
-
-
-@dataclass
-class MonomialPart:
-    """The coordinate submodule of ambient on a list of source ids and a list
-    of sink ids: the span of those basis vectors, in that order.
-
-    Its dim is read off the lists. Its module, the restriction of each arrow
-    matrix of ambient to the sink rows and source columns, and its selection
-    embeddings are built the first time something asks for them. The ids are
-    checked by verify_witness, not here.
-    """
-    ambient: KroneckerModule
-    sources: list
-    sinks: list
-
-    @property
-    def dim(self) -> int:
-        return len(self.sources) + len(self.sinks)
-
-    @cached_property
-    def module(self) -> KroneckerModule:
-        M, src, snk = self.ambient, self.sources, self.sinks
-        return KroneckerModule(M.d, M.field, len(src), len(snk),
-                               [m.submatrix(snk, src) for m in M.maps])
-
-    @cached_property
-    def emb1(self) -> Matrix:
-        return Matrix.selection(self.ambient.field, self.ambient.dim1, self.sources)
-
-    @cached_property
-    def emb2(self) -> Matrix:
-        return Matrix.selection(self.ambient.field, self.ambient.dim2, self.sinks)
 
 
 @dataclass
@@ -239,32 +205,18 @@ def _closure_sinks(adj, kept_sources):
     return sorted({w for j in kept_sources for w in adj[j]})
 
 
-def _monomial_parts(M: KroneckerModule, comps):
-    """The connected components of a kept vertex set as monomial parts.
-
-    comps are those components, as components(adj, kept) gives them: sorted
-    id lists, ordered by smallest vertex. The producers keep arrow-closed
-    sets (d = 2: the closure sinks of the kept sources; trees: a removed sink
-    goes with its sources); verify_witness checks that they are.
-    """
-    n = M.dim1
-    cuts = [bisect_left(comp, n) for comp in comps]
-    return [MonomialPart(M, comp[:k], [v - n for v in comp[k:]]) for comp, k in zip(comps, cuts)]
-
-
 def monomial_submodule(M: KroneckerModule, kept_sources):
     """Arrow-closed span of the kept source vectors and every sink they hit,
     as (module, (emb1, emb2)) with selection embeddings, sources and sinks in
-    ascending order. Refuses a source outside 0..dim1-1 or given twice."""
+    ascending order: the module and embeddings of its MonomialPart. Refuses
+    a source outside 0..dim1-1 (Matrix.selection) or given twice."""
     src = sorted(kept_sources)
-    if src and (src[0] < 0 or src[-1] >= M.dim1):
-        bad = next(j for j in src if not 0 <= j < M.dim1)
-        raise ShapeError(f"selection index {bad} outside 0..{M.dim1 - 1}")
+    emb1 = Matrix.selection(M.field, M.dim1, src)
     twice = next((a for a, b in zip(src, src[1:]) if a == b), None)
     if twice is not None:
         raise ShapeError(f"source {twice} given twice")
     part = MonomialPart(M, src, [v - M.dim1 for v in _closure_sinks(build_gamma(M), src)])
-    return part.module, (part.emb1, part.emb2)
+    return part.module, (emb1, part.emb2)
 
 
 def whole_module_witness(M: KroneckerModule, eps, l_eps, producer, **notes) -> Witness:
@@ -412,9 +364,14 @@ def _zigzag_kept(sources, eps):
 def combinator_direct_sum(witnesses, *, eps: Fraction | None = None) -> Witness:
     """Block-diagonal witness for the direct sum of the witnessed modules.
 
-    The parts are the inner parts, shifted to their block. Whether the sum
-    meets the dimension bound at the shared eps is for verify_witness to
-    decide (it holds when every inner witness meets it on its own module).
+    Every witness must be at eps, when it is given, or else at the first
+    witness's eps; the empty sum needs eps. modules.direct_sum refuses
+    modules over different fields or arrow counts. Each witness's parts
+    are carried into its block by _transported, with the block's offset
+    selections as embeddings, so monomial parts stay monomial with their
+    ids offset. Whether the sum meets the dimension bound is for
+    verify_witness to decide (it holds when every inner witness meets it
+    on its own module).
     """
     if not witnesses:
         if eps is None:
@@ -422,33 +379,21 @@ def combinator_direct_sum(witnesses, *, eps: Fraction | None = None) -> Witness:
         check_eps(eps)
         zero = direct_sum([])
         return Witness(zero, eps, Fraction(0), [], dict(producer="direct_sum"))
-    eps0 = witnesses[0].eps
-    for w in witnesses:
-        if w.eps != eps0:
-            raise ValidationError("direct sum combinator requires a shared eps")
-        if w.module.field != witnesses[0].module.field or w.module.d != witnesses[0].module.d:
-            raise ValidationError("direct sum combinator requires matching field and d")
+    eps = witnesses[0].eps if eps is None else eps
+    if any(w.eps != eps for w in witnesses):
+        raise ValidationError("direct sum combinator requires a shared eps")
     M = direct_sum([w.module for w in witnesses])
     parts = []
     off1 = off2 = 0
     for w in witnesses:
-        for p in w.parts:
-            if isinstance(p, MonomialPart):
-                parts.append(MonomialPart(M, [j + off1 for j in p.sources],
-                                          [i + off2 for i in p.sinks]))
-            else:
-                parts.append(WitnessPart(p.module, _shifted(p.emb1, M.dim1, off1),
-                                         _shifted(p.emb2, M.dim2, off2)))
-        off1 += w.module.dim1
-        off2 += w.module.dim2
+        N = w.module
+        parts += _transported(M, w.parts,
+                              Matrix.selection(M.field, M.dim1, range(off1, off1 + N.dim1)),
+                              Matrix.selection(M.field, M.dim2, range(off2, off2 + N.dim2)))
+        off1 += N.dim1
+        off2 += N.dim2
     l_eps = max(w.l_eps for w in witnesses)
-    return Witness(M, eps0, l_eps, parts, dict(producer="direct_sum"))
-
-
-def _shifted(e: Matrix, rows: int, off: int) -> Matrix:
-    """e moved down by off rows inside a matrix of the given rows."""
-    return Matrix.from_entries(e.field, rows, e.cols,
-                               ((i + off, j, v) for i, j, v in e.entries()))
+    return Witness(M, eps, l_eps, parts, dict(producer="direct_sum"))
 
 
 def combinator_bounded_codim(M: KroneckerModule, sub: KroneckerModule, embs,
@@ -459,13 +404,8 @@ def combinator_bounded_codim(M: KroneckerModule, sub: KroneckerModule, embs,
     a codimension L > 0, the inner tolerance is at most eps/2 and
     dim M >= 2 L / eps; and the transported dim N (the parts keep their
     dimensions) meets (1 - eps) dim M, decided exactly. A submodule larger
-    than M is a ValidationError.
-
-    Transport is linear in the size of M. When both embeddings are
-    selections and every inner part is monomial, each part's ids are read
-    through the selections' index lists. Otherwise each side takes one
-    product of the submodule embedding with the inner part embeddings side
-    by side, which is then split back into the parts' columns.
+    than M is a ValidationError. The parts are carried by _transported
+    along embs, linear in the size of M.
     """
     check_eps(eps)
     L = M.dim - sub.dim
@@ -484,16 +424,26 @@ def combinator_bounded_codim(M: KroneckerModule, sub: KroneckerModule, embs,
     removed = M.dim - w.dim_n
     notes = dict(producer="bounded_codim", codim=L, inner_eps=w.eps, removed=removed,
                  removed_fraction=Fraction(removed, M.dim) if M.dim else Fraction(0))
-    e1, e2 = embs
+    return Witness(M, eps, w.l_eps, _transported(M, w.parts, *embs), notes)
+
+
+def _transported(M: KroneckerModule, parts, e1: Matrix, e2: Matrix) -> list:
+    """The parts of a witness for a submodule, carried into M by its
+    embeddings e1 and e2.
+
+    When both embeddings are selections, a MonomialPart stays one, of M,
+    with its ids read through the selections' index lists. Every other part
+    becomes a WitnessPart whose embeddings are e1 and e2 times its own,
+    taken for all such parts at once by _times_each: one product per side,
+    so the transport stays linear in the size of M.
+    """
     s1, s2 = e1.is_selection(), e2.is_selection()
-    if s1 is not None and s2 is not None and all(isinstance(p, MonomialPart) for p in w.parts):
-        parts = [MonomialPart(M, [s1[j] for j in p.sources], [s2[i] for i in p.sinks])
-                 for p in w.parts]
-    else:
-        parts = [WitnessPart(p.module, a, b) for p, a, b in
-                 zip(w.parts, _times_each(e1, [p.emb1 for p in w.parts]),
-                     _times_each(e2, [p.emb2 for p in w.parts]))]
-    return Witness(M, eps, w.l_eps, parts, notes)
+    by_ids = [s1 is not None and s2 is not None and isinstance(p, MonomialPart) for p in parts]
+    general = [p for p, m in zip(parts, by_ids) if not m]
+    moved = zip(_times_each(e1, [p.emb1 for p in general]),
+                _times_each(e2, [p.emb2 for p in general]))
+    return [MonomialPart(M, [s1[j] for j in p.sources], [s2[i] for i in p.sinks]) if m
+            else WitnessPart(p.module, *next(moved)) for p, m in zip(parts, by_ids)]
 
 
 def _times_each(e: Matrix, mats) -> list:

@@ -13,18 +13,21 @@ compared against, is_homomorphism checks a pair (f, g) against the
 arrows directly, image_dim takes dim sum T_i(W) as the rank of the
 n x dk column stack of the T_i W^t, which expander._stacked_image_dim
 takes on the dk x n row stack instead, centroid_of finds the centroid of
-an induced tree by one BFS and quiver._tree_centroid, and permutation_rep
+an induced tree by one BFS and quiver._tree_centroid, permutation_rep
 is the permutation matrix of SL(2, p) acting on P^1(F_p), a reducible
-representation.
+representation, and split_components_by_restriction is
+quiver.split_components with each component's module and selections
+built by hand.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 
 from kronhf.errors import ValidationError
 from kronhf.fields import QQ, rational
 from kronhf.matrices import Matrix, column_space_dim_of_stack
 from kronhf.modules import KroneckerModule, build_P, build_Q, companion_matrix
-from kronhf.quiver import _rooted, _tree_centroid
+from kronhf.quiver import _rooted, _tree_centroid, build_gamma, components
 from kronhf.sl2p import SL2pElement, point_permutation
 from kronhf.witness import (_drop_rule_chain, combinator_bounded_codim, monomial_submodule,
                             whole_module_witness)
@@ -166,6 +169,20 @@ def nested_postinjective_witness(Qm: KroneckerModule, eps: Fraction):
     w.notes["producer"] = "postinjective_2k"
     w.notes["kernel_blocks"] = [f"R_mono({n})"]
     return w
+
+
+def split_components_by_restriction(M: KroneckerModule):
+    """One (module, (emb1, emb2)) per component of M's coefficient quiver,
+    in the order of components: each arrow matrix restricted to the
+    component's sinks and sources, and the selections of those ids."""
+    n, fld = M.dim1, M.field
+    out = []
+    for comp in components(build_gamma(M), range(M.dim)):
+        k = bisect_left(comp, n)
+        src, snk = comp[:k], [v - n for v in comp[k:]]
+        sub = KroneckerModule(M.d, fld, k, len(snk), [m.submatrix(snk, src) for m in M.maps])
+        out.append((sub, (Matrix.selection(fld, n, src), Matrix.selection(fld, M.dim2, snk))))
+    return out
 
 
 def random_matrix(field, rows, cols, rng, span=5):

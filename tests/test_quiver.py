@@ -3,7 +3,7 @@ from collections import deque
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kronhf.errors import PreconditionError, ShapeError
@@ -16,7 +16,8 @@ from kronhf.quiver import (_tree_centroid, build_gamma, components, degree_stats
 from kronhf.witness import (Witness, _centroid_batch, _monomial_parts, _sink_batch,
                             fragment_tree_module, monomial_submodule, verify_witness)
 
-from oracles import centroid_of, edge_list, edge_list_degree_stats, edge_list_is_tree
+from oracles import (centroid_of, edge_list, edge_list_degree_stats, edge_list_is_tree,
+                     split_components_by_restriction)
 
 
 def _tag(M, v):
@@ -230,6 +231,32 @@ def test_split_component_dim_sum_invariant():
         comps = split_components(M)
         assert sum(c.dim1 for c, _ in comps) == M.dim1
         assert sum(c.dim2 for c, _ in comps) == M.dim2
+
+
+@st.composite
+def sparse_modules(draw):
+    """Modules over Q or GF(5) with d = 1..4 arrows, up to 7 sources and 7
+    sinks, and at most 6 drawn entries per arrow, so most draws have
+    several components and isolated vertices; 0 x 0 draws are zero modules."""
+    fld = draw(st.sampled_from([QQ, PrimeField(5)]))
+    d = draw(st.integers(1, 4))
+    n1, n2 = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    maps = []
+    for _ in range(d):
+        ent = draw(st.lists(st.tuples(st.integers(0, n2 - 1), st.integers(0, n1 - 1),
+                                      st.integers(-3, 3)), max_size=6)) if n1 and n2 else []
+        maps.append(Matrix.from_entries(fld, n2, n1, ent))
+    return KroneckerModule(d, fld, n1, n2, maps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(M=sparse_modules())
+@example(M=KroneckerModule(2, QQ, 0, 0, [Matrix.zeros(QQ, 0, 0)] * 2))
+@example(M=KroneckerModule(3, PrimeField(5), 3, 2, [Matrix.zeros(PrimeField(5), 2, 3)] * 3))
+def test_split_components_matches_the_restriction_construction(M):
+    """split_components, built on MonomialPart, gives the modules and
+    selections of restricting each arrow matrix to every component."""
+    assert split_components(M) == split_components_by_restriction(M)
 
 
 def test_export_edges_format():

@@ -351,6 +351,78 @@ def test_combinator_direct_sum_rejects_mixed_eps():
         combinator_direct_sum([w1, w2])
 
 
+def test_combinator_direct_sum_refuses_an_eps_other_than_the_witnesses():
+    """An explicit eps must be the witnesses' shared eps; the sum is never
+    returned at another eps than the one asked for."""
+    ws = [witness_preprojective_2k(7, QUARTER), witness_preprojective_2k(3, QUARTER)]
+    for eps in (Fraction(1, 2), Fraction(1, 10)):
+        with pytest.raises(ValidationError, match="requires a shared eps"):
+            combinator_direct_sum(ws, eps=eps)
+        with pytest.raises(ValidationError, match="requires a shared eps"):
+            combinator_direct_sum(ws[:1], eps=eps)
+    w = combinator_direct_sum(ws, eps=QUARTER)
+    assert w.eps == QUARTER and verify_witness(w.module, w).ok
+
+
+def test_combinator_direct_sum_refuses_mixed_fields_and_arrow_counts():
+    """modules.direct_sum refuses the sum, with a ValidationError."""
+    w = witness_preprojective_2k(7, QUARTER)
+    for other in (witness_for(build_P(7, PrimeField(5)), QUARTER),
+                  fragment_tree_module(build_preprojective_theta(3, 2), QUARTER)):
+        with pytest.raises(ValidationError, match="matching arrow count and field"):
+            combinator_direct_sum([w, other])
+
+
+def _mixed(w):
+    """w with every other part, from the second on, given as a general part."""
+    parts = [WitnessPart(p.module, p.emb1, p.emb2) if t % 2 else p
+             for t, p in enumerate(w.parts)]
+    return Witness(w.module, w.eps, w.l_eps, parts, dict(w.notes))
+
+
+def _general(w):
+    """w with every part given as a general part."""
+    parts = [WitnessPart(p.module, p.emb1, p.emb2) for p in w.parts]
+    return Witness(w.module, w.eps, w.l_eps, parts, dict(w.notes))
+
+
+def test_combinators_keep_monomial_parts_of_a_mixed_list(monkeypatch):
+    """Through either combinator with selection embeddings, a monomial part
+    stays a MonomialPart of the larger module, and the general parts of the
+    same witness take one product per side between them. The JSON is that of
+    the all-general witness, and verify_witness reports as the stacked
+    check does."""
+    R = _regular(60, QQ)
+    sub, embs = monomial_submodule(R, range(59))
+    inner = _drop_rule_chain(sub, Fraction(1, 20))
+    ws = [witness_preprojective_2k(30, QUARTER), witness_regular_2k(_regular(40, QQ), QUARTER)]
+    real = Matrix.__matmul__
+    count = [0]
+
+    def counting(a, b):
+        count[0] += 1
+        return real(a, b)
+
+    for combine, inner_ws in ((combinator_direct_sum, ws),
+                              (lambda ws: combinator_bounded_codim(R, sub, embs, *ws,
+                                                                   Fraction(1, 10)), [inner])):
+        mixed = [_mixed(w) for w in inner_ws]
+        count[0] = 0
+        monkeypatch.setattr(Matrix, "__matmul__", counting)
+        out = combine(mixed)
+        monkeypatch.undo()
+        assert count[0] == 2 * len(mixed)  # one product per side and inner witness
+        given = [p for w in mixed for p in w.parts]
+        assert len(given) > 4
+        assert [type(p) for p in out.parts] == [type(p) for p in given]
+        assert all(p.ambient is out.module for p in out.parts if type(p) is MonomialPart)
+        ref = combine([_general(w) for w in inner_ws])
+        assert all(type(p) is WitnessPart for p in ref.parts)
+        assert json.dumps(witness_to_dict(out)) == json.dumps(witness_to_dict(ref))
+        rep = verify_witness(out.module, out)
+        assert rep.ok and rep == _verify_stacked(out.module, out)
+
+
 def test_combinator_bounded_codim_identity_transport():
     M = build_P(10)
     w = _drop_rule_chain(M, QUARTER)
