@@ -314,6 +314,8 @@ def parse_poly(field, text: str) -> tuple:
     x = sympy.Symbol("x")
     try:
         expr = sympy.sympify(text.replace("^", "**"), locals={"x": x})
+        if not isinstance(expr, sympy.Expr):      # '1,0,1' is a Tuple, '[x]' a list
+            raise ValidationError(f"cannot parse polynomial {text!r}")
         poly = sympy.Poly(sympy.expand(expr), x)
     except (sympy.SympifyError, sympy.PolynomialError) as exc:
         raise ValidationError(f"cannot parse polynomial {text!r}") from exc
@@ -467,8 +469,11 @@ class PresolvedHom:
     The equations of a canonical block chain f[:, j] to f[:, j + 1], so in
     column-major order the elimination mostly stays in a band of two
     columns of f; the row-major order of the plain Hom system fills in the
-    whole block. The columns of self.kernel are a basis of the solutions;
-    pairs() turns such columns into pairs (f, g).
+    whole block. This numbering stays inside the class: the columns of
+    self.kernel are a basis of the solutions, a caller takes combinations
+    of them (self.kernel @ C), and pairs() turns such columns into pairs
+    (f, g). The pencil certificate builds one per distinct summand B of
+    its block sum D, for Hom(B, M).
     """
 
     def __init__(self, X: KroneckerModule, Y: KroneckerModule):
@@ -518,13 +523,6 @@ class PresolvedHom:
                         r[nf + i * ng + s] = v
                     rows.append(r)
         self.kernel = Matrix._build(fld, len(rows), nf + Y.dim2 * ng, rows).kernel_basis()
-
-    def unknown_column(self, var):
-        """('f', j) or ('g', m): the column of X whose f or g column holds
-        the reduced unknown var."""
-        if var < self._nf:
-            return "f", var // self.Y.dim1
-        return "g", self.free[(var - self._nf) % len(self.free)]
 
     def pairs(self, V=None):
         """The pair (f, g) of each column of V, in the reduced unknowns

@@ -15,12 +15,12 @@ gives the R_poly blocks.
 
 No multiset is returned without a certificate: an isomorphism (F1, F2) from
 D = reassemble(blocks) onto M, checked exactly (F1 and F2 invertible,
-m F1 = F2 d_m per arrow). It is drawn at random from Hom(D, M), which
-modules.PresolvedHom solves once, and exists only if M ≅ D (the certifying
-algorithms of McConnell, Mehlhorn, Näher and Schweitzer, Comput. Sci. Rev.
-2011). A literal canonical shape is D itself and (I, I) certifies it with
-no elimination, which keeps the witness pipelines linear at four-digit
-dimensions.
+m F1 = F2 d_m per arrow). It is drawn at random from Hom(D, M), the direct
+sum of Hom(B, M) over the summands B of D, with one modules.PresolvedHom
+solve per distinct B, and exists only if M ≅ D (the certifying algorithms
+of McConnell, Mehlhorn, Näher and Schweitzer, Comput. Sci. Rev. 2011). A
+literal canonical shape is D itself, and (I, I) certifies it with no
+elimination.
 """
 
 from __future__ import annotations
@@ -202,36 +202,28 @@ def certify_pencil(M: KroneckerModule):
     from D = reassemble(blocks) onto M, i.e. invertible F1, F2 with
     m F1 = F2 d_m for each arrow m of M and d_m of D.
 
-    A literal canonical shape is D itself, with (I, I). Otherwise three
-    peels take off the Q blocks on X*(a, b) ∩ X*(b, a) (the limits add the
-    R_mono and the R_poly(x^e) blocks respectively), then the P blocks the
-    same way on the transposed quotient, then the R_mono blocks on X*(a, b);
-    a^{-1} b on what remains gives the R_poly blocks. The isomorphism is
-    then drawn from Hom(D, M) (_isomorphism); one exists only if M ≅ D, so
-    a wrong multiset raises CertificateError instead of being returned.
+    A literal canonical shape is D itself, with (I, I) and no elimination.
+    Otherwise three peels take off the Q blocks on X*(a, b) ∩ X*(b, a) (the
+    limits add the R_mono and the R_poly(x^e) blocks respectively), then the
+    P blocks the same way on the transposed quotient, then the R_mono blocks
+    on X*(a, b); a^{-1} b on what remains gives the R_poly blocks. The
+    isomorphism is then drawn from Hom(D, M) (_isomorphism); one exists only
+    if M ≅ D, so a wrong multiset raises CertificateError instead of being
+    returned.
     """
-    blocks, iso = _certified(M)
-    if iso is None:
-        iso = Matrix.identity(M.field, M.dim1), Matrix.identity(M.field, M.dim2)
-    return (blocks, *iso)
-
-
-def decompose_pencil(M: KroneckerModule) -> Counter:
-    """Block multiset of a d = 2 module, returned only with a checked
-    isomorphism certificate (certify_pencil); a literal canonical shape
-    builds no identity matrices."""
-    return _certified(M)[0]
-
-
-def _certified(M: KroneckerModule):
-    """(blocks, (F1, F2)), or (blocks, None) when M equals reassemble(blocks)."""
     if M.d != 2:
         raise PreconditionError("pencil decomposition is defined for d = 2")
     fast = _fast_path(M)
     if fast is not None and fast[1]:
-        return fast[0], None
+        return fast[0], Matrix.identity(M.field, M.dim1), Matrix.identity(M.field, M.dim2)
     blocks = fast[0] if fast is not None else _peeled_blocks(M)
-    return blocks, _isomorphism(M, blocks)
+    return (blocks, *_isomorphism(M, blocks))
+
+
+def decompose_pencil(M: KroneckerModule) -> Counter:
+    """Block multiset of a d = 2 module, returned only with a checked
+    isomorphism certificate (certify_pencil)."""
+    return certify_pencil(M)[0]
 
 
 def _peeled_blocks(M: KroneckerModule) -> Counter:
@@ -303,24 +295,31 @@ def _draw_key(b: PencilBlock):
 def _isomorphism(M: KroneckerModule, blocks: Counter):
     """Invertible (F1, F2) with m F1 = F2 d_m per arrow, D = reassemble(blocks).
 
-    Hom(D, M) comes from one presolved solve. D is block diagonal, so each
-    basis vector of its kernel lives on the columns of one summand of D,
-    which owns it. A draw is a random combination of the basis, seeded by a
+    D is block diagonal, so Hom(D, M) is the direct sum of Hom(B, M) over
+    its summands B, and one PresolvedHom per distinct block B solves it.
+    The columns of F1 and F2 that belong to a summand of type B are one
+    random combination of the kernel basis of Hom(B, M), seeded by a
     digest of M so that runs replay; the pair is accepted only when both
     sides have full rank and every arrow intertwines. With the columns of
     D in draw order (_draw_key), one pivot_columns() call per side finds
-    the first dependent column, and the next draw renews only the
-    coefficients owned by its summand (of the two sides' summands, the one
-    earlier in draw order). An
-    empty Hom(B, M) for a summand B, or DRAW_BUDGET failed draws, raises
-    CertificateError.
+    the first dependent column, and the next draw renews only the summand
+    that owns it (of the two sides' summands, the one earlier in draw
+    order). An empty Hom(B, M) for a summand B, or DRAW_BUDGET failed
+    draws, raises CertificateError.
     """
     fld = M.field
     inst = _layout(blocks)
-    D = direct_sum([block_module(b, fld) for b in inst], d=2, field=fld)
+    mods = {b: block_module(b, fld) for b in inst}
+    D = direct_sum([mods[b] for b in inst], d=2, field=fld)
     if (D.dim1, D.dim2) != (M.dim1, M.dim2):
         raise CertificateError(f"blocks of dims {D.dim1}x{D.dim2} cannot make up "
                                f"a module of dims {M.dim1}x{M.dim2}")
+    homs = {}
+    for b, X in mods.items():
+        homs[b] = PresolvedHom(X, M)
+        if not homs[b].kernel.cols:
+            raise CertificateError(f"Hom({b.describe()}, M) = 0, so M is not the sum "
+                                   "of the claimed blocks")
     position = {s: r for r, s in enumerate(sorted(range(len(inst)),
                                                   key=lambda s: _draw_key(inst[s])))}
     own = {"f": [], "g": []}           # the summand owning each column of D
@@ -330,29 +329,22 @@ def _isomorphism(M: KroneckerModule, blocks: Counter):
         own["g"] += [s] * dv.d2
     orders = [sorted(range(len(own[side])), key=lambda c: position[own[side][c]])
               for side in ("f", "g")]
-    hom = PresolvedHom(D, M)
-    K = hom.kernel
-    owner = [None] * K.cols
-    for var, row in K._rows.items():
-        side, c = hom.unknown_column(var)
-        for t in row:
-            if owner[t] is None:
-                owner[t] = own[side][c]
-    empty = set(range(len(inst))) - set(owner)
-    if empty:
-        b = inst[min(empty)]
-        raise CertificateError(f"Hom({b.describe()}, M) = 0, so M is not the sum "
-                               "of the claimed blocks")
     digest = hashlib.blake2b(M.to_text().encode(), digest_size=16).digest()
     rng = random.Random(digest)
 
-    def draw():
-        return rng.randrange(fld.q) if fld.char else rng.randint(-_COEFF_SPAN, _COEFF_SPAN)
+    def draw(hom, count):
+        """count random pairs (f, g) of the Hom space that hom solves."""
+        K = hom.kernel
+        C = Matrix.from_entries(fld, K.cols, count, (
+            (t, s, rng.randrange(fld.q) if fld.char else rng.randint(-_COEFF_SPAN, _COEFF_SPAN))
+            for s in range(count) for t in range(K.cols)))
+        return hom.pairs(K @ C)
 
-    coeffs = [draw() for _ in range(K.cols)]
+    # homs is in layout order, and _layout puts equal blocks next to each other
+    parts = [pair for b, hom in homs.items() for pair in draw(hom, blocks[b])]
     for _ in range(DRAW_BUDGET):
-        c = Matrix(fld, K.cols, 1, {t: {0: v} for t, v in enumerate(coeffs) if v})
-        F1, F2 = hom.pairs(K @ c)[0]
+        F1 = Matrix.hstack([f for f, _ in parts])
+        F2 = Matrix.hstack([g for _, g in parts])
         bad = [own[side][order[i]] for side, F, order in zip("fg", (F1, F2), orders)
                if (i := _first_dependent(F, order)) is not None]
         if not bad:
@@ -360,7 +352,7 @@ def _isomorphism(M: KroneckerModule, blocks: Counter):
                 return F1, F2
             raise CertificateError("a drawn homomorphism does not intertwine the arrows")
         worst = min(bad, key=position.get)
-        coeffs = [draw() if owner[t] == worst else v for t, v in enumerate(coeffs)]
+        parts[worst] = draw(homs[inst[worst]], 1)[0]
     raise CertificateError(f"no isomorphism onto M found in {DRAW_BUDGET} draws")
 
 

@@ -49,6 +49,10 @@ def test_build_usage_error(capsys):
     assert code == 2 and err.startswith("error: ")
     code, out, err = run(capsys, "build", "R")
     assert (code, out, err) == (2, "", "error: build R needs --poly or --monomial\n")
+    # a coefficient list or a list of expressions is no polynomial
+    for poly in ("1,0,1", "[x]"):
+        code, out, err = run(capsys, "build", "R", "--poly", poly, "--field", "5")
+        assert (code, out, err) == (2, "", f"error: cannot parse polynomial {poly!r}\n")
 
 
 def test_witness_p7(capsys, tmp_path):

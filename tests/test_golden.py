@@ -79,6 +79,20 @@ def scrambled_gf5_module():
     return KroneckerModule(2, F5, D.dim1, D.dim2, [g2 @ m @ g1 for m in D.maps])
 
 
+def scrambled_dim98_module():
+    """P_12 + Q_12 + R_mono(12) + R_(x-1)^12 over GF(5) (dims 49x49) under
+    random changes of basis: the timing case of ROADMAP item 10. CI
+    decomposes it; here only its text is pinned."""
+    F5 = PrimeField(5)
+    blocks = [build_P(12, F5), build_Q(12, F5), build_R(PencilBlock("R_mono", 12), F5),
+              build_R(PencilBlock("R_poly", poly=(-1,), e=12), F5)]
+    D = direct_sum(blocks)
+    rng = random.Random(12)
+    g1 = random_invertible(F5, D.dim1, rng)
+    g2 = random_invertible(F5, D.dim2, rng)
+    return KroneckerModule(2, F5, D.dim1, D.dim2, [g2 @ m @ g1 for m in D.maps])
+
+
 def cli_json(capsys, module_path, *argv):
     """The --json report of a CLI run with its module path and wall time
     replaced by fixed tokens."""
@@ -105,6 +119,10 @@ def test_decompose_json_on_a_scrambled_gf5_module_is_unchanged(capsys, tmp_path)
     path = tmp_path / "m.mod"
     path.write_text(text)
     assert cli_json(capsys, path, "decompose") == (GOLDEN / "decompose_gf5.json").read_text()
+
+
+def test_scrambled_dim98_module_text_is_unchanged():
+    assert scrambled_dim98_module().to_text() == (GOLDEN / "scrambled_gf5_dim98.mod").read_text()
 
 
 def test_witness_json_on_r_x_minus_1_to_the_40_is_unchanged(capsys, tmp_path):

@@ -327,3 +327,33 @@ def test_draw_order_certifies_repeated_blocks_of_two_sizes_over_gf2(blocks):
     for seed in range(20):
         M = _scramble(D, random.Random(seed))
         assert _is_certificate(M, blocks, *_isomorphism(M, blocks))
+
+
+@pytest.mark.parametrize("field, blocks", [
+    (F2, Counter({PencilBlock("Q", 1): 2, PencilBlock("Q", 2): 2,
+                  PencilBlock("R_poly", poly=(1,), e=1): 3})),
+    (QQ, Counter({PencilBlock("P", 3): 3, PencilBlock("Q", 2): 3, PencilBlock("R_mono", 2): 2})),
+], ids=["GF2", "Q"])
+def test_isomorphism_solves_hom_once_per_distinct_block(monkeypatch, field, blocks):
+    built = []
+
+    def recording(X, Y):
+        built.append(X)
+        return modules.PresolvedHom(X, Y)
+
+    monkeypatch.setattr(pencil, "PresolvedHom", recording)
+    M = _scramble(reassemble(blocks, field), random.Random(5))
+    iso = _isomorphism(M, blocks)
+    assert len(built) == len(blocks)
+    assert _is_certificate(M, blocks, *iso)
+
+
+def test_empty_hom_names_the_first_summand_in_layout_order():
+    # Hom(R, P) = 0 for every regular block R, and P_0 + R_mono(1) + R_(x-1)
+    # has the dims of P_2
+    M = _scramble(build_P(2), random.Random(2))
+    claimed = Counter({PencilBlock("P", 0): 1, PencilBlock("R_mono", 1): 1,
+                       PencilBlock("R_poly", poly=(-1,), e=1): 1})
+    with pytest.raises(CertificateError) as info:
+        _isomorphism(M, claimed)
+    assert str(info.value) == "Hom(R_mono(1), M) = 0, so M is not the sum of the claimed blocks"
