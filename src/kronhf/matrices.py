@@ -15,6 +15,7 @@ scalings, with no Fraction built.
 
 from __future__ import annotations
 
+from itertools import islice
 from math import gcd, lcm
 
 from .errors import ShapeError, ValidationError
@@ -404,12 +405,22 @@ class Matrix:
     # -- text format --------------------------------------------------------
 
     def to_text(self) -> str:
-        lines = [f"field {self.field.label}", f"{self.rows} {self.cols}"]
+        """The dense text form: a 'field <label>' line, a '<rows> <cols>' line,
+        then one line of cols tokens per row. Only the stored entries are
+        formatted; every other token is '0', and an empty row is one
+        prebuilt string."""
         fmt = self.field.fmt
-        z = self.field.zero
+        zero_row = " ".join(["0"] * self.cols)
+        lines = [f"field {self.field.label}", f"{self.rows} {self.cols}"]
         for i in range(self.rows):
-            row = self._rows.get(i, _EMPTY)
-            lines.append(" ".join(fmt(row.get(j, z)) for j in range(self.cols)))
+            row = self._rows.get(i)
+            if row:
+                toks = ["0"] * self.cols
+                for j, v in row.items():
+                    toks[j] = fmt(v)
+                lines.append(" ".join(toks))
+            else:
+                lines.append(zero_row)
         return "\n".join(lines) + "\n"
 
 
@@ -550,17 +561,37 @@ def matrix_from_text(text: str) -> Matrix:
     tokens = text.split()
     if len(tokens) < 4 or tokens[0] != "field":
         raise ValidationError("matrix text must start with a 'field' line")
-    fld = field_from_label(tokens[1])
-    rows, cols = int(tokens[2]), int(tokens[3])
-    vals = tokens[4:]
-    if len(vals) != rows * cols:
-        raise ValidationError(f"expected {rows * cols} entries, got {len(vals)}")
-    entries = []
-    for k, tok in enumerate(vals):
-        v = fld.parse(tok)
+    m, end = read_matrix_block(tokens, 0, "matrix text")
+    if end != len(tokens):
+        raise ValidationError(f"expected {m.rows * m.cols} entries, got {len(tokens) - 4}")
+    return m
+
+
+def read_matrix_block(tokens, pos, where):
+    """The matrix whose to_text tokens start at tokens[pos], and the position
+    after its last entry; where names the text in the error messages.
+
+    Only tokens other than '0' go through field.parse, which refuses the
+    same tokens it always has ('0.0', '1/0', ...); '-0', '00' and '0/7'
+    parse to zero and give no stored entry.
+    """
+    if (pos + 4 > len(tokens) or tokens[pos] != "field"
+            or not (tokens[pos + 2].isdecimal() and tokens[pos + 3].isdecimal())):
+        raise ValidationError(f"malformed matrix block in {where}")
+    fld = field_from_label(tokens[pos + 1])
+    rows, cols = int(tokens[pos + 2]), int(tokens[pos + 3])
+    start = pos + 4
+    end = start + rows * cols
+    if end > len(tokens):
+        raise ValidationError(f"expected {rows * cols} entries, got {len(tokens) - start}")
+    parse = fld.parse
+    rd = {}
+    for k, tok in [(k, tok) for k, tok in enumerate(islice(tokens, start, end)) if tok != "0"]:
+        v = parse(tok)
         if v:
-            entries.append((k // cols, k % cols, v))
-    return Matrix.from_entries(fld, rows, cols, entries)
+            i, j = divmod(k, cols)
+            rd.setdefault(i, {})[j] = v
+    return Matrix(fld, rows, cols, rd), end
 
 
 def column_space_dim_of_stack(mats) -> int:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, PreconditionError, ShapeError, ValidationError
 from .fields import QQ, field_from_label, rational
-from .matrices import Matrix, matrix_from_text
+from .matrices import Matrix, read_matrix_block
 
 
 @dataclass(frozen=True)
@@ -82,29 +82,34 @@ class KroneckerModule:
 
 
 def module_from_text(text: str) -> KroneckerModule:
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("kronecker "):
+    """The module that to_text wrote. The text is split into tokens once, and
+    the d arrow blocks are read from that list; tokens after the last block
+    are refused."""
+    end = text.find("\n")
+    first = (text if end < 0 else text[:end]).splitlines()
+    head = first[0] if first else ""
+    if not head.startswith("kronecker "):
         raise ValidationError("module text must start with a 'kronecker' header")
     try:
-        fields = dict(tok.split("=", 1) for tok in lines[0].split()[1:])
+        fields = dict(tok.split("=", 1) for tok in head.split()[1:])
         d = int(fields["d"])
         d1, d2 = (int(x) for x in fields["dims"].split("x"))
         label = fields["field"]
     except (KeyError, ValueError):
-        raise ValidationError(f"malformed module header {lines[0]!r}: expected "
+        raise ValidationError(f"malformed module header {head!r}: expected "
                               "'kronecker d=<d> field=<label> dims=<d1>x<d2>'") from None
     fld = field_from_label(label)
-    toks = "\n".join(lines[1:]).split()
+    toks = text.split()
+    pos = len(head.split())
     maps = []
-    pos = 0
     for _ in range(d):
-        if (pos + 4 > len(toks) or toks[pos] != "field"
-                or not (toks[pos + 2].isdecimal() and toks[pos + 3].isdecimal())):
-            raise ValidationError("malformed matrix block in module text")
-        count = int(toks[pos + 2]) * int(toks[pos + 3])
-        maps.append(matrix_from_text(" ".join(toks[pos:pos + 4 + count])))
-        pos += 4 + count
-    return KroneckerModule(d, fld, d1, d2, maps)
+        m, pos = read_matrix_block(toks, pos, "module text")
+        maps.append(m)
+    M = KroneckerModule(d, fld, d1, d2, maps)
+    if pos != len(toks):
+        raise ValidationError(f"module text has {len(toks) - pos} tokens after its "
+                              f"{d} arrow matrices")
+    return M
 
 
 def direct_sum(mods, *, d=None, field=None) -> KroneckerModule:
@@ -377,13 +382,19 @@ def poly_power_coeffs(field, q, e) -> tuple:
     """Low-order coefficients of (x^deg + q)^e, monic, leading 1 dropped."""
     if len(q) == 1:
         # (x + a)^e by the binomial theorem; the convolution below would be
-        # quadratic in e, which hurts at four-digit powers
+        # quadratic in e, which hurts at four-digit powers. The binomials come
+        # from C(e, k+1) = C(e, k) (e - k) / (k + 1), exact in ints, one
+        # multiply and one divide by a small int each
         a = field.coerce(q[0])
         powers = [field.one]
         for _ in range(e):
             powers.append(field.mul(powers[-1], a))
-        return tuple(field.mul(field.coerce(math.comb(e, k)), powers[e - k])
-                     for k in range(e))
+        out = []
+        c = 1
+        for k in range(e):
+            out.append(field.mul(field.coerce(c), powers[e - k]))
+            c = c * (e - k) // (k + 1)
+        return tuple(out)
     cur = [field.one]
     base = [field.coerce(c) for c in list(q) + [field.one]]
     for _ in range(e):

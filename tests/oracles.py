@@ -17,14 +17,18 @@ an induced tree by one BFS and quiver._tree_centroid, permutation_rep
 is the permutation matrix of SL(2, p) acting on P^1(F_p), a reducible
 representation, and split_components_by_restriction is
 quiver.split_components with each component's module and selections
-built by hand.
+built by hand, dense_matrix_text and dense_module_text are the text writers
+that format every entry, per_token_matrix_from_text and
+per_token_module_from_text the readers that parse every token, and
+comb_power_coeffs expands (x + a)^e with one math.comb per coefficient.
 """
 
+import math
 from bisect import bisect_left
 from fractions import Fraction
 
 from kronhf.errors import ValidationError
-from kronhf.fields import QQ, rational
+from kronhf.fields import QQ, field_from_label, rational
 from kronhf.matrices import Matrix, column_space_dim_of_stack
 from kronhf.modules import KroneckerModule, build_P, build_Q, companion_matrix
 from kronhf.quiver import _rooted, _tree_centroid, build_gamma, components
@@ -254,3 +258,75 @@ def permutation_rep(g: SL2pElement) -> Matrix:
     sigma = point_permutation(g)
     return Matrix.from_entries(QQ, g.p + 1, g.p + 1,
                                ((sigma[z], z, QQ.one) for z in range(g.p + 1)))
+
+
+def dense_matrix_text(m: Matrix) -> str:
+    """Matrix.to_text by formatting every entry, zero or not, one at a time."""
+    lines = [f"field {m.field.label}", f"{m.rows} {m.cols}"]
+    for i in range(m.rows):
+        lines.append(" ".join(m.field.fmt(m.entry(i, j)) for j in range(m.cols)))
+    return "\n".join(lines) + "\n"
+
+
+def dense_module_text(M: KroneckerModule) -> str:
+    """KroneckerModule.to_text through dense_matrix_text."""
+    head = f"kronecker d={M.d} field={M.field.label} dims={M.dim1}x{M.dim2}\n"
+    return head + "".join(dense_matrix_text(m) for m in M.maps)
+
+
+def per_token_matrix_from_text(text: str) -> Matrix:
+    """matrix_from_text by parsing every entry token, "0" included, through
+    field.parse; a shape token that is no integer raises int()'s ValueError."""
+    tokens = text.split()
+    if len(tokens) < 4 or tokens[0] != "field":
+        raise ValidationError("matrix text must start with a 'field' line")
+    fld = field_from_label(tokens[1])
+    rows, cols = int(tokens[2]), int(tokens[3])
+    vals = tokens[4:]
+    if len(vals) != rows * cols:
+        raise ValidationError(f"expected {rows * cols} entries, got {len(vals)}")
+    entries = []
+    for k, tok in enumerate(vals):
+        v = fld.parse(tok)
+        if v:
+            entries.append((k // cols, k % cols, v))
+    return Matrix.from_entries(fld, rows, cols, entries)
+
+
+def per_token_module_from_text(text: str) -> KroneckerModule:
+    """module_from_text through line lists, one re-joined token string per
+    arrow block and per_token_matrix_from_text; tokens after the d-th block
+    are ignored."""
+    lines = text.splitlines()
+    if not lines or not lines[0].startswith("kronecker "):
+        raise ValidationError("module text must start with a 'kronecker' header")
+    try:
+        fields = dict(tok.split("=", 1) for tok in lines[0].split()[1:])
+        d = int(fields["d"])
+        d1, d2 = (int(x) for x in fields["dims"].split("x"))
+        label = fields["field"]
+    except (KeyError, ValueError):
+        raise ValidationError(f"malformed module header {lines[0]!r}: expected "
+                              "'kronecker d=<d> field=<label> dims=<d1>x<d2>'") from None
+    fld = field_from_label(label)
+    toks = "\n".join(lines[1:]).split()
+    maps = []
+    pos = 0
+    for _ in range(d):
+        if (pos + 4 > len(toks) or toks[pos] != "field"
+                or not (toks[pos + 2].isdecimal() and toks[pos + 3].isdecimal())):
+            raise ValidationError("malformed matrix block in module text")
+        count = int(toks[pos + 2]) * int(toks[pos + 3])
+        maps.append(per_token_matrix_from_text(" ".join(toks[pos:pos + 4 + count])))
+        pos += 4 + count
+    return KroneckerModule(d, fld, d1, d2, maps)
+
+
+def comb_power_coeffs(field, a, e) -> tuple:
+    """Low-order coefficients of (x + a)^e, leading 1 dropped, with each
+    binomial from math.comb."""
+    a = field.coerce(a)
+    powers = [field.one]
+    for _ in range(e):
+        powers.append(field.mul(powers[-1], a))
+    return tuple(field.mul(field.coerce(math.comb(e, k)), powers[e - k]) for k in range(e))

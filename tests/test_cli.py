@@ -477,6 +477,14 @@ def test_malformed_module_file_is_usage_error(capsys, tmp_path, text):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
+def test_module_file_with_an_extra_arrow_matrix_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "extra.mod"
+    path.write_text(P1_TEXT + "field rational\n2 1\n5\n5\n")
+    code, out, err = run(capsys, "decompose", "--module", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: module text has 6 tokens after its 2 arrow matrices\n"
+
+
 def test_python_dash_m_kronhf(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(kronhf.__file__).parents[1]))
 

@@ -10,7 +10,7 @@ from kronhf.fields import QQ, PrimeField, is_prime, parse_rational, rational
 from kronhf.matrices import (Matrix, column_space_dim_of_stack, matrix_from_text,
                              random_invertible)
 
-from oracles import random_matrix
+from oracles import dense_matrix_text, per_token_matrix_from_text, random_matrix
 
 
 def test_is_prime_small():
@@ -106,6 +106,90 @@ def test_matrix_text_roundtrip():
     F5 = PrimeField(5)
     m5 = Matrix.from_dense(F5, [[1, 4, 0], [2, 2, 3]])
     assert matrix_from_text(m5.to_text()) == m5
+
+
+TEXT_FIELDS = (QQ, PrimeField(2), PrimeField(3), PrimeField(5))
+ENTRY_POOL = (0, 0, 0, 1, -1, 2, -3, 7, Fraction(1, 2), Fraction(-5, 3), Fraction(22, 7))
+
+
+@st.composite
+def text_matrices(draw):
+    """Matrices over Q and GF(2/3/5) with 0 to 6 rows and columns, entries
+    from ENTRY_POOL (Fractions and negatives over Q) and some rows zero."""
+    fld = draw(st.sampled_from(TEXT_FIELDS))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    zero_rows = draw(st.sets(st.integers(0, max(rows - 1, 0))))
+    ent = []
+    for i in range(rows):
+        for j in range(cols):
+            v = draw(st.sampled_from(ENTRY_POOL))
+            if i in zero_rows:
+                continue
+            if fld.char and isinstance(v, Fraction):
+                v = v.numerator
+            ent.append((i, j, v))
+    return Matrix.from_entries(fld, rows, cols, ent)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text_matrices())
+def test_matrix_text_matches_the_dense_writer_and_per_token_reader(m):
+    text = m.to_text()
+    assert text == dense_matrix_text(m)
+    assert matrix_from_text(text) == m
+    assert per_token_matrix_from_text(text) == m
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+# zero spellings, signed and fractional entries, and tokens Q or F_q refuse
+TOKEN_POOL = ("0", "0", "0", "-0", "00", "0/7", "1", "-1", "6", "-12", "5/2", "-7/3",
+              "0.0", "1/0", "x")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_matrix_reader_parses_every_token_as_the_per_token_reader(data):
+    fld = data.draw(st.sampled_from(TEXT_FIELDS))
+    rows, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    toks = data.draw(st.lists(st.sampled_from(TOKEN_POOL), min_size=rows * cols,
+                              max_size=rows * cols))
+    seps = data.draw(st.lists(st.sampled_from((" ", "\n", "\t", "  ", " \n ")),
+                              min_size=len(toks), max_size=len(toks)))
+    text = f"field {fld.label}\n{rows} {cols}\n" + "".join(t + s for t, s in zip(toks, seps))
+    got = _outcome(matrix_from_text, text)
+    assert got == _outcome(per_token_matrix_from_text, text)
+
+
+def test_zero_spellings_store_nothing_and_bad_tokens_are_still_refused():
+    m = matrix_from_text("field rational\n2 4\n0 -0 00 0/7\n-0 3 00 0\n")
+    assert list(m.entries()) == [(1, 1, 3)]
+    assert matrix_from_text("field 5\n1 3\n-0 00 7\n").to_dense() == [[0, 0, 2]]
+    for fld, tok in ((QQ, "0.0"), (QQ, "1/0"), (PrimeField(5), "0/7"), (PrimeField(5), "0.0")):
+        text = f"field {fld.label}\n1 2\n0 {tok}\n"
+        with pytest.raises(ValidationError) as exc:
+            matrix_from_text(text)
+        assert _outcome(per_token_matrix_from_text, text) == (ValidationError, str(exc.value))
+
+
+def test_malformed_matrix_text_is_a_validation_error():
+    for text in ("field rational\n1 x\n", "field rational\n-1 0\n", "field 5\n1.0 1\n3\n"):
+        with pytest.raises(ValidationError, match="malformed matrix block in matrix text"):
+            matrix_from_text(text)
+    with pytest.raises(ValueError) as exc:          # the per-token reader's bare int()
+        per_token_matrix_from_text("field rational\n1 x\n")
+    assert type(exc.value) is ValueError
+    for text, msg in (("rational\n1 1\n1\n", "must start with a 'field' line"),
+                      ("field rational\n1 2\n1\n", "expected 2 entries, got 1"),
+                      ("field rational\n1 1\n1 2\n", "expected 1 entries, got 2")):
+        with pytest.raises(ValidationError, match=msg):
+            matrix_from_text(text)
+        assert msg in _outcome(per_token_matrix_from_text, text)[1]
 
 
 def test_selection_detection():

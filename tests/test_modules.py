@@ -14,11 +14,12 @@ from kronhf.modules import (KroneckerModule, PencilBlock, a_sequence,
                             build_P, build_Q, build_R, build_postinjective_theta,
                             build_preprojective_theta, classify_standard,
                             closed_form_a, companion_matrix, direct_sum, factor_monic,
-                            hom_space, module_from_text, parse_poly, t_bound_check)
+                            hom_space, module_from_text, parse_poly, poly_power_coeffs,
+                            t_bound_check)
 from kronhf.quiver import build_gamma, degree_stats, is_tree
 
-from oracles import (classify_standard_d2, hom_system, is_homomorphism, kernel_module,
-                     random_matrix)
+from oracles import (classify_standard_d2, comb_power_coeffs, dense_module_text, hom_system,
+                     is_homomorphism, kernel_module, per_token_module_from_text, random_matrix)
 
 
 def test_build_P_small():
@@ -294,6 +295,49 @@ def test_module_text_roundtrip():
               build_R(PencilBlock("R_poly", poly=(Fraction(1), Fraction(0)), e=1)),
               build_P(0), build_Q(0), direct_sum([])):
         assert module_from_text(M.to_text()) == M
+
+
+TEXT_FIELDS = (QQ, PrimeField(2), PrimeField(3), PrimeField(5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_module_text_matches_the_dense_writer_and_per_token_reader(data):
+    fld = data.draw(st.sampled_from(TEXT_FIELDS))
+    d = data.draw(st.integers(1, 3))
+    d1, d2 = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    density = data.draw(st.sampled_from((0.0, 0.2, 1.0)))
+    maps = [random_matrix(fld, d2, d1, rng) for _ in range(d)]
+    maps = [Matrix.from_entries(fld, d2, d1, [e for e in m.entries() if rng.random() < density])
+            for m in maps]
+    M = KroneckerModule(d, fld, d1, d2, maps)
+    text = M.to_text()
+    assert text == dense_module_text(M)
+    assert module_from_text(text) == M
+    assert per_token_module_from_text(text) == M
+
+
+P1_TEXT = ("kronecker d=2 field=rational dims=1x2\n"
+           "field rational\n2 1\n1\n0\nfield rational\n2 1\n0\n1\n")
+
+
+def test_module_text_with_tokens_after_the_last_arrow_is_refused():
+    assert module_from_text(P1_TEXT) == build_P(1)
+    extra = P1_TEXT + "field rational\n2 1\n5\n5\n"
+    assert per_token_module_from_text(extra) == build_P(1)    # the third block was dropped
+    with pytest.raises(ValidationError,
+                       match="^module text has 6 tokens after its 2 arrow matrices$"):
+        module_from_text(extra)
+    with pytest.raises(ValidationError, match="^module text has 1 tokens after"):
+        module_from_text(P1_TEXT + "7\n")
+
+
+@pytest.mark.parametrize("field", TEXT_FIELDS, ids=repr)
+def test_poly_power_coeffs_matches_the_comb_formula(field):
+    for a in (0, 1, -1, 2):
+        for e in [*range(301), 2000]:
+            assert poly_power_coeffs(field, (a,), e) == comb_power_coeffs(field, a, e), (a, e)
 
 
 def test_classify_standard():
