@@ -5,9 +5,11 @@ command takes --out and --config; witness, sl2p, expander and decompose take
 --json, and sl2p and expander take --seed. A --config file sets, by
 key=value lines, only the command's options that take a value, each to
 one of that option's choices if it has any; any other key or value is a
-usage error. Exit codes: 0 success, 1 verification failure, 2 usage
-error, 3 guard refusal. All randomness flows from the single --seed
-through named substreams so reports replay byte-for-byte.
+usage error. An option's value comes from the command line, else from
+--config, else from its default in build_parser. Exit codes: 0 success,
+1 verification failure, 2 usage error, 3 guard refusal. All randomness
+flows from the single --seed through named substreams so reports replay
+byte-for-byte.
 """
 
 from __future__ import annotations
@@ -92,13 +94,6 @@ def _load_config(path, keys):
     return out
 
 
-def _cfg(args, cfgmap, name, default=None):
-    val = getattr(args, name.replace("-", "_"), None)
-    if val is not None:
-        return val
-    return cfgmap.get(name, default)
-
-
 def _as_int(name, raw):
     """An integer option value; a malformed one is a usage error, not a traceback."""
     try:
@@ -107,25 +102,22 @@ def _as_int(name, raw):
         raise ValidationError(f"--{name} must be an integer, got {raw!r}") from None
 
 
-def _cfg_int(args, cfgmap, name, default=None):
-    return _as_int(name, _cfg(args, cfgmap, name, default))
-
-
-def _emit(args, report: RunReport, text_lines):
-    if args.json:
-        print(report.to_json())
-    else:
-        for line in text_lines:
-            print(line)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
-
-
 def _write_out(args, content: str):
+    """content to the --out file, or to stdout when --out is not given."""
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(content)
+    else:
+        sys.stdout.write(content)
+
+
+def _emit(args, report: RunReport, text_lines):
+    """The report on stdout, as JSON or as text_lines, and as JSON to --out;
+    its wall_ms runs from the clock main started."""
+    report.wall_ms = (time.perf_counter() - args.start) * 1000
+    print(report.to_json() if args.json else "\n".join(text_lines))
+    if args.out:
+        _write_out(args, report.to_json() + "\n")
 
 
 def _read_module(path, flag) -> KroneckerModule:
@@ -139,48 +131,40 @@ def _read_module(path, flag) -> KroneckerModule:
 # -- build -----------------------------------------------------------------------
 
 
-def cmd_build(args, cfgmap) -> int:
-    field = field_from_label(_cfg(args, cfgmap, "field", "rational"))
+def cmd_build(args) -> int:
+    field = field_from_label(args.field)
     kind = args.kind
     if kind == "R":
-        mono = _cfg(args, cfgmap, "monomial")
-        if mono is not None:
-            M = build_R(PencilBlock("R_mono", _as_int("monomial", mono)), field)
+        if args.monomial is not None:
+            M = build_R(PencilBlock("R_mono", _as_int("monomial", args.monomial)), field)
         else:
-            poly = _cfg(args, cfgmap, "poly")
-            if poly is None:
+            if args.poly is None:
                 raise ValidationError("build R needs --poly or --monomial")
-            coeffs = parse_poly(field, poly)
+            coeffs = parse_poly(field, args.poly)
             q, e = prime_power_parts(field, coeffs)
             M = build_R(PencilBlock("R_poly", poly=q, e=e), field)
     elif kind in ("P", "Q"):
-        M, _ = _sweep_module(kind, _cfg_int(args, cfgmap, "n"), None, field)
+        M, _ = _sweep_module(kind, _as_int("n", args.n), None, field)
     else:
-        d = _cfg_int(args, cfgmap, "d")
-        M, _ = _sweep_module(kind, _cfg_int(args, cfgmap, "t"), d, field)
-    text = M.to_text()
-    _write_out(args, text)
+        d = _as_int("d", args.d)
+        M, _ = _sweep_module(kind, _as_int("t", args.t), d, field)
     print(f"dims {M.dim1}x{M.dim2} defect {M.defect}")
-    if not args.out:
-        sys.stdout.write(text)
+    _write_out(args, M.to_text())
     return 0
 
 
 # -- witness ----------------------------------------------------------------------
 
 
-def cmd_witness(args, cfgmap) -> int:
-    start = time.perf_counter()
-    M = _read_module(_cfg(args, cfgmap, "module"), "--module")
-    eps = parse_rational(_cfg(args, cfgmap, "eps"))
-    l_override = _cfg(args, cfgmap, "l-override")
-    w = witness_for(M, eps,
-                    l_override=_as_int("l-override", l_override) if l_override else None)
+def cmd_witness(args) -> int:
+    M = _read_module(args.module, "--module")
+    eps = parse_rational(args.eps)
+    w = witness_for(M, eps, l_override=None if args.l_override is None
+                    else _as_int("l-override", args.l_override))
     rep = verify_witness(M, w)
     payload = witness_to_dict(w, rep)
-    report = RunReport("witness",
-                       {"module": str(_cfg(args, cfgmap, "module")), "eps": str(eps)},
-                       payload, [rep.ok], (time.perf_counter() - start) * 1000)
+    report = RunReport("witness", {"module": str(args.module), "eps": str(eps)},
+                       payload, [rep.ok])
     part_dims = [p.dim for p in w.parts]
     _emit(args, report, [
         f"module dims {M.dim1}x{M.dim2} (dim {M.dim})",
@@ -205,22 +189,18 @@ def _sweep_module(family, n, d, field):
         return build_R(block, field), f"R_(x-1)^{n}"
     if family == "theta-pre":
         return build_preprojective_theta(d, n, field), f"theta_pre(d={d},t={n})"
-    if family == "theta-post":
-        return build_postinjective_theta(d, n, field), f"theta_post(d={d},t={n})"
-    raise ValidationError(f"unknown sweep family {family}")
+    return build_postinjective_theta(d, n, field), f"theta_post(d={d},t={n})"
 
 
-def cmd_sweep(args, cfgmap) -> int:
-    family = _cfg(args, cfgmap, "family")
-    rng_spec = _cfg(args, cfgmap, "range")
-    eps_spec = _cfg(args, cfgmap, "eps-list")
+def cmd_sweep(args) -> int:
+    family, rng_spec, eps_spec = args.family, args.range, args.eps_list
     if rng_spec is None:
         raise ValidationError("sweep needs --range (n or lo:hi:step)")
     if eps_spec is None:
         raise ValidationError("sweep needs --eps-list")
     eps_list = [parse_rational(tok) for tok in eps_spec.split(",")]
-    field = field_from_label(_cfg(args, cfgmap, "field", "rational"))
-    d = _cfg_int(args, cfgmap, "d", 3)
+    field = field_from_label(args.field)
+    d = _as_int("d", args.d)
     parts_spec = [_as_int("range", x) for x in rng_spec.split(":")] if rng_spec else []
     if len(parts_spec) == 3:
         lo, hi, step = parts_spec
@@ -231,6 +211,8 @@ def cmd_sweep(args, cfgmap) -> int:
         ns = parts_spec
     else:
         raise ValidationError(f"--range must be n or lo:hi:step, got {rng_spec!r}")
+    if family is None:
+        raise ValidationError("sweep needs --family")
     rows = ["id,dim,eps,l_eps,parts,removed_fraction,verdict,ms"]
     all_ok = True
     for n in ns:
@@ -247,10 +229,7 @@ def cmd_sweep(args, cfgmap) -> int:
                 verdict += ";below-threshold"
             rows.append(
                 f"{mid},{M.dim},{eps},{w.l_eps},{len(w.parts)},{frac},{verdict},{ms:.1f}")
-    csv = "\n".join(rows) + "\n"
-    _write_out(args, csv)
-    if not args.out:
-        sys.stdout.write(csv)
+    _write_out(args, "\n".join(rows) + "\n")
     return 0 if all_ok else 1
 
 
@@ -264,9 +243,8 @@ def _fixture_text(p: int) -> str:
     return ref.read_text(encoding="utf-8")
 
 
-def cmd_sl2p(args, cfgmap) -> int:
-    start = time.perf_counter()
-    p = _cfg_int(args, cfgmap, "p")
+def cmd_sl2p(args) -> int:
+    p = _as_int("p", args.p)
     rep = irreducible_rep(p)  # checks that rho_p(t) is centrally symmetric
     dump = rep_dump_text(p)
     verdicts = [True]
@@ -274,14 +252,14 @@ def cmd_sl2p(args, cfgmap) -> int:
     irr = is_irreducible([rep.mat_s, rep.mat_t])
     results["irreducible"] = irr
     verdicts.append(irr)
-    fixture_mode = _cfg(args, cfgmap, "fixture")
+    fixture_mode = args.fixture
     if fixture_mode == "check":
         match = dump == _fixture_text(p)
         results["fixture_match"] = match
         verdicts.append(match)
-    if getattr(args, "kazhdan", False):
-        seed = _cfg_int(args, cfgmap, "seed", 0)
-        trials = _cfg_int(args, cfgmap, "trials", 200)
+    if args.kazhdan:
+        seed = _as_int("seed", args.seed)
+        trials = _as_int("trials", args.trials)
         est = kazhdan_estimate(p, trials=trials, seed=sub_seed(seed, f"sl2p:{p}"))
         eps_bound = weak_eps_bound = "0"
         if est.alpha > 0:
@@ -294,8 +272,7 @@ def cmd_sl2p(args, cfgmap) -> int:
             "seed": seed, "trials": trials,
         }
         verdicts.append(est.lower > 0)
-    report = RunReport("sl2p", {"p": p}, results, verdicts,
-                       (time.perf_counter() - start) * 1000)
+    report = RunReport("sl2p", {"p": p}, results, verdicts)
     lines = [f"rho_{p}: dim {p}, irreducible {irr}, symmetry True"]
     if "kazhdan" in results:
         kz = results["kazhdan"]
@@ -304,9 +281,10 @@ def cmd_sl2p(args, cfgmap) -> int:
     if "fixture_match" in results:
         lines.append(f"fixture match: {results['fixture_match']}")
     _emit(args, report, lines)
-    if not args.json and not args.out and fixture_mode != "check":
-        sys.stdout.write(dump)
-    if args.out and fixture_mode == "dump":
+    # with --out, the dump replaces the report there only when asked for;
+    # without, it follows the text report unless the fixture was checked
+    if (args.out and fixture_mode == "dump") or (
+            not args.out and not args.json and fixture_mode != "check"):
         _write_out(args, dump)
     return 0 if report.ok else 1
 
@@ -314,45 +292,40 @@ def cmd_sl2p(args, cfgmap) -> int:
 # -- expander ------------------------------------------------------------------------
 
 
-def cmd_expander(args, cfgmap) -> int:
-    start = time.perf_counter()
-    alpha = parse_rational(_cfg(args, cfgmap, "alpha", "1"))
-    if getattr(args, "bounds_only", False):
+def cmd_expander(args) -> int:
+    alpha = parse_rational(args.alpha)
+    if args.bounds_only:
         results = {
             "alpha": str(alpha),
             "strong_eps_bound": str(nonhf_epsilon_bound(alpha)),
             "weak_eps_bound": str(weak_nonhf_epsilon_bound(alpha)),
         }
         report = RunReport("expander", {"alpha": str(alpha), "bounds_only": True},
-                           results, [True], (time.perf_counter() - start) * 1000)
+                           results, [True])
         _emit(args, report, [f"strong {results['strong_eps_bound']} "
                              f"weak {results['weak_eps_bound']}"])
         return 0
-    eta = parse_rational(_cfg(args, cfgmap, "eta", "1/2"))
+    eta = parse_rational(args.eta)
     params = {"eta": str(eta), "alpha": str(alpha)}
-    from_p = _cfg(args, cfgmap, "from-sl2p")
-    if from_p is not None:
-        p = _as_int("from-sl2p", from_p)
+    want = args.field
+    if args.from_sl2p is not None:
+        p = _as_int("from-sl2p", args.from_sl2p)
         # over a prime field this checks the reduction mod q, not the module over Q
-        field = field_from_label(_cfg(args, cfgmap, "field", "rational"))
+        field = field_from_label("rational" if want is None else want)
         M = theta3_counterexample_module(p, field)
         params.update(from_sl2p=p, field=field.label)
     else:
-        M = _read_module(_cfg(args, cfgmap, "maps"), "--maps or --from-sl2p")
-        want = _cfg(args, cfgmap, "field")
+        M = _read_module(args.maps, "--maps or --from-sl2p")
         if want is not None and field_from_label(want) != M.field:
             raise ValidationError(
                 f"--field {want} does not match the maps file field {M.field.label}")
     cand = ExpanderCandidate.from_module(M, eta, alpha)
-    mode = _cfg(args, cfgmap, "mode", "exhaustive")
-    seed = _cfg_int(args, cfgmap, "seed", 0)
-    if mode == "exhaustive":
-        rep = check_exhaustive(cand, guard=_cfg_int(args, cfgmap, "guard", 10 ** 7))
-    elif mode == "sample":
-        trials = _cfg_int(args, cfgmap, "trials", 1000)
-        rep = check_sampled_rational(cand, trials, seed=sub_seed(seed, "expander"))
+    seed = _as_int("seed", args.seed)
+    if args.mode == "exhaustive":
+        rep = check_exhaustive(cand, guard=_as_int("guard", args.guard))
     else:
-        raise ValidationError(f"unknown mode {mode}")
+        rep = check_sampled_rational(cand, _as_int("trials", args.trials),
+                                     seed=sub_seed(seed, "expander"))
     results = {
         "verdict": rep.verdict,
         "eta": str(eta),
@@ -363,8 +336,7 @@ def cmd_expander(args, cfgmap) -> int:
         "seed": seed,
     }
     # a refutation is a successful answer, not a failed verification
-    report = RunReport("expander", {**params, "mode": mode},
-                       results, [True], (time.perf_counter() - start) * 1000)
+    report = RunReport("expander", {**params, "mode": args.mode}, results, [True])
     _emit(args, report, [f"verdict {rep.verdict} worst ratio {rep.worst_ratio} "
                          f"({rep.subspaces_checked} subspaces)"])
     return 0
@@ -373,24 +345,18 @@ def cmd_expander(args, cfgmap) -> int:
 # -- decompose / gamma -----------------------------------------------------------------
 
 
-def cmd_decompose(args, cfgmap) -> int:
-    start = time.perf_counter()
-    M = _read_module(_cfg(args, cfgmap, "module"), "--module")
+def cmd_decompose(args) -> int:
+    M = _read_module(args.module, "--module")
     blocks = decompose_pencil(M)
     items = sorted((b.describe(), m) for b, m in blocks.items())
     results = {"blocks": [{"block": name, "multiplicity": m} for name, m in items]}
-    report = RunReport("decompose", {"module": str(_cfg(args, cfgmap, "module"))},
-                       results, [True], (time.perf_counter() - start) * 1000)
+    report = RunReport("decompose", {"module": str(args.module)}, results, [True])
     _emit(args, report, [f"{name} x{m}" for name, m in items] or ["zero module"])
     return 0
 
 
-def cmd_gamma(args, cfgmap) -> int:
-    M = _read_module(_cfg(args, cfgmap, "module"), "--module")
-    text = export_edges(M)
-    _write_out(args, text)
-    if not args.out:
-        sys.stdout.write(text)
+def cmd_gamma(args) -> int:
+    _write_out(args, export_edges(_read_module(args.module, "--module")))
     return 0
 
 
@@ -401,13 +367,16 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="kronhf", description=__doc__)
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
+    families = ["P", "Q", "R", "theta-pre", "theta-post"]
 
     def common(p, *, json=False, seed=False):
         if seed:
-            p.add_argument("--seed", default=None)
+            p.add_argument("--seed", default=0)
         # what a --config file may set: each option added so far that takes a
-        # value, with its choices (None for any value)
-        p.set_defaults(config_keys={a.option_strings[0][2:]: a.choices for a in p._actions
+        # value, with its choices (None for any value); main sets the file's
+        # values as defaults of this parser p
+        p.set_defaults(parser=p,
+                       config_keys={a.option_strings[0][2:]: a.choices for a in p._actions
                                     if a.option_strings and a.nargs is None})
         p.add_argument("--out", default=None)
         p.add_argument("--config", default=None)
@@ -415,13 +384,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("build", help="construct a standard module and print its shape")
-    p.add_argument("kind", choices=["P", "Q", "R", "theta-pre", "theta-post"])
+    p.add_argument("kind", choices=families)
     p.add_argument("--n", default=None)
     p.add_argument("--d", default=None)
     p.add_argument("--t", default=None)
     p.add_argument("--poly", default=None)
     p.add_argument("--monomial", default=None)
-    p.add_argument("--field", default=None)
+    p.add_argument("--field", default="rational")
     common(p)
     p.set_defaults(func=cmd_build)
 
@@ -433,11 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("sweep", help="witness sweep over a module family, CSV output")
-    p.add_argument("--family", default=None)
+    p.add_argument("--family", choices=families, default=None)
     p.add_argument("--range", default=None, help="lo:hi:step")
     p.add_argument("--eps-list", default=None)
-    p.add_argument("--field", default=None)
-    p.add_argument("--d", default=None)
+    p.add_argument("--field", default="rational")
+    p.add_argument("--d", default=3)
     common(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -445,19 +414,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", default=None)
     p.add_argument("--fixture", choices=["check", "dump"], default=None)
     p.add_argument("--kazhdan", action="store_true")
-    p.add_argument("--trials", default=None)
+    p.add_argument("--trials", default=200)
     common(p, json=True, seed=True)
     p.set_defaults(func=cmd_sl2p)
 
     p = sub.add_parser("expander", help="expansion checks and epsilon bounds")
     p.add_argument("--maps", default=None)
+    # the field of the --from-sl2p reduction (rational if not given), or the
+    # field the --maps file must have (not compared if not given)
     p.add_argument("--field", default=None)
     p.add_argument("--from-sl2p", default=None)
-    p.add_argument("--eta", default=None)
-    p.add_argument("--alpha", default=None)
-    p.add_argument("--mode", default=None)
-    p.add_argument("--trials", default=None)
-    p.add_argument("--guard", default=None)
+    p.add_argument("--eta", default="1/2")
+    p.add_argument("--alpha", default="1")
+    p.add_argument("--mode", choices=["exhaustive", "sample"], default="exhaustive")
+    p.add_argument("--trials", default=1000)
+    p.add_argument("--guard", default=10 ** 7)
     p.add_argument("--bounds-only", action="store_true")
     common(p, json=True, seed=True)
     p.set_defaults(func=cmd_expander)
@@ -481,7 +452,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args, _load_config(args.config, args.config_keys))
+        if args.config:
+            # the file's values become the command's defaults: the command
+            # line still beats them, and they beat the defaults above
+            args.parser.set_defaults(**{key.replace("-", "_"): val for key, val in
+                                        _load_config(args.config, args.config_keys).items()})
+            args = parser.parse_args(argv)
+        args.start = time.perf_counter()
+        return args.func(args)
     except GuardRefusal as exc:
         print(f"guard refusal: {exc}", file=sys.stderr)
         return 3

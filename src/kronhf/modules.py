@@ -355,8 +355,8 @@ def build_R(block: PencilBlock, field=QQ, *, check=True) -> KroneckerModule:
 
     R_poly(q^e) has the identity first; R_mono(n) has it second, with the
     other map the companion of the monomial x^n. With check, q must be
-    irreducible, which takes a sympy factorization; callers whose q comes
-    from factor_monic pass check=False.
+    irreducible: a degree-1 q is, and any other q takes a sympy
+    factorization; callers whose q comes from factor_monic pass check=False.
     """
     if block.kind == "R_mono":
         if block.n < 1:
@@ -368,7 +368,7 @@ def build_R(block: PencilBlock, field=QQ, *, check=True) -> KroneckerModule:
         if e < 1:
             raise ValidationError("power e >= 1")
         full = poly_power_coeffs(field, q, e)
-        if check:
+        if check and len(q) != 1:
             factors = factor_monic(field, q)
             if len(factors) != 1 or factors[0][1] != 1:
                 raise ValidationError(f"{poly_to_str(q)} is not irreducible")

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import kronhf
-from kronhf.cli import _sweep_module, main, sub_seed
+from kronhf import cli
+from kronhf.cli import _sweep_module, build_parser, main, sub_seed
 from kronhf.fields import field_from_label
 from kronhf.modules import module_from_text
 
@@ -336,6 +338,8 @@ def test_bad_integer_options_are_usage_errors(capsys, tmp_path):
              ("--from-sl2p", ["expander", "--from-sl2p", "x"]),
              ("--l-override", ["witness", "--module", str(mod), "--eps", "1/2",
                                "--l-override", "4.0"]),
+             ("--l-override", ["witness", "--module", str(mod), "--eps", "1/2",
+                               "--l-override", ""]),
              ("--n", ["build", "P"])]
     for flag, argv in cases:
         code, _, err = run(capsys, *argv)
@@ -496,3 +500,74 @@ def test_python_dash_m_kronhf(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("dims 2x3 defect -1\nkronecker d=2 field=rational dims=2x3\n")
     assert run_module("build", "X").returncode == 2
+
+
+def _commands(top):
+    """Each command of the parser top with its subparser."""
+    return next(a for a in top._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+VALUE_OPTIONS = [(command, key) for command, p in _commands(build_parser()).items()
+                 for key in p.get_default("config_keys")]
+POSITIONALS = {"build": ["P"]}
+
+
+def test_declared_option_defaults():
+    """The value options with a default other than None, as README states them."""
+    got = {(command, key): p.get_default(key.replace("-", "_"))
+           for command, p in _commands(build_parser()).items()
+           for key in p.get_default("config_keys")
+           if p.get_default(key.replace("-", "_")) is not None}
+    assert got == {("build", "field"): "rational", ("sweep", "field"): "rational",
+                   ("sweep", "d"): 3, ("sl2p", "trials"): 200, ("sl2p", "seed"): 0,
+                   ("expander", "eta"): "1/2", ("expander", "alpha"): "1",
+                   ("expander", "mode"): "exhaustive", ("expander", "trials"): 1000,
+                   ("expander", "guard"): 10 ** 7, ("expander", "seed"): 0}
+
+
+@pytest.mark.parametrize("command,key", VALUE_OPTIONS,
+                         ids=[f"{c}-{k}" for c, k in VALUE_OPTIONS])
+def test_option_precedence_command_line_then_config_then_default(monkeypatch, tmp_path,
+                                                                  command, key):
+    """Every value option of every command: the command line beats --config,
+    and --config beats the default declared in build_parser."""
+    p = _commands(build_parser())[command]
+    dest, choices = key.replace("-", "_"), p.get_default("config_keys")[key]
+    default = p.get_default(dest)
+    if choices is None:
+        from_cfg, from_cli = "cfg-value", "cli-value"
+    else:
+        from_cfg = next(c for c in choices if c != default)
+        from_cli = next(c for c in choices if c != from_cfg)
+    seen = []
+    real = cli.build_parser
+
+    def capturing_parser():
+        top = real()
+        for sub in _commands(top).values():
+            sub.set_defaults(func=lambda args: seen.append(getattr(args, dest)) or 0)
+        return top
+
+    monkeypatch.setattr(cli, "build_parser", capturing_parser)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={from_cfg}\n")
+    base = [command, *POSITIONALS.get(command, [])]
+    assert main(base) == 0
+    assert main([*base, "--config", str(cfg)]) == 0
+    assert main([*base, f"--{key}", from_cli, "--config", str(cfg)]) == 0
+    assert main([*base, "--config", str(cfg), f"--{key}", from_cli]) == 0
+    assert seen == [default, from_cfg, from_cli, from_cli]
+
+
+def test_option_precedence_through_python_dash_m(tmp_path):
+    """main() with no argv parses sys.argv twice when --config is given: the
+    command-line --n beats the file's n, and the file's field beats the
+    default."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n=5\nfield=5\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(kronhf.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "kronhf", "build", "P", "--n", "2",
+                           "--config", str(cfg)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("dims 2x3 defect -1\nkronecker d=2 field=5 dims=2x3\n")

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,24 @@ def test_build_R_rejects_reducible():
     # x^2 - 1 = (x-1)(x+1) is not a prime power base
     with pytest.raises(ValidationError):
         build_R(PencilBlock("R_poly", poly=(Fraction(-1), Fraction(0)), e=1))
+
+
+def test_build_R_decides_degree_one_without_factoring(monkeypatch):
+    """A degree-1 q is irreducible, so no sympy factorization is made for
+    it; the constant q and a reducible q of degree 2 are still refused."""
+    def refuse(field, coeffs):
+        raise AssertionError("factor_monic called on a degree-1 polynomial")
+
+    for field in (QQ, PrimeField(5)):
+        monkeypatch.setattr(modules_mod, "factor_monic", refuse)
+        got = build_R(PencilBlock("R_poly", poly=(field.coerce(-1),), e=4), field)
+        monkeypatch.undo()
+        assert got.maps[0] == Matrix.identity(field, 4)
+        assert got.maps[1] == companion_matrix(field, comb_power_coeffs(field, -1, 4))
+        for poly, name in (((), "1"), ((field.coerce(-1), field.zero),
+                                        "x^2 - 1" if field is QQ else "x^2 + 4")):
+            with pytest.raises(ValidationError, match=re.escape(f"{name} is not irreducible")):
+                build_R(PencilBlock("R_poly", poly=poly, e=1), field)
 
 
 def test_a_sequence_values():
