@@ -111,13 +111,14 @@ def _write_out(args, content: str):
         sys.stdout.write(content)
 
 
-def _emit(args, report: RunReport, text_lines):
-    """The report on stdout, as JSON or as text_lines, and as JSON to --out;
-    its wall_ms runs from the clock main started."""
+def _emit(args, report: RunReport, text_lines, out_text=None):
+    """The report on stdout, as JSON or as text_lines, and to --out out_text,
+    or the report as JSON when out_text is None; its wall_ms runs from the
+    clock main started."""
     report.wall_ms = (time.perf_counter() - args.start) * 1000
     print(report.to_json() if args.json else "\n".join(text_lines))
     if args.out:
-        _write_out(args, report.to_json() + "\n")
+        _write_out(args, report.to_json() + "\n" if out_text is None else out_text)
 
 
 def _read_module(path, flag) -> KroneckerModule:
@@ -280,11 +281,10 @@ def cmd_sl2p(args) -> int:
                      f"alpha {kz['alpha']:.6g}")
     if "fixture_match" in results:
         lines.append(f"fixture match: {results['fixture_match']}")
-    _emit(args, report, lines)
-    # with --out, the dump replaces the report there only when asked for;
-    # without, it follows the text report unless the fixture was checked
-    if (args.out and fixture_mode == "dump") or (
-            not args.out and not args.json and fixture_mode != "check"):
+    # with --out, the dump goes there in place of the report only when asked
+    # for; without, it follows the text report unless the fixture was checked
+    _emit(args, report, lines, dump if fixture_mode == "dump" else None)
+    if not args.out and not args.json and fixture_mode != "check":
         _write_out(args, dump)
     return 0 if report.ok else 1
 

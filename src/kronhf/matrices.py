@@ -275,22 +275,6 @@ class Matrix:
             off += m.cols
         return Matrix(fld, rows, off, out)
 
-    def hsplit(self, widths):
-        """The blocks of widths[0], widths[1], ... columns, left to right: the
-        inverse of hstack, in one pass over the entries."""
-        if any(w < 0 for w in widths) or sum(widths) != self.cols:
-            raise ShapeError(f"widths {list(widths)} do not split {self.cols} columns")
-        where = [(t, c) for t, w in enumerate(widths) for c in range(w)]
-        blocks = [{} for _ in widths]
-        for i, row in self._rows.items():
-            for j, v in row.items():
-                t, c = where[j]
-                dst = blocks[t].get(i)
-                if dst is None:
-                    dst = blocks[t][i] = {}
-                dst[c] = v
-        return [Matrix(self.field, self.rows, w, b) for w, b in zip(widths, blocks)]
-
     @staticmethod
     def vstack(mats):
         if not mats:

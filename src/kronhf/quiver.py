@@ -20,8 +20,9 @@ form is a MonomialPart: M with a source id list and a sink id list, whose
 module (each arrow matrix restricted to the sink rows and source columns)
 and selection embeddings are built only when something asks for them.
 _monomial_parts turns sorted id lists, such as components, into
-MonomialParts; split_components and the witness producers build their
-parts with it, and witness re-exports both names.
+MonomialParts: split_components returns those of the components, the
+witness producers build their parts with it, and witness re-exports both
+names.
 """
 
 from __future__ import annotations
@@ -260,16 +261,13 @@ def _monomial_parts(M: KroneckerModule, comps):
     return [MonomialPart(M, comp[:k], [v - n for v in comp[k:]]) for comp, k in zip(comps, cuts)]
 
 
-def split_components(M: KroneckerModule):
-    """One module per connected component of the coefficient quiver.
-
-    Returns a list of (module, (emb1, emb2)) with selection embeddings, one
-    per component in the order of components: the module and embeddings of
-    the component's MonomialPart. The block-diagonal sum over components is
-    M up to that vertex partition.
+def split_components(M: KroneckerModule) -> list:
+    """The MonomialPart of each connected component of the coefficient
+    quiver, in the order of components. The block-diagonal sum of their
+    modules is M up to that vertex partition; no module or embedding is
+    built here.
     """
-    return [(p.module, (p.emb1, p.emb2))
-            for p in _monomial_parts(M, components(build_gamma(M), range(M.dim)))]
+    return _monomial_parts(M, components(build_gamma(M), range(M.dim)))
 
 
 def export_edges(M: KroneckerModule) -> str:

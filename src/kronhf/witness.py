@@ -9,8 +9,10 @@ The producers' parts are coordinate submodules, each given by a source id
 list and a sink id list of M (MonomialPart, defined in quiver and
 re-exported here), so their witness is a vertex partition of the
 coefficient quiver with every part closed under arrows. Parts with other
-embeddings (WitnessPart) hold their module and embedding matrices. Both
-combinators carry parts into a larger module by one rule, _transported.
+embeddings (WitnessPart) hold their module and embedding matrices. A
+submodule of M travels in one of these two forms, and both combinators
+carry a witness's parts through such a part into M by one rule,
+_transported.
 """
 
 from __future__ import annotations
@@ -205,18 +207,18 @@ def _closure_sinks(adj, kept_sources):
     return sorted({w for j in kept_sources for w in adj[j]})
 
 
-def monomial_submodule(M: KroneckerModule, kept_sources):
-    """Arrow-closed span of the kept source vectors and every sink they hit,
-    as (module, (emb1, emb2)) with selection embeddings, sources and sinks in
-    ascending order: the module and embeddings of its MonomialPart. Refuses
-    a source outside 0..dim1-1 (Matrix.selection) or given twice."""
+def monomial_submodule(M: KroneckerModule, kept_sources) -> MonomialPart:
+    """The MonomialPart of M on the kept sources and every sink they hit,
+    its arrow-closed span, sources and sinks in ascending order. Refuses a
+    source outside 0..dim1-1 or given twice."""
     src = sorted(kept_sources)
-    emb1 = Matrix.selection(M.field, M.dim1, src)
+    bad = next((v for v in src if not 0 <= v < M.dim1), None)
+    if bad is not None:
+        raise ShapeError(f"selection index {bad} outside 0..{M.dim1 - 1}")
     twice = next((a for a, b in zip(src, src[1:]) if a == b), None)
     if twice is not None:
         raise ShapeError(f"source {twice} given twice")
-    part = MonomialPart(M, src, [v - M.dim1 for v in _closure_sinks(build_gamma(M), src)])
-    return part.module, (emb1, part.emb2)
+    return MonomialPart(M, src, [v - M.dim1 for v in _closure_sinks(build_gamma(M), src)])
 
 
 def whole_module_witness(M: KroneckerModule, eps, l_eps, producer, **notes) -> Witness:
@@ -367,9 +369,9 @@ def combinator_direct_sum(witnesses, *, eps: Fraction | None = None) -> Witness:
     Every witness must be at eps, when it is given, or else at the first
     witness's eps; the empty sum needs eps. modules.direct_sum refuses
     modules over different fields or arrow counts. Each witness's parts
-    are carried into its block by _transported, with the block's offset
-    selections as embeddings, so monomial parts stay monomial with their
-    ids offset. Whether the sum meets the dimension bound is for
+    are carried by _transported through its block, the MonomialPart of the
+    sum on the block's id ranges, so monomial parts stay monomial with
+    their ids offset. Whether the sum meets the dimension bound is for
     verify_witness to decide (it holds when every inner witness meets it
     on its own module).
     """
@@ -387,27 +389,30 @@ def combinator_direct_sum(witnesses, *, eps: Fraction | None = None) -> Witness:
     off1 = off2 = 0
     for w in witnesses:
         N = w.module
-        parts += _transported(M, w.parts,
-                              Matrix.selection(M.field, M.dim1, range(off1, off1 + N.dim1)),
-                              Matrix.selection(M.field, M.dim2, range(off2, off2 + N.dim2)))
+        parts += _transported(M, w.parts, MonomialPart(M, range(off1, off1 + N.dim1),
+                                                       range(off2, off2 + N.dim2)))
         off1 += N.dim1
         off2 += N.dim2
     l_eps = max(w.l_eps for w in witnesses)
     return Witness(M, eps, l_eps, parts, dict(producer="direct_sum"))
 
 
-def combinator_bounded_codim(M: KroneckerModule, sub: KroneckerModule, embs,
-                             w: Witness, eps: Fraction) -> Witness:
-    """Transport a witness for a bounded-codimension submodule up to M.
+def combinator_bounded_codim(M: KroneckerModule, sub, w: Witness, eps: Fraction) -> Witness:
+    """Transport a witness w for a bounded-codimension submodule up to M.
 
-    Guards, each refused with a GuardRefusal before any part is built: at
-    a codimension L > 0, the inner tolerance is at most eps/2 and
+    sub is a part of M: a MonomialPart of M, or a WitnessPart whose
+    embeddings carry sub.module into M's spaces; w must be a witness for
+    sub.module, else a ValidationError. Guards, each refused with a
+    GuardRefusal before any part is built: at a codimension
+    L = dim M - dim sub > 0, the inner tolerance is at most eps/2 and
     dim M >= 2 L / eps; and the transported dim N (the parts keep their
     dimensions) meets (1 - eps) dim M, decided exactly. A submodule larger
-    than M is a ValidationError. The parts are carried by _transported
-    along embs, linear in the size of M.
+    than M is a ValidationError. The parts are carried through sub by
+    _transported.
     """
     check_eps(eps)
+    if w.module is not sub.module and w.module != sub.module:
+        raise ValidationError("inner witness is not for the submodule's module")
     L = M.dim - sub.dim
     if L < 0:
         raise ValidationError("submodule larger than the module")
@@ -424,33 +429,23 @@ def combinator_bounded_codim(M: KroneckerModule, sub: KroneckerModule, embs,
     removed = M.dim - w.dim_n
     notes = dict(producer="bounded_codim", codim=L, inner_eps=w.eps, removed=removed,
                  removed_fraction=Fraction(removed, M.dim) if M.dim else Fraction(0))
-    return Witness(M, eps, w.l_eps, _transported(M, w.parts, *embs), notes)
+    return Witness(M, eps, w.l_eps, _transported(M, w.parts, sub), notes)
 
 
-def _transported(M: KroneckerModule, parts, e1: Matrix, e2: Matrix) -> list:
-    """The parts of a witness for a submodule, carried into M by its
-    embeddings e1 and e2.
+def _transported(M: KroneckerModule, parts, sub) -> list:
+    """The parts of a witness for sub.module, carried into M through sub, a
+    MonomialPart or WitnessPart of M.
 
-    When both embeddings are selections, a MonomialPart stays one, of M,
-    with its ids read through the selections' index lists. Every other part
-    becomes a WitnessPart whose embeddings are e1 and e2 times its own,
-    taken for all such parts at once by _times_each: one product per side,
-    so the transport stays linear in the size of M.
+    When sub is a MonomialPart, a MonomialPart stays one, of M, with its
+    ids read through sub's source and sink ids; it takes no product. Every
+    other part becomes a WitnessPart whose embeddings are sub's times its
+    own: one product per side and part.
     """
-    s1, s2 = e1.is_selection(), e2.is_selection()
-    by_ids = [s1 is not None and s2 is not None and isinstance(p, MonomialPart) for p in parts]
-    general = [p for p, m in zip(parts, by_ids) if not m]
-    moved = zip(_times_each(e1, [p.emb1 for p in general]),
-                _times_each(e2, [p.emb2 for p in general]))
-    return [MonomialPart(M, [s1[j] for j in p.sources], [s2[i] for i in p.sinks]) if m
-            else WitnessPart(p.module, *next(moved)) for p, m in zip(parts, by_ids)]
-
-
-def _times_each(e: Matrix, mats) -> list:
-    """[e @ m for m in mats] as one product, split back by columns."""
-    if not mats:
-        return []
-    return (e @ Matrix.hstack(mats)).hsplit([m.cols for m in mats])
+    by_ids = isinstance(sub, MonomialPart)
+    return [MonomialPart(M, [sub.sources[j] for j in p.sources],
+                         [sub.sinks[i] for i in p.sinks])
+            if by_ids and isinstance(p, MonomialPart)
+            else WitnessPart(p.module, sub.emb1 @ p.emb1, sub.emb2 @ p.emb2) for p in parts]
 
 
 # -- fragmentation for wild theta(d) ------------------------------------------------

@@ -151,10 +151,10 @@ def nested_regular_witness(R: KroneckerModule, eps: Fraction):
     l_eps = 2 / eps + 3
     if Fraction(R.dim) <= l_eps:
         return whole_module_witness(R, eps, l_eps, "regular_2k")
-    sub, embs = monomial_submodule(R, range(R.dim1 - 1))
+    sub = monomial_submodule(R, range(R.dim1 - 1))
     assert sub.dim == R.dim - 1
-    inner = _drop_rule_chain(sub, eps / 2)
-    w = combinator_bounded_codim(R, sub, embs, inner, eps)
+    inner = _drop_rule_chain(sub.module, eps / 2)
+    w = combinator_bounded_codim(R, sub, inner, eps)
     w.notes["producer"] = "regular_2k"
     return w
 
@@ -167,9 +167,9 @@ def nested_postinjective_witness(Qm: KroneckerModule, eps: Fraction):
     l_eps = 4 / eps + 3
     if Fraction(Qm.dim) <= l_eps:
         return whole_module_witness(Qm, eps, l_eps, "postinjective_2k")
-    ker, embs = monomial_submodule(Qm, range(1, n + 1))
-    inner = nested_regular_witness(ker, eps / 2)
-    w = combinator_bounded_codim(Qm, ker, embs, inner, eps)
+    ker = monomial_submodule(Qm, range(1, n + 1))
+    inner = nested_regular_witness(ker.module, eps / 2)
+    w = combinator_bounded_codim(Qm, ker, inner, eps)
     w.notes["producer"] = "postinjective_2k"
     w.notes["kernel_blocks"] = [f"R_mono({n})"]
     return w

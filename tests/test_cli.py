@@ -234,6 +234,27 @@ def test_sl2p_dump_and_fixture(capsys):
         assert "fixture match: True" in out
 
 
+def test_sl2p_dump_to_out_opens_the_file_once(capsys, tmp_path, monkeypatch):
+    """--fixture dump --out F writes the dump to F, with one open for
+    writing, and prints the text report on stdout."""
+    path = tmp_path / "rho3.txt"
+    opened = []
+    real_open = open
+
+    def counting(file, mode="r", *args, **kwargs):
+        if str(file) == str(path) and "w" in mode:
+            opened.append(mode)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting)
+    code, out, _ = run(capsys, "sl2p", "--p", "3", "--fixture", "dump", "--out", str(path))
+    monkeypatch.undo()
+    assert (code, out) == (0, "rho_3: dim 3, irreducible True, symmetry True\n")
+    assert opened == ["w"]
+    fixture = Path(kronhf.__file__).parent / "fixtures" / "rho_3.txt"
+    assert path.read_bytes() == fixture.read_bytes()
+
+
 def test_sl2p_composite_p(capsys):
     code, _, err = run(capsys, "sl2p", "--p", "4")
     assert code == 2

@@ -507,23 +507,6 @@ def test_rational_field_operations_match_fraction_arithmetic(a, b):
         _assert_canonical_rational(got)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_hsplit_inverts_hstack(data):
-    field = data.draw(st.sampled_from(PRODUCT_FIELDS))
-    rows = data.draw(st.integers(0, 5))
-    widths = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=5))
-    blocks = [data.draw(_mixed(field, rows, w)) for w in widths]
-    assert Matrix.hstack(blocks).hsplit(widths) == blocks
-
-
-def test_hsplit_rejects_widths_that_do_not_sum_to_cols():
-    m = Matrix.identity(QQ, 3)
-    for widths in ([1, 1], [2, 2], [4, -1], []):
-        with pytest.raises(ShapeError):
-            m.hsplit(widths)
-
-
 # -- selections against equal matrices built entry by entry --------------------
 
 
@@ -543,19 +526,16 @@ def test_recorded_selections_match_plain_matrices(data):
     n = data.draw(st.integers(0, 6))
     ia, ia2 = data.draw(_index_lists(n)), data.draw(_index_lists(n))
     ib = data.draw(_index_lists(len(ia)))
-    cuts = [0] + sorted(data.draw(st.lists(st.integers(0, len(ia)), max_size=3))) + [len(ia)]
-    widths = [hi - lo for lo, hi in zip(cuts, cuts[1:])]
 
     def built():
         a, a2 = Matrix.selection(field, n, ia), Matrix.selection(field, n, ia2)
         b = Matrix.selection(field, a.cols, ib)
-        return [a, a @ b, Matrix.hstack([a, a2]), *a.hsplit(widths)], [a2, b]
+        return [a, a @ b, Matrix.hstack([a, a2])], [a2, b]
 
     outs, factors = built()
     sels = [m.is_selection() for m in outs]
     a, (a2, b) = outs[0], factors
-    plain = [_plain(a), _plain(a) @ _plain(b), Matrix.hstack([_plain(a), _plain(a2)]),
-             *_plain(a).hsplit(widths)]
+    plain = [_plain(a), _plain(a) @ _plain(b), Matrix.hstack([_plain(a), _plain(a2)])]
     for sel, want in zip(sels, plain):
         assert sel == want.is_selection()
     assert sels[1] == [ia[j] for j in ib]

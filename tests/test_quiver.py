@@ -154,9 +154,9 @@ def test_centroid_random_trees():
 
 def test_submodule_generators_full_and_empty():
     M = build_P(4)
-    sub, _ = monomial_submodule(M, range(4))
+    sub = monomial_submodule(M, range(4)).module
     assert (sub.dim1, sub.dim2) == (4, 5)
-    sub, _ = monomial_submodule(M, [])
+    sub = monomial_submodule(M, []).module
     assert sub.dim == 0
 
 
@@ -177,7 +177,8 @@ def test_submodule_generators_given_twice_are_refused():
 def test_submodule_generators_p7_drop_pattern():
     M = build_P(7)
     gens = [0, 1, 3, 4, 6]  # e1 e2 e4 e5 e7
-    sub, (e1, e2) = monomial_submodule(M, gens)
+    part = monomial_submodule(M, gens)
+    sub, e1, e2 = part.module, part.emb1, part.emb2
     assert (sub.dim1, sub.dim2) == (5, 8)
     assert sub.dim == 13
     # closure is exact: arrow images of the embedded sources stay inside
@@ -190,7 +191,8 @@ def test_submodule_closure_property_random():
     for _ in range(25):
         M = build_P(rng.randint(1, 8))
         gens = [j for j in range(M.dim1) if rng.random() < 0.6]
-        sub, (e1, e2) = monomial_submodule(M, gens)
+        part = monomial_submodule(M, gens)
+        sub, e1, e2 = part.module, part.emb1, part.emb2
         for k in range(2):
             assert M.maps[k] @ e1 == e2 @ sub.maps[k]
 
@@ -199,11 +201,11 @@ def test_split_components_direct_sum():
     M = direct_sum([build_P(1), build_P(1)])
     comps = split_components(M)
     assert len(comps) == 2
-    assert all((c.dim1, c.dim2) == (1, 2) for c, _ in comps)
+    assert all((p.module.dim1, p.module.dim2) == (1, 2) for p in comps)
     # reassembled block module equals M under the recorded permutation
-    perm_src = [e for c, (e1, e2) in comps for e in e1.is_selection()]
-    perm_snk = [e for c, (e1, e2) in comps for e in e2.is_selection()]
-    D = direct_sum([c for c, _ in comps])
+    perm_src = [e for p in comps for e in p.emb1.is_selection()]
+    perm_snk = [e for p in comps for e in p.emb2.is_selection()]
+    D = direct_sum([p.module for p in comps])
     sel1 = Matrix.selection(QQ, M.dim1, perm_src)
     sel2 = Matrix.selection(QQ, M.dim2, perm_snk)
     for k in range(2):
@@ -212,9 +214,9 @@ def test_split_components_direct_sum():
 
 def test_split_components_p7_witness_parts():
     M = build_P(7)
-    sub, _ = monomial_submodule(M, [0, 1, 3, 4, 6])
+    sub = monomial_submodule(M, [0, 1, 3, 4, 6]).module
     comps = split_components(sub)
-    dims = sorted(c.dim for c, _ in comps)
+    dims = sorted(p.module.dim for p in comps)
     assert dims == [3, 5, 5]  # P_1, P_2, P_2
 
 
@@ -229,8 +231,8 @@ def test_split_component_dim_sum_invariant():
         mods = [build_P(rng.randint(0, 3)) for _ in range(rng.randint(1, 3))]
         M = direct_sum(mods)
         comps = split_components(M)
-        assert sum(c.dim1 for c, _ in comps) == M.dim1
-        assert sum(c.dim2 for c, _ in comps) == M.dim2
+        assert sum(p.module.dim1 for p in comps) == M.dim1
+        assert sum(p.module.dim2 for p in comps) == M.dim2
 
 
 @st.composite
@@ -254,9 +256,11 @@ def sparse_modules(draw):
 @example(M=KroneckerModule(2, QQ, 0, 0, [Matrix.zeros(QQ, 0, 0)] * 2))
 @example(M=KroneckerModule(3, PrimeField(5), 3, 2, [Matrix.zeros(PrimeField(5), 2, 3)] * 3))
 def test_split_components_matches_the_restriction_construction(M):
-    """split_components, built on MonomialPart, gives the modules and
-    selections of restricting each arrow matrix to every component."""
-    assert split_components(M) == split_components_by_restriction(M)
+    """split_components gives the MonomialParts whose modules and
+    selections are those of restricting each arrow matrix to every
+    component."""
+    assert ([(p.module, (p.emb1, p.emb2)) for p in split_components(M)]
+            == split_components_by_restriction(M))
 
 
 def test_export_edges_format():

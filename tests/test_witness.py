@@ -4,7 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kronhf.errors import DomainError, GuardRefusal, PreconditionError, ValidationError
@@ -15,7 +15,7 @@ from kronhf.cli import main
 from kronhf.modules import (KroneckerModule, PencilBlock, build_P, build_Q, build_R,
                             build_postinjective_theta, build_preprojective_theta,
                             classify_standard, direct_sum, module_from_text)
-from kronhf.quiver import build_gamma, components, is_tree
+from kronhf.quiver import build_gamma, components, is_tree, split_components
 from kronhf.witness import (MonomialPart, Witness, WitnessPart, combinator_bounded_codim,
                             combinator_direct_sum, fragment_postinjective_theta,
                             fragment_tree_module, monomial_submodule,
@@ -136,8 +136,9 @@ def test_postinjective_kernel_of_theta_is_the_monomial_submodule(field):
         theta = (Matrix.from_entries(field, 1, n + 1, [(0, 0, field.one)]),
                  Matrix.zeros(field, 0, n))
         ker, (k1, k2) = kernel_module(theta, Qm, target)
-        sub, (e1, e2) = monomial_submodule(Qm, range(1, n + 1))
-        assert (sub, e1, e2) == (ker, k1, k2), n
+        part = monomial_submodule(Qm, range(1, n + 1))
+        sub = part.module
+        assert (sub, part.emb1, part.emb2) == (ker, k1, k2), n
         assert sub == build_R(PencilBlock("R_mono", n), field)
 
 
@@ -204,7 +205,7 @@ def test_kernel_of_theta_on_q_is_r_mono(field):
     """The lemma behind the postinjective producer's kernel_blocks note:
     the monomial submodule of Q_n on sources 1..n is literally R_mono(n)."""
     for n in range(1, 61):
-        ker, _ = monomial_submodule(build_Q(n, field), range(1, n + 1))
+        ker = monomial_submodule(build_Q(n, field), range(1, n + 1)).module
         assert classify_standard(ker) == ("R_mono", n), n
 
 
@@ -387,14 +388,14 @@ def _general(w):
 
 
 def test_combinators_keep_monomial_parts_of_a_mixed_list(monkeypatch):
-    """Through either combinator with selection embeddings, a monomial part
-    stays a MonomialPart of the larger module, and the general parts of the
-    same witness take one product per side between them. The JSON is that of
-    the all-general witness, and verify_witness reports as the stacked
-    check does."""
+    """Through either combinator with a MonomialPart as the submodule, a
+    monomial part stays a MonomialPart of the larger module and takes no
+    product, and each general part takes one product per side. The JSON is
+    that of the all-general witness, and verify_witness reports as the
+    stacked check does."""
     R = _regular(60, QQ)
-    sub, embs = monomial_submodule(R, range(59))
-    inner = _drop_rule_chain(sub, Fraction(1, 20))
+    sub = monomial_submodule(R, range(59))
+    inner = _drop_rule_chain(sub.module, Fraction(1, 20))
     ws = [witness_preprojective_2k(30, QUARTER), witness_regular_2k(_regular(40, QQ), QUARTER)]
     real = Matrix.__matmul__
     count = [0]
@@ -404,16 +405,17 @@ def test_combinators_keep_monomial_parts_of_a_mixed_list(monkeypatch):
         return real(a, b)
 
     for combine, inner_ws in ((combinator_direct_sum, ws),
-                              (lambda ws: combinator_bounded_codim(R, sub, embs, *ws,
+                              (lambda ws: combinator_bounded_codim(R, sub, *ws,
                                                                    Fraction(1, 10)), [inner])):
         mixed = [_mixed(w) for w in inner_ws]
         count[0] = 0
         monkeypatch.setattr(Matrix, "__matmul__", counting)
         out = combine(mixed)
         monkeypatch.undo()
-        assert count[0] == 2 * len(mixed)  # one product per side and inner witness
         given = [p for w in mixed for p in w.parts]
         assert len(given) > 4
+        # one product per side and general part
+        assert count[0] == 2 * sum(type(p) is WitnessPart for p in given)
         assert [type(p) for p in out.parts] == [type(p) for p in given]
         assert all(p.ambient is out.module for p in out.parts if type(p) is MonomialPart)
         ref = combine([_general(w) for w in inner_ws])
@@ -426,8 +428,8 @@ def test_combinators_keep_monomial_parts_of_a_mixed_list(monkeypatch):
 def test_combinator_bounded_codim_identity_transport():
     M = build_P(10)
     w = _drop_rule_chain(M, QUARTER)
-    out = combinator_bounded_codim(M, M, (Matrix.identity(QQ, 10), Matrix.identity(QQ, 11)),
-                                   w, QUARTER)
+    out = combinator_bounded_codim(
+        M, WitnessPart(M, Matrix.identity(QQ, 10), Matrix.identity(QQ, 11)), w, QUARTER)
     assert verify_witness(M, out).ok
 
 
@@ -439,20 +441,20 @@ def test_combinator_bounded_codim_arithmetic():
 def test_combinator_bounded_codim_guard():
     # L=3, eps=1/10, dim M = 50: 50 < 2*3/(1/10) = 60 -> refusal
     M = build_P(24)  # dim 49, close enough: use dims to trip the guard
-    sub, embs = monomial_submodule(M, range(21))
+    sub = monomial_submodule(M, range(21))
     L = M.dim - sub.dim
-    inner = _drop_rule_chain(sub, Fraction(1, 20))
+    inner = _drop_rule_chain(sub.module, Fraction(1, 20))
     if Fraction(M.dim) < Fraction(2 * L) / Fraction(1, 10):
         with pytest.raises(GuardRefusal):
-            combinator_bounded_codim(M, sub, embs, inner, Fraction(1, 10))
+            combinator_bounded_codim(M, sub, inner, Fraction(1, 10))
 
 
 def test_combinator_bounded_codim_rejects_large_inner_eps():
     M = build_P(40)
-    sub, embs = monomial_submodule(M, range(39))
-    inner = _drop_rule_chain(sub, QUARTER)
+    sub = monomial_submodule(M, range(39))
+    inner = _drop_rule_chain(sub.module, QUARTER)
     with pytest.raises(GuardRefusal):
-        combinator_bounded_codim(M, sub, embs, inner, QUARTER)
+        combinator_bounded_codim(M, sub, inner, QUARTER)
 
 
 def _regular(n, field):
@@ -526,22 +528,21 @@ def test_transport_of_an_inner_witness_without_parts():
     zero = direct_sum([], d=2, field=QQ)
     empty = Matrix.zeros(QQ, 0, 0)
     inner = combinator_direct_sum([], eps=Fraction(1, 8))
-    out = combinator_bounded_codim(zero, zero, (empty, empty), inner, QUARTER)
+    out = combinator_bounded_codim(zero, WitnessPart(zero, empty, empty), inner, QUARTER)
     assert out.parts == [] and verify_witness(zero, out).ok
     # over a nonzero module the empty witness is refused on its dimension
     M = build_P(10)
     inner = Witness(M, Fraction(1, 8), Fraction(11), [])
     with pytest.raises(GuardRefusal, match="dim N = 0"):
-        combinator_bounded_codim(M, M, (Matrix.identity(QQ, 10), Matrix.identity(QQ, 11)),
-                                 inner, QUARTER)
+        combinator_bounded_codim(
+            M, WitnessPart(M, Matrix.identity(QQ, 10), Matrix.identity(QQ, 11)), inner, QUARTER)
 
 
 def test_transport_takes_one_product_per_side(monkeypatch):
-    """Two products whatever the number of parts, so the transport stays
-    linear in dim M (one product per part made it quadratic). The inner
-    parts are given as general parts, which take the product route."""
+    """One product per side and general part: the inner parts are given as
+    general parts, which take the product route."""
     R = _regular(500, QQ)
-    sub, embs = monomial_submodule(R, range(499))
+    sub = monomial_submodule(R, range(499))
     real = Matrix.__matmul__
     count = [0]
 
@@ -551,15 +552,60 @@ def test_transport_takes_one_product_per_side(monkeypatch):
 
     seen = []
     for eps in (Fraction(1, 2), Fraction(1, 10)):
-        inner = _drop_rule_chain(sub, eps / 2)
+        inner = _drop_rule_chain(sub.module, eps / 2)
         inner.parts = [WitnessPart(p.module, p.emb1, p.emb2) for p in inner.parts]
         count[0] = 0
         monkeypatch.setattr(Matrix, "__matmul__", counting)
-        combinator_bounded_codim(R, sub, embs, inner, eps)
+        combinator_bounded_codim(R, sub, inner, eps)
         monkeypatch.undo()
         seen.append((len(inner.parts), count[0]))
     assert seen[0][0] != seen[1][0] and min(seen)[0] > 2
-    assert [c for _, c in seen] == [2, 2]
+    assert [c for _, c in seen] == [2 * n for n, _ in seen]
+
+
+def test_combinator_bounded_codim_refuses_an_inner_witness_for_another_module():
+    """P_199 on the first sources and sinks of P_200, with a witness for
+    P_300 as the inner witness: refused before any part is transported,
+    whichever form the submodule takes."""
+    M = build_P(200)
+    inner = witness_for(build_P(300), Fraction(1, 8))
+    for sub in (WitnessPart(build_P(199), Matrix.selection(QQ, 200, range(199)),
+                            Matrix.selection(QQ, 201, range(200))),
+                MonomialPart(M, list(range(199)), list(range(200)))):
+        with pytest.raises(ValidationError, match="inner witness is not for the submodule"):
+            combinator_bounded_codim(M, sub, inner, QUARTER)
+        # the witness for the submodule itself is carried
+        w = combinator_bounded_codim(M, sub, witness_for(sub.module, Fraction(1, 8)), QUARTER)
+        assert verify_witness(M, w).ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(0, 30), min_size=3, max_size=3),
+       field=st.sampled_from([QQ, PrimeField(5)]),
+       eps=st.sampled_from([Fraction(1, 2), QUARTER, Fraction(1, 10)]))
+def test_component_witnesses_combine_to_a_witness_of_the_sum(sizes, field, eps):
+    """The chain of ROADMAP item 6 step 1 on P_a + Q_b + R_(x-1)^c,
+    block-diagonal (a size of 0 leaves its summand out, and at least one is
+    kept): split_components, witness_for on each part's module,
+    combinator_direct_sum, then combinator_bounded_codim at codimension 0
+    with the part on the components' ids, concatenated. Every part stays a
+    MonomialPart of M, and the partition check agrees with the stacked one."""
+    a, b, c = sizes
+    blocks = [build(n, field) for build, n in ((build_P, a), (build_Q, b), (_regular, c)) if n]
+    assume(blocks)
+    M = direct_sum(blocks)
+    comps = split_components(M)
+    assert all(type(p) is MonomialPart and p.ambient is M for p in comps)
+    ws = [witness_for(p.module, eps) for p in comps]
+    inner = combinator_direct_sum(ws)
+    sub = MonomialPart(M, [v for p in comps for v in p.sources],
+                       [v for p in comps for v in p.sinks])
+    w = combinator_bounded_codim(M, sub, inner, eps)
+    assert w.notes["codim"] == 0
+    assert all(type(p) is MonomialPart and p.ambient is M for p in w.parts)
+    rep = verify_witness(M, w)
+    assert rep.ok and rep == _verify_stacked(M, w)
+    assert w.dim_n == sum(x.dim_n for x in ws)
 
 
 def test_verify_witness_detects_oversized_part():
