@@ -8,6 +8,7 @@ is only empirical.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -82,23 +83,30 @@ def _stacked_image_dim(W: Matrix, maps_t: list) -> int:
 class _PackedImages:
     """The images T_1(w), ..., T_d(w) of one vector w of F_q^n, packed into one int.
 
-    Entry s of T_j(w) sits in bits (j*n + s)*B .. (j*n + s)*B + B - 1, where B
-    leaves one bit to spare above q - 1. Two reduced packed values then add
-    mod q entrywise in a few whole-int operations (``add``), and T_j(w) is
+    Entry s of T_j(w) sits in bits (j*n + s)*B .. (j*n + s)*B + B - 1, and
+    ``add`` adds two reduced packed values mod q entrywise in whole-int
+    operations. Over GF(2), B = 1 and ``add`` is XOR. Over odd q, B leaves
+    one bit to spare above q - 1, and ``add`` is _add_mod_q. T_j(w) is
     linear in w: the packed images of e_c, one int per column c, generate
     every other by ``add`` and ``scale``.
+
+    At B = 1 every nonzero entry is 1, so the eliminations below never call
+    ``scale`` or ``pow``: a leading coefficient is 1, and q - c is 1.
     """
 
     def __init__(self, cand: ExpanderCandidate):
         q, n, d = cand.field.q, cand.n, len(cand.maps)
-        B = (q - 1).bit_length() + 1
-        unit = sum(1 << (s * B) for s in range(n * d))
+        if q == 2:
+            B, self.add = 1, operator.xor
+        else:
+            B, self.add = (q - 1).bit_length() + 1, self._add_mod_q
+            unit = sum(1 << (s * B) for s in range(n * d))
+            self.high = unit << (B - 1)       # the spare bit of every entry
+            self.bias = unit * ((1 << (B - 1)) - q)
+            self.spare = B - 1
         self.q, self.n = q, n
         self.entry = (1 << B) - 1
         self.vec = (1 << (n * B)) - 1
-        self.high = unit << (B - 1)           # the spare bit of every entry
-        self.bias = unit * ((1 << (B - 1)) - q)
-        self.spare = B - 1
         self.offsets = [j * n * B for j in range(d)]
         # bit length of a nonzero packed value -> shift of its highest nonzero entry
         self.lead = [0] + [(b - 1) // B * B for b in range(1, n * d * B + 1)]
@@ -107,20 +115,23 @@ class _PackedImages:
             for r, c, v in m.entries():
                 self.columns[c] += (v % q) << ((j * n + r) * B)
 
-    def add(self, a: int, b: int) -> int:
-        """Entrywise (a + b) mod q: an entry of a + b is at most 2q - 2 < 2^B, and
-        adding 2^(B-1) - q sets its spare bit exactly when it is >= q."""
+    def _add_mod_q(self, a: int, b: int) -> int:
+        """Entrywise (a + b) mod q for odd q: an entry of a + b is at most
+        2q - 2 < 2^B, and adding 2^(B-1) - q sets its spare bit exactly when
+        it is >= q."""
         t = a + b
         return t - (((t + self.bias) & self.high) >> self.spare) * self.q
 
     def scale(self, v: int, f: int) -> int:
-        """f * v mod q for 0 < f < q, by doubling."""
+        """f * v mod q for 0 < f < q, by doubling; the first multiple taken is
+        assigned, not added to zero."""
+        add = self.add
         out = v if f & 1 else 0
         f >>= 1
         while f:
-            v = self.add(v, v)
+            v = add(v, v)
             if f & 1:
-                out = self.add(out, v)
+                out = add(out, v) if out else v
             f >>= 1
         return out
 

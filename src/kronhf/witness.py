@@ -363,11 +363,14 @@ def _zigzag_kept(sources, eps):
 # -- combinators ------------------------------------------------------------------
 
 
-def combinator_direct_sum(witnesses, *, eps: Fraction | None = None) -> Witness:
+def combinator_direct_sum(witnesses, *, eps: Fraction | None = None, d: int | None = None,
+                          field=None) -> Witness:
     """Block-diagonal witness for the direct sum of the witnessed modules.
 
     Every witness must be at eps, when it is given, or else at the first
-    witness's eps; the empty sum needs eps. modules.direct_sum refuses
+    witness's eps; the empty sum needs eps. The empty sum is the zero
+    module with d arrows over field, d = 2 over Q unless given; a nonempty
+    sum takes both from its modules. modules.direct_sum refuses
     modules over different fields or arrow counts. Each witness's parts
     are carried by _transported through its block, the MonomialPart of the
     sum on the block's id ranges, so monomial parts stay monomial with
@@ -379,7 +382,7 @@ def combinator_direct_sum(witnesses, *, eps: Fraction | None = None) -> Witness:
         if eps is None:
             raise ValidationError("empty direct sum needs an explicit eps")
         check_eps(eps)
-        zero = direct_sum([])
+        zero = direct_sum([], d=d, field=field)
         return Witness(zero, eps, Fraction(0), [], dict(producer="direct_sum"))
     eps = witnesses[0].eps if eps is None else eps
     if any(w.eps != eps for w in witnesses):

@@ -156,8 +156,10 @@ ORACLE_MAX_SUBSPACES = 800
 
 @st.composite
 def small_candidates(draw):
-    q = draw(st.sampled_from([2, 3, 5]))
-    n = draw(st.integers(1, 5))
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    # n <= 5 with every line under the cap: F_7^5 has 2801 lines, so n <= 4 over GF(7)
+    n = draw(st.integers(1, max(n for n in range(1, 6)
+                                if gaussian_binomial(n, 1, q) <= ORACLE_MAX_SUBSPACES)))
     field = PrimeField(q)
     maps = [Matrix.from_dense(field, draw(st.lists(
         st.lists(st.integers(0, q - 1), min_size=n, max_size=n), min_size=n, max_size=n)))
@@ -299,9 +301,9 @@ def test_span_tests_run_on_a_bench_shaped_candidate(monkeypatch):
 
 @st.composite
 def packed_vectors(draw):
-    """A _PackedImages for q <= 5, n <= 4 and d <= 3, up to 3 step vectors of
+    """A _PackedImages for q <= 7, n <= 4 and d <= 3, up to 3 step vectors of
     d * n entries, and a target that is sometimes minus a combination of them."""
-    q = draw(st.sampled_from([2, 3, 5]))
+    q = draw(st.sampled_from([2, 3, 5, 7]))
     n, d = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     field = PrimeField(q)
     packed = _PackedImages(ExpanderCandidate(field, n, [Matrix.zeros(field, n, n)] * d,
@@ -320,6 +322,21 @@ def packed_vectors(draw):
 def _pack(packed, entries):
     B = packed.entry.bit_length()
     return sum(e << (s * B) for s, e in enumerate(entries))
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_vectors(), st.data())
+def test_packed_add_and_scale_match_entrywise_arithmetic(case, data):
+    """add and scale on packed values are the entrywise sum and multiple mod
+    q, at packed.entry.bit_length() bits per entry (one bit over GF(2))."""
+    packed, steps, target = case
+    q = packed.q
+    assert (packed.entry == 1) == (q == 2)
+    a = steps[0] if steps else target
+    assert packed.add(_pack(packed, a), _pack(packed, target)) == _pack(
+        packed, [(x + y) % q for x, y in zip(a, target)])
+    f = data.draw(st.integers(1, q - 1))
+    assert packed.scale(_pack(packed, target), f) == _pack(packed, [f * x % q for x in target])
 
 
 @settings(max_examples=300, deadline=None)

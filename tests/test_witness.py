@@ -4,7 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kronhf.errors import DomainError, GuardRefusal, PreconditionError, ValidationError
@@ -583,21 +583,22 @@ def test_combinator_bounded_codim_refuses_an_inner_witness_for_another_module():
 @given(sizes=st.lists(st.integers(0, 30), min_size=3, max_size=3),
        field=st.sampled_from([QQ, PrimeField(5)]),
        eps=st.sampled_from([Fraction(1, 2), QUARTER, Fraction(1, 10)]))
+@example(sizes=[0, 0, 0], field=PrimeField(5), eps=QUARTER)
 def test_component_witnesses_combine_to_a_witness_of_the_sum(sizes, field, eps):
     """The chain of ROADMAP item 6 step 1 on P_a + Q_b + R_(x-1)^c,
-    block-diagonal (a size of 0 leaves its summand out, and at least one is
-    kept): split_components, witness_for on each part's module,
+    block-diagonal (a size of 0 leaves its summand out; with all three out M
+    is the zero module over the field, with no components):
+    split_components, witness_for on each part's module,
     combinator_direct_sum, then combinator_bounded_codim at codimension 0
     with the part on the components' ids, concatenated. Every part stays a
     MonomialPart of M, and the partition check agrees with the stacked one."""
     a, b, c = sizes
     blocks = [build(n, field) for build, n in ((build_P, a), (build_Q, b), (_regular, c)) if n]
-    assume(blocks)
-    M = direct_sum(blocks)
+    M = direct_sum(blocks, d=2, field=field)
     comps = split_components(M)
     assert all(type(p) is MonomialPart and p.ambient is M for p in comps)
     ws = [witness_for(p.module, eps) for p in comps]
-    inner = combinator_direct_sum(ws)
+    inner = combinator_direct_sum(ws, eps=eps, d=2, field=field)
     sub = MonomialPart(M, [v for p in comps for v in p.sources],
                        [v for p in comps for v in p.sinks])
     w = combinator_bounded_codim(M, sub, inner, eps)
