@@ -70,12 +70,10 @@ class RunReport:
 
 
 def _load_config(path, keys):
-    """The key=value lines of a --config file; a key that is not in keys, the
-    value options of the command, or a value outside the key's argparse
-    choices is a usage error."""
+    """The key=value lines of a --config file, less blank and # lines; a key
+    not in keys, the command's value options, or a value outside the key's
+    argparse choices is a usage error."""
     out = {}
-    if not path:
-        return out
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -95,10 +93,12 @@ def _load_config(path, keys):
 
 
 def _as_int(name, raw):
-    """An integer option value; a malformed one is a usage error, not a traceback."""
+    """An integer option value; a missing or malformed one is a usage error."""
+    if raw is None:
+        raise ValidationError(f"missing --{name}")
     try:
         return int(raw)
-    except (TypeError, ValueError):
+    except ValueError:
         raise ValidationError(f"--{name} must be an integer, got {raw!r}") from None
 
 
@@ -159,6 +159,8 @@ def cmd_build(args) -> int:
 
 def cmd_witness(args) -> int:
     M = _read_module(args.module, "--module")
+    if args.eps is None:
+        raise ValidationError("missing --eps")
     eps = parse_rational(args.eps)
     w = witness_for(M, eps, l_override=None if args.l_override is None
                     else _as_int("l-override", args.l_override))

@@ -56,7 +56,6 @@ class ExpansionReport:
     worst_ratio: object = None
     witness: Matrix | None = None
     subspaces_checked: int = 0
-    method: str = ""
     seed: int | None = None
     notes: dict = dc_field(default_factory=dict)
 
@@ -349,10 +348,10 @@ def check_exhaustive(cand: ExpanderCandidate, guard: int = 10 ** 7) -> Expansion
         if entries is not None:
             W = Matrix.from_entries(cand.field, k, cand.n, entries)
             return ExpansionReport("refuted", cand.eta, cand.alpha, Fraction(least, k), W,
-                                   checked, "exhaustive", notes={"expected_total": total})
+                                   checked, notes={"expected_total": total})
     return ExpansionReport("proved", cand.eta, cand.alpha,
                            None if worst is None else Fraction(*worst), None, checked,
-                           "exhaustive", notes={"expected_total": total})
+                           notes={"expected_total": total})
 
 
 SAMPLED_MAX_ENTRY = 9
@@ -375,8 +374,7 @@ def check_sampled_rational(cand: ExpanderCandidate, trials: int,
     kmax = int(cand.eta * cand.n)
     if kmax == 0:
         # no nonzero subspace has dimension <= eta * n: the property holds vacuously
-        return ExpansionReport("sampled-pass", cand.eta, cand.alpha, None, None, 0,
-                               "sampled", seed)
+        return ExpansionReport("sampled-pass", cand.eta, cand.alpha, None, None, 0, seed)
     rng = random.Random(seed)
     maps_t = [m.transpose() for m in cand.maps]
     worst = None
@@ -395,10 +393,8 @@ def check_sampled_rational(cand: ExpanderCandidate, trials: int,
         if worst is None or ratio < worst:
             worst = ratio
         if Fraction(dim_sum) < (1 + cand.alpha) * k:
-            return ExpansionReport("refuted", cand.eta, cand.alpha, ratio, W,
-                                   checked, "sampled", seed)
-    return ExpansionReport("sampled-pass", cand.eta, cand.alpha, worst, None,
-                           checked, "sampled", seed)
+            return ExpansionReport("refuted", cand.eta, cand.alpha, ratio, W, checked, seed)
+    return ExpansionReport("sampled-pass", cand.eta, cand.alpha, worst, None, checked, seed)
 
 
 # -- bounds ---------------------------------------------------------------------
@@ -425,22 +421,24 @@ def weak_nonhf_epsilon_bound(alpha: Fraction) -> Fraction:
 
 @dataclass
 class RefutationReport:
-    verdict: str  # contradiction | expander-counterexample | not-a-submodule |
-    #               witness-invalid | inconclusive
+    verdict: str  # inconclusive | not-a-submodule | expander-counterexample | witness-invalid
     detail: str = ""
     part_index: int | None = None
     counterexample: Matrix | None = None
-    chain: dict = dc_field(default_factory=dict)
 
 
 def refute_witness(M: KroneckerModule, w: Witness, eta: Fraction,
                    alpha: Fraction) -> RefutationReport:
     """Play a claimed witness against the expansion property.
 
-    If every part is a genuinely embedded small submodule whose source space
-    expands, the summed inequality forces eps >= alpha / (2 (1 + alpha)),
-    contradicting the witness's claimed eps; a part that fails to expand is
-    emitted as an expander counterexample instead.
+    Verdicts, with n = dim M(1): "inconclusive" when dim M(2) != n, the
+    claimed eps is not below alpha / (2 (1 + alpha)), or a part's source
+    space exceeds eta n; "not-a-submodule" when a part's images leave its
+    sink space; "expander-counterexample", with the part's index and source
+    basis, when a part fails to expand; else "witness-invalid". A verifying
+    witness cannot get that far: parts of dims (k_j, m_j) that pass give
+    m_j >= (1 + alpha) k_j, and sum m_j <= n then gives dim N <= (1 - alpha
+    / (2 (1 + alpha))) 2n, against the dimension clause (AssertionError).
     """
     if M.dim1 != M.dim2:
         return RefutationReport("inconclusive", "module is not expander-induced (dims differ)")
@@ -471,24 +469,9 @@ def refute_witness(M: KroneckerModule, w: Witness, eta: Fraction,
                 f"part {idx}: dim sum T_i(W) = {img_dim} < (1 + {alpha}) * {src.cols}",
                 idx, src)
     rep = verify_witness(M, w)
-    if not rep.ok:
-        return RefutationReport("witness-invalid", f"{rep.clause}: {rep.detail}")
-    sum1 = sum(p.module.dim1 for p in w.parts)
-    sum2 = sum(p.module.dim2 for p in w.parts)
-    implied = Fraction(2 * n - sum1 - sum2, 2 * n)
-    chain = {
-        "sum_dim1": sum1,
-        "sum_dim2": sum2,
-        "dim_v": n,
-        "claimed_eps": str(w.eps),
-        "implied_eps_lower_bound": str(bound),
-        "witness_eps_actual": str(implied),
-    }
-    return RefutationReport(
-        "contradiction",
-        "a valid witness with expanding parts cannot have eps below "
-        f"{bound}; the claimed eps {w.eps} is impossible",
-        chain=chain)
+    if rep.ok:
+        raise AssertionError(f"witness verifies with eps {w.eps} below {bound}; bug")
+    return RefutationReport("witness-invalid", f"{rep.clause}: {rep.detail}")
 
 
 # -- best-epsilon search -------------------------------------------------------------

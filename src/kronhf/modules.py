@@ -627,12 +627,10 @@ def _is_band(rows, first, count, shift, one) -> bool:
 
 
 def _is_companion(m: Matrix) -> bool:
-    """Whether m is square and, outside its last column, exactly the
-    subdiagonal of ones: in one pass over the rows, every entry off the
-    last column is a one on the subdiagonal, and there are n - 1 of them."""
+    """Whether the n x n matrix m, n >= 1, is the subdiagonal of ones off its
+    last column: in one pass over the rows, every entry off the last column
+    is a one on the subdiagonal, and there are n - 1 of them."""
     n = m.rows
-    if n == 0 or m.cols != n:
-        return False
     one, last = m.field.one, n - 1
     count = 0
     for i, row in m._rows.items():

@@ -53,11 +53,12 @@ def _colspace(m: Matrix) -> Matrix:
 
 
 def _intersect(U: Matrix, V: Matrix) -> Matrix:
+    """Basis of colspace(U) ∩ colspace(V) for U, V with independent columns:
+    then U times the top rows of a kernel basis of [U | -V] is already one."""
     if U.cols == 0 or V.cols == 0:
         return Matrix.zeros(U.field, U.rows, 0)
     K = Matrix.hstack([U, -V]).kernel_basis()
-    top = K.submatrix(range(U.cols), range(K.cols))
-    return _colspace(U @ top)
+    return U @ K.submatrix(range(U.cols), range(K.cols))
 
 
 def _preimage(A: Matrix, W: Matrix) -> Matrix:
@@ -163,10 +164,8 @@ def _poly_eval_matrix(C: Matrix, q: tuple) -> Matrix:
 
 
 def _rcf_blocks(C: Matrix) -> Counter:
-    """Primary block multiset of the module (id, C)."""
+    """Primary block multiset of the module (id, C), for C at least 1 x 1."""
     blocks = Counter()
-    if C.rows == 0:
-        return blocks
     fld = C.field
     char = _charpoly_coeffs(C)
     for q, total_mult in factor_monic(fld, char):

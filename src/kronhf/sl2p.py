@@ -100,7 +100,6 @@ class IrreducibleRep:
     p: int
     mat_s: Matrix
     mat_t: Matrix
-    basis: str = "difference"
 
 
 def irreducible_rep(p: int) -> IrreducibleRep:
@@ -412,7 +411,6 @@ class KazhdanEstimate:
     lower: float
     upper: float
     dim: int
-    generators: str = "s, t on trace-zero matrices"
 
     @property
     def alpha(self) -> float:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from kronhf import cli
 from kronhf.cli import _sweep_module, build_parser, main, sub_seed
 from kronhf.fields import field_from_label
 from kronhf.modules import module_from_text
+from kronhf.sl2p import adjoint_generators, kazhdan_lower_bound
 
 
 def run(capsys, *argv):
@@ -217,6 +219,22 @@ def test_missing_module_file_is_usage_error(capsys, command, flag):
     assert (code, out, err) == (2, "", f"error: missing {flag}\n")
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sl2p"], "missing --p"),
+    (["build", "P"], "missing --n"),
+    (["witness", "--module", str(GOLDEN / "r40.mod")], "missing --eps"),
+    (["sweep", "--range", "1", "--eps-list", "1/2"], "sweep needs --family"),
+    (["expander", "--maps", str(GOLDEN / "expander_gf2_n10.mod"), "--field", "3"],
+     "--field 3 does not match the maps file field 2"),
+], ids=["sl2p-p", "build-n", "witness-eps", "sweep-family", "expander-field"])
+def test_missing_or_contradicted_option_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_sweep_without_range_is_usage_error(capsys):
     code, out, err = run(capsys, "sweep", "--family", "P", "--eps-list", "1/2")
     assert (code, out) == (2, "")
@@ -253,6 +271,24 @@ def test_sl2p_dump_to_out_opens_the_file_once(capsys, tmp_path, monkeypatch):
     assert opened == ["w"]
     fixture = Path(kronhf.__file__).parent / "fixtures" / "rho_3.txt"
     assert path.read_bytes() == fixture.read_bytes()
+
+
+def test_sl2p_kazhdan_report(capsys):
+    """--kazhdan adds the bracket on the adjoint representation (dim
+    p^2 - 1), its alpha = lower^2 / 12 and both eps bounds to the report."""
+    code, out, err = run(capsys, "sl2p", "--p", "5", "--kazhdan", "--trials", "3", "--json")
+    assert (code, err) == (0, "")
+    kz = json.loads(out)["results"]["kazhdan"]
+    assert set(kz) == {"lower", "upper", "alpha", "dim", "eps_bound", "weak_eps_bound",
+                       "seed", "trials"}
+    assert (kz["dim"], kz["seed"], kz["trials"]) == (24, 0, 3)
+    assert kz["lower"] == kazhdan_lower_bound(adjoint_generators(5)) <= kz["upper"]
+    assert kz["alpha"] == kz["lower"] ** 2 / 12
+    assert 0 < Fraction(kz["weak_eps_bound"]) < Fraction(kz["eps_bound"]) < Fraction(1, 2)
+    code, out, _ = run(capsys, "sl2p", "--p", "5", "--kazhdan", "--trials", "3")
+    assert code == 0
+    assert out.splitlines()[1] == (f"kazhdan bracket [{kz['lower']:.6f}, {kz['upper']:.6f}] "
+                                   f"alpha {kz['alpha']:.6g}")
 
 
 def test_sl2p_composite_p(capsys):
@@ -360,8 +396,7 @@ def test_bad_integer_options_are_usage_errors(capsys, tmp_path):
              ("--l-override", ["witness", "--module", str(mod), "--eps", "1/2",
                                "--l-override", "4.0"]),
              ("--l-override", ["witness", "--module", str(mod), "--eps", "1/2",
-                               "--l-override", ""]),
-             ("--n", ["build", "P"])]
+                               "--l-override", ""])]
     for flag, argv in cases:
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
@@ -426,10 +461,10 @@ def test_gamma_output_matches_golden(capsys, tmp_path):
 
 def test_config_file(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("n=3\nfield=rational\n")
+    cfg.write_text("# P_3 over GF(5)\n\nn=3\n   \n  # indented comment\nfield=5\n")
     code, out, _ = run(capsys, "build", "P", "--config", str(cfg))
     assert code == 0
-    assert "dims 3x4" in out
+    assert out.startswith("dims 3x4 defect -1\nkronecker d=2 field=5 dims=3x4\n")
 
 
 def test_config_key_that_is_not_a_value_option_is_usage_error(capsys, tmp_path):

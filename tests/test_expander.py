@@ -15,7 +15,7 @@ from kronhf.expander import (ExpanderCandidate, _PackedImages, _stacked_image_di
                              check_exhaustive, check_sampled_rational,
                              empirical_best_epsilon, gaussian_binomial, nonhf_epsilon_bound,
                              refute_witness, weak_nonhf_epsilon_bound)
-from kronhf.witness import Witness, WitnessPart, verify_witness
+from kronhf.witness import MonomialPart, Witness, WitnessPart, verify_witness
 
 from oracles import image_dim
 
@@ -606,6 +606,60 @@ def test_refute_witness_contradiction_on_forged_eps():
     assert not verify_witness(M, w).ok  # the forged eps cannot actually verify
     rep = refute_witness(M, w, HALF, Fraction(1))
     assert rep.verdict == "witness-invalid"
+
+
+def test_refute_witness_reports_a_part_that_fails_to_expand():
+    """On (I, I, I) over GF(2) the line <e_0> has images of dimension 1 <
+    (1 + 1) * 1: the verdict carries the part's index and its source basis."""
+    i2 = Matrix.identity(F2, 2)
+    M = KroneckerModule(3, F2, 2, 2, [i2, i2.copy(), i2.copy()])
+    part = MonomialPart(M, [0], [0])
+    rep = refute_witness(M, Witness(M, Fraction(1, 8), Fraction(2), [part]), HALF, Fraction(1))
+    assert rep.verdict == "expander-counterexample"
+    assert rep.part_index == 0
+    assert rep.counterexample == part.emb1
+
+
+REFUTATION_VERDICTS = ("inconclusive", "not-a-submodule", "expander-counterexample",
+                       "witness-invalid")
+
+
+@st.composite
+def claimed_witnesses(draw):
+    """(M, w, eta, alpha): a random square module over GF(2) or GF(3) with
+    n <= 4 and d <= 3, and a claimed witness whose parts are a random
+    partition of some of its source and sink ids."""
+    field = PrimeField(draw(st.sampled_from([2, 3])))
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    maps = [Matrix.from_dense(field, draw(st.lists(
+        st.lists(st.integers(0, field.q - 1), min_size=n, max_size=n),
+        min_size=n, max_size=n))) for _ in range(d)]
+    M = KroneckerModule(d, field, n, n, maps)
+    # each id goes to one of k parts, or to None (left out)
+    k = draw(st.integers(1, 2 * n))
+    owner = st.one_of(st.none(), st.integers(0, k - 1))
+    src = draw(st.lists(owner, min_size=n, max_size=n))
+    snk = draw(st.lists(owner, min_size=n, max_size=n))
+    parts = [MonomialPart(M, [i for i in range(n) if src[i] == j],
+                          [i for i in range(n) if snk[i] == j]) for j in range(k)]
+    parts = [p for p in parts if p.dim]
+    eps = Fraction(draw(st.integers(0, 7)), 16)
+    w = Witness(M, eps, Fraction(draw(st.integers(1, 2 * n))), parts)
+    eta = Fraction(draw(st.integers(1, 4)), 4)
+    alpha = Fraction(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    return M, w, eta, alpha
+
+
+@settings(max_examples=200, deadline=None)
+@given(claimed_witnesses())
+def test_refute_witness_returns_one_of_its_four_verdicts(case):
+    """A witness that verifies with every part expanding and eps below the
+    bound cannot exist, so refute_witness never raises its AssertionError."""
+    M, w, eta, alpha = case
+    rep = refute_witness(M, w, eta, alpha)
+    assert rep.verdict in REFUTATION_VERDICTS
+    if rep.verdict == "expander-counterexample":
+        assert rep.counterexample == w.parts[rep.part_index].emb1
 
 
 def test_empirical_best_epsilon_p7():

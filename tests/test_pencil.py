@@ -10,6 +10,7 @@ from kronhf.errors import CertificateError, PreconditionError, ValidationError
 from kronhf.fields import QQ, PrimeField
 from kronhf.matrices import Matrix, random_invertible
 from kronhf import modules, pencil
+from kronhf.cli import main
 from kronhf.modules import (KroneckerModule, PencilBlock, build_P, build_Q,
                             build_R, direct_sum)
 from kronhf.pencil import (_chain_lengths, _colspace, _complete_basis, _intersect,
@@ -33,6 +34,21 @@ def test_decompose_canonical_fastpaths():
     assert decompose_pencil(build_Q(4)) == Counter({PencilBlock("Q", 4): 1})
     rm = build_R(PencilBlock("R_mono", 3))
     assert decompose_pencil(rm) == Counter({PencilBlock("R_mono", 3): 1})
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "GF5"])
+def test_decompose_zero_module(field, tmp_path, capsys):
+    """The zero module has no blocks, and the 0 x 0 identities certify it;
+    kronhf decompose says so and exits 0."""
+    M = direct_sum([], field=field)
+    assert decompose_pencil(M) == Counter()
+    blocks, *iso = certify_pencil(M)
+    assert blocks == Counter()
+    assert iso == [Matrix.identity(field, 0)] * 2
+    path = tmp_path / "zero.mod"
+    path.write_text(M.to_text())
+    assert main(["decompose", "--module", str(path)]) == 0
+    assert capsys.readouterr().out == "zero module\n"
 
 
 def test_decompose_identity_pair_splits():

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from kronhf.errors import DomainError, GuardRefusal, PreconditionError, ValidationError
 from kronhf.fields import QQ, PrimeField
-from kronhf.matrices import Matrix
+from kronhf.matrices import Matrix, matrix_from_text, random_invertible
+from kronhf.pencil import certify_pencil
 from kronhf import witness as witness_mod
 from kronhf.cli import main
 from kronhf.modules import (KroneckerModule, PencilBlock, build_P, build_Q, build_R,
@@ -768,6 +770,28 @@ def test_witness_serialization_roundtrip_fields():
     assert d["dim_n"] == 13
     assert d["verdict"]["pass"] is True
     assert all("source_indices" in p for p in d["parts"])
+
+
+def test_witness_to_dict_writes_general_embeddings_as_matrix_text():
+    """A witness for P_6 carried into a scrambled copy by the isomorphism of
+    certify_pencil has parts with general embeddings: the JSON holds their
+    matrix text, which reads back to the embeddings."""
+    F5 = PrimeField(5)
+    D = build_P(6, F5)
+    rng = random.Random(6)
+    g1, g2 = random_invertible(F5, D.dim1, rng), random_invertible(F5, D.dim2, rng)
+    M = KroneckerModule(2, F5, D.dim1, D.dim2, [g2 @ m @ g1 for m in D.maps])
+    blocks, F1, F2 = certify_pencil(M)
+    assert blocks == Counter({PencilBlock("P", 6): 1})
+    w = combinator_bounded_codim(M, WitnessPart(D, F1, F2), witness_for(D, QUARTER), QUARTER)
+    assert verify_witness(M, w).ok
+    parts = json.loads(json.dumps(witness_to_dict(w)))["parts"]
+    assert len(parts) == len(w.parts) > 1
+    for entry, p in zip(parts, w.parts):
+        assert "source_indices" not in entry and "sink_indices" not in entry
+        assert entry["dims"] == [p.module.dim1, p.module.dim2]
+        assert matrix_from_text(entry["emb1"]) == p.emb1
+        assert matrix_from_text(entry["emb2"]) == p.emb2
 
 
 # -- the partition check of verify_witness against the stacked check -------------
