@@ -355,20 +355,57 @@ class Matrix:
         """Matrix whose columns are a basis of the right null space.
 
         Basis vectors are the standard free-variable vectors of the rref,
-        ordered by ascending free column; they satisfy m @ v = 0 exactly.
+        ordered by ascending free column: 1 in their free column, minus the
+        rref's entries of that column in the pivot rows. They satisfy
+        m @ v = 0 exactly. Over Q they hold Fractions wherever a pivot does
+        not divide; integral_kernel() spans the same space on ints.
         """
-        R, pivots = self.rref()
+        return self._kernel(integral=False)
+
+    def integral_kernel(self):
+        """The columns of kernel_basis(), each scaled to a primitive integer
+        vector over Q, with a positive entry in its free column; over F_q
+        exactly kernel_basis().
+
+        Both are read off the same primitive integer rows of the reduced
+        elimination, and this one builds no Fraction: the scale of a column
+        is the lcm of the pivots of the rows that hold its free column, each
+        divided by its gcd with that entry. For callers that need only the
+        span, this keeps products and eliminations over integral Q input
+        on ints.
+        """
+        return self._kernel(integral=True)
+
+    def _kernel(self, integral):
+        """The free-variable vectors of the rref, scaled to primitive
+        integer vectors over Q when integral is set."""
+        pivots, prows = _eliminate(self, reduce=True)
+        # the reduced rows are zero in every other pivot column, so each
+        # entry off a row's own pivot lies in a free column
+        by_free = {}
+        for p, r in zip(pivots, prows):
+            pv = r[p]
+            for j, a in r.items():
+                if j != p:
+                    by_free.setdefault(j, []).append((p, pv, a))
         pivset = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivset]
         fld = self.field
+        q = fld.char
         out = {}
-        for t, fcol in enumerate(free):
-            out.setdefault(fcol, {})[t] = fld.one
-            for i, p in enumerate(pivots):
-                coef = R._rows.get(i, _EMPTY).get(fcol)
-                if coef:
-                    out.setdefault(p, {})[t] = fld.neg(coef)
-        return Matrix(fld, self.cols, len(free), out)
+        for t, fcol in enumerate(c for c in range(self.cols) if c not in pivset):
+            hits = by_free.get(fcol, ())
+            den = 1
+            if q:
+                vals = [(p, -a % q) for p, _, a in hits]
+            elif integral:
+                den = lcm(*[pv // gcd(pv, a) for _, pv, a in hits])
+                vals = [(p, -a * den // pv) for p, pv, a in hits]
+            else:
+                vals = [(p, rational(-a, pv)) for p, pv, a in hits]
+            out.setdefault(fcol, {})[t] = den
+            for p, v in vals:
+                out.setdefault(p, {})[t] = v
+        return Matrix(fld, self.cols, self.cols - len(pivots), out)
 
     def solve(self, b: "Matrix") -> "Matrix":
         """A particular solution X of self @ X = b (free variables zero)."""

@@ -266,15 +266,16 @@ def companion_matrix(field, coeffs) -> Matrix:
 
 
 def poly_to_sympy(field, coeffs):
-    """sympy Poly of the monic polynomial with given low-order coefficients."""
+    """sympy Poly of the monic polynomial with given low-order coefficients,
+    built from its coefficient list."""
     import sympy
 
     x = sympy.Symbol("x")
+    high = [1, *reversed(coeffs)]
     if field.char == 0:
-        expr = x ** len(coeffs) + sum(sympy.Rational(c) * x ** k for k, c in enumerate(coeffs))
-        return sympy.Poly(expr, x, domain=sympy.QQ)
-    expr = x ** len(coeffs) + sum(int(c) * x ** k for k, c in enumerate(coeffs))
-    return sympy.Poly(expr, x, modulus=field.char)
+        return sympy.Poly.from_list([sympy.Rational(c.numerator, c.denominator) for c in high],
+                                    x, domain=sympy.QQ)
+    return sympy.Poly.from_list([int(c) for c in high], x, modulus=field.char)
 
 
 def sympy_to_coeffs(field, poly) -> tuple:
@@ -483,8 +484,11 @@ class PresolvedHom:
     whole block. This numbering stays inside the class: the columns of
     self.kernel are a basis of the solutions, a caller takes combinations
     of them (self.kernel @ C), and pairs() turns such columns into pairs
-    (f, g). The pencil certificate builds one per distinct summand B of
-    its block sum D, for Hom(B, M).
+    (f, g). The basis is Matrix.integral_kernel(), so over Q each column
+    is a primitive integer vector. When Y is integral and every pin c is
+    1 or -1, as for the canonical blocks, the pairs of integer
+    combinations of the kernel hold only ints too. The pencil certificate
+    builds one per distinct summand B of its block sum D, for Hom(B, M).
     """
 
     def __init__(self, X: KroneckerModule, Y: KroneckerModule):
@@ -533,7 +537,7 @@ class PresolvedHom:
                     for s, v in gterms:
                         r[nf + i * ng + s] = v
                     rows.append(r)
-        self.kernel = Matrix._build(fld, len(rows), nf + Y.dim2 * ng, rows).kernel_basis()
+        self.kernel = Matrix._build(fld, len(rows), nf + Y.dim2 * ng, rows).integral_kernel()
 
     def pairs(self, V=None):
         """The pair (f, g) of each column of V, in the reduced unknowns

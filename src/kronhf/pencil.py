@@ -57,16 +57,16 @@ def _intersect(U: Matrix, V: Matrix) -> Matrix:
     then U times the top rows of a kernel basis of [U | -V] is already one."""
     if U.cols == 0 or V.cols == 0:
         return Matrix.zeros(U.field, U.rows, 0)
-    K = Matrix.hstack([U, -V]).kernel_basis()
+    K = Matrix.hstack([U, -V]).integral_kernel()
     return U @ K.submatrix(range(U.cols), range(K.cols))
 
 
 def _preimage(A: Matrix, W: Matrix) -> Matrix:
     """Basis of {v : A v in colspace(W)}."""
-    ann = W.transpose().kernel_basis().transpose()
+    ann = W.transpose().integral_kernel().transpose()
     if ann.rows == 0:
         return Matrix.identity(A.field, A.cols)
-    return (ann @ A).kernel_basis()
+    return (ann @ A).integral_kernel()
 
 
 def _complete_basis(U: Matrix, n: int):
@@ -84,7 +84,7 @@ def _complete_basis(U: Matrix, n: int):
 
 def _xchain(A: Matrix, B: Matrix):
     """Increasing chain X_1 = ker A, X_{i+1} = preimage_A(B X_i), to stabilization."""
-    out = [A.kernel_basis()]
+    out = [A.integral_kernel()]
     while True:
         nxt = _preimage(A, B @ out[-1])
         if nxt.cols == out[-1].cols:
@@ -120,8 +120,9 @@ def _peel(M: KroneckerModule, U1: Matrix):
 
     U1 spans a source subspace whose images A U1 + B U1 (spanned by U2) make
     a submodule. In the completed bases F1 = [U1 | .] and F2 = [U2 | .] each
-    map is block upper triangular: one solve gives the submodule as its
-    top-left block and the quotient as its bottom-right block.
+    map is block upper triangular: one solve, of F2 T = [a F1 | b F1], gives
+    both maps side by side, each with the submodule as its top-left block
+    and the quotient as its bottom-right block.
     """
     if U1.cols == 0:
         return Counter(), M
@@ -129,12 +130,10 @@ def _peel(M: KroneckerModule, U1: Matrix):
     U2 = _colspace(Matrix.hstack([A @ U1, B @ U1]))
     F1 = _complete_basis(U1, M.dim1)
     F2 = _complete_basis(U2, M.dim2)
-    k1, k2 = U1.cols, U2.cols
-    subs, quots = [], []
-    for m in M.maps:
-        T = F2.solve(m @ F1)
-        subs.append(T.submatrix(range(k2), range(k1)))
-        quots.append(T.submatrix(range(k2, M.dim2), range(k1, M.dim1)))
+    k1, k2, n1 = U1.cols, U2.cols, M.dim1
+    T = F2.solve(Matrix.hstack([A @ F1, B @ F1]))
+    subs = [T.submatrix(range(k2), range(o, o + k1)) for o in (0, n1)]
+    quots = [T.submatrix(range(k2, M.dim2), range(o + k1, o + n1)) for o in (0, n1)]
     return (_chain_lengths(*subs),
             KroneckerModule(M.d, M.field, M.dim1 - k1, M.dim2 - k2, quots))
 

@@ -19,8 +19,9 @@ representation, and split_components_by_restriction is
 quiver.split_components with each component's module and selections
 built by hand, dense_matrix_text and dense_module_text are the text writers
 that format every entry, per_token_matrix_from_text and
-per_token_module_from_text the readers that parse every token, and
-comb_power_coeffs expands (x + a)^e with one math.comb per coefficient.
+per_token_module_from_text the readers that parse every token,
+comb_power_coeffs expands (x + a)^e with one math.comb per coefficient,
+and poly_by_expression builds a sympy Poly from a sum of symbolic terms.
 """
 
 import math
@@ -330,3 +331,17 @@ def comb_power_coeffs(field, a, e) -> tuple:
     for _ in range(e):
         powers.append(field.mul(powers[-1], a))
     return tuple(field.mul(field.coerce(math.comb(e, k)), powers[e - k]) for k in range(e))
+
+
+def poly_by_expression(field, coeffs):
+    """The sympy Poly of the monic polynomial with low-order coefficients
+    coeffs, built by summing symbolic terms: modules.poly_to_sympy's
+    reference."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    if field.char == 0:
+        expr = x ** len(coeffs) + sum(sympy.Rational(c) * x ** k for k, c in enumerate(coeffs))
+        return sympy.Poly(expr, x, domain=sympy.QQ)
+    expr = x ** len(coeffs) + sum(int(c) * x ** k for k, c in enumerate(coeffs))
+    return sympy.Poly(expr, x, modulus=field.char)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -320,6 +321,57 @@ def test_kernel_matches_reference_on_sparse_shift(field):
         assert _check_against_reference(big) == want
         # a scaled copy exercises the Q row content and the mod-q leading-1 scaling
         _check_against_reference(big.scale(Fraction(3, 2) if field.char == 0 else 3))
+
+
+def _check_integral_kernel(m):
+    """integral_kernel() against kernel_basis(): the same matrix over F_q;
+    over Q each column holds ints, is primitive, is positive in its free
+    column, and is that multiple of the kernel_basis() column, whose entry
+    there is 1."""
+    ker, got = m.kernel_basis(), m.integral_kernel()
+    if m.field.char:
+        assert got == ker
+        return
+    assert (got.rows, got.cols) == (ker.rows, ker.cols)
+    assert _all_ints(got)
+    pivots = set(m.pivot_columns())
+    free = [c for c in range(m.cols) if c not in pivots]
+    for t, fcol in enumerate(free):
+        col = [got.entry(i, t) for i in range(got.rows)]
+        assert col[fcol] > 0 and math.gcd(*col) == 1
+        assert ker.entry(fcol, t) == 1
+        assert col == [col[fcol] * ker.entry(i, t) for i in range(ker.rows)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_integral_kernel_is_the_kernel_basis_scaled_to_primitive_integers(data):
+    field = data.draw(st.sampled_from([QQ, PrimeField(5)]))
+    rows, cols = data.draw(st.integers(0, 9)), data.draw(st.integers(0, 9))
+    if data.draw(st.booleans()):
+        m = data.draw(_entries(field, rows, cols))
+    else:   # a product through a narrow middle: rank at most k
+        k = data.draw(st.integers(0, 3))
+        m = data.draw(_entries(field, rows, k)) @ data.draw(_entries(field, k, cols))
+    _check_integral_kernel(m)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)])
+def test_integral_kernel_of_empty_zero_and_full_rank_shapes(field):
+    wide = Matrix.from_dense(field, [[Fraction(1, 2), Fraction(1, 3), 0], [0, 0, 2]])
+    for m, nullity in ((Matrix.zeros(field, 0, 4), 4), (Matrix.zeros(field, 3, 0), 0),
+                       (Matrix.zeros(field, 2, 3), 3), (Matrix.identity(field, 4), 0),
+                       (random_invertible(field, 5, random.Random(2)), 0), (wide, 1),
+                       (wide.transpose(), 0)):
+        got = m.integral_kernel()
+        assert (got.rows, got.cols) == (m.cols, nullity)
+        _check_integral_kernel(m)
+    assert Matrix.zeros(field, 2, 3).integral_kernel() == Matrix.identity(field, 3)
+    if not field.char:
+        # kernel_basis gives (-2/3, 1, 0); a negative pivot, -3, scales by 3
+        assert wide.integral_kernel().to_dense() == [[-2], [3], [0]]
+        ker = Matrix.from_dense(QQ, [[-3, 6, 1]]).integral_kernel()
+        assert ker.to_dense() == [[2, 1], [1, 0], [0, 3]]
 
 
 # -- products against the per-entry loops -----------------------------------------

@@ -16,11 +16,12 @@ from kronhf.modules import (KroneckerModule, PencilBlock, a_sequence,
                             build_preprojective_theta, classify_standard,
                             closed_form_a, companion_matrix, direct_sum, factor_monic,
                             hom_space, module_from_text, parse_poly, poly_power_coeffs,
-                            t_bound_check)
+                            poly_to_sympy, t_bound_check)
 from kronhf.quiver import build_gamma, degree_stats, is_tree
 
 from oracles import (classify_standard_d2, comb_power_coeffs, dense_module_text, hom_system,
-                     is_homomorphism, kernel_module, per_token_module_from_text, random_matrix)
+                     is_homomorphism, kernel_module, per_token_module_from_text,
+                     poly_by_expression, random_matrix)
 
 
 def test_build_P_small():
@@ -357,6 +358,20 @@ def test_poly_power_coeffs_matches_the_comb_formula(field):
     for a in (0, 1, -1, 2):
         for e in [*range(301), 2000]:
             assert poly_power_coeffs(field, (a,), e) == comb_power_coeffs(field, a, e), (a, e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_poly_to_sympy_matches_the_expression_built_poly(data):
+    field = data.draw(st.sampled_from([QQ, PrimeField(5)]))
+    if field.char:
+        coeff = st.integers(0, 4)
+    else:
+        coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+    coeffs = tuple(map(field.coerce, data.draw(st.lists(coeff, max_size=6))))
+    got, want = poly_to_sympy(field, coeffs), poly_by_expression(field, coeffs)
+    assert got == want and repr(got) == repr(want)
+    assert (got.domain, got.gens) == (want.domain, want.gens)
 
 
 def test_classify_standard():

@@ -296,6 +296,24 @@ def test_certify_pencil_returns_an_isomorphism(case):
     assert _is_certificate(M, got, F1, F2)
 
 
+def test_integral_q_scramble_keeps_chains_homs_and_certificate_on_ints():
+    """On a Q scramble with integral maps the Wong chains, the Hom kernels
+    and the drawn (F1, F2) hold only ints: the span callers take the
+    integral kernel, not the Fractions of the rref basis."""
+    D = direct_sum([build_P(3), build_Q(3), build_R(PencilBlock("R_mono", 3)),
+                    build_R(PencilBlock("R_poly", poly=(Fraction(-1),), e=3))])
+    M = _scramble(D, random.Random(36))
+    A, B = M.maps
+    assert A._integral() and B._integral()
+    chains = _xchain(A, B) + _xchain(B, A)
+    assert all(X._integral() for X in chains)
+    assert any(not X.kernel_basis()._integral() for X in (A, B, A @ chains[0]))
+    blocks, F1, F2 = certify_pencil(M)
+    for b in blocks:
+        assert modules.PresolvedHom(block_module(b, QQ), M).kernel._integral()
+    assert F1._integral() and F2._integral()
+
+
 def test_canonical_shapes_are_their_own_certificate():
     two = Matrix.from_dense(QQ, [[0, -2], [1, 3]])   # (x-1)(x-2), two factors
     for M in (build_P(3), build_Q(2), build_R(PencilBlock("R_mono", 3)),
