@@ -449,11 +449,13 @@ def refute_witness(M: KroneckerModule, w: Witness, eta: Fraction,
             "inconclusive", f"claimed eps {w.eps} is not below the bound {bound}")
     for idx, p in enumerate(w.parts):
         # the expander definition applies to W = P_j(1), so that is the space
-        # that must be small; the stronger bound dim P_j < eta * n implies it
-        if Fraction(p.module.dim1) > eta * n:
+        # that must be small; the stronger bound dim P_j < eta * n implies it.
+        # Its dim is the width of the embedding the next loop uses, so no
+        # part module is built
+        if Fraction(p.emb1.cols) > eta * n:
             return RefutationReport(
                 "inconclusive",
-                f"part {idx} has source dim {p.module.dim1} > eta * n", idx)
+                f"part {idx} has source dim {p.emb1.cols} > eta * n", idx)
     for idx, p in enumerate(w.parts):
         src = p.emb1  # n x k1 basis of P_j(1) inside V
         images = [m @ src for m in M.maps]

@@ -11,6 +11,10 @@ presolved Hom system of a Kronecker module (modules.PresolvedHom) in n^2
 unknowns. Spectral estimates for the adjoint action on trace-zero matrices
 run in floating point (numpy) on an orthonormal transport of the same
 representation.
+
+numpy binds on the first spectral call: each float routine imports it
+inside its body, so importing this module, and every exact path through it,
+never loads numpy.
 """
 
 from __future__ import annotations
@@ -18,12 +22,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, ValidationError
 from .fields import QQ, is_prime
-from .matrices import Matrix
+from .matrices import Matrix, _eliminate
 from .modules import KroneckerModule, PresolvedHom
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -152,7 +159,9 @@ def commutant_dimension(mats) -> int:
     sum_j c_j (s^j m s^i v - m s^(i+j) v) = 0. The commutant is the kernel
     of these equations in the n unknowns c_j, over Q. The identity
     (c = e_0) always solves them, so the nullity is at least 1, and the
-    equations are added one i at a time only until it reaches 1.
+    equations are added one i at a time only until it reaches 1. The n
+    rows of each i are eliminated with the echelon rows kept from the i
+    before, which span every earlier row, not with the whole stack.
 
     Q route. When K is singular (always so when s is derogatory, and for
     the few nonderogatory s of which v is no cyclic vector), the commutant
@@ -178,18 +187,19 @@ def commutant_dimension(mats) -> int:
     if Matrix.from_dense(QQ, powers[:n]).rank() < n:
         X = KroneckerModule(len(mats) + 1, QQ, n, n, [Matrix.identity(QQ, n), *mats])
         return PresolvedHom(X, X).kernel.cols
-    rows = []
-    rank = 0
+    basis = []                                    # independent rows so far, echelon
     for m in map(_action, mats[1:]):
         images = [m(x) for x in powers[:n - 1]]   # images[k] = m s^k v
         for i in range(n):
             images.append(m(powers[i + n - 1]))
             left = _orbit(s, images[i], n)        # left[j] = s^j m s^i v
-            rows += [[left[j][r] - images[i + j][r] for j in range(n)] for r in range(n)]
-            rank = Matrix.from_dense(QQ, rows).rank()
-            if rank == n - 1:
+            rows = [{j: left[j][r] - images[i + j][r] for j in range(n)
+                     if left[j][r] != images[i + j][r]} for r in range(n)]
+            stack = Matrix._build(QQ, len(basis) + n, n, basis + rows)
+            basis = _eliminate(stack, reduce=False)[1]
+            if len(basis) == n - 1:
                 return 1
-    return n - rank
+    return n - len(basis)
 
 
 def is_irreducible(mats) -> bool:
@@ -208,6 +218,8 @@ def is_irreducible(mats) -> bool:
 
 def orthonormal_w_basis(p: int) -> np.ndarray:
     """(p+1) x p orthonormal basis of the sum-zero subspace (Gram-Schmidt of w_i)."""
+    import numpy as np
+
     diffs = np.zeros((p + 1, p))
     for i in range(p):
         diffs[i, i] = -1.0
@@ -218,6 +230,8 @@ def orthonormal_w_basis(p: int) -> np.ndarray:
 
 def orthogonal_rep(g: SL2pElement) -> np.ndarray:
     """Orthogonal p x p matrix of the permutation action on W."""
+    import numpy as np
+
     p = g.p
     sigma = point_permutation(g)
     perm = np.zeros((p + 1, p + 1))
@@ -229,6 +243,8 @@ def orthogonal_rep(g: SL2pElement) -> np.ndarray:
 
 def _traceless_basis(p: int) -> np.ndarray:
     """Orthonormal basis of trace-zero p x p matrices under <S, T> = tr(S T^t)."""
+    import numpy as np
+
     mats = []
     for i in range(p):
         for j in range(p):
@@ -254,6 +270,8 @@ def adjoint_rep(rho_g: np.ndarray) -> np.ndarray:
     Requires an input orthogonal within 1e-8 (covers invertibility); the
     output is again orthogonal within 1e-8.
     """
+    import numpy as np
+
     rho_g = np.asarray(rho_g, dtype=float)
     n = rho_g.shape[0]
     if rho_g.shape != (n, n):
@@ -287,6 +305,8 @@ def adjoint_generators(p: int) -> tuple:
 
 def _float_generators(gens) -> list:
     """The generators as float arrays, checked to be finite square matrices of one size."""
+    import numpy as np
+
     if not gens:
         raise ValidationError("need at least one generator")
     arrays = [np.asarray(g, dtype=float) for g in gens]
@@ -306,6 +326,8 @@ def kazhdan_lower_bound(gens) -> float:
     is v^t [ (1/|S|) sum (I - g)^t (I - g) ] v; the smallest eigenvalue of
     that form lower-bounds the squared Kazhdan constant.
     """
+    import numpy as np
+
     gens = _float_generators(gens)
     n = gens[0].shape[0]
     acc = np.zeros((n, n))
@@ -354,6 +376,8 @@ def kazhdan_upper_bound(gens, trials: int = 200, seed: int = 0) -> float:
     thread, medians of 31); `kronhf sl2p --p 11 --kazhdan` at 200 trials
     takes 4.3 s against 8.0 s.
     """
+    import numpy as np
+
     if trials < 1:
         raise ValidationError(f"trials must be at least 1, got {trials}")
     gens = _float_generators(gens)

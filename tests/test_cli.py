@@ -558,6 +558,35 @@ def test_python_dash_m_kronhf(tmp_path):
     assert run_module("build", "X").returncode == 2
 
 
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import kronhf
+from kronhf.cli import main
+loaded = [["import kronhf", "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    loaded.append([argv[0], code, "numpy" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_numpy_loads_only_for_the_kazhdan_bracket():
+    """In a fresh process, import kronhf and the exact commands leave numpy
+    unloaded; sl2p --kazhdan, the one float path, loads it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(kronhf.__file__).parents[1]))
+    mod = str(GOLDEN / "scrambled_gf5.mod")
+    commands = [["build", "P", "--n", "3"], ["gamma", "--module", mod],
+                ["decompose", "--module", mod], ["sl2p", "--p", "5"],
+                ["sl2p", "--p", "5", "--kazhdan", "--trials", "2"]]
+    done = subprocess.run([sys.executable, "-c", NUMPY_PROBE, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [["import kronhf", False], ["build", 0, False],
+                                       ["gamma", 0, False], ["decompose", 0, False],
+                                       ["sl2p", 0, False], ["sl2p", 0, True]]
+
+
 def _commands(top):
     """Each command of the parser top with its subparser."""
     return next(a for a in top._actions if isinstance(a, argparse._SubParsersAction)).choices

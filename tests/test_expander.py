@@ -620,6 +620,29 @@ def test_refute_witness_reports_a_part_that_fails_to_expand():
     assert rep.counterexample == part.emb1
 
 
+def test_refute_witness_builds_no_part_module():
+    """Monomial witnesses reach each of the four verdicts with their details,
+    and refute_witness reads every part's source dim off its embedding: no
+    part restricts the arrow matrices to build its module."""
+    M = _theta3_f2_expander_module()
+    i2 = Matrix.identity(F2, 2)
+    flat = KroneckerModule(3, F2, 2, 2, [i2, i2.copy(), i2.copy()])
+    cases = [
+        (M, [0, 1], [0, 1], "inconclusive", "part 0 has source dim 2 > eta * n"),
+        (M, [0], [0], "not-a-submodule",
+         "part 0: sum of T_i(P(1)) is not contained in P(2)"),
+        (flat, [0], [0], "expander-counterexample",
+         "part 0: dim sum T_i(W) = 1 < (1 + 1) * 1"),
+        (M, [1], [0, 1], "witness-invalid", "part-size: part 0 has dim 3 > l_eps 2"),
+    ]
+    for N, sources, sinks, verdict, detail in cases:
+        part = MonomialPart(N, sources, sinks)
+        rep = refute_witness(N, Witness(N, Fraction(1, 8), Fraction(2), [part]),
+                             HALF, Fraction(1))
+        assert (rep.verdict, rep.detail) == (verdict, detail)
+        assert "module" not in part.__dict__
+
+
 REFUTATION_VERDICTS = ("inconclusive", "not-a-submodule", "expander-counterexample",
                        "witness-invalid")
 
