@@ -9,11 +9,14 @@ entry as its coefficient, numbering each layer from 1.
 
 This module is the one graph layer of the package, and its one graph is an
 adjacency list: build_gamma(M) reads it straight off the rows of the arrow
-matrices, adj[v] listing v's neighbors with one entry per edge. is_tree and
-degree_stats read that list; components works on it and a vertex id
-subset, split_until on it and the components of a forest, and
+matrices, adj[v] listing v's neighbors with one entry per edge. is_tree
+(one BFS) and degree_stats read that list; components works on it and a
+vertex id subset, split_until on it and the components of a forest, and
 split_components, the witness producers and the expander search use them
-for their component and centroid work.
+for their component and centroid work. split_until roots each component
+once and keeps every vertex's parent, subtree size and least subtree id
+across its splits, so a split walks the heavy path to its centroid and
+the ancestor paths of the vertices it removes, not its whole piece.
 
 A vertex id subset closed under arrows is a coordinate submodule. Its one
 form is a MonomialPart: M with a source id list and a sink id list, whose
@@ -27,7 +30,7 @@ names.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -55,7 +58,16 @@ def is_tree(adj) -> bool:
     n = len(adj)
     if n == 0 or sum(map(len, adj)) // 2 != n - 1:
         return False
-    return len(components(adj, range(n))) == 1
+    # n - 1 edges: connected exactly when one BFS reaches every vertex
+    seen = bytearray(n)
+    seen[0] = 1
+    reached = [0]
+    for u in reached:
+        for w in adj[u]:
+            if not seen[w]:
+                seen[w] = 1
+                reached.append(w)
+    return len(reached) == n
 
 
 def degree_stats(adj, n_src: int):
@@ -93,121 +105,117 @@ def components(adj, vertices):
     return out
 
 
-def _rooted(adj, root, inside):
-    """BFS from root over the vertices marked in inside, unmarking them.
-
-    Returns (order, parent): order lists the vertices reached in BFS order
-    and parent[t] is the position in order of order[t]'s parent, -1 for the
-    root. A BFS appends the children of each vertex together, so parent
-    never decreases, which _children relies on. split_until keeps this form
-    for the pieces it cuts from such a tree: each piece keeps its vertices
-    in the same order, and their parents renumbered.
-    """
-    order = [root]
-    parent = [-1]
-    inside[root] = 0
-    for t, v in enumerate(order):
-        for w in adj[v]:
-            if inside[w]:
-                inside[w] = 0
-                order.append(w)
-                parent.append(t)
-    return order, parent
-
-
-def _children(parent, t):
-    """Positions of the children of position t in a rooted tree: parent is
-    sorted, so they are the run of t's in it."""
-    return range(bisect_left(parent, t, t + 1), bisect_right(parent, t, t + 1))
-
-
-def _tree_centroid(order, parent):
-    """Centroid of a rooted tree (order, parent) as _rooted gives it, and its
-    branch sizes, in positions of order.
-
-    Returns (c, branch) where order[c] minimises the largest component left
-    by removing it, ties broken toward the smallest vertex id, and branch
-    maps the position of each neighbor of order[c], its parent first, to the
-    size of its component once order[c] is removed (the sizes sum to
-    len(order) - 1).
-    """
-    n = len(order)
-    size = [1] * n
-    for t in range(n - 1, 0, -1):
-        size[parent[t]] += size[t]
-    # the vertices heavier than n/2 form a path down from the root, their
-    # sizes falling, and no other vertex weighs as much; the path's last
-    # vertex, the lightest of them, is a centroid, and a child of it
-    # weighing n/2 is the only other one
-    c = size.index(min(filter((n // 2).__lt__, size)))
-    best = min([c] + [u for u in _children(parent, c) if 2 * size[u] == n],
-               key=order.__getitem__)
-    branch = {} if best == 0 else {parent[best]: n - size[best]}
-    for u in _children(parent, best):
-        branch[u] = size[u]
-    return best, branch
-
-
 def split_until(adj, comps, bound, choose_batch):
     """Remove batches of vertices until every component has at most bound vertices.
 
     comps are the components of a forest, as components(adj, vertices) gives
     them for a vertex set that induces one; both witness fragmenters pass
-    one tree. An oversized component is rooted by one BFS, and
-    choose_batch(order, parent) gets the rooted tree, as _rooted returns
-    it, and returns the set of its vertices to remove. Each split then walks
-    the component once more, in one pass over the parents, which is exact on
-    a forest: a kept vertex starts a new piece when it is the root or its
-    parent was removed, and joins its parent's piece otherwise. The pass
-    also roots each piece, at its first vertex, with the restriction of
-    (order, parent), so no piece is searched again. Pieces are queued by
-    smallest vertex, the order of components, and sorted only once they are
-    final. Returns (final components, each a sorted id list, removed vertex
-    set, size of each removed batch in removal order).
+    one tree. One BFS roots each component at its first vertex, and three
+    values per vertex are kept from then on: its parent, the size of its
+    subtree and the least id in that subtree, both counted inside its
+    current piece. A piece is named by its root, the vertex of it nearest
+    the component's root, so its size and least id are its root's.
+
+    An oversized piece of size n is split at its centroid: the vertices
+    heavier than n/2 form a path down from the root through the one child
+    heavier than n/2, and the last of them is a centroid, since every
+    branch it leaves weighs at most n/2; a child of it weighing exactly n/2
+    is the only other one, and the smaller id wins. choose_batch(c,
+    branch, kept) gets that centroid c, branch mapping each neighbour of c
+    in the piece, its parent first, to the size of its component once c is
+    removed, and kept, which lists the neighbours of a vertex in the piece;
+    it returns the set of the piece's vertices to remove. The removal walks
+    up from each removed vertex to the nearest removed ancestor or the
+    piece's root, takes the removed subtree's size off each vertex on the
+    way, and recomputes a least id only where that subtree held it. The new
+    pieces are the root's, unless the root was removed, and those of the
+    kept children of removed vertices; they are queued by least id, the
+    order of components. A piece at or under the bound is collected by one
+    walk and sorted. So a split costs its heavy path and the ancestor paths
+    of its batch, not a walk of its piece. Returns (final components, each
+    a sorted id list, removed vertex set, size of each removed batch in
+    removal order).
     """
     inside = bytearray(len(adj))
+    parent = [-1] * len(adj)
+    size = [1] * len(adj)
+    low = list(range(len(adj)))
     for comp in comps:
         for v in comp:
             inside[v] = 1
-    queue = [(comp, None) for comp in comps]  # (order, parent), None until rooted
+        order = [comp[0]]
+        for v in order:  # the list grows while it is walked: a BFS
+            p = parent[v]
+            for w in adj[v]:
+                if inside[w] and w != p:
+                    parent[w] = v
+                    order.append(w)
+        for v in reversed(order[1:]):
+            p = parent[v]
+            size[p] += size[v]
+            if low[v] < low[p]:
+                low[p] = low[v]
+
+    def kept(v):
+        return [w for w in adj[v] if inside[w]]
+
+    queue = [comp[0] for comp in comps]
     final = []
     removed = set()
     batch_sizes = []
     while queue:
-        order, parent = queue.pop()
-        if len(order) <= bound:
-            final.append(sorted(order))
+        r = queue.pop()
+        n = size[r]
+        if n <= bound:  # final: its vertices are unmarked as they are collected
+            piece = [r]
+            inside[r] = 0
+            for v in piece:
+                for w in adj[v]:
+                    if inside[w]:
+                        inside[w] = 0
+                        piece.append(w)
+            piece.sort()
+            final.append(piece)
             continue
-        if parent is None:
-            order, parent = _rooted(adj, order[0], inside)
-        batch = choose_batch(order, parent)
+        c = r
+        while True:
+            p = parent[c]
+            for w in adj[c]:
+                if inside[w] and w != p and 2 * size[w] > n:
+                    c = w
+                    break
+            else:
+                break
+        p = parent[c]
+        for w in adj[c]:
+            if inside[w] and w != p and 2 * size[w] == n and w < c:
+                c = w
+                break
+        p = parent[c]
+        branch = {p: n - size[c]} if c != r else {}
+        for w in adj[c]:
+            if inside[w] and w != p:
+                branch[w] = size[w]
+        batch = choose_batch(c, branch, kept)
         removed |= batch
         batch_sizes.append(len(batch))
-        # label[t] is the index of order[t]'s piece, -1 if removed, with one
-        # slot more for the root's parent position -1; at[t] is its position
-        # in the piece
-        n = len(order)
-        label = [-1] * (n + 1)
-        at = [0] * n
-        orders = []
-        parents = []
-        for t, v in enumerate(order):
-            if v in batch:
-                continue
-            p = parent[t]
-            q = label[p]
-            if q < 0:
-                q = len(orders)
-                orders.append([v])
-                parents.append([-1])
-            else:
-                piece = orders[q]
-                at[t] = len(piece)
-                piece.append(v)
-                parents[q].append(at[p])
-            label[t] = q
-        for q in sorted(range(len(orders)), key=lambda q: min(orders[q])):
-            queue.append((orders[q], parents[q]))
+        for b in batch:
+            inside[b] = 0
+        for b in batch:
+            s, m = size[b], low[b]
+            a = parent[b]
+            while a >= 0 and inside[a]:
+                size[a] -= s
+                if low[a] == m:
+                    low[a] = min([a, *(low[w] for w in adj[a] if inside[w] and parent[w] == a)])
+                a = parent[a]
+        roots = [r] if inside[r] else []
+        for b in batch:
+            for w in adj[b]:
+                if inside[w] and parent[w] == b:
+                    roots.append(w)
+        roots.sort(key=low.__getitem__)
+        queue.extend(roots)
     return final, removed, batch_sizes
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import partial
 
 from .errors import GuardRefusal, PreconditionError, ShapeError, ValidationError
 from .fields import check_eps
@@ -32,8 +33,8 @@ from .modules import (
     direct_sum,
     a_sequence,
 )
-from .quiver import (MonomialPart, _children, _monomial_parts, _tree_centroid, build_gamma,
-                     components, degree_stats, is_tree, split_until)
+from .quiver import (MonomialPart, _monomial_parts, build_gamma, components, degree_stats,
+                     is_tree, split_until)
 
 
 @dataclass
@@ -454,23 +455,19 @@ def _transported(M: KroneckerModule, parts, sub) -> list:
 # -- fragmentation for wild theta(d) ------------------------------------------------
 
 
-def _centroid_batch(n_src, order, parent):
-    """fragment_tree_module's batch in a tree rooted by split_until: the
-    centroid, and with a sink centroid its incoming sources, its neighbors."""
-    c, branch = _tree_centroid(order, parent)
-    v = order[c]
-    return {v} if v < n_src else {v, *(order[u] for u in branch)}
+def _centroid_batch(n_src, c, branch, kept):
+    """fragment_tree_module's batch at the centroid c that split_until
+    found: c, and with a sink centroid its incoming sources, its neighbours."""
+    return {c} if c < n_src else {c, *branch}
 
 
-def _sink_batch(n_src, order, parent):
-    """The postinjective fragmenter's batch in a tree rooted by split_until:
-    a sink centroid, or for a source centroid the neighbor sink heading its
-    largest branch, together with the sink's neighbors, its parent and
-    children."""
-    c, branch = _tree_centroid(order, parent)
-    s = c if order[c] >= n_src else min(branch, key=lambda u: (-branch[u], order[u]))
-    nbrs = _children(parent, s) if s == 0 else [parent[s], *_children(parent, s)]
-    return {order[s], *(order[u] for u in nbrs)}
+def _sink_batch(n_src, c, branch, kept):
+    """The postinjective fragmenter's batch at the centroid c that
+    split_until found: a sink centroid, or for a source centroid the
+    neighbour sink heading its largest branch, together with the sink's
+    neighbours in the piece."""
+    s = c if c >= n_src else min(branch, key=lambda u: (-branch[u], u))
+    return {s, *kept(s)}
 
 
 def fragment_tree_module(M: KroneckerModule, eps: Fraction) -> Witness:
@@ -498,7 +495,7 @@ def _centroid_witness(M: KroneckerModule, adj, eps: Fraction) -> Witness:
         return whole_module_witness(M, eps, C, "fragment_tree")
 
     final, removed, batch_sizes = split_until(
-        adj, [list(range(M.dim))], C, lambda order, parent: _centroid_batch(n, order, parent))
+        adj, [list(range(M.dim))], C, partial(_centroid_batch, n))
     parts = _monomial_parts(M, sorted(final))
     notes = dict(producer="fragment_tree", removed=len(removed),
                  removed_fraction=Fraction(len(removed), M.dim),
@@ -556,7 +553,7 @@ def _sink_witness(M: KroneckerModule, adj, eps: Fraction, l_override: int | None
         return whole_module_witness(M, eps, L, "fragment_postinjective",
                                     below_threshold=True, size_bound=L)
     final, removed, batch_sizes = split_until(
-        adj, [list(range(n))], L, lambda order, parent: _sink_batch(M.dim1, order, parent))
+        adj, [list(range(n))], L, partial(_sink_batch, M.dim1))
     parts = _monomial_parts(M, sorted(final))
     notes = dict(producer="fragment_postinjective", removed=len(removed),
                  removed_fraction=Fraction(len(removed), M.dim),

@@ -13,7 +13,11 @@ compared against, is_homomorphism checks a pair (f, g) against the
 arrows directly, image_dim takes dim sum T_i(W) as the rank of the
 n x dk column stack of the T_i W^t, which expander._stacked_image_dim
 takes on the dk x n row stack instead, centroid_of finds the centroid of
-an induced tree by one BFS and quiver._tree_centroid, permutation_rep
+an induced tree by one BFS and _tree_centroid, which computes every
+subtree size afresh, split_until_by_walks is quiver.split_until walking
+each piece it splits twice, once for those sizes and once to label the
+pieces a batch leaves, where split_until keeps the sizes across splits,
+permutation_rep
 is the permutation matrix of SL(2, p) acting on P^1(F_p), a reducible
 representation, and split_components_by_restriction is
 quiver.split_components with each component's module and selections
@@ -25,14 +29,14 @@ and poly_by_expression builds a sympy Poly from a sum of symbolic terms.
 """
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from kronhf.errors import ValidationError
 from kronhf.fields import QQ, field_from_label, rational
 from kronhf.matrices import Matrix, column_space_dim_of_stack
 from kronhf.modules import KroneckerModule, build_P, build_Q, companion_matrix
-from kronhf.quiver import _rooted, _tree_centroid, build_gamma, components
+from kronhf.quiver import build_gamma, components
 from kronhf.sl2p import SL2pElement, point_permutation
 from kronhf.witness import (_drop_rule_chain, combinator_bounded_codim, monomial_submodule,
                             whole_module_witness)
@@ -237,6 +241,61 @@ def edge_list_degree_stats(n_src: int, n_snk: int, edges):
     return (max(indeg, default=0), max(outdeg, default=0))
 
 
+def _rooted(adj, root, inside):
+    """BFS from root over the vertices marked in inside, unmarking them.
+
+    Returns (order, parent): order lists the vertices reached in BFS order
+    and parent[t] is the position in order of order[t]'s parent, -1 for the
+    root. A BFS appends the children of each vertex together, so parent
+    never decreases, which _children relies on. split_until_by_walks keeps
+    this form for the pieces it cuts from such a tree: each piece keeps its
+    vertices in the same order, and their parents renumbered.
+    """
+    order = [root]
+    parent = [-1]
+    inside[root] = 0
+    for t, v in enumerate(order):
+        for w in adj[v]:
+            if inside[w]:
+                inside[w] = 0
+                order.append(w)
+                parent.append(t)
+    return order, parent
+
+
+def _children(parent, t):
+    """Positions of the children of position t in a rooted tree: parent is
+    sorted, so they are the run of t's in it."""
+    return range(bisect_left(parent, t, t + 1), bisect_right(parent, t, t + 1))
+
+
+def _tree_centroid(order, parent):
+    """Centroid of a rooted tree (order, parent) as _rooted gives it, and its
+    branch sizes, in positions of order.
+
+    Returns (c, branch) where order[c] minimises the largest component left
+    by removing it, ties broken toward the smallest vertex id, and branch
+    maps the position of each neighbor of order[c], its parent first, to the
+    size of its component once order[c] is removed (the sizes sum to
+    len(order) - 1). Every subtree size is computed afresh.
+    """
+    n = len(order)
+    size = [1] * n
+    for t in range(n - 1, 0, -1):
+        size[parent[t]] += size[t]
+    # the vertices heavier than n/2 form a path down from the root, their
+    # sizes falling, and no other vertex weighs as much; the path's last
+    # vertex, the lightest of them, is a centroid, and a child of it
+    # weighing n/2 is the only other one
+    c = size.index(min(filter((n // 2).__lt__, size)))
+    best = min([c] + [u for u in _children(parent, c) if 2 * size[u] == n],
+               key=order.__getitem__)
+    branch = {} if best == 0 else {parent[best]: n - size[best]}
+    for u in _children(parent, best):
+        branch[u] = size[u]
+    return best, branch
+
+
 def centroid_of(vertices, adj):
     """Centroid of the tree induced on vertices, and its branch sizes.
 
@@ -252,6 +311,75 @@ def centroid_of(vertices, adj):
     order, parent = _rooted(adj, vertices[0], inside)
     c, branch = _tree_centroid(order, parent)
     return order[c], {order[u]: size for u, size in branch.items()}
+
+
+def split_until_by_walks(adj, comps, bound, choose_batch):
+    """quiver.split_until by walking each piece it splits twice: once to
+    compute every subtree size of the piece and find its centroid, and
+    once more to cut it into pieces.
+
+    An oversized component is rooted by one BFS. Each split computes the
+    centroid afresh (_tree_centroid) and hands choose_batch the same
+    (c, branch, kept) as split_until, kept reading a vertex's parent and
+    children in the rooted piece. One pass over the parents, exact on a
+    forest, then labels the kept vertices: a kept vertex starts a new piece
+    when it is the root or its parent was removed, and joins its parent's
+    piece otherwise. The pass keeps each piece rooted, at its first vertex,
+    with the restriction of (order, parent). Pieces are queued by smallest
+    vertex and sorted once they are final. Returns what split_until
+    returns, order included.
+    """
+    inside = bytearray(len(adj))
+    for comp in comps:
+        for v in comp:
+            inside[v] = 1
+    queue = [(comp, None) for comp in comps]  # (order, parent), None until rooted
+    final = []
+    removed = set()
+    batch_sizes = []
+    while queue:
+        order, parent = queue.pop()
+        if len(order) <= bound:
+            final.append(sorted(order))
+            continue
+        if parent is None:
+            order, parent = _rooted(adj, order[0], inside)
+        c, branch = _tree_centroid(order, parent)
+        pos = {v: t for t, v in enumerate(order)}
+
+        def kept(v):
+            t = pos[v]
+            return [order[u] for u in ([] if t == 0 else [parent[t]]) + list(_children(parent, t))]
+
+        batch = choose_batch(order[c], {order[u]: s for u, s in branch.items()}, kept)
+        removed |= batch
+        batch_sizes.append(len(batch))
+        # label[t] is the index of order[t]'s piece, -1 if removed, with one
+        # slot more for the root's parent position -1; at[t] is its position
+        # in the piece
+        n = len(order)
+        label = [-1] * (n + 1)
+        at = [0] * n
+        orders = []
+        parents = []
+        for t, v in enumerate(order):
+            if v in batch:
+                continue
+            p = parent[t]
+            q = label[p]
+            if q < 0:
+                q = len(orders)
+                orders.append([v])
+                parents.append([-1])
+            else:
+                piece = orders[q]
+                at[t] = len(piece)
+                piece.append(v)
+                parents[q].append(at[p])
+            label[t] = q
+        for q in sorted(range(len(orders)), key=lambda q: min(orders[q])):
+            queue.append((orders[q], parents[q]))
+    return final, removed, batch_sizes
 
 
 def permutation_rep(g: SL2pElement) -> Matrix:

@@ -1,6 +1,7 @@
 import random
 from collections import deque
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,13 +12,13 @@ from kronhf.fields import QQ, PrimeField
 from kronhf.matrices import Matrix
 from kronhf.modules import (KroneckerModule, PencilBlock, build_P, build_R,
                             build_postinjective_theta, direct_sum)
-from kronhf.quiver import (_tree_centroid, build_gamma, components, degree_stats, export_edges,
-                           is_tree, split_components, split_until)
+from kronhf.quiver import (build_gamma, components, degree_stats, export_edges, is_tree,
+                           split_components, split_until)
 from kronhf.witness import (Witness, _centroid_batch, _monomial_parts, _sink_batch,
                             fragment_tree_module, monomial_submodule, verify_witness)
 
 from oracles import (centroid_of, edge_list, edge_list_degree_stats, edge_list_is_tree,
-                     split_components_by_restriction)
+                     split_components_by_restriction, split_until_by_walks)
 
 
 def _tag(M, v):
@@ -330,9 +331,9 @@ def test_verify_witness_refuses_kept_set_not_arrow_closed():
 
 
 @st.composite
-def tree_modules(draw):
+def tree_modules(draw, max_vertices=14):
     """Each new vertex hangs off an earlier vertex of the other layer by one arrow."""
-    n = draw(st.integers(1, 14))
+    n = draw(st.integers(1, max_vertices))
     verts = [(0, 0)]
     counts = [1, 0]
     edges = []  # (source, sink, arrow)
@@ -410,8 +411,7 @@ def test_split_until_bounds_components_and_covers(M, data):
     subset = _subset(data.draw, M)
     bound = data.draw(st.integers(1, M.dim))
     final, removed, batch_sizes = split_until(
-        adj, components(adj, subset), bound,
-        lambda order, parent: {order[_tree_centroid(order, parent)[0]]})
+        adj, components(adj, subset), bound, lambda c, branch, kept: {c})
     kept = [v for comp in final for v in comp]
     assert all(len(comp) <= bound for comp in final)
     assert len(kept) == len(set(kept)) and not set(kept) & removed
@@ -420,31 +420,48 @@ def test_split_until_bounds_components_and_covers(M, data):
     assert sorted(final) == components(adj, kept)
 
 
+def _piece(c, kept):
+    """The sorted piece of c, walked by the kept neighbours that split_until
+    hands its batch rule."""
+    piece, seen = [c], {c}
+    for v in piece:
+        for w in kept(v):
+            if w not in seen:
+                seen.add(w)
+                piece.append(w)
+    return sorted(piece)
+
+
+def _random_batches(seed):
+    """A nonempty random subset of a sorted piece, fixed by the seed and the
+    piece, so every split run on the same forest draws the same batches."""
+    def batch_of(comp):
+        rng = random.Random(f"{seed}:{comp}")
+        return set(rng.sample(comp, rng.randint(1, len(comp))))
+    return batch_of
+
+
 @settings(max_examples=150, deadline=None)
 @given(tree_modules(), st.data())
 def test_split_pieces_match_components_for_any_batch(M, data):
-    """Random nonempty batches, not only centroid ones: each component that
-    split_until hands over is rooted by a BFS of it, and the pieces of its
-    labelling pass are components(adj, comp - batch), queued in that order.
-    At bound 0 every piece is handed over in turn, so the sequence of
-    handed components compares each split's pieces, order included."""
+    """Random nonempty batches, not only centroid ones: split_until hands
+    each component over as centroid_of finds its centroid and branch sizes,
+    with its vertices' neighbours inside it, and the pieces a batch leaves
+    are components(adj, comp - batch), queued in that order. At bound 0
+    every piece is handed over in turn, so the sequence of handed
+    components compares each split's pieces, order included."""
     adj = build_gamma(M)
     subset = _subset(data.draw, M)
     bound = data.draw(st.integers(0, M.dim))
     seed = data.draw(st.integers(0, 2 ** 32))
-
-    def batch_of(comp):  # fixed by the sorted component, so both runs agree
-        rng = random.Random(f"{seed}:{comp}")
-        return set(rng.sample(comp, rng.randint(1, len(comp))))
-
+    batch_of = _random_batches(seed)
     handed = []
 
-    def choose(order, parent):
-        assert parent[0] == -1 and parent == sorted(parent)
-        assert all(parent[t] < t and order[parent[t]] in adj[order[t]]
-                   for t in range(1, len(order)))
-        comp = sorted(order)
-        assert len(set(comp)) == len(comp)
+    def choose(c, branch, kept):
+        comp = _piece(c, kept)
+        inside = set(comp)
+        assert all(kept(v) == [w for w in adj[v] if w in inside] for v in comp)
+        assert (c, branch) == centroid_of(comp, adj)
         handed.append(comp)
         return batch_of(comp)
 
@@ -463,6 +480,29 @@ def test_split_pieces_match_components_for_any_batch(M, data):
         queue.extend(components(adj, [u for u in comp if u not in batch]))
     assert handed == want_handed
     assert got == (final, removed, batch_sizes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_modules(max_vertices=80), st.data())
+def test_split_until_matches_the_walking_reference(M, data):
+    """split_until, which keeps subtree sizes and least ids across splits,
+    returns what split_until_by_walks returns, order included: under both
+    witness batch rules and under random batches drawn inside the piece.
+    The trees reach 80 vertices, so pieces split again and again and a
+    piece's least id is often cut away."""
+    adj = build_gamma(M)
+    comps = components(adj, _subset(data.draw, M))
+    rule = data.draw(st.sampled_from(["centroid", "sink", "random"]))
+    if rule == "random":
+        bound = data.draw(st.integers(0, M.dim))
+        batch_of = _random_batches(data.draw(st.integers(0, 2 ** 32)))
+
+        def choose(c, branch, kept):
+            return batch_of(_piece(c, kept))
+    else:
+        bound = data.draw(st.integers(1, M.dim))
+        choose = partial(_centroid_batch if rule == "centroid" else _sink_batch, M.dim1)
+    assert split_until(adj, comps, bound, choose) == split_until_by_walks(adj, comps, bound, choose)
 
 
 # -- the (layer, index)-keyed graph layer as the reference for the id one ---------
@@ -577,8 +617,7 @@ def test_id_graph_layer_matches_the_tag_keyed_reference(M, data):
     bound = data.draw(st.integers(1, M.dim))
     rule = data.draw(st.booleans())
     batch = _sink_batch if rule else _centroid_batch
-    got = split_until(adj, comps, bound,
-                      lambda order, parent: batch(M.dim1, order, parent))
+    got = split_until(adj, comps, bound, partial(batch, M.dim1))
     want = _tag_split_until(tadj, tsubset, bound, _tag_batch_rule(rule, tadj))
     assert [[tag(v) for v in c] for c in got[0]] == want[0]
     assert {tag(v) for v in got[1]} == want[1]
